@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Tolerances:
-    mass_tol: float = 1e-9          # |mass - 1| allowed for "normalized"
-    sym_tol: float = 1e-9           # symmetry slack for radial_from_grid
+    sym_tol: float = 1e-9           # symmetry slack for is_symmetric_decreasing
+                                    # and radial_from_grid
     tail_tol: float = 1e-6          # truncation tail for unbounded supports
     series_tol: float = 1e-8        # Poisson series truncation tail
     maj_tol: float = 1e-12          # majorization slack on exact comparisons
@@ -23,7 +23,6 @@ class Tolerances:
                                     # excluded from the Fisher integrand
     eps_conv_factor: float = 10.0   # per-cell budget for k-fold convolutions
     fft_threshold: int = 4096       # output cells above which FFT is used
-    conv_agreement: float = 1e-10   # required L1 agreement FFT vs direct
     quad_tol: float = 1e-10         # absolute tolerance for quadratures
 
 

@@ -27,7 +27,7 @@ from scipy.signal import fftconvolve
 
 from .config import DEFAULT_TOLS, Tolerances
 from .errors import BadParameter, NonPositiveSpacing, SpacingMismatch
-from .grids import Grid1D
+from .grids import Grid1D, same_spacing
 
 __all__ = ["convolve", "convolve_k", "scale_density", "resample", "project_onto"]
 
@@ -54,7 +54,7 @@ def convolve(f: Grid1D, g: Grid1D, tols: Tolerances = DEFAULT_TOLS,
     in 1e12.  `method` forces "direct" or "fft" (used by the agreement
     test); by default the choice follows tols.fft_threshold.
     """
-    if abs(f.dx - g.dx) > 1e-12 * f.dx:
+    if not same_spacing(f, g):
         raise SpacingMismatch(f"dx mismatch: {f.dx} vs {g.dx}")
     if method not in (None, "direct", "fft"):
         raise BadParameter(f"unknown convolution method {method!r}")

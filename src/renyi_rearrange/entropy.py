@@ -33,8 +33,8 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .config import DEFAULT_TOLS
-from .errors import BadParameter, GridMismatch, OrderOutOfRange, WeightSum, ZeroMass
-from .grids import Grid1D, RadialDensity
+from .errors import BadParameter, OrderOutOfRange, WeightSum, ZeroMass
+from .grids import Grid1D, RadialDensity, require_same_grid
 from .reports import VerificationReport, report_leq
 
 __all__ = [
@@ -110,16 +110,10 @@ class RenyiOrder:
         return {"zero": "0", "one": "1", "infinity": "inf"}.get(self.tag, repr(self.p))
 
 
-def _values_and_measures(f: Density) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(f, Grid1D):
-        return f.values, np.full(f.values.shape, f.dx)
-    return f.profile, f.shell_volumes()
-
-
 def renyi_entropy(f: Density, order: RenyiOrder | float | str) -> float:
     """Renyi entropy h_p(f) of a step density, exact for every order."""
     order = RenyiOrder.coerce(order)
-    vals, meas = _values_and_measures(f)
+    vals, meas = f.cells()
     pos = vals > 0.0
     if not pos.any():
         raise ZeroMass("entropy of an identically zero density")
@@ -146,12 +140,6 @@ def entropy_power(f: Density, order: RenyiOrder | float | str, n: int | None = N
     return float(math.exp(2.0 * h / n))
 
 
-def _common_grid(f: Grid1D, g: Grid1D) -> None:
-    if f.n_cells != g.n_cells or abs(f.dx - g.dx) > 1e-12 * f.dx \
-            or abs(f.x0 - g.x0) > 1e-9 * max(1.0, abs(f.x0)):
-        raise GridMismatch("divergence needs both densities on one grid")
-
-
 def renyi_affinity(f: Grid1D, g: Grid1D, alpha: float) -> float:
     """The integral int f^alpha g^(1-alpha) dx for alpha in (0, 1).
 
@@ -159,7 +147,7 @@ def renyi_affinity(f: Grid1D, g: Grid1D, alpha: float) -> float:
     """
     if not (0.0 < alpha < 1.0):
         raise OrderOutOfRange(f"affinity needs alpha in (0,1), got {alpha}")
-    _common_grid(f, g)
+    require_same_grid(f, g)
     both = (f.values > 0.0) & (g.values > 0.0)
     if not both.any():
         return 0.0
@@ -176,7 +164,7 @@ def renyi_divergence(f: Grid1D, g: Grid1D, alpha: float) -> float:
     """
     if not (0.0 < alpha <= 1.0):
         raise OrderOutOfRange(f"divergence implemented for alpha in (0,1], got {alpha}")
-    _common_grid(f, g)
+    require_same_grid(f, g)
     if alpha == 1.0:
         pos = f.values > 0.0
         if np.any(pos & (g.values == 0.0)):
@@ -225,7 +213,7 @@ def mixture_entropy_bound_check(components: list[Grid1D], weights: list[float],
         raise WeightSum(f"weights must be nonnegative and sum to 1, got sum {w.sum()}")
     base = components[0]
     for c in components[1:]:
-        _common_grid(base, c)
+        require_same_grid(base, c)
     mix_vals = np.zeros(base.n_cells)
     for wi, c in zip(w, components):
         mix_vals += wi * c.values

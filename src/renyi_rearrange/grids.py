@@ -31,6 +31,7 @@ from .config import DEFAULT_TOLS, Tolerances
 from .errors import (
     BadParameter,
     EmptyGrid,
+    GridMismatch,
     NegativeValue,
     NonPositiveSpacing,
     NotSymmetric,
@@ -119,6 +120,10 @@ class Grid1D:
         """Lebesgue measure of {f > 0} (exact zeros are outside support)."""
         return float(np.count_nonzero(self.values) * self.dx)
 
+    def cells(self) -> tuple[np.ndarray, np.ndarray]:
+        """(values, cell lengths) in storage order."""
+        return self.values, np.full(self.values.shape, self.dx)
+
 
 def make_grid(x0: float, dx: float, values: Iterable[float]) -> Grid1D:
     """Validated Grid1D constructor.
@@ -138,6 +143,23 @@ def make_grid(x0: float, dx: float, values: Iterable[float]) -> Grid1D:
         worst = float(vals.min())
         raise NegativeValue(f"grid values must be nonnegative, min={worst}")
     return Grid1D(x0=float(x0), dx=float(dx), values=_readonly(vals))
+
+
+# The grid-compatibility rule: spacings agree to one part in 1e12, and
+# grids that must coincide also share their cell count and, to 1e-9 of a
+# cell, their origin.
+
+def same_spacing(f: Grid1D, g: Grid1D) -> bool:
+    return abs(f.dx - g.dx) <= 1e-12 * f.dx
+
+
+def require_same_grid(f: Grid1D, g: Grid1D) -> None:
+    """Raise GridMismatch unless f and g sit on one grid."""
+    if not (same_spacing(f, g) and f.n_cells == g.n_cells
+            and abs(f.x0 - g.x0) <= 1e-9 * f.dx):
+        raise GridMismatch(
+            f"grids differ: (x0={f.x0}, dx={f.dx}, n={f.n_cells}) vs "
+            f"(x0={g.x0}, dx={g.dx}, n={g.n_cells})")
 
 
 @dataclass(frozen=True)
@@ -180,6 +202,10 @@ class RadialDensity:
     def support_measure(self) -> float:
         vols = self.shell_volumes()
         return float(vols[self.profile > 0.0].sum())
+
+    def cells(self) -> tuple[np.ndarray, np.ndarray]:
+        """(profile values, shell volumes) in storage order."""
+        return self.profile, self.shell_volumes()
 
 
 def make_radial(dim: int, dr: float, profile: Iterable[float],
@@ -239,17 +265,23 @@ def refine(f: Grid1D, factor: int) -> Grid1D:
     return Grid1D(f.x0, f.dx / factor, _readonly(np.repeat(f.values, factor)))
 
 
-def is_symmetric_decreasing(f: Grid1D, sym_tol: float = DEFAULT_TOLS.sym_tol) -> bool:
-    """True when the grid is centered at 0, even, and nonincreasing in |x|."""
+def _asymmetry(f: Grid1D, sym_tol: float) -> str | None:
+    """Why f is not centered at 0 and mirror symmetric within sym_tol, or None."""
     n = f.n_cells
     if abs(f.x0 + 0.5 * n * f.dx) > sym_tol:
+        return f"grid [{f.x0}, {f.x0 + n * f.dx}] is not centered at the origin"
+    mism = float(np.max(np.abs(f.values - f.values[::-1])))
+    if mism > sym_tol * max(f.max_value, 1.0):
+        return f"values are not mirror symmetric (max gap {mism})"
+    return None
+
+
+def is_symmetric_decreasing(f: Grid1D, sym_tol: float = DEFAULT_TOLS.sym_tol) -> bool:
+    """True when the grid is centered at 0, even, and nonincreasing in |x|."""
+    if _asymmetry(f, sym_tol) is not None:
         return False
-    v = f.values
-    scale = max(f.max_value, 1.0)
-    if np.max(np.abs(v - v[::-1])) > sym_tol * scale:
-        return False
-    right = v[(n + 1) // 2:]
-    return bool(np.all(np.diff(right) <= sym_tol * scale))
+    right = f.values[(f.n_cells + 1) // 2:]
+    return bool(np.all(np.diff(right) <= sym_tol * max(f.max_value, 1.0)))
 
 
 GENERATOR_KINDS = ("uniform-mixture", "gaussian-mixture", "spiky-piecewise", "bimodal")
@@ -348,16 +380,11 @@ def radial_from_grid(f: Grid1D, sym_tol: float = DEFAULT_TOLS.sym_tol) -> Radial
     that 0 is always a cell edge, giving shells of width dx/2 with
     ``profile[j]`` the value at radius (j + 1/2) * dr.
     """
-    n = f.n_cells
-    if abs(f.x0 + 0.5 * n * f.dx) > sym_tol:
-        raise NotSymmetric(
-            f"grid [{f.x0}, {f.x0 + n * f.dx}] is not centered at the origin")
-    scale = max(f.max_value, 1.0)
-    mism = float(np.max(np.abs(f.values - f.values[::-1])))
-    if mism > sym_tol * scale:
-        raise NotSymmetric(f"values are not mirror symmetric (max gap {mism})")
+    reason = _asymmetry(f, sym_tol)
+    if reason is not None:
+        raise NotSymmetric(reason)
     half = np.repeat(f.values, 2)  # 2n half-cells; 0 sits after cell n-1
-    profile = half[n:]
+    profile = half[f.n_cells:]
     return make_radial(1, f.dx / 2.0, profile)
 
 

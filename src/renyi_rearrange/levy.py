@@ -11,15 +11,15 @@ diffusion but replaces the jump law by its symmetric decreasing
 rearrangement f*; its marginal dominates in every Renyi entropy.
 
 Numerically the series is truncated where the Poisson tail drops below
-series_tol and renormalized.  All terms of the mixture must live on one
-grid, so convolutions are tracked as lattice mass vectors: the jump
-density is first snapped onto a lattice whose midpoints sit at integer
-or half-integer multiples of the spacing, after which every k-fold
-convolution lands at integer-or-half offsets and the mixture can be
-accumulated exactly on the half-step refinement.  Both processes use the
-same snapped jump law (the rearranged pipeline rearranges the snapped
-density), so the dominance being checked is exact for the densities
-actually simulated.
+series_tol and renormalized.  Every term of the mixture is a Grid1D: the
+Gaussian has its midpoints at integer multiples of the jump law's spacing
+dx, and a jump law whose midpoints are not at multiples of dx/2 is first
+projected onto the nearest grid where they are.  Each k-fold convolution
+(with :func:`convolve.convolve`) then starts at a multiple of dx/2 from
+the Gaussian, so the weighted terms add up exactly on the dx/2
+refinement.  Both processes use the same snapped jump law (the rearranged
+pipeline rearranges the snapped density), so the dominance being checked
+is exact for the densities actually simulated.
 """
 
 from __future__ import annotations
@@ -29,13 +29,13 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.signal import fftconvolve
 from scipy.stats import poisson
 
 from .config import DEFAULT_TOLS, Tolerances
 from .errors import BadParameter, TruncationInsufficient
 from .grids import Grid1D, is_symmetric_decreasing, normalize
-from .convolve import project_onto
+from .convolve import convolve, project_onto
+from .densities import gaussian_on_grid
 from .entropy import RenyiOrder, renyi_entropy
 from .rearrange import rearrange_1d
 from .reports import VerificationReport, report_geq
@@ -84,78 +84,32 @@ def auto_k_max(mu: float, tols: Tolerances = DEFAULT_TOLS) -> int:
     return k
 
 
-@dataclass(frozen=True)
-class _Lattice:
-    """Mass vector whose atom i sits at (start + i + frac) * step,
-    with frac restricted to 0 or 1/2 so convolutions stay on lattice."""
-
-    mass: np.ndarray
-    step: float
-    start: int
-    frac: float
-
-    def convolve(self, other: "_Lattice") -> "_Lattice":
-        if abs(self.step - other.step) > 1e-12 * self.step:
-            raise BadParameter("lattice steps differ")
-        n_out = self.mass.size + other.mass.size - 1
-        if n_out <= DEFAULT_TOLS.fft_threshold:
-            m = np.convolve(self.mass, other.mass)
-        else:
-            m = fftconvolve(self.mass, other.mass)
-            np.maximum(m, 0.0, out=m)
-        s = self.frac + other.frac
-        return _Lattice(m, self.step, self.start + other.start + int(s), s % 1.0)
+def _snap(f: Grid1D) -> Grid1D:
+    """f itself when its midpoints sit on multiples of dx/2, else f
+    projected onto the nearest such grid (shifting mass by at most half a
+    cell), widened by one cell on each side so no mass is dropped."""
+    half_cells = 2.0 * f.x0 / f.dx
+    if abs(half_cells - round(half_cells)) <= 2e-9:
+        return f
+    start = round(f.x0 / f.dx) - 1
+    return project_onto(f, start * f.dx, f.dx, f.n_cells + 2)
 
 
-def _to_lattice(f: Grid1D) -> _Lattice:
-    """Snap a grid density onto the nearest integer/half lattice of its dx.
-
-    Densities whose midpoints already sit at (k + frac) dx with frac in
-    {0, 1/2} pass through exactly; anything else is projected, shifting
-    mass by at most half a cell.
-    """
-    dx = f.dx
-    pos0 = (f.x0 + 0.5 * dx) / dx
-    frac = pos0 - math.floor(pos0)
-    for target in (0.0, 0.5, 1.0):
-        if abs(frac - target) <= 1e-9:
-            start = int(math.floor(pos0)) + (1 if target == 1.0 else 0)
-            return _Lattice(f.values * dx, dx, start, target % 1.0)
-    # misaligned grid: project onto the half lattice, widened by one cell
-    # on each side so no mass falls outside the target window
-    start = round(pos0 - 0.5) - 1
-    snapped = project_onto(f, start * dx, dx, f.n_cells + 2)
-    return _Lattice(snapped.values * dx, dx, start, 0.5)
+def _accumulate(terms: list[tuple[float, Grid1D]]) -> Grid1D:
+    """Weighted sum of terms whose origins differ by multiples of dx/2,
+    exact on the dx/2 refinement."""
+    half = terms[0][1].dx / 2.0
+    lo = min(t.x0 for _, t in terms)
+    offsets = [round((t.x0 - lo) / half) for _, t in terms]
+    acc = np.zeros(max(o + 2 * t.n_cells for o, (_, t) in zip(offsets, terms)))
+    for o, (w, t) in zip(offsets, terms):
+        term = w * t.values
+        acc[o:o + 2 * t.n_cells:2] += term
+        acc[o + 1:o + 2 * t.n_cells:2] += term
+    return Grid1D(x0=lo, dx=half, values=acc)
 
 
-def _gaussian_lattice(variance: float, step: float,
-                      tols: Tolerances = DEFAULT_TOLS) -> _Lattice:
-    """Centered Gaussian mass vector with midpoints at integer multiples."""
-    sigma = math.sqrt(variance)
-    k = max(4, int(math.ceil(8.0 * sigma / step)))
-    idx = np.arange(-k, k + 1)
-    mass = np.exp(-0.5 * (idx * step / sigma) ** 2)
-    mass *= 1.0 / mass.sum()
-    return _Lattice(mass, step, -k, 0.0)
-
-
-def _accumulate(terms: list[tuple[float, _Lattice]]) -> Grid1D:
-    """Sum weighted lattice terms exactly on the half-step refinement."""
-    step = terms[0][1].step
-    fine = step / 2.0
-    lo = min(2 * t.start + int(2 * t.frac) - 1 for _, t in terms)
-    hi = max(2 * (t.start + t.mass.size - 1) + int(2 * t.frac) + 1 for _, t in terms)
-    acc = np.zeros(hi - lo + 1)
-    for w, t in terms:
-        base = 2 * t.start + int(2 * t.frac) - 1 - lo
-        half = 0.5 * w * t.mass
-        acc[base:base + 2 * t.mass.size:2] += half
-        acc[base + 1:base + 1 + 2 * t.mass.size:2] += half
-    x0 = lo * fine
-    return Grid1D(x0=x0, dx=fine, values=acc / fine)
-
-
-def _mixture(spec: LevySpec, jump_lattice: _Lattice | None, k_max: int,
+def _mixture(spec: LevySpec, jump: Grid1D | None, k_max: int,
              tols: Tolerances) -> Grid1D:
     mu = spec.rate * spec.t
     if mu > 0.0:
@@ -163,21 +117,22 @@ def _mixture(spec: LevySpec, jump_lattice: _Lattice | None, k_max: int,
         if tail >= tols.series_tol:
             raise TruncationInsufficient(
                 f"k_max={k_max} leaves Poisson tail {tail:.3g} >= {tols.series_tol}")
-    step = jump_lattice.step if jump_lattice is not None else \
-        2.0 * 8.0 * math.sqrt(spec.a * spec.t) / 1024
-    gauss = _gaussian_lattice(spec.a * spec.t, step, tols)
+    sigma = math.sqrt(spec.a * spec.t)
+    dx = jump.dx if jump is not None else 16.0 * sigma / 1024
+    reach = max(4, int(math.ceil(8.0 * sigma / dx)))
+    gauss = gaussian_on_grid(0.0, sigma, -(reach + 0.5) * dx, dx, 2 * reach + 1)
     log_mu = math.log(mu) if mu > 0.0 else -math.inf
     weights = [math.exp(-mu + k * log_mu - math.lgamma(k + 1)) if mu > 0.0
                else (1.0 if k == 0 else 0.0)
                for k in range(k_max + 1)]
-    terms: list[tuple[float, _Lattice]] = [(weights[0], gauss)]
-    if jump_lattice is not None and mu > 0.0:
+    terms: list[tuple[float, Grid1D]] = [(weights[0], gauss)]
+    if jump is not None and mu > 0.0:
+        jump = _snap(jump)
         fold = gauss
         for k in range(1, k_max + 1):
-            fold = fold.convolve(jump_lattice)
+            fold = convolve(fold, jump, tols)
             terms.append((weights[k], fold))
-    out = _accumulate(terms)
-    return normalize(out)
+    return normalize(_accumulate(terms))
 
 
 def marginal_density(spec: LevySpec, k_max: int | None = None,
@@ -190,8 +145,7 @@ def marginal_density(spec: LevySpec, k_max: int | None = None,
     """
     if k_max is None:
         k_max = auto_k_max(spec.rate * spec.t, tols)
-    lattice = _to_lattice(spec.jump) if spec.rate > 0.0 else None
-    return _mixture(spec, lattice, k_max, tols)
+    return _mixture(spec, spec.jump if spec.rate > 0.0 else None, k_max, tols)
 
 
 def rearranged_marginal(spec: LevySpec, k_max: int | None = None,
@@ -210,12 +164,8 @@ def rearranged_marginal(spec: LevySpec, k_max: int | None = None,
     if is_symmetric_decreasing(spec.jump):
         jump_star = spec.jump
     else:
-        snapped = _to_lattice(spec.jump)
-        as_grid = Grid1D(x0=(snapped.start + snapped.frac) * snapped.step
-                         - 0.5 * snapped.step,
-                         dx=snapped.step, values=snapped.mass / snapped.step)
-        jump_star = rearrange_1d(as_grid)
-    return _mixture(spec, _to_lattice(jump_star), k_max, tols)
+        jump_star = rearrange_1d(_snap(spec.jump))
+    return _mixture(spec, jump_star, k_max, tols)
 
 
 def check_levy_dominance(spec: LevySpec,

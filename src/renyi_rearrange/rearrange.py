@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_TOLS
-from .errors import DimensionMismatch, GridMismatch
-from .grids import Grid1D, RadialDensity, make_radial, unit_ball_volume
+from .errors import DimensionMismatch
+from .grids import Grid1D, RadialDensity, make_radial, require_same_grid, unit_ball_volume
 
 __all__ = [
     "rearrange_1d",
@@ -82,10 +82,8 @@ def rearrange_radial(f: RadialDensity) -> RadialDensity:
 
 def level_set_measure(f: Density, t: float) -> float:
     """Lebesgue measure of the super-level set {f > t}."""
-    if isinstance(f, Grid1D):
-        return float(np.count_nonzero(f.values > t) * f.dx)
-    vols = f.shell_volumes()
-    return float(vols[f.profile > t].sum())
+    vals, meas = f.cells()
+    return float(meas[vals > t].sum())
 
 
 @dataclass(frozen=True)
@@ -102,15 +100,8 @@ class LevelSetProfile:
 
 
 def level_set_profile(f: Density) -> LevelSetProfile:
-    if isinstance(f, Grid1D):
-        vals = f.values
-        cell = np.full(vals.shape, f.dx)
-    else:
-        vals = f.profile
-        cell = f.shell_volumes()
-    order = np.argsort(-vals, kind="stable")
-    v = vals[order]
-    w = np.cumsum(cell[order])
+    v, cell = sorted_layers(f)
+    w = np.cumsum(cell)
     # keep the last occurrence of each distinct value: measure{f > t} for
     # t just below that value
     keep = np.concatenate((v[1:] != v[:-1], [True]))
@@ -126,12 +117,7 @@ def level_set_profile(f: Density) -> LevelSetProfile:
 
 def sorted_layers(f: Density) -> tuple[np.ndarray, np.ndarray]:
     """(values desc, cell measures) of f, i.e. the layers of f*."""
-    if isinstance(f, Grid1D):
-        vals = f.values
-        cell = np.full(vals.shape, f.dx)
-    else:
-        vals = f.profile
-        cell = f.shell_volumes()
+    vals, cell = f.cells()
     order = np.argsort(-vals, kind="stable")
     return vals[order], cell[order]
 
@@ -173,9 +159,5 @@ def majorizes(f: Density, g: Density,
 
 def l1_distance(f: Grid1D, g: Grid1D) -> float:
     """L1 distance between densities on the same grid."""
-    if f.n_cells != g.n_cells:
-        raise GridMismatch(f"cell counts differ: {f.n_cells} vs {g.n_cells}")
-    tol = 1e-9 * max(f.dx, 1.0)
-    if abs(f.dx - g.dx) > tol or abs(f.x0 - g.x0) > 1e-9 * max(abs(f.x0), 1.0) + tol:
-        raise GridMismatch("grids differ in spacing or origin")
+    require_same_grid(f, g)
     return float(np.abs(f.values - g.values).sum() * f.dx)

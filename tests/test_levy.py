@@ -5,6 +5,7 @@ import pytest
 
 from renyi_rearrange import (
     BadParameter,
+    DensityGeneratorSpec,
     LevySpec,
     TruncationInsufficient,
     check_levy_dominance,
@@ -13,6 +14,7 @@ from renyi_rearrange import (
     marginal_density,
     moment,
     normalize,
+    random_density,
     rearranged_marginal,
     renyi_entropy,
     uniform_interval,
@@ -123,6 +125,15 @@ class TestDominance:
         assert all(r.passed for r in reports)
         # the skew is real: strictly positive margins, not tolerance saves
         assert all(r.margin > 0.0 for r in reports)
+
+    def test_support_dominance_with_gapped_jumps(self):
+        # a jump law with gaps: FFT noise in the folded terms must not
+        # count as support, or h_0 measures the grid instead of the density
+        jump = random_density(DensityGeneratorSpec(kind="uniform-mixture",
+                                                   seed=0, cells=512))
+        spec = LevySpec(a=1.0, rate=5.0, jump=jump, t=1.0)
+        report = check_levy_dominance(spec, [0.0])[0]
+        assert report.lhs >= report.rhs
 
     def test_zero_rate_equality(self):
         spec = LevySpec(a=1.0, rate=0.0, jump=skewed_jump(), t=1.0)

@@ -169,6 +169,10 @@ class TestLevelSetProfile:
         assert l1_distance(f, g) == pytest.approx(0.5)
         with pytest.raises(GridMismatch):
             l1_distance(f, make_grid(0.0, 0.25, [1.0, 2.0]))
+        # spacings are compared relative to dx, not against an absolute slack
+        with pytest.raises(GridMismatch):
+            l1_distance(make_grid(0.0, 1e-10, [1.0, 2.0]),
+                        make_grid(0.0, 2e-10, [1.0, 2.0]))
 
 
 @settings(max_examples=60, deadline=None)
