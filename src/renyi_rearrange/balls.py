@@ -200,7 +200,8 @@ def _indicator_level(f: Grid1D, rel_tol: float = 1e-9) -> float:
 
 
 def brunn_minkowski_check(f: Grid1D, g: Grid1D,
-                          tols: Tolerances = DEFAULT_TOLS) -> VerificationReport:
+                          tols: Tolerances = DEFAULT_TOLS,
+                          seed: int | None = None) -> VerificationReport:
     """Grid Brunn-Minkowski in the entropy form:
 
         |supp(f * g)| >= |supp f| + |supp g| - 2 dx
@@ -216,4 +217,5 @@ def brunn_minkowski_check(f: Grid1D, g: Grid1D,
     rhs = f.support_measure + g.support_measure
     return report_geq("brunn_minkowski", lhs, rhs, 2.0 * f.dx,
                       params={"level_f": level_f, "level_g": level_g,
-                              "dx": f.dx})
+                              "dx": f.dx},
+                      seed=seed)

@@ -123,22 +123,27 @@ def bobkov_constant(p: float, n: int = 1) -> float:
 
 
 def bobkov_chistyakov_bound_check(p: float, densities: list[Grid1D],
-                                  tols: Tolerances = DEFAULT_TOLS) -> VerificationReport:
+                                  tols: Tolerances = DEFAULT_TOLS,
+                                  seed: int | None = None, *,
+                                  conv: Grid1D | None = None) -> VerificationReport:
     """Check N_p(X1 + ... + Xk) >= c_p sum_i N_p(Xi) on grid densities.
 
     This is the proven bound, so the report is a genuine verification
     (no conjecture label).  The tolerance scales like the entropy-power
-    image of the k-fold convolution budget.
+    image of the k-fold convolution budget.  `conv` is
+    ``convolve_k(densities, tols)`` when the caller already has it.
     """
     if len(densities) < 2:
         raise BadParameter("need at least two densities to add")
     k = len(densities)
     c_p = bobkov_constant(p, 1)
-    conv = convolve_k(densities, tols)
+    if conv is None:
+        conv = convolve_k(densities, tols)
     lhs = entropy_power(conv, p, 1)
     rhs = c_p * sum(entropy_power(f, p, 1) for f in densities)
     dx = densities[0].dx
     tol = max(2.0 * (lhs + rhs) * tols.eps_conv_factor * dx * k, 1e-9)
     return report_geq(f"bobkov_chistyakov[p={RenyiOrder.coerce(p).label()}]",
                       lhs, rhs, tol,
-                      params={"k": k, "c_p": c_p, "p": RenyiOrder.coerce(p).label()})
+                      params={"k": k, "c_p": c_p, "p": RenyiOrder.coerce(p).label()},
+                      seed=seed)

@@ -199,7 +199,8 @@ def fisher_information(f: Grid1D,
 
 
 def mixture_entropy_bound_check(components: list[Grid1D], weights: list[float],
-                                tol: float = 1e-9) -> VerificationReport:
+                                tol: float = 1e-9,
+                                seed: int | None = None) -> VerificationReport:
     """Check h(sum_i c_i f_i) <= sum_i c_i h(f_i) + H(c).
 
     All components must share a grid; both sides are exact sums, so the
@@ -225,4 +226,5 @@ def mixture_entropy_bound_check(components: list[Grid1D], weights: list[float],
     rhs = comp_term + weight_entropy
     return report_leq("mixture_entropy_bound", lhs, rhs, tol,
                       params={"k": len(components),
-                              "weight_entropy": weight_entropy})
+                              "weight_entropy": weight_entropy},
+                      seed=seed)

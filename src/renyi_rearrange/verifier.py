@@ -18,6 +18,8 @@ machine-level budgets; anything downstream of a k-fold convolution gets
 eps_conv = 10 * dx * k; derivative-based functionals (Fisher) get a 1%
 relative budget.  Corpora are generated deterministically from the suite
 seed, so rerunning a configuration reproduces every report bit for bit.
+The main suite convolves each corpus group once, f1 * ... * fk and
+f1^* * ... * fk^*, and every check on that group reads those two values.
 """
 
 from __future__ import annotations
@@ -77,7 +79,11 @@ DEFAULT_ORDERS: tuple[float, ...] = (0.0, 0.5, 1.0, 2.0, math.inf)
 # individual checks
 
 
-def _star_convolve(fs: Sequence[Grid1D], tols: Tolerances) -> tuple[Grid1D, Grid1D]:
+Convs = tuple[Grid1D, Grid1D]
+
+
+def _star_convolve(fs: Sequence[Grid1D], tols: Tolerances) -> Convs:
+    """(f1 * ... * fk, f1^* * ... * fk^*), both as left folds."""
     conv = convolve_k(list(fs), tols)
     conv_star = convolve_k([rearrange_1d(f) for f in fs], tols)
     return conv, conv_star
@@ -85,13 +91,18 @@ def _star_convolve(fs: Sequence[Grid1D], tols: Tolerances) -> tuple[Grid1D, Grid
 
 def check_main_theorem(fs: Sequence[Grid1D], order: RenyiOrder | float | str,
                        tols: Tolerances = DEFAULT_TOLS,
-                       seed: int | None = None) -> VerificationReport:
-    """h_p of a k-fold convolution never drops under rearranging the factors."""
+                       seed: int | None = None, *,
+                       convs: Convs | None = None) -> VerificationReport:
+    """h_p of a k-fold convolution never drops under rearranging the factors.
+
+    `convs` is ``_star_convolve(fs, tols)`` when the caller already has it;
+    the same holds for the other convolution checks below.
+    """
     order = RenyiOrder.coerce(order)
     k = len(fs)
     if k < 2:
         raise BadParameter("need at least two densities")
-    conv, conv_star = _star_convolve(fs, tols)
+    conv, conv_star = _star_convolve(fs, tols) if convs is None else convs
     lhs = renyi_entropy(conv, order)
     rhs = renyi_entropy(conv_star, order)
     return report_geq(f"main_theorem[p={order.label()}]", lhs, rhs,
@@ -169,12 +180,13 @@ class PhiSpec:
 
 def check_most_gen(fs: Sequence[Grid1D], phi: PhiSpec,
                    tols: Tolerances = DEFAULT_TOLS,
-                   seed: int | None = None) -> VerificationReport:
+                   seed: int | None = None, *,
+                   convs: Convs | None = None) -> VerificationReport:
     """int phi(f1 * ... * fk) <= int phi(f1^* * ... * fk^*) for convex phi."""
     k = len(fs)
     if k < 2:
         raise BadParameter("need at least two densities")
-    conv, conv_star = _star_convolve(fs, tols)
+    conv, conv_star = _star_convolve(fs, tols) if convs is None else convs
     lhs = float(np.sum(phi.apply(conv.values)) * conv.dx)
     rhs = float(np.sum(phi.apply(conv_star.values)) * conv_star.dx)
     # budget: the convolutions agree with the true step convolution to
@@ -195,12 +207,13 @@ def check_most_gen(fs: Sequence[Grid1D], phi: PhiSpec,
 
 def check_majorized_convolution(fs: Sequence[Grid1D],
                                 tols: Tolerances = DEFAULT_TOLS,
-                                seed: int | None = None) -> VerificationReport:
+                                seed: int | None = None, *,
+                                convs: Convs | None = None) -> VerificationReport:
     """The convolution is majorized by the convolution of rearrangements."""
     k = len(fs)
     if k < 2:
         raise BadParameter("need at least two densities")
-    conv, conv_star = _star_convolve(fs, tols)
+    conv, conv_star = _star_convolve(fs, tols) if convs is None else convs
     tol = tols.eps_conv_factor * fs[0].dx * max(conv.max_value, conv_star.max_value)
     ok, worst = majorizes(conv, conv_star, maj_tol=tol)
     return VerificationReport(
@@ -210,7 +223,8 @@ def check_majorized_convolution(fs: Sequence[Grid1D],
 
 
 def check_epi_chain(f1: Grid1D, f2: Grid1D, tols: Tolerances = DEFAULT_TOLS,
-                    seed: int | None = None) -> VerificationReport:
+                    seed: int | None = None, *,
+                    convs: Convs | None = None) -> VerificationReport:
     """Entropy chain h(f1*f2) >= h(f1^* * f2^*) >= Gaussian EPI bound.
 
     sigma_i is the standard deviation of the Gaussian with the same
@@ -219,7 +233,7 @@ def check_epi_chain(f1: Grid1D, f2: Grid1D, tols: Tolerances = DEFAULT_TOLS,
     Both links are reported; the margin is the smaller of the two.
     """
     one = RenyiOrder.one()
-    conv, conv_star = _star_convolve((f1, f2), tols)
+    conv, conv_star = _star_convolve((f1, f2), tols) if convs is None else convs
     h_sum = renyi_entropy(conv, one)
     h_star = renyi_entropy(conv_star, one)
     s1 = math.exp(2.0 * renyi_entropy(f1, one)) / GAUSSIAN_ENTROPY_POWER
@@ -366,19 +380,23 @@ def _run_main(config: SuiteConfig) -> list[VerificationReport]:
             PhiSpec("hinge", 0.25))
     for i, fs in enumerate(pair_corpus):
         seed = _derived_seed(config.seed, 1, i)
+        convs = _star_convolve(fs, tols)
         for p in config.orders:
-            reports.append(check_main_theorem(fs, p, tols, seed=seed))
-        reports.append(check_majorized_convolution(fs, tols, seed=seed))
-        reports.append(check_epi_chain(fs[0], fs[1], tols, seed=seed))
-        reports.append(check_most_gen(fs, phis[i % len(phis)], tols, seed=seed))
+            reports.append(check_main_theorem(fs, p, tols, seed=seed, convs=convs))
+        reports.append(check_majorized_convolution(fs, tols, seed=seed, convs=convs))
+        reports.append(check_epi_chain(fs[0], fs[1], tols, seed=seed, convs=convs))
+        reports.append(check_most_gen(fs, phis[i % len(phis)], tols, seed=seed,
+                                      convs=convs))
         for p in (1.0, 2.0, math.inf):
-            reports.append(bobkov_chistyakov_bound_check(p, fs, tols))
-        reports.append(mixture_entropy_bound_check(fs, [0.5, 0.5]))
+            reports.append(bobkov_chistyakov_bound_check(p, fs, tols, seed=seed,
+                                                         conv=convs[0]))
+        reports.append(mixture_entropy_bound_check(fs, [0.5, 0.5], seed=seed))
     for i, fs in enumerate(triple_corpus):
         seed = _derived_seed(config.seed, 2, i)
+        convs = _star_convolve(fs, tols)
         for p in config.orders:
-            reports.append(check_main_theorem(fs, p, tols, seed=seed))
-        reports.append(check_majorized_convolution(fs, tols, seed=seed))
+            reports.append(check_main_theorem(fs, p, tols, seed=seed, convs=convs))
+        reports.append(check_majorized_convolution(fs, tols, seed=seed, convs=convs))
     # equality witness: Gaussian factors make every link of the chain tight
     dx = 2.0 * config.halfwidth / config.cells
     g1 = gaussian_on_grid(0.0, 0.9, -config.halfwidth, dx, config.cells)
@@ -386,13 +404,14 @@ def _run_main(config: SuiteConfig) -> list[VerificationReport]:
     reports.append(check_epi_chain(g1, g2, tols, seed=config.seed))
     # Brunn-Minkowski instances on indicator unions
     for i in range(max(4, config.pairs // 2)):
-        f, g = _indicator_pair(config, 7, i)
-        reports.append(brunn_minkowski_check(f, g, tols))
+        seed = _derived_seed(config.seed, 7, i)
+        f, g = _indicator_pair(config, seed)
+        reports.append(brunn_minkowski_check(f, g, tols, seed=seed))
     return reports
 
 
-def _indicator_pair(config: SuiteConfig, stream: int, index: int) -> tuple[Grid1D, Grid1D]:
-    rng = np.random.default_rng(_derived_seed(config.seed, stream, index))
+def _indicator_pair(config: SuiteConfig, seed: int) -> tuple[Grid1D, Grid1D]:
+    rng = np.random.default_rng(seed)
     dx = 2.0 * config.halfwidth / config.cells
     out = []
     for _ in range(2):

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -9,18 +10,28 @@ from renyi_rearrange import (
     BadParameter,
     ConfigInvalid,
     DEFAULT_TOLS,
+    DensityGeneratorSpec,
     OrderOutOfRange,
     PhiSpec,
     SuiteConfig,
+    bobkov_chistyakov_bound_check,
     eps_conv,
     gaussian_on_grid,
+    random_density,
     report_geq,
     report_leq,
     reports_to_json,
     run_suite,
     summarize,
 )
-from renyi_rearrange.verifier import check_epi_chain, check_main_theorem, check_rbll
+from renyi_rearrange.verifier import (
+    _star_convolve,
+    check_epi_chain,
+    check_main_theorem,
+    check_majorized_convolution,
+    check_most_gen,
+    check_rbll,
+)
 
 
 class TestReportGeq:
@@ -223,3 +234,68 @@ class TestRunSuite:
         assert fails
         dx = 2.0 * config.halfwidth / config.cells
         assert all(r.margin >= -eps_conv(dx, 3) for r in fails)
+
+    def test_main_suite_reports_carry_seed(self):
+        # every check of the main suite runs on a seeded corpus group, so
+        # every report must be traceable back to its group
+        reports = run_suite(SuiteConfig(suite="main", pairs=4, triples=2, cells=64))
+        unseeded = sorted({r.name for r in reports if r.seed is None})
+        assert len(reports) > 0
+        assert unseeded == []
+
+    def test_main_suite_never_repeats_a_convolution(self, monkeypatch):
+        # the package re-exports the function under the submodule's name
+        original = sys.modules["renyi_rearrange.convolve"].convolve
+        keys = []
+
+        def recorder(f, g, *args, **kwargs):
+            keys.append(tuple((h.x0, h.dx, h.values.tobytes()) for h in (f, g)))
+            return original(f, g, *args, **kwargs)
+
+        # patch every module that bound the kernel at import time
+        for name, module in list(sys.modules.items()):
+            if (name.startswith("renyi_rearrange.")
+                    and getattr(module, "convolve", None) is original):
+                monkeypatch.setattr(module, "convolve", recorder)
+        run_suite(SuiteConfig(suite="main", pairs=4, triples=2, cells=64))
+        assert len(keys) > 0
+        repeats = len(keys) - len(set(keys))
+        assert repeats == 0
+
+
+def _kw(name, value):
+    return {} if value is None else {name: value}
+
+
+_CONV_CHECKS = [
+    *[(f"main_theorem[p={p:g}]",
+       lambda fs, convs, p=p: check_main_theorem(fs, p, **_kw("convs", convs)))
+      for p in (0.0, 0.5, 1.0, 2.0, math.inf)],
+    *[(f"most_gen[{phi.label()}]",
+       lambda fs, convs, phi=phi: check_most_gen(fs, phi, **_kw("convs", convs)))
+      for phi in (PhiSpec("xlogx"), PhiSpec("power", 2.0), PhiSpec("power", 0.5),
+                  PhiSpec("hinge", 0.25))],
+    ("majorized_convolution",
+     lambda fs, convs: check_majorized_convolution(fs, **_kw("convs", convs))),
+    ("epi_chain",
+     lambda fs, convs: check_epi_chain(*fs, **_kw("convs", convs))),
+    *[(f"bobkov_chistyakov[p={p:g}]",
+       lambda fs, convs, p=p: bobkov_chistyakov_bound_check(
+           p, fs, **_kw("conv", None if convs is None else convs[0])))
+      for p in (1.0, 2.0, math.inf)],
+]
+
+
+@pytest.mark.parametrize("name, check, k", [
+    pytest.param(name, check, k, id=f"{name}-k{k}")
+    for name, check in _CONV_CHECKS for k in (2, 3)
+    if not (name == "epi_chain" and k == 3)  # the EPI chain takes a pair
+])
+def test_precomputed_convolutions_give_same_reports(name, check, k):
+    kinds = ("spiky-piecewise", "uniform-mixture", "bimodal")
+    fs = [random_density(DensityGeneratorSpec(kind=kinds[j], seed=40 + j, cells=128))
+          for j in range(k)]
+    convs = _star_convolve(fs, DEFAULT_TOLS)
+    with_convs = check(fs, convs).to_dict()
+    assert with_convs["name"].startswith(name.split("[")[0])
+    assert with_convs == check(fs, None).to_dict()
