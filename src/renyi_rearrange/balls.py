@@ -18,20 +18,30 @@ differential entropy follows by radial integration:
     h(X+Y) = log(B V_n(1) r1^n r2^n)
            + int_0^(r1+r2) n g(r) r^(n-1) log(1/g(r)) / (r1^n r2^n B) dr.
 
-All n-th powers and normalizers are handled in log space so the formulas
-stay finite for dimensions far beyond where V_n(1) r^n underflows.
+The cap integral h has the closed form B/2 * I_{cos^2 theta}((n+1)/2, 1/2)
+for theta >= 0 (I the regularized incomplete Beta function), with
+h(-theta) = B - h(theta); it is evaluated in log space, so log g stays
+exact where h itself underflows (h(pi/4) ~ 2^-2048 at n = 4096).  The
+radial integral is one adaptive quadrature per piece, and a quadrature
+that cannot meet its tolerance raises InaccurateResult instead of
+returning its estimate.  All n-th powers and normalizers are handled in
+log space so the formulas stay finite for dimensions far beyond where
+V_n(1) r^n underflows.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
+from scipy.special import betainc
 
 from .config import DEFAULT_TOLS, Tolerances
-from .errors import BadParameter, NotIndicator
+from .errors import BadParameter, DensityOverflow, InaccurateResult, NotIndicator
 from .grids import Grid1D, unit_ball_volume
 from .convolve import convolve
 from .reports import VerificationReport, report_geq
@@ -39,6 +49,7 @@ from .reports import VerificationReport, report_geq
 __all__ = [
     "BallPair",
     "cap_integral",
+    "log_cap_integral",
     "ball_sum_radial",
     "ball_sum_entropy",
     "epi_gap_balls",
@@ -48,6 +59,11 @@ __all__ = [
 ]
 
 _ASIN_GUARD = 1e-12
+_LOG2 = math.log(2.0)
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+_CF_EPS = 1e-15
+_CF_FLOOR = 1e-300
+_CF_MAX_TERMS = 10_000
 
 
 def log_unit_ball_volume(n: int) -> float:
@@ -78,16 +94,64 @@ class BallPair:
             raise BadParameter(f"radii must be positive, got {self.r1}, {self.r2}")
 
 
-def cap_integral(theta: float, n: int, quad_tol: float = DEFAULT_TOLS.quad_tol) -> float:
-    """h(theta) = int_theta^{pi/2} cos^n x dx by adaptive quadrature."""
+def log_cap_integral(theta: float, n: int) -> float:
+    """log h(theta), h(theta) = int_theta^{pi/2} cos^n x dx, in closed form.
+
+    Substituting s = cos^2 x gives, for theta >= 0,
+
+        h(theta) = B/2 * I_{cos^2 theta}((n+1)/2, 1/2),    B = B((n+1)/2, 1/2),
+
+    with I the regularized incomplete Beta function; for theta < 0 the
+    reflection h(theta) = B - h(-theta) applies.  Where I underflows (high
+    n, theta away from 0) it is evaluated in log space from its continued
+    fraction, in which the factor 1/B of I cancels the B/2 in front.
+    """
     if n < 1:
         raise BadParameter(f"dimension must be >= 1, got {n}")
     if not (-math.pi / 2.0 - 1e-12 <= theta <= math.pi / 2.0 + 1e-12):
         raise BadParameter(f"theta must lie in [-pi/2, pi/2], got {theta}")
-    theta = min(max(theta, -math.pi / 2.0), math.pi / 2.0)
-    val, _ = quad(lambda x: math.cos(x) ** n, theta, math.pi / 2.0,
-                  epsabs=quad_tol, epsrel=quad_tol, limit=200)
-    return float(val)
+    t = min(abs(theta), math.pi / 2.0)
+    a = 0.5 * (n + 1)
+    cos_t = math.cos(t)
+    log_full = log_full_cap(n)
+    inc = float(betainc(a, 0.5, cos_t * cos_t))
+    if inc >= sys.float_info.min:
+        log_h = log_full - _LOG2 + math.log(inc)
+    else:  # t > 0 here, and cos_t >= cos(pi/2) > 0 in floating point
+        log_h = (2.0 * a * math.log(cos_t) + math.log(math.sin(t)) - _LOG2
+                 - math.log(a) + _log_beta_cf(a, 0.5, cos_t * cos_t))
+    if theta >= 0.0:
+        return log_h
+    return log_full + math.log1p(-math.exp(log_h - log_full))
+
+
+def _log_beta_cf(a: float, b: float, x: float) -> float:
+    """log of the continued fraction of I_x(a, b) = x^a (1-x)^b cf / (a B(a, b)).
+
+    Modified Lentz evaluation; it converges fast for x < (a+1)/(a+b+2),
+    which holds wherever I_x(a, b) is small enough to underflow.
+    """
+    def guard(v: float) -> float:
+        return v if abs(v) > _CF_FLOOR else _CF_FLOOR
+
+    c, d = 1.0, 1.0 / guard(1.0 - (a + b) * x / (a + 1.0))
+    cf = d
+    for m in range(1, _CF_MAX_TERMS + 1):
+        even = m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m))
+        odd = -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0))
+        for coef in (even, odd):
+            d = 1.0 / guard(1.0 + coef * d)
+            c = guard(1.0 + coef / c)
+            cf *= c * d
+        if abs(c * d - 1.0) < _CF_EPS:
+            return math.log(cf)
+    raise InaccurateResult(
+        f"incomplete Beta continued fraction did not converge (a={a}, b={b}, x={x})")
+
+
+def cap_integral(theta: float, n: int) -> float:
+    """h(theta) = int_theta^{pi/2} cos^n x dx (see log_cap_integral)."""
+    return math.exp(log_cap_integral(theta, n))
 
 
 def _clamped_asin(arg: float) -> float:
@@ -106,10 +170,8 @@ def _log_g(bp: BallPair, r: float) -> float:
         return n * math.log(min(r1, r2)) + log_full_cap(n)
     t1 = _clamped_asin((r * r - r2 * r2 + r1 * r1) / (2.0 * r * r1))
     t2 = _clamped_asin((r * r - r1 * r1 + r2 * r2) / (2.0 * r * r2))
-    h1 = cap_integral(t1, n)
-    h2 = cap_integral(t2, n)
-    a = n * math.log(r1) + (math.log(h1) if h1 > 0.0 else -math.inf)
-    b = n * math.log(r2) + (math.log(h2) if h2 > 0.0 else -math.inf)
+    a = n * math.log(r1) + log_cap_integral(t1, n)
+    b = n * math.log(r2) + log_cap_integral(t2, n)
     return float(np.logaddexp(a, b))
 
 
@@ -127,7 +189,12 @@ def ball_sum_radial(bp: BallPair, r: float) -> float:
     lg = _log_g(bp, r)
     if lg == -math.inf:
         return 0.0
-    return math.exp(lg - _log_norm(bp))
+    log_density = lg - _log_norm(bp)
+    if log_density > _LOG_FLOAT_MAX:
+        raise DensityOverflow(
+            f"density of {bp} at radius {r} is exp({log_density:.6g}), "
+            "beyond the float range")
+    return math.exp(log_density)
 
 
 def ball_sum_entropy(bp: BallPair, quad_tol: float = DEFAULT_TOLS.quad_tol) -> float:
@@ -156,10 +223,17 @@ def ball_sum_entropy(bp: BallPair, quad_tol: float = DEFAULT_TOLS.quad_tol) -> f
         pieces.append((0.0, lo))
     pieces.append((lo, hi))
     total = 0.0
-    for a, b in pieces:
-        val, _ = quad(neg_log_density_weighted, a, b,
-                      epsabs=quad_tol, epsrel=quad_tol, limit=400)
-        total += val
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        for a, b in pieces:
+            try:
+                val, _ = quad(neg_log_density_weighted, a, b,
+                              epsabs=quad_tol, epsrel=quad_tol, limit=400)
+            except IntegrationWarning as exc:
+                raise InaccurateResult(
+                    f"radial entropy integral of {bp} on [{a}, {b}]: "
+                    f"{' '.join(str(exc).split())}") from exc
+            total += val
     return float(total)
 
 

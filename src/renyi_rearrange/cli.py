@@ -161,7 +161,9 @@ def _cmd_ballsum(args: argparse.Namespace) -> int:
         "density_at_breakpoint": ball_sum_radial(bp, abs(bp.r1 - bp.r2)),
         "density_at_origin": ball_sum_radial(bp, 0.0),
         "support_radius": bp.r1 + bp.r2,
-        "tolerance_note": f"adaptive quadrature, abs tol {DEFAULT_TOLS.quad_tol}",
+        "tolerance_note": ("cap integral: closed-form incomplete Beta in log space; "
+                           "radial integral: one adaptive quadrature, abs and rel tol "
+                           f"{DEFAULT_TOLS.quad_tol}, an error if it cannot meet them"),
     })
     return 0
 

@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .config import DEFAULT_TOLS
 from .errors import BadParameter, OrderOutOfRange, WeightSum, ZeroMass
@@ -126,8 +125,26 @@ def renyi_entropy(f: Density, order: RenyiOrder | float | str) -> float:
     if order.tag == "one":
         return float(-np.sum(m * v * np.log(v)))
     p = order.p
-    log_integral = float(logsumexp(p * np.log(v), b=m))
+    log_integral = _log_sum_exp(p * np.log(v), m)
     return log_integral / (1.0 - p)
+
+
+def _log_sum_exp(a: np.ndarray, b: np.ndarray) -> float:
+    """log sum(b * exp(a)) for a 1-D array a and positive weights b.
+
+    The same arithmetic as ``scipy.special.logsumexp(a, b=b)``, so the
+    result is bitwise equal to it: the maximal entries are taken out of
+    the sum and contribute through log(m) with m their total weight.
+    """
+    a_max = a.max()
+    top = a == a_max
+    m = np.sum(b * top)
+    s = np.sum(b * np.exp(np.where(top, -np.inf, a) - a_max))
+    out = np.log1p(s / m) + np.log(m) + a_max
+    if not np.isfinite(out):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            out = np.log(np.sum(b * np.exp(a)))
+    return float(out)
 
 
 def entropy_power(f: Density, order: RenyiOrder | float | str, n: int | None = None) -> float:

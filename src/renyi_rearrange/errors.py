@@ -72,3 +72,11 @@ class UnsupportedDimension(DensityError):
 
 class ConfigInvalid(DensityError):
     """Suite configuration failed validation."""
+
+
+class InaccurateResult(DensityError):
+    """A numerical routine could not reach its accuracy target; no value is returned."""
+
+
+class DensityOverflow(DensityError):
+    """A density value is too large to represent as a float."""

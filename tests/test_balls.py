@@ -1,14 +1,16 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
 from scipy.special import beta as beta_fn
-from scipy.special import betainc
 
 from renyi_rearrange import (
     BadParameter,
     BallPair,
+    DensityOverflow,
+    InaccurateResult,
     NotIndicator,
     ball_sum_entropy,
     ball_sum_radial,
@@ -21,6 +23,7 @@ from renyi_rearrange import (
     uniform_interval,
     unit_ball_volume,
     epi_gap_balls,
+    log_cap_integral,
 )
 
 
@@ -31,15 +34,36 @@ class TestCapIntegral:
             assert cap_integral(theta, 1) == pytest.approx(1.0 - math.sin(theta),
                                                            abs=1e-12)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 1024, 4096])
     def test_incomplete_beta_cross_check(self, n):
-        # for theta >= 0, substituting s = sin^2 t turns the cap integral
-        # into half a (regularized) incomplete Beta function
-        full = beta_fn(0.5, (n + 1) / 2.0)
-        for theta in (0.0, 0.2, 0.7, 1.3):
-            s = math.sin(theta) ** 2
-            closed = 0.5 * full * (1.0 - betainc(0.5, (n + 1) / 2.0, s))
-            assert cap_integral(theta, n) == pytest.approx(closed, abs=1e-10)
+        # independent oracle: mpmath's regularized incomplete Beta function,
+        # h(theta) = B/2 I_{cos^2 theta}((n+1)/2, 1/2) and h(-t) = B - h(t);
+        # at n = 4096, theta = 1.2 the value is below the double range
+        with mpmath.workdps(40):
+            a, half = mpmath.mpf(n + 1) / 2, mpmath.mpf(1) / 2
+            full = mpmath.beta(a, half)
+            for theta in (-0.4, 0.05, 0.785, 1.2):
+                t = mpmath.mpf(abs(theta))
+                h = full / 2 * mpmath.betainc(a, half, 0, mpmath.cos(t) ** 2,
+                                              regularized=True)
+                expected = float(mpmath.log(h if theta >= 0 else full - h))
+                assert log_cap_integral(theta, n) == pytest.approx(expected, rel=1e-12)
+
+    def test_matches_direct_quadrature(self):
+        # the substitution itself, checked against the defining integral
+        with mpmath.workdps(30):
+            for n in (2, 8, 33):
+                for theta in (-1.0, 0.0, 0.6, 1.4):
+                    direct = mpmath.quad(lambda x: mpmath.cos(x) ** n,
+                                         [theta, mpmath.pi / 2])
+                    assert cap_integral(theta, n) == pytest.approx(float(direct),
+                                                                   rel=1e-13)
+
+    def test_finite_where_the_cap_underflows(self):
+        # cos^4096(pi/4) = 2^-2048: h is far below the smallest double
+        assert cap_integral(math.pi / 4, 4096) == 0.0
+        log_h = log_cap_integral(math.pi / 4, 4096)
+        assert -2048 * math.log(2.0) - 10.0 < log_h < -2048 * math.log(2.0)
 
     @pytest.mark.parametrize("n", [1, 2, 4, 7])
     def test_reflection_identity(self, n):
@@ -91,6 +115,14 @@ class TestBallSumRadial:
         assert total + rest == pytest.approx(1.0, abs=1e-8)
 
 
+    def test_overflowing_density_raises(self):
+        # at dim 512 the density at the origin is exp(874), past the float range
+        bp = BallPair(512, 1.0, 0.5)
+        with pytest.raises(DensityOverflow, match="density of"):
+            ball_sum_radial(bp, 0.0)
+        assert ball_sum_radial(bp, 1.4) > 0.0
+
+
 class TestBallSumEntropy:
     def test_dim1_half_balls(self):
         # two uniforms on [-1/2, 1/2]: the unit triangle, h = 1/2
@@ -124,11 +156,63 @@ class TestBallSumEntropy:
         single = 64.0 * math.log(1.0) + math.log(unit_ball_volume(64))
         assert h > single
 
+    @pytest.mark.parametrize("m, expected", [(512, -871.6083154128002),
+                                             (1024, -2097.0156596992724)])
+    def test_high_dimension_against_mpmath(self, m, expected):
+        # expected: _mpmath_ball_sum_entropy(m, sqrt(1/2), sqrt(1/2)) at 25
+        # digits (test_mpmath_reference_values recomputes the m = 512 one)
+        bp = BallPair(m, math.sqrt(0.5), math.sqrt(0.5))
+        assert ball_sum_entropy(bp) == pytest.approx(expected, abs=1e-8)
+
+    def test_mpmath_reference_values(self):
+        value = _mpmath_ball_sum_entropy(512, math.sqrt(0.5), math.sqrt(0.5))
+        assert float(value) == pytest.approx(-871.6083154128002, abs=1e-12)
+
+    def test_unreliable_quadrature_raises(self):
+        # a tolerance below roundoff makes quad warn; the value must not escape
+        with pytest.raises(InaccurateResult, match="radial entropy integral"):
+            ball_sum_entropy(BallPair(64, 1.0, 0.6), quad_tol=1e-300)
+
     def test_validation(self):
         with pytest.raises(BadParameter):
             BallPair(1, 0.0, 1.0)
         with pytest.raises(BadParameter):
             BallPair(-2, 1.0, 1.0)
+
+
+def _mpmath_ball_sum_entropy(n, r1, r2, dps=25):
+    """h(X + Y) from the module docstring's formulas, all in mpmath: the
+    cap by mpmath.betainc, the radial integral by mpmath.quad split where
+    |X + Y| concentrates, sqrt(r1^2 + r2^2) +- 2/sqrt(n) and +- 8/sqrt(n)."""
+    with mpmath.workdps(dps):
+        n, r1, r2 = mpmath.mpf(n), mpmath.mpf(r1), mpmath.mpf(r2)
+        a, half = (n + 1) / 2, mpmath.mpf(1) / 2
+        full = mpmath.beta(a, half)
+        log_vol = n / 2 * mpmath.log(mpmath.pi) - mpmath.loggamma(n / 2 + 1)
+        log_norm = log_vol + mpmath.log(full) + n * mpmath.log(r1 * r2)
+
+        def cap(t):
+            if t < 0:
+                return full - cap(-t)
+            return full / 2 * mpmath.betainc(a, half, 0, mpmath.cos(t) ** 2,
+                                             regularized=True)
+
+        def integrand(r):
+            if r <= lo:
+                g = min(r1, r2) ** n * full
+            else:
+                g = (r1 ** n * cap(mpmath.asin((r * r - r2 * r2 + r1 * r1) / (2 * r * r1)))
+                     + r2 ** n * cap(mpmath.asin((r * r - r1 * r1 + r2 * r2) / (2 * r * r2))))
+            if g <= 0:
+                return mpmath.mpf(0)
+            log_w = (mpmath.log(n) + log_vol - log_norm + mpmath.log(g)
+                     + (n - 1) * mpmath.log(r))
+            return mpmath.exp(log_w) * (log_norm - mpmath.log(g))
+
+        lo, hi = abs(r1 - r2), r1 + r2
+        centre = mpmath.sqrt(r1 * r1 + r2 * r2)
+        splits = {centre + s * k / mpmath.sqrt(n) for k in (2, 8) for s in (-1, 1)}
+        return mpmath.quad(integrand, sorted({lo, hi} | {x for x in splits if lo < x < hi}))
 
 
 class TestEpiGap:
@@ -149,6 +233,12 @@ class TestEpiGap:
     def test_gap_positive(self):
         for m in (2, 3, 5, 9):
             assert epi_gap_balls(m, 1.0, 1.0, 0.5) > 0.0
+
+    def test_gap_grows_like_log_dim(self):
+        # from dim 256 on each doubling adds about (log 2)/2 to the gap
+        gaps = [epi_gap_balls(2 ** k, 1.0, 1.0, 0.5) for k in range(8, 15)]
+        steps = np.diff(gaps)
+        assert np.all(steps > 0.34) and np.all(steps < 0.347)
 
     def test_lambda_validation(self):
         with pytest.raises(BadParameter):

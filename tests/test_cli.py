@@ -108,6 +108,13 @@ class TestBallsumCommand:
         rc = cli.main(["ballsum", "--dim", "1", "--r1", "-1", "--r2", "1"])
         assert rc == 2
 
+    def test_unrepresentable_density_is_one_line_error(self, capsys):
+        # the density at the origin is exp(874) in dimension 512
+        rc = cli.main(["ballsum", "--dim", "512", "--r1", "1", "--r2", "0.5"])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: density of")
+
 
 class TestConjectureCommand:
     def test_point_payload(self, capsys):
@@ -193,6 +200,14 @@ class TestEpigapCommand:
         rows = [ln.split() for ln in lines[1:] if ln and ln.split()[0].isdigit()]
         assert [int(r[0]) for r in rows] == [2, 4, 8, 16]
         assert all(r[-1] == "true" for r in rows)
+
+    def test_high_dimensions_pass(self, capsys):
+        rc = cli.main(["epigap", "--max-dim", "4096", "--lambda", "0.5"])
+        assert rc == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        rows = [ln.split() for ln in lines[1:] if ln and ln.split()[0].isdigit()]
+        assert [int(r[0]) for r in rows] == [2 ** k for k in range(1, 13)]
+        assert all(float(r[1]) >= 0.0 and r[-1] == "true" for r in rows)
 
     def test_min_dim_guard(self, capsys):
         rc = cli.main(["epigap", "--max-dim", "1"])

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from renyi_rearrange import (
     DensityGeneratorSpec,
@@ -16,6 +17,7 @@ from renyi_rearrange import (
     gaussian,
     gaussian_on_grid,
     make_grid,
+    make_radial,
     mixture_entropy_bound_check,
     random_density,
     rearrange_1d,
@@ -24,6 +26,7 @@ from renyi_rearrange import (
     renyi_entropy,
     uniform_interval,
 )
+from renyi_rearrange.entropy import _log_sum_exp
 
 
 class TestRenyiOrder:
@@ -104,6 +107,49 @@ class TestOrderStructure:
         assert renyi_entropy(f, 1e4) == pytest.approx(
             renyi_entropy(f, math.inf), abs=2e-3)
         assert renyi_entropy(f, 1e-4) <= renyi_entropy(f, 0.0) + 1e-12
+
+
+class TestLogSumExp:
+    """The general-order branch's log-sum-exp matches scipy's bit for bit."""
+
+    ORDERS = (1e-4, 0.5, 2.0, 1e4)
+
+    @staticmethod
+    def _assert_bitwise(a, b):
+        expected = float(logsumexp(a, b=b))
+        got = _log_sum_exp(a, b)
+        assert got == expected or (math.isnan(got) and math.isnan(expected))
+
+    @pytest.mark.parametrize("p", ORDERS)
+    def test_random_arrays(self, p):
+        rng = np.random.default_rng(40)
+        for _ in range(50):
+            n = int(rng.integers(1, 9000))
+            v = rng.random(n) * 10.0 ** rng.integers(-6, 7)
+            b = rng.random(n) + 1e-3
+            self._assert_bitwise(p * np.log(v), b)
+
+    @pytest.mark.parametrize("p", ORDERS)
+    def test_ties_at_the_max(self, p):
+        rng = np.random.default_rng(41)
+        for _ in range(20):
+            n = int(rng.integers(2, 5000))
+            v = rng.random(n)
+            v[rng.integers(0, n, size=max(2, n // 7))] = v.max()
+            self._assert_bitwise(p * np.log(v), np.full(n, 1.0 / 1024))
+        # a flat density: every entry is the maximum
+        self._assert_bitwise(p * np.log(np.full(300, 0.25)), np.full(300, 0.01))
+
+    @pytest.mark.parametrize("p", ORDERS)
+    def test_radial_density_measures(self, p):
+        rng = np.random.default_rng(42)
+        for dim in (2, 3, 7):
+            prof = np.sort(rng.random(400))[::-1].copy()
+            prof[:40] = prof[0]
+            f = make_radial(dim, 0.01, prof)
+            vals, meas = f.cells()
+            pos = vals > 0.0
+            self._assert_bitwise(p * np.log(vals[pos]), meas[pos])
 
 
 class TestDivergence:
