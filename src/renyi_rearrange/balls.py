@@ -24,26 +24,25 @@ h(-theta) = B - h(theta); it is evaluated in log space, so log g stays
 exact where h itself underflows (h(pi/4) ~ 2^-2048 at n = 4096).  The
 radial integral is one adaptive quadrature per piece, and a quadrature
 that cannot meet its tolerance raises InaccurateResult instead of
-returning its estimate.  All n-th powers and normalizers are handled in
-log space so the formulas stay finite for dimensions far beyond where
-V_n(1) r^n underflows.
+returning its estimate; scipy (betainc, quad) is imported only when they
+run.  All n-th powers and normalizers are handled in log space so the
+formulas stay finite for dimensions far beyond where V_n(1) r^n
+underflows.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
-from scipy.special import betainc
 
 from .config import DEFAULT_TOLS, Tolerances
 from .errors import BadParameter, DensityOverflow, InaccurateResult, NotIndicator
 from .grids import Grid1D, unit_ball_volume
 from .convolve import convolve
+from .densities import checked_quad
 from .reports import VerificationReport, report_geq
 
 __all__ = [
@@ -106,6 +105,8 @@ def log_cap_integral(theta: float, n: int) -> float:
     n, theta away from 0) it is evaluated in log space from its continued
     fraction, in which the factor 1/B of I cancels the B/2 in front.
     """
+    from scipy.special import betainc
+
     if n < 1:
         raise BadParameter(f"dimension must be >= 1, got {n}")
     if not (-math.pi / 2.0 - 1e-12 <= theta <= math.pi / 2.0 + 1e-12):
@@ -223,17 +224,10 @@ def ball_sum_entropy(bp: BallPair, quad_tol: float = DEFAULT_TOLS.quad_tol) -> f
         pieces.append((0.0, lo))
     pieces.append((lo, hi))
     total = 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", IntegrationWarning)
-        for a, b in pieces:
-            try:
-                val, _ = quad(neg_log_density_weighted, a, b,
+    for a, b in pieces:
+        total += checked_quad(neg_log_density_weighted, a, b,
+                              f"radial entropy integral of {bp} on [{a}, {b}]",
                               epsabs=quad_tol, epsrel=quad_tol, limit=400)
-            except IntegrationWarning as exc:
-                raise InaccurateResult(
-                    f"radial entropy integral of {bp} on [{a}, {b}]: "
-                    f"{' '.join(str(exc).split())}") from exc
-            total += val
     return float(total)
 
 

@@ -14,8 +14,10 @@ the convolution of two origin-centered densities exactly centered again
 spike's midpoint).
 
 Below `fft_threshold` output cells the quadratic-time direct sum is used,
-which keeps true zeros exactly zero; larger products go through FFT with
-a relative clamp that restores the zeros FFT noise would smear.
+which keeps true zeros exactly zero.  Larger products go through numpy's
+real FFT (`numpy.fft.rfft`/`irfft`) at the smallest 5-smooth length that
+holds the full output, with a relative clamp that restores the zeros FFT
+noise would smear.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.signal import fftconvolve
+import numpy.fft
 
 from .config import DEFAULT_TOLS, Tolerances
 from .errors import BadParameter, NonPositiveSpacing, SpacingMismatch
@@ -34,13 +36,33 @@ __all__ = ["convolve", "convolve_k", "scale_density", "resample", "project_onto"
 _FFT_CLAMP_REL = 1e-14
 
 
+def _fast_len(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n, a length numpy's FFT splits into radix-2,
+    -3 and -5 passes only (scipy.fft.next_fast_len(n, real=True))."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            m = p35 << ((n - 1) // p35).bit_length()  # least p35 * 2^k >= n
+            if m < best:
+                best = m
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _conv_weights(p: np.ndarray, q: np.ndarray,
                   tols: Tolerances = DEFAULT_TOLS, force: str | None = None) -> np.ndarray:
     out_len = p.size + q.size - 1
     method = force or ("direct" if out_len <= tols.fft_threshold else "fft")
     if method == "direct":
         return np.convolve(p, q)
-    w = fftconvolve(p, q)
+    if min(p.size, q.size) == 1:  # a one-cell factor scales the other exactly
+        w = p * q
+    else:
+        n = _fast_len(out_len)
+        w = np.fft.irfft(np.fft.rfft(p, n) * np.fft.rfft(q, n), n)[:out_len]
     top = w.max(initial=0.0)
     w[w < _FFT_CLAMP_REL * top] = 0.0
     return w

@@ -21,18 +21,21 @@ and its entropy power has the closed form
 with N_1 of a standard Gaussian equal to 2 pi e.  The normalizer A_beta
 is computed by radial quadrature rather than a Gamma-function formula;
 tests cross-check the n = 1, beta = 0.4 case against the Beta-integral
-closed form.
+closed form.  A quadrature that cannot meet its tolerance raises
+InaccurateResult instead of returning its estimate.  scipy is imported
+only when a quadrature runs.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
-from scipy.integrate import quad
 
 from .config import DEFAULT_TOLS, Tolerances
-from .errors import BadParameter, BetaOutOfRange, OrderOutOfRange, UnsupportedDimension
+from .errors import (
+    BadParameter, BetaOutOfRange, InaccurateResult, OrderOutOfRange, UnsupportedDimension)
 from .grids import Grid1D, RadialDensity, make_grid, make_radial, normalize, unit_ball_volume
 
 __all__ = [
@@ -77,6 +80,23 @@ def gg_exponent(beta: float, n: int) -> float:
     return 1.0 / beta - n / 2.0 - 1.0
 
 
+def checked_quad(func, a: float, b: float, what: str, **options) -> float:
+    """Value of scipy.integrate.quad(func, a, b, **options).
+
+    An IntegrationWarning (the quadrature could not meet its tolerance)
+    raises InaccurateResult naming `what` instead of returning the estimate.
+    """
+    from scipy.integrate import IntegrationWarning, quad
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        try:
+            val, _ = quad(func, a, b, **options)
+        except IntegrationWarning as exc:
+            raise InaccurateResult(f"{what}: {' '.join(str(exc).split())}") from exc
+    return val
+
+
 def _gg_radial_unnormalized(beta: float, n: int):
     """Return u(r) with g_beta = A * u(|x|), plus the support radius (or inf)."""
     if beta == 0.0:
@@ -114,7 +134,8 @@ def gg_normalizer(n: int, beta: float, quad_tol: float = DEFAULT_TOLS.quad_tol) 
         return float(u(r)) * r ** (n - 1)
 
     upper = radius if math.isfinite(radius) else np.inf
-    total, _ = quad(integrand, 0.0, upper, epsabs=quad_tol, epsrel=quad_tol, limit=200)
+    total = checked_quad(integrand, 0.0, upper, f"normalizer of g_beta, n={n}, beta={beta}",
+                         epsabs=quad_tol, epsrel=quad_tol, limit=200)
     return 1.0 / (surface * total)
 
 
@@ -123,8 +144,9 @@ def _truncation_radius(u, n: int, z_total: float, tail_tol: float) -> float:
     surface = n * unit_ball_volume(n)
 
     def tail(r0: float) -> float:
-        val, _ = quad(lambda r: float(u(r)) * r ** (n - 1), r0, np.inf,
-                      epsabs=1e-14, epsrel=1e-12, limit=200)
+        val = checked_quad(lambda r: float(u(r)) * r ** (n - 1), r0, np.inf,
+                           f"tail mass of g_beta beyond radius {r0}, n={n}",
+                           epsabs=1e-14, epsrel=1e-12, limit=200)
         return surface * val / z_total
 
     radius = 4.0

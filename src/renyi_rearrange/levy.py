@@ -24,12 +24,12 @@ is exact for the densities actually simulated.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import poisson
 
 from .config import DEFAULT_TOLS, Tolerances
 from .errors import BadParameter, TruncationInsufficient
@@ -49,6 +49,7 @@ __all__ = [
 ]
 
 _K_CAP = 200
+_SF_REL = 1e-18
 
 
 @dataclass(frozen=True)
@@ -71,16 +72,44 @@ class LevySpec:
             raise BadParameter("jump density must be normalized")
 
 
+def _poisson_pmf(k: int, mu: float) -> float:
+    """P(N = k) for N ~ Poisson(mu), from lgamma."""
+    if mu == 0.0:
+        return 1.0 if k == 0 else 0.0
+    return math.exp(-mu + k * math.log(mu) - math.lgamma(k + 1))
+
+
+def _poisson_sf(k: int, mu: float) -> float:
+    """P(N > k) for N ~ Poisson(mu): the math.fsum of the pmf terms above k.
+
+    The terms are taken outward from the larger of k + 1 and floor(mu), so
+    they decrease in each direction, and each direction stops once a term
+    is at most _SF_REL of the running sum (a term that underflows to 0
+    stops it too).
+    """
+    start = max(k + 1, math.floor(mu))
+    terms: list[float] = []
+    total = 0.0
+    for js in (itertools.count(start), range(start - 1, k, -1)):
+        for j in js:
+            term = _poisson_pmf(j, mu)
+            terms.append(term)
+            total += term
+            if term <= _SF_REL * total:
+                break
+    return math.fsum(terms)
+
+
 def auto_k_max(mu: float, tols: Tolerances = DEFAULT_TOLS) -> int:
     """Smallest k with Poisson(mu) tail mass beyond k below series_tol."""
     if mu == 0.0:
         return 0
     k = int(math.ceil(mu))
-    while k <= _K_CAP and poisson.sf(k, mu) >= tols.series_tol:
+    while k <= _K_CAP and _poisson_sf(k, mu) >= tols.series_tol:
         k += 1
     if k > _K_CAP:
         raise TruncationInsufficient(
-            f"Poisson tail at k={_K_CAP} still {poisson.sf(_K_CAP, mu):.3g}")
+            f"Poisson tail at k={_K_CAP} still {_poisson_sf(_K_CAP, mu):.3g}")
     return k
 
 
@@ -113,7 +142,7 @@ def _mixture(spec: LevySpec, jump: Grid1D | None, k_max: int,
              tols: Tolerances) -> Grid1D:
     mu = spec.rate * spec.t
     if mu > 0.0:
-        tail = float(poisson.sf(k_max, mu))
+        tail = _poisson_sf(k_max, mu)
         if tail >= tols.series_tol:
             raise TruncationInsufficient(
                 f"k_max={k_max} leaves Poisson tail {tail:.3g} >= {tols.series_tol}")
@@ -121,10 +150,7 @@ def _mixture(spec: LevySpec, jump: Grid1D | None, k_max: int,
     dx = jump.dx if jump is not None else 16.0 * sigma / 1024
     reach = max(4, int(math.ceil(8.0 * sigma / dx)))
     gauss = gaussian_on_grid(0.0, sigma, -(reach + 0.5) * dx, dx, 2 * reach + 1)
-    log_mu = math.log(mu) if mu > 0.0 else -math.inf
-    weights = [math.exp(-mu + k * log_mu - math.lgamma(k + 1)) if mu > 0.0
-               else (1.0 if k == 0 else 0.0)
-               for k in range(k_max + 1)]
+    weights = [_poisson_pmf(k, mu) for k in range(k_max + 1)]
     terms: list[tuple[float, Grid1D]] = [(weights[0], gauss)]
     if jump is not None and mu > 0.0:
         jump = _snap(jump)

@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import renyi_rearrange
 import renyi_rearrange.cli as cli
 from renyi_rearrange import (
     Grid1D,
@@ -212,3 +216,46 @@ class TestEpigapCommand:
     def test_min_dim_guard(self, capsys):
         rc = cli.main(["epigap", "--max-dim", "1"])
         assert rc == 2
+
+
+_LOADED_SCIPY = """
+import contextlib, io, json, sys
+import renyi_rearrange.cli as cli
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main(sys.argv[1:])
+    assert rc == 0, rc
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def _scipy_modules_after(argv):
+    """The scipy modules a fresh interpreter holds after running argv."""
+    src = os.path.dirname(os.path.dirname(renyi_rearrange.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    out = subprocess.run([sys.executable, "-c", _LOADED_SCIPY, *argv], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+class TestStartup:
+    """The CLI starts on numpy alone; scipy is loaded only by quadratures."""
+
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["verify", "--suite", "all", "--count", "5", "--cells", "256"],
+        ["conjecture", "--p", "2"],
+    ])
+    def test_loads_no_scipy(self, argv):
+        assert _scipy_modules_after(argv) == []
+
+    def test_levy_loads_no_scipy(self, tmp_path):
+        jump = tmp_path / "jump.csv"
+        write_density_csv(uniform_interval(0.0, 1.0, cells=64), str(jump))
+        argv = ["levy", "--a", "1.0", "--lambda", "3", "--t", "1.0",
+                "--jumps", str(jump), "--orders", "0,1,inf"]
+        assert _scipy_modules_after(argv) == []
+
+    def test_quadrature_loads_scipy_integrate(self):
+        assert "scipy.integrate" in _scipy_modules_after(["epigap", "--max-dim", "8"])

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.fft import next_fast_len
+from scipy.signal import fftconvolve
 
 from renyi_rearrange import (
     BadParameter,
@@ -71,6 +73,40 @@ class TestConvolve:
         h = convolve(f, spike)
         assert np.array_equal(h.values, f.values)
         assert h.x0 == pytest.approx(f.x0 + 2.25, abs=1e-12)
+
+
+def _gapped_values(rng, n):
+    """Random cell values with zero runs, so the FFT clamp has work to do."""
+    vals = rng.random(n)
+    vals[rng.random(n) < 0.3] = 0.0
+    return vals
+
+
+_RNG_SIZES = np.random.default_rng(20).integers(1, 20000, size=(8, 2))
+
+
+class TestFftKernel:
+    """The numpy rfft kernel against scipy.signal.fftconvolve, the routine
+    it replaced: same lengths, same transforms, so the same bits."""
+
+    @pytest.mark.parametrize("n, m", [
+        (2048, 4095), (4095, 2048), (8192, 8192), (512, 8192),
+        (4099, 4111), (7919, 1031), (1, 5003), (5003, 1), (2, 3),
+        *[tuple(int(v) for v in pair) for pair in _RNG_SIZES]])
+    def test_bitwise_equal_to_scipy(self, n, m):
+        rng = np.random.default_rng(n * 100003 + m)
+        dx = 0.01
+        f = make_grid(-1.0, dx, _gapped_values(rng, n))
+        g = make_grid(0.5, dx, _gapped_values(rng, m))
+        w = fftconvolve(f.values * dx, g.values * dx)
+        w[w < 1e-14 * w.max()] = 0.0
+        h = convolve(f, g, method="fft")
+        assert np.array_equal(h.values, w / dx)
+
+    def test_fast_len_is_next_fast_len(self):
+        from renyi_rearrange.convolve import _fast_len
+        mismatches = [n for n in range(1, 200_001) if _fast_len(n) != next_fast_len(n, True)]
+        assert mismatches == []
 
 
 class TestIrwinHall:

@@ -20,7 +20,7 @@ from renyi_rearrange import (
     uniform_interval,
     variance,
 )
-from renyi_rearrange.levy import auto_k_max
+from renyi_rearrange.levy import _K_CAP, _poisson_sf, auto_k_max
 
 
 def skewed_jump(cells=256, decay=2.0, span=3.0):
@@ -60,6 +60,42 @@ class TestTruncation:
     def test_cap_enforced(self):
         with pytest.raises(TruncationInsufficient):
             auto_k_max(500.0)
+
+    def test_poisson_sf_matches_scipy(self):
+        # mu = 800 puts every k below the mode, where the tail is ~1
+        from scipy.stats import poisson
+        worst = 0.0
+        for mu in (1e-3, 0.25, 1.0, 4.0, 30.0, 74.4038, 120.0, 800.0):
+            for k in range(0, 260):
+                ref = float(poisson.sf(k, mu))
+                if ref < 1e-290:  # near the bottom of the float range
+                    continue
+                worst = max(worst, abs(_poisson_sf(k, mu) - ref) / ref)
+        assert worst <= 1e-12
+
+    def test_auto_k_max_unchanged(self):
+        # the truncation rule as it read with scipy's Poisson tail; the
+        # verify suite's lambda*t = 0.25 and 1.0 and the rate 30 are in the grid
+        from scipy.stats import poisson
+
+        def reference(mu):
+            ks = np.arange(math.ceil(mu), _K_CAP + 1)
+            below = np.flatnonzero(poisson.sf(ks, mu) < 1e-8)
+            return int(ks[below[0]]) if below.size else _K_CAP + 1
+
+        for mu in [0.25, 1.0, 30.0, *np.linspace(0.01, 160.0, 201)]:
+            mu = float(mu)
+            expected = reference(mu)
+            if expected > _K_CAP:
+                with pytest.raises(TruncationInsufficient):
+                    auto_k_max(mu)
+            else:
+                assert auto_k_max(mu) == expected, mu
+
+    def test_explicit_k_max_too_small(self):
+        spec = LevySpec(a=1.0, rate=30.0, jump=skewed_jump(cells=32), t=1.0)
+        with pytest.raises(TruncationInsufficient):
+            marginal_density(spec, k_max=40)
 
 
 class TestMarginal:
