@@ -216,6 +216,13 @@ def _cmd_levy(args: argparse.Namespace) -> int:
     return 0 if summary["failed"] == 0 else 1
 
 
+# In high dimension the gap grows like (1/2) log(dim): from dim 256 on each
+# doubling adds a little less than (log 2)/2 (0.24 to 0.3462 for lambda from
+# 0.01 to 0.99, up to dim 4096), so a larger or a negative step is an error.
+_EPIGAP_STEP_FROM = 256
+_EPIGAP_STEP_MAX = 0.5 * math.log(2.0) + 1e-3
+
+
 def _cmd_epigap(args: argparse.Namespace) -> int:
     if args.max_dim < 2:
         raise DensityError("--max-dim must be at least 2")
@@ -226,7 +233,7 @@ def _cmd_epigap(args: argparse.Namespace) -> int:
         m *= 2
     rows = []
     ok = True
-    prev_per_dim = None
+    prev_gap = prev_per_dim = None
     for m in dims:
         gap = epi_gap_balls(m, 1.0, 1.0, args.lam)
         per_dim = gap / m
@@ -234,14 +241,18 @@ def _cmd_epigap(args: argparse.Namespace) -> int:
         good = gap >= -1e-9 and per_dim <= bound
         if prev_per_dim is not None and m >= 8 and per_dim > prev_per_dim + 1e-12:
             good = False
+        if m >= _EPIGAP_STEP_FROM and not 0.0 < gap - prev_gap <= _EPIGAP_STEP_MAX:
+            good = False
         ok = ok and good
         rows.append((m, gap, per_dim, bound, good))
         prev_per_dim = per_dim if m >= 4 else None
+        prev_gap = gap
     print(f"{'dim':>4s} {'gap':>12s} {'gap/dim':>12s} {'3 log(dim)/dim':>15s} ok")
     for m, gap, per_dim, bound, good in rows:
         print(f"{m:4d} {gap:12.6f} {per_dim:12.6f} {bound:15.6f} {str(good).lower()}")
     print(f"lambda={args.lam:g}; gap/dim must stay below the bound and "
-          "decrease from dim 4 on")
+          f"decrease from dim 4 on; from dim {_EPIGAP_STEP_FROM} on each doubling "
+          "must raise the gap by more than 0 and at most (log 2)/2 + 1e-3")
     return 0 if ok else 1
 
 

@@ -5,15 +5,17 @@ a grid it can be computed exactly: sort the cells by value and stack them
 around the origin.  In one dimension each input cell of width dx becomes
 two mirrored cells of width dx/2, which keeps the output exactly
 symmetric for every input (a center-out placement on full cells cannot).
-Ties are broken by original cell index via a stable sort, so the result
-is deterministic.
+The cells are ranked by sorting their values alone: tied cells carry equal
+values and equal widths, so which of them lands where cannot change the
+output, and the result is deterministic.
 
 Because whole cells move and never change value, every level-set measure,
 every Renyi entropy and any integral of the form  int phi(f)  is
 preserved exactly, not just to quadrature accuracy.  Majorization
 (cumulative mass of f* inside centered balls never exceeding that of g*)
 is likewise checked exactly by comparing piecewise-linear cumulative
-masses in the ball-volume variable.
+masses in the ball-volume variable, each side evaluated at its own
+breakpoints and at the other side's.
 """
 
 from __future__ import annotations
@@ -49,12 +51,8 @@ def rearrange_1d(f: Grid1D) -> Grid1D:
     length) pairs is unchanged.
     """
     n = f.n_cells
-    order = np.argsort(-f.values, kind="stable")
-    ranked = f.values[order]
-    out = np.empty(2 * n, dtype=float)
-    idx = np.arange(n)
-    out[n - 1 - idx] = ranked
-    out[n + idx] = ranked
+    ascending = np.sort(f.values)
+    out = np.concatenate((ascending, ascending[::-1]))
     out.flags.writeable = False
     return Grid1D(x0=-0.5 * n * f.dx, dx=0.5 * f.dx, values=out)
 
@@ -137,8 +135,12 @@ def majorizes(f: Density, g: Density,
     radii; margins at or above -maj_tol pass.
 
     Both cumulative masses are piecewise linear in the ball-volume
-    variable with breakpoints at layer boundaries, so evaluating at the
-    merged breakpoints is exact.
+    variable with breakpoints at layer boundaries, so their difference
+    takes its minimum at a breakpoint of one side or the other: the
+    minimum is taken over f's breakpoints, with g's mass interpolated
+    there, and over g's, with f's interpolated.  np.interp returns the
+    knot values exactly, so this is the minimum over the merged
+    breakpoints without forming their union.
     """
     if _ambient_dim(f) != _ambient_dim(g):
         raise DimensionMismatch(
@@ -149,11 +151,9 @@ def majorizes(f: Density, g: Density,
     bg = np.concatenate(([0.0], np.cumsum(wg)))
     cf = np.concatenate(([0.0], np.cumsum(vf * wf)))
     cg = np.concatenate(([0.0], np.cumsum(vg * wg)))
-    grid = np.union1d(bf[1:], bg[1:])
-    f_at = np.interp(grid, bf, cf, right=cf[-1])
-    g_at = np.interp(grid, bg, cg, right=cg[-1])
-    margins = g_at - f_at
-    worst = float(margins.min()) if margins.size else 0.0
+    at_f = np.interp(bf[1:], bg, cg, right=cg[-1]) - cf[1:]
+    at_g = cg[1:] - np.interp(bg[1:], bf, cf, right=cf[-1])
+    worst = float(min(at_f.min(), at_g.min()))
     return bool(worst >= -maj_tol), worst
 
 

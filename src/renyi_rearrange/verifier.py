@@ -20,6 +20,9 @@ relative budget.  Corpora are generated deterministically from the suite
 seed, so rerunning a configuration reproduces every report bit for bit.
 The main suite convolves each corpus group once, f1 * ... * fk and
 f1^* * ... * fk^*, and every check on that group reads those two values.
+It also reads the Renyi entropies of each density of the group (the two
+sums and the factors) once, at every order its checks use, and hands the
+checks that need only entropies those rows (a GroupEntropies).
 """
 
 from __future__ import annotations
@@ -42,10 +45,13 @@ from .grids import (
 from .convolve import convolve_k, project_onto
 from .densities import GAUSSIAN_ENTROPY_POWER, gaussian_on_grid
 from .entropy import (
+    GroupEntropies,
     RenyiOrder,
+    Row,
     fisher_information,
     mixture_entropy_bound_check,
     renyi_divergence,
+    renyi_entropies,
     renyi_entropy,
 )
 from .rearrange import l1_distance, majorizes, rearrange_1d
@@ -92,19 +98,24 @@ def _star_convolve(fs: Sequence[Grid1D], tols: Tolerances) -> Convs:
 def check_main_theorem(fs: Sequence[Grid1D], order: RenyiOrder | float | str,
                        tols: Tolerances = DEFAULT_TOLS,
                        seed: int | None = None, *,
-                       convs: Convs | None = None) -> VerificationReport:
+                       convs: Convs | GroupEntropies | None = None) -> VerificationReport:
     """h_p of a k-fold convolution never drops under rearranging the factors.
 
     `convs` is ``_star_convolve(fs, tols)`` when the caller already has it;
-    the same holds for the other convolution checks below.
+    the same holds for the other convolution checks below.  The checks
+    that read only entropies (this one and the EPI chain) also take the
+    group's GroupEntropies there, and then read h_p from its rows.
     """
     order = RenyiOrder.coerce(order)
     k = len(fs)
     if k < 2:
         raise BadParameter("need at least two densities")
-    conv, conv_star = _star_convolve(fs, tols) if convs is None else convs
-    lhs = renyi_entropy(conv, order)
-    rhs = renyi_entropy(conv_star, order)
+    if isinstance(convs, GroupEntropies):
+        lhs, rhs = convs.conv[order], convs.conv_star[order]
+    else:
+        conv, conv_star = _star_convolve(fs, tols) if convs is None else convs
+        lhs = renyi_entropy(conv, order)
+        rhs = renyi_entropy(conv_star, order)
     return report_geq(f"main_theorem[p={order.label()}]", lhs, rhs,
                       eps_conv(fs[0].dx, k, tols),
                       params={"k": k, "order": order.label(), "dx": fs[0].dx},
@@ -224,7 +235,7 @@ def check_majorized_convolution(fs: Sequence[Grid1D],
 
 def check_epi_chain(f1: Grid1D, f2: Grid1D, tols: Tolerances = DEFAULT_TOLS,
                     seed: int | None = None, *,
-                    convs: Convs | None = None) -> VerificationReport:
+                    convs: Convs | GroupEntropies | None = None) -> VerificationReport:
     """Entropy chain h(f1*f2) >= h(f1^* * f2^*) >= Gaussian EPI bound.
 
     sigma_i is the standard deviation of the Gaussian with the same
@@ -233,11 +244,15 @@ def check_epi_chain(f1: Grid1D, f2: Grid1D, tols: Tolerances = DEFAULT_TOLS,
     Both links are reported; the margin is the smaller of the two.
     """
     one = RenyiOrder.one()
-    conv, conv_star = _star_convolve((f1, f2), tols) if convs is None else convs
-    h_sum = renyi_entropy(conv, one)
-    h_star = renyi_entropy(conv_star, one)
-    s1 = math.exp(2.0 * renyi_entropy(f1, one)) / GAUSSIAN_ENTROPY_POWER
-    s2 = math.exp(2.0 * renyi_entropy(f2, one)) / GAUSSIAN_ENTROPY_POWER
+    if isinstance(convs, GroupEntropies):
+        h_sum, h_star = convs.conv[one], convs.conv_star[one]
+        h1, h2 = (row[one] for row in convs.factors)
+    else:
+        conv, conv_star = _star_convolve((f1, f2), tols) if convs is None else convs
+        h_sum, h_star, h1, h2 = (renyi_entropy(d, one)
+                                 for d in (conv, conv_star, f1, f2))
+    s1 = math.exp(2.0 * h1) / GAUSSIAN_ENTROPY_POWER
+    s2 = math.exp(2.0 * h2) / GAUSSIAN_ENTROPY_POWER
     bound = 0.5 * math.log(GAUSSIAN_ENTROPY_POWER * (s1 + s2))
     tol = eps_conv(f1.dx, 2, tols)
     margin = min(h_sum - h_star, h_star - bound)
@@ -370,6 +385,16 @@ def _corpus(config: SuiteConfig, stream: int, count: int, group: int,
 
 _SMOOTH = ("gaussian-mixture",)
 
+# orders of the Bobkov-Chistyakov checks, which read the sum and the factors
+# of a pair; they include the h_1 that the EPI chain and the mixture bound read
+_BOBKOV_ORDERS = (1.0, 2.0, math.inf)
+
+
+def _row(f: Grid1D, orders: Sequence[float]) -> Row:
+    """{order: h_p(f)} over the distinct orders, from one layer pass."""
+    keys = tuple(dict.fromkeys(RenyiOrder.coerce(p) for p in orders))
+    return dict(zip(keys, renyi_entropies(f, keys)))
+
 
 def _run_main(config: SuiteConfig) -> list[VerificationReport]:
     reports: list[VerificationReport] = []
@@ -381,21 +406,28 @@ def _run_main(config: SuiteConfig) -> list[VerificationReport]:
     for i, fs in enumerate(pair_corpus):
         seed = _derived_seed(config.seed, 1, i)
         convs = _star_convolve(fs, tols)
+        rows = GroupEntropies(
+            conv=_row(convs[0], (*config.orders, *_BOBKOV_ORDERS)),
+            conv_star=_row(convs[1], (*config.orders, 1.0)),
+            factors=tuple(_row(f, _BOBKOV_ORDERS) for f in fs))
         for p in config.orders:
-            reports.append(check_main_theorem(fs, p, tols, seed=seed, convs=convs))
+            reports.append(check_main_theorem(fs, p, tols, seed=seed, convs=rows))
         reports.append(check_majorized_convolution(fs, tols, seed=seed, convs=convs))
-        reports.append(check_epi_chain(fs[0], fs[1], tols, seed=seed, convs=convs))
+        reports.append(check_epi_chain(fs[0], fs[1], tols, seed=seed, convs=rows))
         reports.append(check_most_gen(fs, phis[i % len(phis)], tols, seed=seed,
                                       convs=convs))
-        for p in (1.0, 2.0, math.inf):
+        for p in _BOBKOV_ORDERS:
             reports.append(bobkov_chistyakov_bound_check(p, fs, tols, seed=seed,
-                                                         conv=convs[0]))
-        reports.append(mixture_entropy_bound_check(fs, [0.5, 0.5], seed=seed))
+                                                         conv=rows))
+        reports.append(mixture_entropy_bound_check(fs, [0.5, 0.5], seed=seed,
+                                                   convs=rows))
     for i, fs in enumerate(triple_corpus):
         seed = _derived_seed(config.seed, 2, i)
         convs = _star_convolve(fs, tols)
+        rows = GroupEntropies(conv=_row(convs[0], config.orders),
+                              conv_star=_row(convs[1], config.orders))
         for p in config.orders:
-            reports.append(check_main_theorem(fs, p, tols, seed=seed, convs=convs))
+            reports.append(check_main_theorem(fs, p, tols, seed=seed, convs=rows))
         reports.append(check_majorized_convolution(fs, tols, seed=seed, convs=convs))
     # equality witness: Gaussian factors make every link of the chain tight
     dx = 2.0 * config.halfwidth / config.cells

@@ -217,6 +217,22 @@ class TestEpigapCommand:
         rc = cli.main(["epigap", "--max-dim", "1"])
         assert rc == 2
 
+    def test_wrong_gap_fails_the_increment_check(self, capsys, monkeypatch):
+        # 0.713917 is the gap an inaccurate cap integral once printed at dim
+        # 512 (the true gap is 2.598); it passes every check but the step one
+        real = cli.epi_gap_balls
+
+        def wrong_at_512(m, *args):
+            return 0.713917 if m == 512 else real(m, *args)
+
+        monkeypatch.setattr(cli, "epi_gap_balls", wrong_at_512)
+        rc = cli.main(["epigap", "--max-dim", "512", "--lambda", "0.5"])
+        lines = capsys.readouterr().out.strip().splitlines()
+        rows = {int(r[0]): r for r in (ln.split() for ln in lines[1:-1])}
+        assert rows[512][1:] == ["0.713917", "0.001394", "0.036553", "false"]
+        assert all(r[-1] == "true" for m, r in rows.items() if m < 512)
+        assert rc == 1
+
 
 _LOADED_SCIPY = """
 import contextlib, io, json, sys

@@ -23,6 +23,7 @@ from renyi_rearrange import (
     rearrange_1d,
     renyi_affinity,
     renyi_divergence,
+    renyi_entropies,
     renyi_entropy,
     uniform_interval,
 )
@@ -107,6 +108,62 @@ class TestOrderStructure:
         assert renyi_entropy(f, 1e4) == pytest.approx(
             renyi_entropy(f, math.inf), abs=2e-3)
         assert renyi_entropy(f, 1e-4) <= renyi_entropy(f, 0.0) + 1e-12
+
+
+def _renyi_entropy_reference(f, order):
+    """h_p(f) for one order, each order reading the layers of f afresh."""
+    order = RenyiOrder.coerce(order)
+    vals, meas = f.cells()
+    pos = vals > 0.0
+    if not pos.any():
+        raise ZeroMass("entropy of an identically zero density")
+    v = vals[pos]
+    m = meas[pos]
+    if order.tag == "zero":
+        return float(np.log(m.sum()))
+    if order.tag == "infinity":
+        return float(-np.log(v.max()))
+    if order.tag == "one":
+        return float(-np.sum(m * v * np.log(v)))
+    return _log_sum_exp(order.p * np.log(v), m) / (1.0 - order.p)
+
+
+class TestRenyiEntropies:
+    """One layer pass for many orders gives the per-order numbers bit for bit."""
+
+    ORDERS = (0.0, 1e-4, 0.5, 1.0, 2.0, 1e4, math.inf)
+
+    @staticmethod
+    def _densities():
+        rng = np.random.default_rng(43)
+        vals = rng.random(700)
+        vals[rng.integers(0, 700, size=120)] = 0.0
+        vals[:50] = 0.0
+        grid = make_grid(-3.0, 0.01, vals)
+        prof = rng.random(60)
+        prof[rng.integers(0, 60, size=10)] = 0.0
+        radii = np.concatenate(([0.0], np.cumsum(rng.random(60) + 0.05)))
+        radial = make_radial(3, 0.1, prof, radii)
+        return grid, radial
+
+    def test_matches_order_by_order(self):
+        for f in self._densities():
+            got = renyi_entropies(f, self.ORDERS)
+            assert got == tuple(_renyi_entropy_reference(f, p) for p in self.ORDERS)
+            assert got == tuple(renyi_entropy(f, p) for p in self.ORDERS)
+            # each order's number does not depend on the others asked with it
+            assert renyi_entropies(f, self.ORDERS[::-1]) == got[::-1]
+            for p, h in zip(self.ORDERS, got):
+                assert renyi_entropies(f, ("inf", p)) == (got[-1], h)
+
+    def test_empty_orders(self):
+        for f in self._densities():
+            assert renyi_entropies(f, ()) == ()
+
+    def test_zero_density_raises(self):
+        f = make_grid(0.0, 1.0, [0.0, 0.0, 0.0])
+        with pytest.raises(ZeroMass):
+            renyi_entropies(f, self.ORDERS)
 
 
 class TestLogSumExp:

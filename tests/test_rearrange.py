@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from renyi_rearrange import (
+    DEFAULT_TOLS,
     DensityGeneratorSpec,
     GENERATOR_KINDS,
     GridMismatch,
@@ -26,6 +27,7 @@ from renyi_rearrange import (
     sorted_layers,
     unit_ball_volume,
 )
+from renyi_rearrange.verifier import _star_convolve
 
 ORDERS = [0.0, 0.5, 1.0, 2.0, math.inf]
 
@@ -96,6 +98,34 @@ class TestRearrange1D:
         assert rearrange_1d(f).x0 == rearrange_1d(g).x0
 
 
+def _rearrange_1d_reference(f):
+    """rearrange_1d ranking the cells by a stable argsort and a gather."""
+    n = f.n_cells
+    ranked = f.values[np.argsort(-f.values, kind="stable")]
+    out = np.empty(2 * n)
+    idx = np.arange(n)
+    out[n - 1 - idx] = ranked
+    out[n + idx] = ranked
+    return out
+
+
+class TestRearrange1DReference:
+    def _assert_same(self, f):
+        g = rearrange_1d(f)
+        assert g.values.tobytes() == _rearrange_1d_reference(f).tobytes()
+        assert (g.x0, g.dx) == (-0.5 * f.n_cells * f.dx, 0.5 * f.dx)
+
+    def test_ties_and_zero_cells(self):
+        rng = np.random.default_rng(7)
+        for n in (1, 2, 3, 17, 256, 2048):
+            self._assert_same(make_grid(-1.0, 0.01, rng.integers(0, 4, size=n) * 0.5))
+        self._assert_same(make_grid(0.0, 1.0, [0.0, 2.0, 0.0, 2.0, 1.0, 0.0]))
+
+    def test_random_densities(self):
+        for f in _corpus(8, cells=300):
+            self._assert_same(f)
+
+
 class TestRearrangeRadial:
     def test_nonincreasing_profile_unchanged(self):
         f = make_radial(3, 0.25, [4.0, 2.0, 2.0, 1.0, 0.0])
@@ -152,6 +182,58 @@ class TestMajorization:
             fs = rearrange_1d(f)
             ok1, _ = majorizes(fs, fs)
             assert ok1
+
+
+def _majorizes_reference(f, g, maj_tol=DEFAULT_TOLS.maj_tol):
+    """majorizes with both cumulative masses interpolated on the union of
+    the two sides' breakpoints."""
+    vf, wf = sorted_layers(f)
+    vg, wg = sorted_layers(g)
+    bf = np.concatenate(([0.0], np.cumsum(wf)))
+    bg = np.concatenate(([0.0], np.cumsum(wg)))
+    cf = np.concatenate(([0.0], np.cumsum(vf * wf)))
+    cg = np.concatenate(([0.0], np.cumsum(vg * wg)))
+    grid = np.union1d(bf[1:], bg[1:])
+    f_at = np.interp(grid, bf, cf, right=cf[-1])
+    g_at = np.interp(grid, bg, cg, right=cg[-1])
+    worst = float((g_at - f_at).min())
+    return bool(worst >= -maj_tol), worst
+
+
+class TestMajorizesReference:
+    """The minimum over each side's own breakpoints is the union minimum."""
+
+    @staticmethod
+    def _assert_same(f, g, maj_tol=DEFAULT_TOLS.maj_tol):
+        for a, b in ((f, g), (g, f)):
+            assert majorizes(a, b, maj_tol) == _majorizes_reference(a, b, maj_tol)
+
+    def test_random_pairs_matched_resolution(self):
+        corpus = _corpus(10, cells=256)
+        for f, g in zip(corpus, corpus[1:]):
+            self._assert_same(f, g)
+            self._assert_same(rearrange_1d(f), g)
+
+    def test_half_spacing(self):
+        for f, g in zip(_corpus(5, cells=128), _corpus(6, cells=256)[1:]):
+            self._assert_same(f, g)
+            self._assert_same(f, refine(f, 2))
+
+    def test_convolution_against_rearranged_convolution(self):
+        corpus = _corpus(9, cells=128)
+        for fs in (corpus[0:2], corpus[2:4], corpus[4:7], corpus[6:9]):
+            conv, conv_star = _star_convolve(fs, DEFAULT_TOLS)
+            self._assert_same(conv, conv_star, 1e-3)
+
+    def test_radial_rearrangements(self):
+        rng = np.random.default_rng(11)
+        for n in (1, 2, 3, 8):
+            prof = rng.uniform(0.0, 2.0, size=40)
+            prof[rng.integers(0, 40, size=6)] = 0.0
+            f = make_radial(n, 0.1, prof)
+            g = make_radial(n, 0.07, rng.uniform(0.0, 3.0, size=50))
+            self._assert_same(rearrange_radial(f), f)
+            self._assert_same(rearrange_radial(f), rearrange_radial(g))
 
 
 class TestLevelSetProfile:

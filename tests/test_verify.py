@@ -11,12 +11,14 @@ from renyi_rearrange import (
     ConfigInvalid,
     DEFAULT_TOLS,
     DensityGeneratorSpec,
+    GroupEntropies,
     OrderOutOfRange,
     PhiSpec,
     SuiteConfig,
     bobkov_chistyakov_bound_check,
     eps_conv,
     gaussian_on_grid,
+    mixture_entropy_bound_check,
     random_density,
     report_geq,
     report_leq,
@@ -25,6 +27,8 @@ from renyi_rearrange import (
     summarize,
 )
 from renyi_rearrange.verifier import (
+    DEFAULT_ORDERS,
+    _row,
     _star_convolve,
     check_epi_chain,
     check_main_theorem,
@@ -262,40 +266,78 @@ class TestRunSuite:
         repeats = len(keys) - len(set(keys))
         assert repeats == 0
 
+    def test_main_suite_reads_each_density_once(self, monkeypatch):
+        # every order a group's checks use comes out of one layer pass per
+        # density: the sums, the factors, the mixture, the EPI witness
+        original = sys.modules["renyi_rearrange.entropy"].renyi_entropies
+        keys = []
+
+        def recorder(f, orders):
+            vals, meas = f.cells()
+            keys.append((getattr(f, "x0", None), vals.tobytes(), meas.tobytes()))
+            return original(f, orders)
+
+        for name, module in list(sys.modules.items()):
+            if (name.startswith("renyi_rearrange.")
+                    and getattr(module, "renyi_entropies", None) is original):
+                monkeypatch.setattr(module, "renyi_entropies", recorder)
+        run_suite(SuiteConfig(suite="main", pairs=4, triples=2, cells=64))
+        # 4 pairs: two sums, two factors, one mixture; 2 triples: two sums;
+        # the Gaussian EPI witness: two sums, two factors
+        assert len(keys) == 4 * 5 + 2 * 2 + 4
+        assert len(set(keys)) == len(keys)
+
 
 def _kw(name, value):
     return {} if value is None else {name: value}
 
 
+def _first(pre):
+    """The sum alone when `pre` is the (sum, rearranged sum) pair."""
+    return pre[0] if isinstance(pre, tuple) else pre
+
+
+# each check with the forms of precomputed input it takes: "convs" is
+# _star_convolve's pair, "rows" the group's GroupEntropies
 _CONV_CHECKS = [
-    *[(f"main_theorem[p={p:g}]",
-       lambda fs, convs, p=p: check_main_theorem(fs, p, **_kw("convs", convs)))
+    *[(f"main_theorem[p={p:g}]", ("convs", "rows"),
+       lambda fs, pre, p=p: check_main_theorem(fs, p, **_kw("convs", pre)))
       for p in (0.0, 0.5, 1.0, 2.0, math.inf)],
-    *[(f"most_gen[{phi.label()}]",
-       lambda fs, convs, phi=phi: check_most_gen(fs, phi, **_kw("convs", convs)))
+    *[(f"most_gen[{phi.label()}]", ("convs",),
+       lambda fs, pre, phi=phi: check_most_gen(fs, phi, **_kw("convs", pre)))
       for phi in (PhiSpec("xlogx"), PhiSpec("power", 2.0), PhiSpec("power", 0.5),
                   PhiSpec("hinge", 0.25))],
-    ("majorized_convolution",
-     lambda fs, convs: check_majorized_convolution(fs, **_kw("convs", convs))),
-    ("epi_chain",
-     lambda fs, convs: check_epi_chain(*fs, **_kw("convs", convs))),
-    *[(f"bobkov_chistyakov[p={p:g}]",
-       lambda fs, convs, p=p: bobkov_chistyakov_bound_check(
-           p, fs, **_kw("conv", None if convs is None else convs[0])))
+    ("majorized_convolution", ("convs",),
+     lambda fs, pre: check_majorized_convolution(fs, **_kw("convs", pre))),
+    ("epi_chain", ("convs", "rows"),
+     lambda fs, pre: check_epi_chain(*fs, **_kw("convs", pre))),
+    *[(f"bobkov_chistyakov[p={p:g}]", ("convs", "rows"),
+       lambda fs, pre, p=p: bobkov_chistyakov_bound_check(
+           p, fs, **_kw("conv", _first(pre))))
       for p in (1.0, 2.0, math.inf)],
+    ("mixture_entropy_bound", ("rows",),
+     lambda fs, pre: mixture_entropy_bound_check(
+         fs, [1.0 / len(fs)] * len(fs), **_kw("convs", pre))),
 ]
 
 
-@pytest.mark.parametrize("name, check, k", [
-    pytest.param(name, check, k, id=f"{name}-k{k}")
-    for name, check in _CONV_CHECKS for k in (2, 3)
+@pytest.mark.parametrize("name, check, k, form", [
+    pytest.param(name, check, k, form,
+                 id=f"{name}-k{k}" + ("" if form == "convs" else f"-{form}"))
+    for name, forms, check in _CONV_CHECKS for k in (2, 3) for form in forms
     if not (name == "epi_chain" and k == 3)  # the EPI chain takes a pair
 ])
-def test_precomputed_convolutions_give_same_reports(name, check, k):
+def test_precomputed_convolutions_give_same_reports(name, check, k, form):
     kinds = ("spiky-piecewise", "uniform-mixture", "bimodal")
     fs = [random_density(DensityGeneratorSpec(kind=kinds[j], seed=40 + j, cells=128))
           for j in range(k)]
     convs = _star_convolve(fs, DEFAULT_TOLS)
-    with_convs = check(fs, convs).to_dict()
-    assert with_convs["name"].startswith(name.split("[")[0])
-    assert with_convs == check(fs, None).to_dict()
+    if form == "convs":
+        pre = convs
+    else:
+        pre = GroupEntropies(conv=_row(convs[0], DEFAULT_ORDERS),
+                             conv_star=_row(convs[1], DEFAULT_ORDERS),
+                             factors=tuple(_row(f, DEFAULT_ORDERS) for f in fs))
+    with_pre = check(fs, pre).to_dict()
+    assert with_pre["name"].startswith(name.split("[")[0])
+    assert with_pre == check(fs, None).to_dict()
