@@ -50,6 +50,7 @@ __all__ = [
     "cap_integral",
     "log_cap_integral",
     "ball_sum_radial",
+    "ball_sum_log_radial",
     "ball_sum_entropy",
     "epi_gap_balls",
     "brunn_minkowski_check",
@@ -183,14 +184,21 @@ def _log_norm(bp: BallPair) -> float:
             + n * (math.log(bp.r1) + math.log(bp.r2)))
 
 
-def ball_sum_radial(bp: BallPair, r: float) -> float:
-    """Density of X + Y at radius r (X, Y uniform on balls r1, r2)."""
+def ball_sum_log_radial(bp: BallPair, r: float) -> float:
+    """Log-density of X + Y at radius r; -inf outside the support.
+
+    Finite wherever the density is positive, also where the density
+    itself is beyond the float range (high dimension, small radii).
+    """
     if r < 0.0:
         raise BadParameter(f"radius must be nonnegative, got {r}")
     lg = _log_g(bp, r)
-    if lg == -math.inf:
-        return 0.0
-    log_density = lg - _log_norm(bp)
+    return lg if lg == -math.inf else lg - _log_norm(bp)
+
+
+def ball_sum_radial(bp: BallPair, r: float) -> float:
+    """Density of X + Y at radius r (X, Y uniform on balls r1, r2)."""
+    log_density = ball_sum_log_radial(bp, r)
     if log_density > _LOG_FLOAT_MAX:
         raise DensityOverflow(
             f"density of {bp} at radius {r} is exp({log_density:.6g}), "

@@ -18,17 +18,19 @@ the same argv and seed produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
 
 import numpy as np
 
-from .balls import BallPair, ball_sum_entropy, ball_sum_radial, epi_gap_balls
+from .balls import (BallPair, ball_sum_entropy, ball_sum_log_radial, ball_sum_radial,
+                    epi_gap_balls)
 from .config import DEFAULT_TOLS
 from .conjecture import CONJECTURE_LABEL, c_constant, ratio_landscape
 from .entropy import RenyiOrder, entropy_power, renyi_entropy
-from .errors import DensityError
+from .errors import DensityError, DensityOverflow
 from .grids import read_density_csv, write_density_csv
 from .levy import LevySpec, check_levy_dominance
 from .rearrange import rearrange_1d
@@ -153,13 +155,15 @@ def _cmd_ballsum(args: argparse.Namespace) -> int:
     if args.entropy_only:
         print(repr(h))
         return 0
+    payload = {"dim": bp.dim, "r1": bp.r1, "r2": bp.r2, "entropy": h}
+    for at, r in (("breakpoint", abs(bp.r1 - bp.r2)), ("origin", 0.0)):
+        # the density itself only where it is a float (for a larger radius
+        # of 1, up to dim 435); its log always
+        with contextlib.suppress(DensityOverflow):
+            payload[f"density_at_{at}"] = ball_sum_radial(bp, r)
+        payload[f"log_density_at_{at}"] = ball_sum_log_radial(bp, r)
     _print_payload({
-        "dim": bp.dim,
-        "r1": bp.r1,
-        "r2": bp.r2,
-        "entropy": h,
-        "density_at_breakpoint": ball_sum_radial(bp, abs(bp.r1 - bp.r2)),
-        "density_at_origin": ball_sum_radial(bp, 0.0),
+        **payload,
         "support_radius": bp.r1 + bp.r2,
         "tolerance_note": ("cap integral: closed-form incomplete Beta in log space; "
                            "radial integral: one adaptive quadrature, abs and rel tol "

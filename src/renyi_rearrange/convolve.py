@@ -13,11 +13,23 @@ the convolution of two origin-centered densities exactly centered again
 (and f convolved with a one-cell spike an exact translation by the
 spike's midpoint).
 
-Below `fft_threshold` output cells the quadratic-time direct sum is used,
-which keeps true zeros exactly zero.  Larger products go through numpy's
-real FFT (`numpy.fft.rfft`/`irfft`) at the smallest 5-smooth length that
-holds the full output, with a relative clamp that restores the zeros FFT
-noise would smear.
+Only the hull of each factor is convolved, from its first positive cell
+to its last, and the result is written at the sum of the two hull offsets
+into zeros covering all N + M - 1 output cells; the output grid does not
+depend on where the factors are positive.
+
+Up to `fft_threshold` output cells of the hull product the quadratic-time
+direct sum is used; larger products go through numpy's real FFT
+(`numpy.fft.rfft`/`irfft`) at the smallest 5-smooth length that holds the
+hull product.  Either result is then given its exact support: the sum set
+of the two factors' runs of positive cells, marked run pair by run pair,
+or from an FFT of the two indicators (a pair count, exact when rounded at
+1/2) when the run pairs outnumber the output cells.  Cells off the
+support are set to zero.  A cell on it that the kernel left below the
+smallest normal float, `np.finfo(float).tiny`, gets that value: its true
+value is positive, but below FFT resolution or, on the direct path, a sum
+of products below the float range.  Both paths thus give the same
+support, and the threshold is a speed choice only.
 """
 
 from __future__ import annotations
@@ -33,7 +45,9 @@ from .grids import Grid1D, same_spacing
 
 __all__ = ["convolve", "convolve_k", "scale_density", "resample", "project_onto"]
 
-_FFT_CLAMP_REL = 1e-14
+_TINY = np.finfo(float).tiny
+
+Runs = tuple[np.ndarray, np.ndarray]
 
 
 def _fast_len(n: int) -> int:
@@ -52,19 +66,49 @@ def _fast_len(n: int) -> int:
     return best
 
 
-def _conv_weights(p: np.ndarray, q: np.ndarray,
+def _fft_conv(p: np.ndarray, q: np.ndarray, out_len: int) -> np.ndarray:
+    n = _fast_len(out_len)
+    return np.fft.irfft(np.fft.rfft(p, n) * np.fft.rfft(q, n), n)[:out_len]
+
+
+def _runs(values: np.ndarray) -> Runs:
+    """Start and end (exclusive) indices of the runs of positive cells."""
+    positive = np.zeros(values.size + 2, dtype=bool)  # padded with False
+    np.greater(values, 0.0, out=positive[1:-1])
+    edges = np.flatnonzero(positive[1:] != positive[:-1])
+    return edges[0::2], edges[1::2]
+
+
+def _sum_set(p: np.ndarray, q: np.ndarray, runs_p: Runs, runs_q: Runs) -> np.ndarray:
+    """Mask of the cells k = i + j with p[i] > 0 and q[j] > 0.
+
+    Runs [s, e) of p and [t, u) of q add up to the cells [s + t, e + u - 1),
+    marked by a difference array; past out_len run pairs the pair counts
+    come from an FFT of the indicators instead.
+    """
+    out_len = p.size + q.size - 1
+    (sp, ep), (sq, eq) = runs_p, runs_q
+    if sp.size * sq.size > out_len:
+        return _fft_conv(p > 0.0, q > 0.0, out_len) >= 0.5
+    edge = (np.bincount((sp[:, None] + sq).ravel(), minlength=out_len + 1)
+            - np.bincount((ep[:, None] + eq - 1).ravel(), minlength=out_len + 1))
+    return np.cumsum(edge[:out_len]) > 0
+
+
+def _conv_weights(p: np.ndarray, q: np.ndarray, runs_p: Runs, runs_q: Runs,
                   tols: Tolerances = DEFAULT_TOLS, force: str | None = None) -> np.ndarray:
+    """Convolution of the hulls p and q (first and last cells positive),
+    zero exactly off its support."""
     out_len = p.size + q.size - 1
     method = force or ("direct" if out_len <= tols.fft_threshold else "fft")
     if method == "direct":
-        return np.convolve(p, q)
-    if min(p.size, q.size) == 1:  # a one-cell factor scales the other exactly
+        w = np.convolve(p, q)
+    elif min(p.size, q.size) == 1:  # a one-cell factor scales the other exactly
         w = p * q
     else:
-        n = _fast_len(out_len)
-        w = np.fft.irfft(np.fft.rfft(p, n) * np.fft.rfft(q, n), n)[:out_len]
-    top = w.max(initial=0.0)
-    w[w < _FFT_CLAMP_REL * top] = 0.0
+        w = _fft_conv(p, q, out_len)
+    np.maximum(w, _TINY, out=w)
+    w[~_sum_set(p, q, runs_p, runs_q)] = 0.0
     return w
 
 
@@ -74,15 +118,21 @@ def convolve(f: Grid1D, g: Grid1D, tols: Tolerances = DEFAULT_TOLS,
 
     Raises SpacingMismatch when the spacings differ by more than one part
     in 1e12.  `method` forces "direct" or "fft" (used by the agreement
-    test); by default the choice follows tols.fft_threshold.
+    test); by default the choice follows tols.fft_threshold, applied to
+    the output length of the two hulls.
     """
     if not same_spacing(f, g):
         raise SpacingMismatch(f"dx mismatch: {f.dx} vs {g.dx}")
     if method not in (None, "direct", "fft"):
         raise BadParameter(f"unknown convolution method {method!r}")
     dx = f.dx
-    w = _conv_weights(f.values * dx, g.values * dx, tols, force=method)
-    vals = w / dx
+    vals = np.zeros(f.n_cells + g.n_cells - 1)
+    (sf, ef), (sg, eg) = _runs(f.values), _runs(g.values)
+    if sf.size and sg.size:
+        a0, b0 = sf[0], sg[0]
+        w = _conv_weights(f.values[a0:ef[-1]] * dx, g.values[b0:eg[-1]] * dx,
+                          (sf - a0, ef - a0), (sg - b0, eg - b0), tols, force=method)
+        np.divide(w, dx, out=vals[a0 + b0:a0 + b0 + w.size])
     vals.flags.writeable = False
     return Grid1D(x0=f.x0 + g.x0 + 0.5 * dx, dx=dx, values=vals)
 

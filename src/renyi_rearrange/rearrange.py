@@ -114,7 +114,13 @@ def level_set_profile(f: Density) -> LevelSetProfile:
 
 
 def sorted_layers(f: Density) -> tuple[np.ndarray, np.ndarray]:
-    """(values desc, cell measures) of f, i.e. the layers of f*."""
+    """(values desc, cell measures) of f, i.e. the layers of f*.
+
+    Every cell of a Grid1D measures dx, so its values are sorted alone;
+    a RadialDensity's shells differ in volume and move with their values.
+    """
+    if isinstance(f, Grid1D):
+        return np.sort(f.values)[::-1], np.full(f.n_cells, f.dx)
     vals, cell = f.cells()
     order = np.argsort(-vals, kind="stable")
     return vals[order], cell[order]

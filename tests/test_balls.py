@@ -13,6 +13,7 @@ from renyi_rearrange import (
     InaccurateResult,
     NotIndicator,
     ball_sum_entropy,
+    ball_sum_log_radial,
     ball_sum_radial,
     brunn_minkowski_check,
     cap_integral,
@@ -114,6 +115,23 @@ class TestBallSumRadial:
         rest, _ = integrate.quad(radial_mass, 0.5, 1.5, limit=200)
         assert total + rest == pytest.approx(1.0, abs=1e-8)
 
+
+    @pytest.mark.parametrize("n", [1, 3, 512, 4096])
+    def test_log_density_inside_the_breakpoint(self, n):
+        # for r <= |r1 - r2| the smaller ball fits inside the larger around
+        # any point, so the density is 1 / V_n(max(r1, r2)) exactly
+        bp = BallPair(n, 1.0, 0.5)
+        log_inv_volume = math.lgamma(n / 2.0 + 1.0) - (n / 2.0) * math.log(math.pi)
+        for r in (0.0, 0.25, 0.5):
+            assert ball_sum_log_radial(bp, r) == pytest.approx(log_inv_volume,
+                                                               rel=1e-12, abs=1e-12)
+        assert ball_sum_log_radial(bp, 1.5) == -math.inf
+
+    def test_log_density_matches_density(self):
+        for n, r in ((2, 0.0), (3, 0.7), (6, 1.2), (512, 1.4)):
+            bp = BallPair(n, 1.0, 0.5)
+            assert ball_sum_log_radial(bp, r) == pytest.approx(
+                math.log(ball_sum_radial(bp, r)), rel=1e-13)
 
     def test_overflowing_density_raises(self):
         # at dim 512 the density at the origin is exp(874), past the float range

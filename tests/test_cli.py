@@ -106,18 +106,27 @@ class TestBallsumCommand:
         assert payload["dim"] == 2
         assert payload["support_radius"] == pytest.approx(1.5)
         assert payload["density_at_origin"] > 0.0
+        assert payload["log_density_at_origin"] == pytest.approx(
+            math.log(payload["density_at_origin"]), rel=1e-13)
+        assert payload["log_density_at_breakpoint"] == pytest.approx(
+            math.log(payload["density_at_breakpoint"]), rel=1e-13)
         assert math.isfinite(payload["entropy"])
 
     def test_bad_radius_is_usage_error(self, capsys):
         rc = cli.main(["ballsum", "--dim", "1", "--r1", "-1", "--r2", "1"])
         assert rc == 2
 
-    def test_unrepresentable_density_is_one_line_error(self, capsys):
-        # the density at the origin is exp(874) in dimension 512
+    def test_high_dimension_prints_log_densities(self, capsys):
+        # the density at the origin is exp(874.206) in dimension 512, beyond
+        # the float range: only its log is printed, and the command succeeds
         rc = cli.main(["ballsum", "--dim", "512", "--r1", "1", "--r2", "0.5"])
-        assert rc == 2
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("error: density of")
+        assert rc == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert "density_at_origin" not in payload
+        assert "density_at_breakpoint" not in payload
+        assert payload["log_density_at_origin"] == pytest.approx(874.2064, abs=1e-4)
+        assert payload["log_density_at_breakpoint"] == payload["log_density_at_origin"]
+        assert payload["entropy"] == pytest.approx(-814.6148, abs=1e-4)
 
 
 class TestConjectureCommand:

@@ -12,6 +12,7 @@ from renyi_rearrange import (
     SpacingMismatch,
     convolve,
     convolve_k,
+    gaussian_on_grid,
     l1_distance,
     make_grid,
     moment,
@@ -76,32 +77,86 @@ class TestConvolve:
 
 
 def _gapped_values(rng, n):
-    """Random cell values with zero runs, so the FFT clamp has work to do."""
+    """Random cell values with zero runs, so the support has gaps to keep."""
     vals = rng.random(n)
     vals[rng.random(n) < 0.3] = 0.0
     return vals
 
 
+def _hull(f):
+    """First and one-past-last index of f's positive cells."""
+    pos = np.flatnonzero(f.values > 0.0)
+    return pos[0], pos[-1] + 1
+
+
 _RNG_SIZES = np.random.default_rng(20).integers(1, 20000, size=(8, 2))
+_SIZE_PAIRS = [
+    (2048, 4095), (4095, 2048), (8192, 8192), (512, 8192),
+    (4099, 4111), (7919, 1031), (1, 5003), (5003, 1), (2, 3),
+    *[tuple(int(v) for v in pair) for pair in _RNG_SIZES]]
+
+
+def _gapped_pair(n, m, dx=0.01):
+    rng = np.random.default_rng(n * 100003 + m)
+    return make_grid(-1.0, dx, _gapped_values(rng, n)), make_grid(0.5, dx, _gapped_values(rng, m))
 
 
 class TestFftKernel:
-    """The numpy rfft kernel against scipy.signal.fftconvolve, the routine
-    it replaced: same lengths, same transforms, so the same bits."""
+    """The numpy rfft kernel against scipy.signal.fftconvolve of the two
+    hulls (first to last positive cell): same lengths, same transforms, so
+    the same bits on the exact support, and exact zeros off it."""
 
-    @pytest.mark.parametrize("n, m", [
-        (2048, 4095), (4095, 2048), (8192, 8192), (512, 8192),
-        (4099, 4111), (7919, 1031), (1, 5003), (5003, 1), (2, 3),
-        *[tuple(int(v) for v in pair) for pair in _RNG_SIZES]])
+    @pytest.mark.parametrize("n, m", _SIZE_PAIRS)
     def test_bitwise_equal_to_scipy(self, n, m):
-        rng = np.random.default_rng(n * 100003 + m)
-        dx = 0.01
-        f = make_grid(-1.0, dx, _gapped_values(rng, n))
-        g = make_grid(0.5, dx, _gapped_values(rng, m))
-        w = fftconvolve(f.values * dx, g.values * dx)
-        w[w < 1e-14 * w.max()] = 0.0
+        f, g = _gapped_pair(n, m)
+        dx = f.dx
+        (a0, a1), (b0, b1) = _hull(f), _hull(g)
+        hull_w = fftconvolve(f.values[a0:a1] * dx, g.values[b0:b1] * dx)
+        w = np.zeros(n + m - 1)
+        w[a0 + b0:a0 + b0 + hull_w.size] = hull_w
+        support = np.convolve(f.values > 0.0, g.values > 0.0)
+        # cells the FFT could not resolve hold the smallest normal float
+        tiny = np.finfo(float).tiny
+        expected = np.where(support, np.maximum(w, tiny), 0.0) / dx
         h = convolve(f, g, method="fft")
-        assert np.array_equal(h.values, w / dx)
+        assert np.array_equal(h.values, expected)
+        assert not h.values[~support].any()
+
+    @pytest.mark.parametrize("method", ["direct", "fft"])
+    @pytest.mark.parametrize("n, m", _SIZE_PAIRS)
+    def test_support_is_the_indicator_sum_set(self, n, m, method):
+        f, g = _gapped_pair(n, m)
+        h = convolve(f, g, method=method)
+        assert np.array_equal(h.values > 0.0, np.convolve(f.values > 0.0, g.values > 0.0))
+
+    @pytest.mark.parametrize("method", ["direct", "fft"])
+    def test_underflowing_products_keep_their_support(self, method):
+        # sampled out to 40 sigma the tails reach 1e-300 before they
+        # underflow to 0, so products of two tail cells fall below the
+        # float range; their cells still belong to the support
+        gauss = gaussian_on_grid(0.0, 1.0, -40.0, 80.0 / 1024, 1024)
+        h = convolve(gauss, gauss, method=method)
+        assert np.array_equal(h.values > 0.0,
+                              np.convolve(gauss.values > 0.0, gauss.values > 0.0))
+
+    def test_sizes_exercise_both_support_rules(self):
+        # the run-pair difference array serves few runs, the indicator FFT
+        # many; the size pairs above must reach both
+        from renyi_rearrange.convolve import _runs
+        many = []
+        for n, m in _SIZE_PAIRS:
+            f, g = _gapped_pair(n, m)
+            many.append(_runs(f.values)[0].size * _runs(g.values)[0].size > n + m - 1)
+        assert any(many) and not all(many)
+
+    def test_gaussian_tails_keep_their_support(self):
+        # sampled out to 12 sigma the tails are exp(-72) of the peak, far
+        # below FFT resolution, yet every output cell is positive
+        dx = 24.0 / 2048
+        gauss = gaussian_on_grid(0.0, 1.0, -12.0, dx, 2048)
+        h = convolve(gauss, gauss, method="fft")
+        assert h.values.min() > 0.0
+        assert renyi_entropy(h, 0.0) == pytest.approx(math.log(4095 * dx), abs=1e-12)
 
     def test_fast_len_is_next_fast_len(self):
         from renyi_rearrange.convolve import _fast_len

@@ -125,6 +125,27 @@ class TestMarginal:
             assert variance(f) == pytest.approx(t * (1.0 + lam * second_j),
                                                 rel=1e-2)
 
+    def test_support_is_the_hull_sum_set(self):
+        # the k-th term is the Gaussian window [C, D) folded with k copies
+        # of the jump's hull [A, B), so it is positive exactly on
+        # [C + k (A + dx/2), D + k (B - dx/2)) (the window outspans every
+        # gap of the jump law); its 8-sigma tails sit far below FFT
+        # resolution and must still count as support
+        jump = random_density(DensityGeneratorSpec(kind="uniform-mixture",
+                                                   seed=0, cells=512))
+        spec = LevySpec(a=1.0, rate=5.0, jump=jump, t=1.0)
+        f = marginal_density(spec)
+        dx = jump.dx
+        reach = math.ceil(8.0 / dx)
+        pos = np.flatnonzero(jump.values > 0.0)
+        a_lo, b_hi = jump.x0 + pos[0] * dx, jump.x0 + (pos[-1] + 1) * dx
+        expected = np.zeros(f.n_cells, dtype=bool)
+        for k in range(auto_k_max(spec.rate * spec.t) + 1):
+            lo = -(reach + 0.5) * dx + k * (a_lo + dx / 2)
+            hi = (reach + 0.5) * dx + k * (b_hi - dx / 2)
+            expected |= (f.midpoints > lo) & (f.midpoints < hi)
+        assert np.array_equal(f.values > 0.0, expected)
+
     def test_entropy_grows_in_time(self):
         jump = skewed_jump()
         hs = []

@@ -126,6 +126,31 @@ class TestRearrange1DReference:
             self._assert_same(f)
 
 
+class TestSortedLayersReference:
+    """sorted_layers on a Grid1D sorts values alone; the reference ranks
+    cells by a stable argsort and gathers values and measures."""
+
+    def _assert_same(self, f):
+        order = np.argsort(-f.values, kind="stable")
+        vals, cell = sorted_layers(f)
+        assert vals.tobytes() == f.values[order].tobytes()
+        assert cell.tobytes() == np.full(f.n_cells, f.dx)[order].tobytes()
+
+    def test_ties_and_zero_cells(self):
+        rng = np.random.default_rng(11)
+        for n in (1, 2, 3, 17, 256, 2048):
+            self._assert_same(make_grid(-1.0, 0.01, rng.integers(0, 4, size=n) * 0.5))
+        self._assert_same(make_grid(0.0, 1.0, [0.0, 2.0, 0.0, 2.0, 1.0, 0.0]))
+
+    def test_random_densities_and_their_sums(self):
+        for f in _corpus(8, cells=300):
+            self._assert_same(f)
+            self._assert_same(rearrange_1d(f))
+        fs = _corpus(3, cells=256)
+        for h in _star_convolve(fs, DEFAULT_TOLS):
+            self._assert_same(h)
+
+
 class TestRearrangeRadial:
     def test_nonincreasing_profile_unchanged(self):
         f = make_radial(3, 0.25, [4.0, 2.0, 2.0, 1.0, 0.0])
