@@ -172,6 +172,9 @@ def _cmd_ballsum(args: argparse.Namespace) -> int:
     return 0
 
 
+_ARGMIN_REL = 1e-9
+
+
 def _cmd_conjecture(args: argparse.Namespace) -> int:
     if args.landscape is None:
         value = c_constant(args.p, 1)
@@ -200,9 +203,13 @@ def _cmd_conjecture(args: argparse.Namespace) -> int:
     print("a1,a2,ratio")
     for pt in points:
         print(f"{pt.a1!r},{pt.a2!r},{pt.ratio!r}")
-    best = min(points, key=lambda q: q.ratio)
-    print(f"# argmin ratio={best.ratio:.6g} at (a1,a2)=({best.a1:g},{best.a2:g}) "
-          f"[{CONJECTURE_LABEL}]", file=sys.stderr)
+    # every diagonal a1 = a2 gives the same ratio up to roundoff, so the
+    # minimizer is reported as the first point in grid order near the minimum
+    low = min(pt.ratio for pt in points)
+    near = [pt for pt in points if pt.ratio - low <= _ARGMIN_REL * abs(low)]
+    print(f"# argmin ratio={low:.6g} at (a1,a2)=({near[0].a1:g},{near[0].a2:g}), "
+          f"first in grid order of {len(near)} points within {_ARGMIN_REL:g} "
+          f"relative of the minimum [{CONJECTURE_LABEL}]", file=sys.stderr)
     return 0
 
 
@@ -210,6 +217,8 @@ def _cmd_levy(args: argparse.Namespace) -> int:
     jump = read_density_csv(args.jumps)
     spec = LevySpec(a=args.a, rate=args.rate, jump=jump, t=args.t)
     orders = [_parse_order(tok) for tok in args.orders.split(",") if tok.strip()]
+    if not orders:
+        raise DensityError(f"--orders {args.orders!r} names no order")
     reports = check_levy_dominance(spec, orders)
     for rep in reports:
         flag = "ok" if rep.passed else "FAIL"

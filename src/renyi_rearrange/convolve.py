@@ -30,11 +30,19 @@ smallest normal float, `np.finfo(float).tiny`, gets that value: its true
 value is positive, but below FFT resolution or, on the direct path, a sum
 of products below the float range.  Both paths thus give the same
 support, and the threshold is a speed choice only.
+
+:func:`convolve_series` sums sum_k w_k f * g^(*k) in one transform pair:
+the terms start k(g.x0 + dx/2) apart, a whole number of half cells when
+g's first midpoint sits on a multiple of dx/2, so on the dx/2
+refinement the series is f times a power series in g, evaluated by
+Horner's rule on the spectrum of g.  Its support is the union over k of
+the sum sets of the runs, by the same rule as in :func:`convolve`.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 import numpy as np
 import numpy.fft
@@ -43,9 +51,14 @@ from .config import DEFAULT_TOLS, Tolerances
 from .errors import BadParameter, NonPositiveSpacing, SpacingMismatch
 from .grids import Grid1D, same_spacing
 
-__all__ = ["convolve", "convolve_k", "scale_density", "resample", "project_onto"]
+__all__ = [
+    "convolve", "convolve_series", "convolve_k", "scale_density", "resample", "project_onto",
+]
 
 _TINY = np.finfo(float).tiny
+# how far, in half cells, the second factor of a series may start from a
+# multiple of dx/2
+_HALF_CELL_TOL = 2e-9
 
 Runs = tuple[np.ndarray, np.ndarray]
 
@@ -79,6 +92,12 @@ def _runs(values: np.ndarray) -> Runs:
     return edges[0::2], edges[1::2]
 
 
+def _mark(starts: np.ndarray, ends: np.ndarray, n: int) -> np.ndarray:
+    """Mask of the n cells covered by the intervals [starts, ends)."""
+    edge = np.bincount(starts, minlength=n + 1) - np.bincount(ends, minlength=n + 1)
+    return np.cumsum(edge[:n]) > 0
+
+
 def _sum_set(p: np.ndarray, q: np.ndarray, runs_p: Runs, runs_q: Runs) -> np.ndarray:
     """Mask of the cells k = i + j with p[i] > 0 and q[j] > 0.
 
@@ -90,9 +109,24 @@ def _sum_set(p: np.ndarray, q: np.ndarray, runs_p: Runs, runs_q: Runs) -> np.nda
     (sp, ep), (sq, eq) = runs_p, runs_q
     if sp.size * sq.size > out_len:
         return _fft_conv(p > 0.0, q > 0.0, out_len) >= 0.5
-    edge = (np.bincount((sp[:, None] + sq).ravel(), minlength=out_len + 1)
-            - np.bincount((ep[:, None] + eq - 1).ravel(), minlength=out_len + 1))
-    return np.cumsum(edge[:out_len]) > 0
+    return _mark((sp[:, None] + sq).ravel(), (ep[:, None] + eq - 1).ravel(), out_len)
+
+
+def _sum_runs(runs_p: Runs, runs_q: Runs, n_p: int, n_q: int) -> Runs:
+    """Runs of the sum set of runs_p (on n_p cells) and runs_q (on n_q
+    cells): the run pair sums of :func:`_sum_set`, sorted and merged where
+    they overlap or touch, or the runs of its mask past n_p + n_q - 1 pairs."""
+    (sp, ep), (sq, eq) = runs_p, runs_q
+    if sp.size * sq.size > n_p + n_q - 1:
+        return _runs(_sum_set(_mark(sp, ep, n_p), _mark(sq, eq, n_q), runs_p, runs_q))
+    if sp.size * sq.size == 0:
+        return sp[:0], ep[:0]
+    starts = (sp[:, None] + sq).ravel()
+    order = np.argsort(starts, kind="stable")
+    starts = starts[order]
+    reach = np.maximum.accumulate((ep[:, None] + eq - 1).ravel()[order])
+    first = np.flatnonzero(np.concatenate(([True], starts[1:] > reach[:-1])))
+    return starts[first], reach[np.append(first[1:], starts.size) - 1]
 
 
 def _conv_weights(p: np.ndarray, q: np.ndarray, runs_p: Runs, runs_q: Runs,
@@ -135,6 +169,71 @@ def convolve(f: Grid1D, g: Grid1D, tols: Tolerances = DEFAULT_TOLS,
         np.divide(w, dx, out=vals[a0 + b0:a0 + b0 + w.size])
     vals.flags.writeable = False
     return Grid1D(x0=f.x0 + g.x0 + 0.5 * dx, dx=dx, values=vals)
+
+
+def convolve_series(f: Grid1D, g: Grid1D, weights: Sequence[float]) -> Grid1D:
+    """sum_k weights[k] * (f * g^(*k)), k = 0 .. len(weights) - 1, at dx/2.
+
+    Term k is the k-fold :func:`convolve` of f with g; its first cell sits
+    k*h half cells from f's, h = 2 (g.x0 + dx/2) / dx, and each of its
+    values covers two half cells of the dx/2 refinement.  f goes on the
+    even half cells and g at offset h (cyclically, when h < 0) of one real
+    transform pair at the smallest 5-smooth length that holds the output,
+    the weights are summed over the spectrum of g by Horner's rule, and
+    each half-cell value of the sum is then added to the half cell on its
+    right.  The result spans the union of the terms' grids.  It is zero off
+    the union of the supports of the terms of positive weight (run sums,
+    merged term by term) and at least the smallest normal float on it, as
+    in :func:`convolve`.  One weight gives refine(f, 2) times that weight,
+    with no transform.
+
+    Raises SpacingMismatch as :func:`convolve` does, and BadParameter when
+    2 g.x0 / dx is not an integer, or unless the weights are nonnegative
+    and one of them is positive.
+    """
+    if not same_spacing(f, g):
+        raise SpacingMismatch(f"dx mismatch: {f.dx} vs {g.dx}")
+    if len(weights) == 0 or min(weights) < 0.0 or not max(weights) > 0.0:
+        raise BadParameter("convolve_series needs nonnegative weights, one of them positive")
+    dx = f.dx
+    if len(weights) == 1:
+        vals = np.repeat(f.values, 2) * weights[0]
+        vals.flags.writeable = False
+        return Grid1D(x0=f.x0, dx=0.5 * dx, values=vals)
+    half_cells = 2.0 * g.x0 / dx
+    if abs(half_cells - round(half_cells)) > _HALF_CELL_TOL:
+        raise BadParameter(f"second factor starts at x0={g.x0}, not a multiple of dx/2")
+    h = round(half_cells) + 1  # half cells from one term's first cell to the next's
+    n_f, n_g, k_max = f.n_cells, g.n_cells, len(weights) - 1
+    lo = min(0, k_max * h)  # the output's first half cell, from f's
+    n_out = max(2 * n_f, 2 * n_f + k_max * (h + 2 * n_g - 2)) - lo
+
+    runs, runs_g, n_k = _runs(f.values), _runs(g.values), n_f
+    starts, ends = [], []
+    for k, w in enumerate(weights):
+        if k:
+            runs, n_k = _sum_runs(runs, runs_g, n_k, n_g), n_k + n_g - 1
+        if w > 0.0:
+            starts.append(k * h - lo + 2 * runs[0])
+            ends.append(k * h - lo + 2 * runs[1])
+    support = _mark(np.concatenate(starts), np.concatenate(ends), n_out)
+
+    n = _fast_len(n_out)
+    p = np.zeros(n)
+    p[-lo:2 * n_f - lo:2] = f.values
+    q = np.zeros(n)
+    q[:2 * n_g:2] = g.values * dx
+    q_hat = np.fft.rfft(np.roll(q, h))
+    series = np.full(q_hat.size, complex(weights[-1]))
+    for w in weights[-2::-1]:
+        series *= q_hat
+        series += w
+    vals = np.fft.irfft(np.fft.rfft(p) * series, n)[:n_out]
+    vals[1:] += vals[:-1].copy()
+    np.maximum(vals, _TINY, out=vals)
+    vals[~support] = 0.0
+    vals.flags.writeable = False
+    return Grid1D(x0=f.x0 + min(0.0, k_max * (g.x0 + 0.5 * dx)), dx=0.5 * dx, values=vals)
 
 
 def convolve_k(fs: list[Grid1D] | tuple[Grid1D, ...],

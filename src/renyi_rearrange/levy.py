@@ -11,13 +11,14 @@ diffusion but replaces the jump law by its symmetric decreasing
 rearrangement f*; its marginal dominates in every Renyi entropy.
 
 Numerically the series is truncated where the Poisson tail drops below
-series_tol and renormalized.  Every term of the mixture is a Grid1D: the
-Gaussian has its midpoints at integer multiples of the jump law's spacing
-dx, and a jump law whose midpoints are not at multiples of dx/2 is first
-projected onto the nearest grid where they are.  Each k-fold convolution
-(with :func:`convolve.convolve`) then starts at a multiple of dx/2 from
-the Gaussian, so the weighted terms add up exactly on the dx/2
-refinement.  Both processes use the same snapped jump law (the rearranged
+series_tol and renormalized.  The Gaussian has its midpoints at integer
+multiples of the jump law's spacing dx, and a jump law whose first
+midpoint is not at a multiple of dx/2 is first projected onto the
+nearest grid where it is.  The truncated sum is then one call of
+:func:`convolve.convolve_series`, which evaluates the Poisson weights as
+a power series in the jump law's spectrum on the dx/2 refinement: its
+cost grows with the length of the marginal's grid, not with the number
+of terms.  Both processes use the same snapped jump law (the rearranged
 pipeline rearranges the snapped density), so the dominance being checked
 is exact for the densities actually simulated.
 """
@@ -29,12 +30,10 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .config import DEFAULT_TOLS, Tolerances
 from .errors import BadParameter, TruncationInsufficient
-from .grids import Grid1D, is_symmetric_decreasing, normalize
-from .convolve import convolve, project_onto
+from .grids import Grid1D, is_symmetric_decreasing, normalize, refine
+from .convolve import _HALF_CELL_TOL, convolve_series, project_onto
 from .densities import gaussian_on_grid
 from .entropy import RenyiOrder, renyi_entropies
 from .rearrange import rearrange_1d
@@ -118,24 +117,10 @@ def _snap(f: Grid1D) -> Grid1D:
     projected onto the nearest such grid (shifting mass by at most half a
     cell), widened by one cell on each side so no mass is dropped."""
     half_cells = 2.0 * f.x0 / f.dx
-    if abs(half_cells - round(half_cells)) <= 2e-9:
+    if abs(half_cells - round(half_cells)) <= _HALF_CELL_TOL:
         return f
     start = round(f.x0 / f.dx) - 1
     return project_onto(f, start * f.dx, f.dx, f.n_cells + 2)
-
-
-def _accumulate(terms: list[tuple[float, Grid1D]]) -> Grid1D:
-    """Weighted sum of terms whose origins differ by multiples of dx/2,
-    exact on the dx/2 refinement."""
-    half = terms[0][1].dx / 2.0
-    lo = min(t.x0 for _, t in terms)
-    offsets = [round((t.x0 - lo) / half) for _, t in terms]
-    acc = np.zeros(max(o + 2 * t.n_cells for o, (_, t) in zip(offsets, terms)))
-    for o, (w, t) in zip(offsets, terms):
-        term = w * t.values
-        acc[o:o + 2 * t.n_cells:2] += term
-        acc[o + 1:o + 2 * t.n_cells:2] += term
-    return Grid1D(x0=lo, dx=half, values=acc)
 
 
 def _mixture(spec: LevySpec, jump: Grid1D | None, k_max: int,
@@ -150,15 +135,10 @@ def _mixture(spec: LevySpec, jump: Grid1D | None, k_max: int,
     dx = jump.dx if jump is not None else 16.0 * sigma / 1024
     reach = max(4, int(math.ceil(8.0 * sigma / dx)))
     gauss = gaussian_on_grid(0.0, sigma, -(reach + 0.5) * dx, dx, 2 * reach + 1)
+    if jump is None:
+        return normalize(refine(gauss, 2))
     weights = [_poisson_pmf(k, mu) for k in range(k_max + 1)]
-    terms: list[tuple[float, Grid1D]] = [(weights[0], gauss)]
-    if jump is not None and mu > 0.0:
-        jump = _snap(jump)
-        fold = gauss
-        for k in range(1, k_max + 1):
-            fold = convolve(fold, jump, tols)
-            terms.append((weights[k], fold))
-    return normalize(_accumulate(terms))
+    return normalize(convolve_series(gauss, _snap(jump), weights))
 
 
 def marginal_density(spec: LevySpec, k_max: int | None = None,

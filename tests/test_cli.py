@@ -151,6 +151,14 @@ class TestConjectureCommand:
         assert all(0.9 < r <= 1.01 for r in ratios)
         assert "argmin" in captured.err
 
+    def test_landscape_argmin_is_first_of_the_ties(self, capsys):
+        # the nine diagonal points share the ratio C_{2,1} up to roundoff;
+        # the nearest other point is 7e-4 above it
+        rc = cli.main(["conjecture", "--p", "2.0", "--landscape", "0.5:2.0:9"])
+        assert rc == 0
+        err = capsys.readouterr().err
+        assert "at (a1,a2)=(0.5,0.5), first in grid order of 9 points within 1e-09" in err
+
     def test_bad_landscape_spec(self, capsys):
         rc = cli.main(["conjecture", "--p", "2.0", "--landscape", "1:2"])
         assert rc == 2
@@ -203,6 +211,15 @@ class TestLevyCommand:
                        "--jumps", uniform_csv, "--orders", "1"])
         assert rc == 1
         assert "FAIL" in capsys.readouterr().out
+
+
+    def test_no_orders_is_usage_error(self, uniform_csv, capsys):
+        rc = cli.main(["levy", "--a", "1.0", "--lambda", "0.5", "--t", "1.0",
+                       "--jumps", uniform_csv, "--orders", ","])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
 
 
 class TestEpigapCommand:

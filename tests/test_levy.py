@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -6,21 +7,29 @@ import pytest
 from renyi_rearrange import (
     BadParameter,
     DensityGeneratorSpec,
+    Grid1D,
     LevySpec,
+    SpacingMismatch,
     TruncationInsufficient,
     check_levy_dominance,
+    convolve,
+    convolve_series,
+    gaussian_on_grid,
     is_symmetric_decreasing,
     make_grid,
     marginal_density,
     moment,
     normalize,
     random_density,
+    rearrange_1d,
     rearranged_marginal,
+    refine,
     renyi_entropy,
     uniform_interval,
     variance,
 )
-from renyi_rearrange.levy import _K_CAP, _poisson_sf, auto_k_max
+from renyi_rearrange.grids import require_same_grid
+from renyi_rearrange.levy import _K_CAP, _poisson_pmf, _poisson_sf, _snap, auto_k_max
 
 
 def skewed_jump(cells=256, decay=2.0, span=3.0):
@@ -29,7 +38,31 @@ def skewed_jump(cells=256, decay=2.0, span=3.0):
     return normalize(make_grid(0.0, dx, np.exp(-decay * x)))
 
 
+def hull_sum_set(f, jump, k_max):
+    """Cells of f, a marginal at rate 5 and a = t = 1, inside the union over
+    k <= k_max of the Gaussian window plus k copies of the jump's hull."""
+    dx = jump.dx
+    reach = math.ceil(8.0 / dx)
+    pos = np.flatnonzero(jump.values > 0.0)
+    a_lo, b_hi = jump.x0 + pos[0] * dx, jump.x0 + (pos[-1] + 1) * dx
+    expected = np.zeros(f.n_cells, dtype=bool)
+    for k in range(k_max + 1):
+        lo = -(reach + 0.5) * dx + k * (a_lo + dx / 2)
+        hi = (reach + 0.5) * dx + k * (b_hi - dx / 2)
+        expected |= (f.midpoints > lo) & (f.midpoints < hi)
+    return expected
+
+
 class TestLevySpec:
+    def test_zero_weight_terms_add_no_support(self):
+        # a gapped law whose one-fold term reaches cells the others do not
+        g = normalize(make_grid(0.0, 0.1, np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0])))
+        f = make_grid(-0.05, 0.1, np.array([10.0]))
+        weights = [0.5, 0.0, 0.5]
+        out = convolve_series(f, g, weights)
+        assert_same_series(fold_series(f, g, weights), out)
+        assert np.count_nonzero(out.values) == 8
+
     def test_validation(self):
         jump = skewed_jump()
         with pytest.raises(BadParameter):
@@ -135,16 +168,18 @@ class TestMarginal:
                                                    seed=0, cells=512))
         spec = LevySpec(a=1.0, rate=5.0, jump=jump, t=1.0)
         f = marginal_density(spec)
-        dx = jump.dx
-        reach = math.ceil(8.0 / dx)
-        pos = np.flatnonzero(jump.values > 0.0)
-        a_lo, b_hi = jump.x0 + pos[0] * dx, jump.x0 + (pos[-1] + 1) * dx
-        expected = np.zeros(f.n_cells, dtype=bool)
-        for k in range(auto_k_max(spec.rate * spec.t) + 1):
-            lo = -(reach + 0.5) * dx + k * (a_lo + dx / 2)
-            hi = (reach + 0.5) * dx + k * (b_hi - dx / 2)
-            expected |= (f.midpoints > lo) & (f.midpoints < hi)
-        assert np.array_equal(f.values > 0.0, expected)
+        k_max = auto_k_max(spec.rate * spec.t)
+        assert np.array_equal(f.values > 0.0, hull_sum_set(f, jump, k_max))
+
+    def test_support_keeps_terms_with_tiny_weights(self):
+        # at k_max = 40 the last Poisson(5) weights are below 1e-20: a
+        # floor-valued tail cell times such a weight underflows to 0, and
+        # summing weighted terms lost 828 of the 39890 support cells
+        jump = random_density(DensityGeneratorSpec(kind="uniform-mixture",
+                                                   seed=0, cells=512))
+        spec = LevySpec(a=1.0, rate=5.0, jump=jump, t=1.0)
+        f = marginal_density(spec, k_max=40)
+        assert np.array_equal(f.values > 0.0, hull_sum_set(f, jump, 40))
 
     def test_entropy_grows_in_time(self):
         jump = skewed_jump()
@@ -197,3 +232,167 @@ class TestDominance:
         reports = check_levy_dominance(spec, [1.0])
         assert reports[0].passed
         assert reports[0].margin == pytest.approx(0.0, abs=1e-12)
+
+
+def fold_series(f, g, weights):
+    """Reference for convolve_series: term k is convolve folded k times,
+    and the weighted terms, whose origins differ by multiples of dx/2, are
+    summed on the dx/2 refinement, each value covering two half cells."""
+    terms = [(weights[0], f)]
+    for w in weights[1:]:
+        terms.append((w, convolve(terms[-1][1], g)))
+    half = f.dx / 2.0
+    lo = min(t.x0 for _, t in terms)
+    offsets = [round((t.x0 - lo) / half) for _, t in terms]
+    acc = np.zeros(max(o + 2 * t.n_cells for o, (_, t) in zip(offsets, terms)))
+    for o, (w, t) in zip(offsets, terms):
+        term = w * t.values
+        acc[o:o + 2 * t.n_cells:2] += term
+        acc[o + 1:o + 2 * t.n_cells:2] += term
+    return Grid1D(x0=lo, dx=half, values=acc)
+
+
+def fold_marginal(spec, jump, k_max):
+    """Reference marginal: the Gaussian and Poisson weights of levy's
+    mixture, summed by fold_series."""
+    mu = spec.rate * spec.t
+    sigma = math.sqrt(spec.a * spec.t)
+    dx = jump.dx
+    reach = max(4, int(math.ceil(8.0 * sigma / dx)))
+    gauss = gaussian_on_grid(0.0, sigma, -(reach + 0.5) * dx, dx, 2 * reach + 1)
+    weights = [_poisson_pmf(k, mu) for k in range(k_max + 1)]
+    return normalize(fold_series(gauss, _snap(jump), weights))
+
+
+def assert_same_series(ref, new):
+    require_same_grid(ref, new)
+    assert np.array_equal(ref.values > 0.0, new.values > 0.0)
+    assert np.max(np.abs(ref.values - new.values)) <= 1e-13 * ref.max_value
+
+
+def _uniform_mixture(seed, cells=512):
+    return random_density(DensityGeneratorSpec(kind="uniform-mixture", seed=seed,
+                                               cells=cells))
+
+
+def _off_lattice_jump():
+    # first midpoint 0.3 cell off the dx/2 lattice: levy snaps it
+    dx = 0.05
+    vals = np.linspace(1.0, 3.0, 40)
+    return normalize(make_grid(0.3 * dx, dx, vals))
+
+
+def _one_cell_jump():
+    return make_grid(0.25, 0.05, np.array([20.0]))
+
+
+# (jump law, rate, explicit k_max or None): the benchmark's jump laws at
+# rate 30, the verify suite's skewed law at lambda t = 0.25 and 1, a
+# gapped spiky law, a law that needs snapping, a one-cell law, and an
+# explicit k_max beyond the automatic one
+SERIES_CASES = {
+    "uniform-mixture-0-rate30": (lambda: _uniform_mixture(0), 30.0, None),
+    "uniform-mixture-977-rate30": (lambda: _uniform_mixture(977), 30.0, None),
+    "skewed-rate0.25": (lambda: skewed_jump(cells=512), 0.25, None),
+    "skewed-rate1": (lambda: skewed_jump(cells=512), 1.0, None),
+    "spiky-gapped-rate5": (lambda: random_density(DensityGeneratorSpec(
+        kind="spiky-piecewise", seed=3, cells=256)), 5.0, None),
+    "off-lattice-rate3": (_off_lattice_jump, 3.0, None),
+    "one-cell-rate2": (_one_cell_jump, 2.0, None),
+    "uniform-mixture-5-rate4-kmax20": (lambda: _uniform_mixture(5, cells=128), 4.0, 20),
+}
+
+
+class TestSeriesAgainstFold:
+    @pytest.mark.parametrize("case", sorted(SERIES_CASES))
+    def test_marginal_matches_fold(self, case):
+        make_jump, rate, k_max = SERIES_CASES[case]
+        jump = make_jump()
+        spec = LevySpec(a=1.0, rate=rate, jump=jump, t=1.0)
+        k = k_max if k_max is not None else auto_k_max(rate)
+        assert_same_series(fold_marginal(spec, jump, k), marginal_density(spec, k_max))
+
+    @pytest.mark.parametrize("case", sorted(SERIES_CASES))
+    def test_rearranged_marginal_matches_fold(self, case):
+        # the rearranged law is centered: its first midpoint is a negative
+        # multiple of its spacing plus half a cell, so terms step back by an
+        # odd number of half cells
+        make_jump, rate, k_max = SERIES_CASES[case]
+        jump = make_jump()
+        spec = LevySpec(a=1.0, rate=rate, jump=jump, t=1.0)
+        k = k_max if k_max is not None else auto_k_max(rate)
+        star = rearrange_1d(_snap(jump))
+        h = round(2.0 * star.x0 / star.dx) + 1
+        assert h < 0 and h % 2 == 1
+        assert_same_series(fold_marginal(spec, star, k), rearranged_marginal(spec, k_max))
+
+    def test_one_weight_is_refine(self):
+        f = _uniform_mixture(1, cells=96)
+        g = make_grid(0.0, f.dx, np.ones(8) / (8 * f.dx))
+        out = convolve_series(f, g, [0.37])
+        ref = refine(f, 2)
+        assert (out.x0, out.dx) == (ref.x0, ref.dx)
+        assert np.array_equal(out.values, ref.values * 0.37)
+        # the pure-diffusion marginal keeps the bytes of the refined Gaussian
+        spec = LevySpec(a=1.0, rate=0.0, jump=g, t=1.0)
+        dx = 16.0 / 1024  # sigma = 1, 8 sigma each side
+        gauss = gaussian_on_grid(0.0, 1.0, -(512 + 0.5) * dx, dx, 1025)
+        assert np.array_equal(marginal_density(spec).values,
+                              normalize(refine(gauss, 2)).values)
+
+    def test_many_run_pairs_take_the_mask_path(self, monkeypatch):
+        # 64 one-cell spikes 16 cells apart: terms 1 and 2 have 64 and 127
+        # runs, and with the spikes' 64 runs these pairs outnumber the cells
+        # of terms 2 and 3, whose sum sets come from the indicator FFT
+        calls = []
+        module = sys.modules["renyi_rearrange.convolve"]
+        real = module._fft_conv
+        monkeypatch.setattr(module, "_fft_conv",
+                            lambda *args: calls.append(args[2]) or real(*args))
+        vals = np.zeros(1024)
+        vals[::16] = 1.0
+        g = normalize(make_grid(0.0, 0.01, vals))
+        f = normalize(make_grid(-0.02, 0.01, np.array([1.0, 2.0, 1.0])))
+        weights = [0.4, 0.3, 0.2, 0.1]
+        out = convolve_series(f, g, weights)
+        assert len(calls) == 2
+        assert_same_series(fold_series(f, g, weights), out)
+        assert out.mass == pytest.approx(1.0, abs=1e-12)
+
+    def test_zero_weight_terms_add_no_support(self):
+        # a gapped law whose one-fold term reaches cells the others do not
+        g = normalize(make_grid(0.0, 0.1, np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0])))
+        f = make_grid(-0.05, 0.1, np.array([10.0]))
+        weights = [0.5, 0.0, 0.5]
+        out = convolve_series(f, g, weights)
+        assert_same_series(fold_series(f, g, weights), out)
+        assert np.count_nonzero(out.values) == 8
+
+    def test_validation(self):
+        g = _off_lattice_jump()
+        f = make_grid(-0.1, g.dx, np.full(4, 5.0))
+        with pytest.raises(BadParameter):
+            convolve_series(f, g, [0.5, 0.5])
+        for weights in ([], [0.5, -0.1, 0.6], [0.0, 0.0]):
+            with pytest.raises(BadParameter):
+                convolve_series(f, _snap(g), weights)
+        with pytest.raises(SpacingMismatch):
+            convolve_series(f, skewed_jump(cells=32), [0.5, 0.5])
+
+    def test_transform_count_does_not_grow_with_k_max(self, monkeypatch):
+        counts = {"rfft": 0, "irfft": 0}
+        for name in counts:
+            real = getattr(np.fft, name)
+
+            def counted(*args, _name=name, _real=real, **kwargs):
+                counts[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        spec = LevySpec(a=1.0, rate=30.0, jump=_uniform_mixture(0), t=1.0)
+        seen = []
+        for k_max in (auto_k_max(30.0), 90, 130):
+            counts.update(rfft=0, irfft=0)
+            marginal_density(spec, k_max)
+            seen.append(dict(counts))
+        assert seen == [{"rfft": 2, "irfft": 1}] * 3
