@@ -22,12 +22,15 @@ The cap integral h has the closed form B/2 * I_{cos^2 theta}((n+1)/2, 1/2)
 for theta >= 0 (I the regularized incomplete Beta function), with
 h(-theta) = B - h(theta); it is evaluated in log space, so log g stays
 exact where h itself underflows (h(pi/4) ~ 2^-2048 at n = 4096).  The
-radial integral is one adaptive quadrature per piece, and a quadrature
-that cannot meet its tolerance raises InaccurateResult instead of
-returning its estimate; scipy (betainc, quad) is imported only when they
-run.  All n-th powers and normalizers are handled in log space so the
-formulas stay finite for dimensions far beyond where V_n(1) r^n
-underflows.
+cap and log g take arrays: one betainc call per array, and the continued
+fraction run elementwise on the part where betainc underflows.  The
+radial integral is composite Gauss-Legendre refined level by level, each
+level one array evaluation of the integrand at the nodes of every
+subinterval not yet accurate; an integral that cannot meet its tolerance
+raises InaccurateResult instead of returning its estimate.  scipy is
+imported (betainc only) when a cap is evaluated.  All n-th powers and
+normalizers are handled in log space so the formulas stay finite for
+dimensions far beyond where V_n(1) r^n underflows.
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ from .config import DEFAULT_TOLS, Tolerances
 from .errors import BadParameter, DensityOverflow, InaccurateResult, NotIndicator
 from .grids import Grid1D, unit_ball_volume
 from .convolve import convolve
-from .densities import checked_quad
 from .reports import VerificationReport, report_geq
 
 __all__ = [
@@ -64,6 +66,10 @@ _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 _CF_EPS = 1e-15
 _CF_FLOOR = 1e-300
 _CF_MAX_TERMS = 10_000
+_GL_NODES = 10
+_GL_START = 8
+_GL_MAX_LEVELS = 50
+_GL_MAX_ACTIVE = 4096
 
 
 def log_unit_ball_volume(n: int) -> float:
@@ -90,11 +96,26 @@ class BallPair:
     def __post_init__(self) -> None:
         if self.dim < 1 or int(self.dim) != self.dim:
             raise BadParameter(f"dim must be a positive integer, got {self.dim}")
-        if not (self.r1 > 0.0 and self.r2 > 0.0):
-            raise BadParameter(f"radii must be positive, got {self.r1}, {self.r2}")
+        if not (0.0 < self.r1 < math.inf and 0.0 < self.r2 < math.inf):
+            raise BadParameter(f"radii must be positive and finite, got {self.r1}, {self.r2}")
 
 
-def log_cap_integral(theta: float, n: int) -> float:
+def _flat(values: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """values as a float array, and its contiguous 1-d view (a copy if need be).
+
+    Scalars go through the same elementwise code as one-element arrays, so
+    a scalar call and an array call agree to the last bit.
+    """
+    arr = np.asarray(values, dtype=float)
+    return arr, np.ascontiguousarray(arr.ravel())
+
+
+def _shaped(out: np.ndarray, arr: np.ndarray) -> float | np.ndarray:
+    """out (1-d) in the shape of arr, or a float if arr is a scalar."""
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+
+
+def log_cap_integral(theta: float | np.ndarray, n: int) -> float | np.ndarray:
     """log h(theta), h(theta) = int_theta^{pi/2} cos^n x dx, in closed form.
 
     Substituting s = cos^2 x gives, for theta >= 0,
@@ -105,50 +126,71 @@ def log_cap_integral(theta: float, n: int) -> float:
     reflection h(theta) = B - h(-theta) applies.  Where I underflows (high
     n, theta away from 0) it is evaluated in log space from its continued
     fraction, in which the factor 1/B of I cancels the B/2 in front.
+    theta may be a scalar (a float is returned) or an array (elementwise,
+    with one betainc call for the whole array).
     """
     from scipy.special import betainc
 
     if n < 1:
         raise BadParameter(f"dimension must be >= 1, got {n}")
-    if not (-math.pi / 2.0 - 1e-12 <= theta <= math.pi / 2.0 + 1e-12):
-        raise BadParameter(f"theta must lie in [-pi/2, pi/2], got {theta}")
-    t = min(abs(theta), math.pi / 2.0)
+    arr, theta_flat = _flat(theta)
+    in_range = np.abs(theta_flat) <= math.pi / 2.0 + 1e-12  # false for nan
+    if not in_range.all():
+        bad = theta_flat[~in_range][0]
+        raise BadParameter(f"theta must lie in [-pi/2, pi/2], got {bad}")
+    t = np.minimum(np.abs(theta_flat), math.pi / 2.0)
     a = 0.5 * (n + 1)
-    cos_t = math.cos(t)
+    cos_t = np.cos(t)
+    x = cos_t * cos_t
     log_full = log_full_cap(n)
-    inc = float(betainc(a, 0.5, cos_t * cos_t))
-    if inc >= sys.float_info.min:
-        log_h = log_full - _LOG2 + math.log(inc)
-    else:  # t > 0 here, and cos_t >= cos(pi/2) > 0 in floating point
-        log_h = (2.0 * a * math.log(cos_t) + math.log(math.sin(t)) - _LOG2
-                 - math.log(a) + _log_beta_cf(a, 0.5, cos_t * cos_t))
-    if theta >= 0.0:
-        return log_h
-    return log_full + math.log1p(-math.exp(log_h - log_full))
+    inc = betainc(a, 0.5, x)
+    log_h = np.empty_like(t)
+    normal = inc >= sys.float_info.min
+    log_h[normal] = log_full - _LOG2 + np.log(inc[normal])
+    under = ~normal
+    if under.any():  # t > 0 there, and cos_t >= cos(pi/2) > 0 in floating point
+        log_h[under] = (2.0 * a * np.log(cos_t[under]) + np.log(np.sin(t[under]))
+                        - _LOG2 - math.log(a) + _log_beta_cf(a, 0.5, x[under]))
+    neg = theta_flat < 0.0
+    if neg.any():
+        log_h[neg] = log_full + np.log1p(-np.exp(log_h[neg] - log_full))
+    return _shaped(log_h, arr)
 
 
-def _log_beta_cf(a: float, b: float, x: float) -> float:
+def _guard(v: np.ndarray) -> np.ndarray:
+    return np.where(np.abs(v) > _CF_FLOOR, v, _CF_FLOOR)
+
+
+def _log_beta_cf(a: float, b: float, x: np.ndarray) -> np.ndarray:
     """log of the continued fraction of I_x(a, b) = x^a (1-x)^b cf / (a B(a, b)).
 
-    Modified Lentz evaluation; it converges fast for x < (a+1)/(a+b+2),
-    which holds wherever I_x(a, b) is small enough to underflow.
+    Modified Lentz evaluation, elementwise over the array x; each element
+    stops at its own convergence, as it would alone.  It converges fast for
+    x < (a+1)/(a+b+2), which holds wherever I_x(a, b) is small enough to
+    underflow.
     """
-    def guard(v: float) -> float:
-        return v if abs(v) > _CF_FLOOR else _CF_FLOOR
-
-    c, d = 1.0, 1.0 / guard(1.0 - (a + b) * x / (a + 1.0))
-    cf = d
+    out = np.empty_like(x)
+    idx = np.arange(x.size)
+    c = np.ones_like(x)
+    d = 1.0 / _guard(1.0 - (a + b) * x / (a + 1.0))
+    cf = d.copy()
     for m in range(1, _CF_MAX_TERMS + 1):
         even = m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m))
         odd = -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0))
         for coef in (even, odd):
-            d = 1.0 / guard(1.0 + coef * d)
-            c = guard(1.0 + coef / c)
+            d = 1.0 / _guard(1.0 + coef * d)
+            c = _guard(1.0 + coef / c)
             cf *= c * d
-        if abs(c * d - 1.0) < _CF_EPS:
-            return math.log(cf)
+        done = np.abs(c * d - 1.0) < _CF_EPS
+        if done.any():
+            out[idx[done]] = np.log(cf[done])
+            more = ~done
+            if not more.any():
+                return out
+            idx, x, c, d, cf = idx[more], x[more], c[more], d[more], cf[more]
     raise InaccurateResult(
-        f"incomplete Beta continued fraction did not converge (a={a}, b={b}, x={x})")
+        f"incomplete Beta continued fraction did not converge at {x.size} points "
+        f"(a={a}, b={b}, first x={x[0]})")
 
 
 def cap_integral(theta: float, n: int) -> float:
@@ -156,25 +198,31 @@ def cap_integral(theta: float, n: int) -> float:
     return math.exp(log_cap_integral(theta, n))
 
 
-def _clamped_asin(arg: float) -> float:
-    if arg > 1.0 + _ASIN_GUARD or arg < -1.0 - _ASIN_GUARD:
-        raise BadParameter(f"asin argument {arg} outside [-1, 1] beyond guard")
-    return math.asin(min(1.0, max(-1.0, arg)))
+def _clamped_asin(arg: np.ndarray) -> np.ndarray:
+    outside = (arg > 1.0 + _ASIN_GUARD) | (arg < -1.0 - _ASIN_GUARD)
+    if outside.any():
+        raise BadParameter(f"asin argument {arg[outside][0]} outside [-1, 1] beyond guard")
+    return np.arcsin(np.clip(arg, -1.0, 1.0))
 
 
-def _log_g(bp: BallPair, r: float) -> float:
-    """log g(r); -inf outside the support."""
+def _log_g(bp: BallPair, r: float | np.ndarray) -> float | np.ndarray:
+    """log g(r), elementwise for an array r (a float for a scalar r);
+    -inf outside the support.  The caps of both balls at every radius
+    inside the lens branch take one log_cap_integral call."""
     n, r1, r2 = bp.dim, bp.r1, bp.r2
     lo, hi = abs(r1 - r2), r1 + r2
-    if r >= hi:
-        return -math.inf
-    if r <= lo:
-        return n * math.log(min(r1, r2)) + log_full_cap(n)
-    t1 = _clamped_asin((r * r - r2 * r2 + r1 * r1) / (2.0 * r * r1))
-    t2 = _clamped_asin((r * r - r1 * r1 + r2 * r2) / (2.0 * r * r2))
-    a = n * math.log(r1) + log_cap_integral(t1, n)
-    b = n * math.log(r2) + log_cap_integral(t2, n)
-    return float(np.logaddexp(a, b))
+    arr, r_flat = _flat(r)
+    out = np.full(r_flat.shape, -np.inf)
+    out[r_flat <= lo] = n * math.log(min(r1, r2)) + log_full_cap(n)
+    lens = (r_flat > lo) & (r_flat < hi)
+    if lens.any():
+        s = r_flat[lens]
+        args = np.concatenate(((s * s - r2 * r2 + r1 * r1) / (2.0 * s * r1),
+                               (s * s - r1 * r1 + r2 * r2) / (2.0 * s * r2)))
+        caps = log_cap_integral(_clamped_asin(args), n)
+        out[lens] = np.logaddexp(n * math.log(r1) + caps[:s.size],
+                                 n * math.log(r2) + caps[s.size:])
+    return _shaped(out, arr)
 
 
 def _log_norm(bp: BallPair) -> float:
@@ -190,7 +238,7 @@ def ball_sum_log_radial(bp: BallPair, r: float) -> float:
     Finite wherever the density is positive, also where the density
     itself is beyond the float range (high dimension, small radii).
     """
-    if r < 0.0:
+    if not r >= 0.0:
         raise BadParameter(f"radius must be nonnegative, got {r}")
     lg = _log_g(bp, r)
     return lg if lg == -math.inf else lg - _log_norm(bp)
@@ -209,34 +257,61 @@ def ball_sum_radial(bp: BallPair, r: float) -> float:
 def ball_sum_entropy(bp: BallPair, quad_tol: float = DEFAULT_TOLS.quad_tol) -> float:
     """Differential entropy h(X + Y) from the closed-form radial density.
 
-    The radial integral is split at the breakpoint |r1 - r2| where g
-    switches branch; the integrand g log(1/g) vanishes at the outer edge.
+    The radial integral runs over [0, r1 + r2], split at the breakpoint
+    |r1 - r2| where g switches branch; the integrand g log(1/g) vanishes at
+    the outer edge.  It is composite Gauss-Legendre: each piece starts as
+    _GL_START equal subintervals, and each level evaluates the integrand
+    once, at the _GL_NODES- and 2 _GL_NODES-point nodes of every active
+    subinterval.  A subinterval whose two rules agree to its share (by
+    length) of max(quad_tol, quad_tol |estimate|) adds its finer value to
+    the total; the others are bisected.  Past _GL_MAX_LEVELS levels or
+    _GL_MAX_ACTIVE active subintervals it raises InaccurateResult.
     """
+    from numpy.polynomial.legendre import leggauss
+
     n = bp.dim
     log_norm = _log_norm(bp)
     # w(r) = n V_n(1) r^(n-1) g(r) / norm is the radial pdf of |X + Y|
     log_w_base = math.log(n) + log_unit_ball_volume(n) - log_norm
 
-    def neg_log_density_weighted(r: float) -> float:
-        lg = _log_g(bp, r)
-        if lg == -math.inf:
-            return 0.0
-        log_w = log_w_base + lg + (n - 1.0) * math.log(r) if r > 0.0 else -math.inf
-        if log_w == -math.inf:
-            return 0.0
-        return math.exp(log_w) * (log_norm - lg)
+    def neg_log_density_weighted(r: np.ndarray) -> np.ndarray:
+        lg = _log_g(bp, r)  # r > 0: the nodes are interior
+        vals = np.zeros_like(r)
+        pos = lg > -np.inf
+        lg = lg[pos]
+        vals[pos] = (np.exp(log_w_base + lg + (n - 1.0) * np.log(r[pos]))
+                     * (log_norm - lg))
+        return vals
 
+    coarse_x, coarse_w = leggauss(_GL_NODES)
+    fine_x, fine_w = leggauss(2 * _GL_NODES)
+    nodes = np.concatenate((coarse_x, fine_x))[:, None]
     lo, hi = abs(bp.r1 - bp.r2), bp.r1 + bp.r2
-    pieces = []
-    if lo > 0.0:
-        pieces.append((0.0, lo))
-    pieces.append((lo, hi))
-    total = 0.0
-    for a, b in pieces:
-        total += checked_quad(neg_log_density_weighted, a, b,
-                              f"radial entropy integral of {bp} on [{a}, {b}]",
-                              epsabs=quad_tol, epsrel=quad_tol, limit=400)
-    return float(total)
+    breaks = (0.0, lo, hi) if lo > 0.0 else (0.0, hi)
+    edges = np.concatenate([np.linspace(a, b, _GL_START + 1)[:-1]
+                            for a, b in zip(breaks, breaks[1:])] + [[hi]])
+    left, right = edges[:-1], edges[1:]
+    accepted: list[float] = []
+    for level in range(1, _GL_MAX_LEVELS + 1):
+        mid, half = 0.5 * (left + right), 0.5 * (right - left)
+        # one row per node, one column per subinterval; the weighted sums
+        # run down the columns in node order
+        vals = neg_log_density_weighted((mid + half * nodes).ravel()).reshape(nodes.size, -1)
+        coarse = half * (coarse_w[:, None] * vals[:_GL_NODES]).sum(axis=0)
+        fine = half * (fine_w[:, None] * vals[_GL_NODES:]).sum(axis=0)
+        budget = max(quad_tol, quad_tol * abs(math.fsum(accepted) + math.fsum(fine)))
+        good = np.abs(fine - coarse) <= budget * (right - left) / hi
+        accepted.extend(fine[good].tolist())
+        if good.all():
+            return math.fsum(accepted)
+        left, mid, right = left[~good], mid[~good], right[~good]
+        left, right = np.concatenate((left, mid)), np.concatenate((mid, right))
+        if left.size > _GL_MAX_ACTIVE:
+            break
+    raise InaccurateResult(
+        f"radial entropy integral of {bp} on [0, {hi}]: the {_GL_NODES}- and "
+        f"{2 * _GL_NODES}-point Gauss-Legendre rules disagree beyond {budget:.3g} "
+        f"on {int((~good).sum())} subintervals after {level} levels")
 
 
 def epi_gap_balls(m: int, b1: float, b2: float, lam: float) -> float:

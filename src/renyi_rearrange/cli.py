@@ -166,8 +166,9 @@ def _cmd_ballsum(args: argparse.Namespace) -> int:
         **payload,
         "support_radius": bp.r1 + bp.r2,
         "tolerance_note": ("cap integral: closed-form incomplete Beta in log space; "
-                           "radial integral: one adaptive quadrature, abs and rel tol "
-                           f"{DEFAULT_TOLS.quad_tol}, an error if it cannot meet them"),
+                           "radial integral: adaptive composite Gauss-Legendre, the "
+                           "10- and 20-point rules agreeing to abs or rel tol "
+                           f"{DEFAULT_TOLS.quad_tol}, an error if they cannot"),
     })
     return 0
 

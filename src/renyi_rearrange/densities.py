@@ -63,9 +63,9 @@ def beta_of_p(p: float, n: int) -> float:
     """
     if n < 1:
         raise BadParameter(f"dimension must be >= 1, got {n}")
-    if math.isinf(p):
+    if p == math.inf:
         return 2.0 / (n + 2.0)
-    if p <= n / (n + 2.0):
+    if not p > n / (n + 2.0):  # also p = nan
         raise OrderOutOfRange(
             f"beta_p needs p > n/(n+2) = {n / (n + 2.0):.6g}, got {p}")
     if p == 1.0:

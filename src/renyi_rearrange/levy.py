@@ -61,6 +61,10 @@ class LevySpec:
     t: float
 
     def __post_init__(self) -> None:
+        for what, value in (("diffusion coefficient", self.a), ("jump rate", self.rate),
+                            ("time", self.t)):
+            if not math.isfinite(value):
+                raise BadParameter(f"{what} must be finite, got {value}")
         if not (self.a > 0.0):
             raise BadParameter(f"diffusion coefficient must be positive, got {self.a}")
         if self.rate < 0.0:

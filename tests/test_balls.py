@@ -6,6 +6,7 @@ import pytest
 from scipy import integrate
 from scipy.special import beta as beta_fn
 
+import renyi_rearrange.balls as balls
 from renyi_rearrange import (
     BadParameter,
     BallPair,
@@ -77,6 +78,40 @@ class TestCapIntegral:
     def test_domain_guard(self):
         with pytest.raises(BadParameter):
             cap_integral(2.0, 1)
+        with pytest.raises(BadParameter, match="got 2.0"):
+            log_cap_integral(np.array([0.1, 2.0, -0.3]), 3)
+        with pytest.raises(BadParameter):
+            log_cap_integral(np.array([0.1, math.nan]), 3)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 1024, 4096])
+    def test_array_matches_scalar_bitwise(self, n):
+        # one betainc call and one vectorized continued fraction for the
+        # array give every element the bits of its scalar call, on both
+        # sides of the underflow switch and of theta = 0
+        rng = np.random.default_rng(n)
+        thetas = np.concatenate((rng.uniform(-math.pi / 2, math.pi / 2, 300),
+                                 [0.0, 1e-300, 0.785, 1.2, math.pi / 2, -math.pi / 2]))
+        values = log_cap_integral(thetas, n)
+        assert isinstance(values, np.ndarray) and values.shape == thetas.shape
+        scalars = np.array([log_cap_integral(float(t), n) for t in thetas])
+        assert isinstance(log_cap_integral(0.3, n), float)
+        assert np.array_equal(values.view(np.int64), scalars.view(np.int64))
+        grid = log_cap_integral(thetas[:300].reshape(20, 15), n)
+        assert np.array_equal(grid.ravel().view(np.int64), scalars[:300].view(np.int64))
+
+    def test_continued_fraction_that_does_not_converge_raises(self, monkeypatch):
+        # cos^4096(pi/4) underflows, so the continued fraction runs; cut
+        # after one term it cannot converge and must not return a value
+        monkeypatch.setattr(balls, "_CF_MAX_TERMS", 1)
+        with pytest.raises(InaccurateResult, match="did not converge"):
+            log_cap_integral(np.array([0.1, math.pi / 4, 1.2]), 4096)
+
+    def test_asin_guard(self):
+        # roundoff past +-1 is clamped; anything beyond the guard raises
+        clamped = balls._clamped_asin(np.array([1.0 + 1e-13, -1.0 - 1e-13, 0.5]))
+        assert clamped.tolist() == [math.pi / 2, -math.pi / 2, math.asin(0.5)]
+        with pytest.raises(BadParameter, match="beyond guard"):
+            balls._clamped_asin(np.array([0.5, 1.0 + 1e-9]))
 
 
 class TestBallSumRadial:
@@ -132,6 +167,21 @@ class TestBallSumRadial:
             bp = BallPair(n, 1.0, 0.5)
             assert ball_sum_log_radial(bp, r) == pytest.approx(
                 math.log(ball_sum_radial(bp, r)), rel=1e-13)
+
+    @pytest.mark.parametrize("n, r1, r2", [(1, 1.0, 1.0), (3, 1.0, 0.5), (512, 0.6, 1.0)])
+    def test_vectorized_log_g_matches_scalar_bitwise(self, n, r1, r2):
+        # radii in all three branches: inside the breakpoint, the lens, outside
+        bp = BallPair(n, r1, r2)
+        radii = np.linspace(0.0, 1.1 * (r1 + r2), 157)
+        values = balls._log_g(bp, radii)
+        scalars = np.array([balls._log_g(bp, float(r)) for r in radii])
+        assert np.array_equal(values.view(np.int64), scalars.view(np.int64))
+        assert np.isneginf(values[radii >= r1 + r2]).all()
+        assert np.isfinite(values[radii < r1 + r2]).all()
+
+    def test_nan_radius_rejected(self):
+        with pytest.raises(BadParameter, match="nonnegative"):
+            ball_sum_log_radial(BallPair(3, 1.0, 0.5), math.nan)
 
     def test_overflowing_density_raises(self):
         # at dim 512 the density at the origin is exp(874), past the float range
@@ -196,6 +246,30 @@ class TestBallSumEntropy:
             BallPair(1, 0.0, 1.0)
         with pytest.raises(BadParameter):
             BallPair(-2, 1.0, 1.0)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(BadParameter, match="finite"):
+                BallPair(3, bad, 1.0)
+            with pytest.raises(BadParameter, match="finite"):
+                BallPair(3, 1.0, bad)
+
+    def test_one_vectorized_evaluation_per_level(self, monkeypatch):
+        # a recorder of the radii _log_g is called with: the first level
+        # takes the nodes of all starting subintervals at once, and each
+        # later one the nodes of the bisected halves of the failed ones
+        calls = []
+        log_g = balls._log_g
+
+        def recorded(bp, r):
+            calls.append(np.size(r))
+            return log_g(bp, r)
+
+        monkeypatch.setattr(balls, "_log_g", recorded)
+        ball_sum_entropy(BallPair(4096, math.sqrt(0.5), math.sqrt(0.5)))
+        per_interval = 3 * balls._GL_NODES
+        assert 1 <= len(calls) <= balls._GL_MAX_LEVELS
+        assert calls[0] == balls._GL_START * per_interval
+        for before, after in zip(calls, calls[1:]):
+            assert after % (2 * per_interval) == 0 and after <= 2 * before
 
 
 def _mpmath_ball_sum_entropy(n, r1, r2, dps=25):

@@ -116,6 +116,14 @@ class TestBallsumCommand:
         rc = cli.main(["ballsum", "--dim", "1", "--r1", "-1", "--r2", "1"])
         assert rc == 2
 
+    @pytest.mark.parametrize("radius", ["inf", "nan"])
+    def test_non_finite_radius_is_usage_error(self, radius, capsys):
+        rc = cli.main(["ballsum", "--dim", "3", "--r1", radius, "--r2", "1"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
+
     def test_high_dimension_prints_log_densities(self, capsys):
         # the density at the origin is exp(874.206) in dimension 512, beyond
         # the float range: only its log is printed, and the command succeeds
@@ -162,6 +170,12 @@ class TestConjectureCommand:
     def test_bad_landscape_spec(self, capsys):
         rc = cli.main(["conjecture", "--p", "2.0", "--landscape", "1:2"])
         assert rc == 2
+
+    def test_nan_order_is_usage_error(self, capsys):
+        rc = cli.main(["conjecture", "--p", "nan"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: beta_p needs p > n/(n+2)")
 
 
 class TestVerifyCommand:
@@ -212,6 +226,17 @@ class TestLevyCommand:
         assert rc == 1
         assert "FAIL" in capsys.readouterr().out
 
+
+    @pytest.mark.parametrize("flag, value", [("--t", "inf"), ("--lambda", "nan"),
+                                             ("--lambda", "inf"), ("--a", "inf")])
+    def test_non_finite_parameter_is_usage_error(self, uniform_csv, flag, value, capsys):
+        params = {"--a": "1.0", "--lambda": "0.5", "--t": "1.0", flag: value}
+        rc = cli.main(["levy", *(tok for item in params.items() for tok in item),
+                       "--jumps", uniform_csv, "--orders", "1"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
 
     def test_no_orders_is_usage_error(self, uniform_csv, capsys):
         rc = cli.main(["levy", "--a", "1.0", "--lambda", "0.5", "--t", "1.0",
@@ -282,7 +307,8 @@ def _scipy_modules_after(argv):
 
 
 class TestStartup:
-    """The CLI starts on numpy alone; scipy is loaded only by quadratures."""
+    """The CLI starts on numpy alone; scipy is loaded only by incomplete Beta
+    functions and by the quadratures of generalized Gaussians."""
 
     @pytest.mark.parametrize("argv", [
         [],
@@ -299,5 +325,14 @@ class TestStartup:
                 "--jumps", str(jump), "--orders", "0,1,inf"]
         assert _scipy_modules_after(argv) == []
 
-    def test_quadrature_loads_scipy_integrate(self):
-        assert "scipy.integrate" in _scipy_modules_after(["epigap", "--max-dim", "8"])
+    @pytest.mark.parametrize("argv", [
+        ["epigap", "--max-dim", "8"],
+        ["ballsum", "--dim", "3", "--r1", "1", "--r2", "0.5"],
+    ])
+    def test_ball_sums_load_no_scipy_integrate(self, argv):
+        loaded = _scipy_modules_after(argv)
+        assert "scipy.special" in loaded
+        assert not any(m.startswith("scipy.integrate") for m in loaded)
+
+    def test_heavy_tailed_normalizer_loads_scipy_integrate(self):
+        assert "scipy.integrate" in _scipy_modules_after(["conjecture", "--p", "0.8"])

@@ -39,6 +39,12 @@ class TestBetaOfP:
         with pytest.raises(OrderOutOfRange):
             beta_of_p(0.2, 1)
 
+    @pytest.mark.parametrize("p", [math.nan, -math.inf])
+    def test_non_order_rejected(self, p):
+        # nan compares false with every bound, and -inf is not the p = inf case
+        with pytest.raises(OrderOutOfRange):
+            beta_of_p(p, 1)
+
 
 class TestNormalizer:
     def test_beta_04_exact_value(self):

@@ -72,6 +72,13 @@ class TestLevySpec:
         with pytest.raises(BadParameter):
             LevySpec(a=1.0, rate=1.0, jump=jump, t=0.0)
 
+    @pytest.mark.parametrize("field", ["a", "rate", "t"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_parameters_rejected(self, field, value):
+        params = {"a": 1.0, "rate": 1.0, "t": 1.0, field: value}
+        with pytest.raises(BadParameter, match="must be finite"):
+            LevySpec(jump=skewed_jump(), **params)
+
     def test_jump_must_be_normalized(self):
         bad = make_grid(0.0, 0.1, np.full(10, 3.0))
         with pytest.raises(BadParameter):
