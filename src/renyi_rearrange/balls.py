@@ -35,15 +35,16 @@ dimensions far beyond where V_n(1) r^n underflows.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOLS, Tolerances
+from .config import QUAD_TOL
 from .errors import BadParameter, DensityOverflow, InaccurateResult, NotIndicator
-from .grids import Grid1D, unit_ball_volume
+from .grids import Grid1D
 from .convolve import convolve
 from .reports import VerificationReport, report_geq
 
@@ -254,7 +255,22 @@ def ball_sum_radial(bp: BallPair, r: float) -> float:
     return math.exp(log_density)
 
 
-def ball_sum_entropy(bp: BallPair, quad_tol: float = DEFAULT_TOLS.quad_tol) -> float:
+@functools.cache
+def _gl_rules() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nodes of the _GL_NODES- and 2 _GL_NODES-point Gauss-Legendre
+    rules on [-1, 1], stacked in one column, and the weights of each rule
+    as a column; computed on the first call only."""
+    from numpy.polynomial.legendre import leggauss
+
+    coarse_x, coarse_w = leggauss(_GL_NODES)
+    fine_x, fine_w = leggauss(2 * _GL_NODES)
+    rules = (np.concatenate((coarse_x, fine_x))[:, None], coarse_w[:, None], fine_w[:, None])
+    for a in rules:
+        a.flags.writeable = False
+    return rules
+
+
+def ball_sum_entropy(bp: BallPair) -> float:
     """Differential entropy h(X + Y) from the closed-form radial density.
 
     The radial integral runs over [0, r1 + r2], split at the breakpoint
@@ -263,12 +279,10 @@ def ball_sum_entropy(bp: BallPair, quad_tol: float = DEFAULT_TOLS.quad_tol) -> f
     _GL_START equal subintervals, and each level evaluates the integrand
     once, at the _GL_NODES- and 2 _GL_NODES-point nodes of every active
     subinterval.  A subinterval whose two rules agree to its share (by
-    length) of max(quad_tol, quad_tol |estimate|) adds its finer value to
+    length) of max(QUAD_TOL, QUAD_TOL |estimate|) adds its finer value to
     the total; the others are bisected.  Past _GL_MAX_LEVELS levels or
     _GL_MAX_ACTIVE active subintervals it raises InaccurateResult.
     """
-    from numpy.polynomial.legendre import leggauss
-
     n = bp.dim
     log_norm = _log_norm(bp)
     # w(r) = n V_n(1) r^(n-1) g(r) / norm is the radial pdf of |X + Y|
@@ -283,9 +297,7 @@ def ball_sum_entropy(bp: BallPair, quad_tol: float = DEFAULT_TOLS.quad_tol) -> f
                      * (log_norm - lg))
         return vals
 
-    coarse_x, coarse_w = leggauss(_GL_NODES)
-    fine_x, fine_w = leggauss(2 * _GL_NODES)
-    nodes = np.concatenate((coarse_x, fine_x))[:, None]
+    nodes, coarse_w, fine_w = _gl_rules()
     lo, hi = abs(bp.r1 - bp.r2), bp.r1 + bp.r2
     breaks = (0.0, lo, hi) if lo > 0.0 else (0.0, hi)
     edges = np.concatenate([np.linspace(a, b, _GL_START + 1)[:-1]
@@ -297,9 +309,9 @@ def ball_sum_entropy(bp: BallPair, quad_tol: float = DEFAULT_TOLS.quad_tol) -> f
         # one row per node, one column per subinterval; the weighted sums
         # run down the columns in node order
         vals = neg_log_density_weighted((mid + half * nodes).ravel()).reshape(nodes.size, -1)
-        coarse = half * (coarse_w[:, None] * vals[:_GL_NODES]).sum(axis=0)
-        fine = half * (fine_w[:, None] * vals[_GL_NODES:]).sum(axis=0)
-        budget = max(quad_tol, quad_tol * abs(math.fsum(accepted) + math.fsum(fine)))
+        coarse = half * (coarse_w * vals[:_GL_NODES]).sum(axis=0)
+        fine = half * (fine_w * vals[_GL_NODES:]).sum(axis=0)
+        budget = max(QUAD_TOL, QUAD_TOL * abs(math.fsum(accepted) + math.fsum(fine)))
         good = np.abs(fine - coarse) <= budget * (right - left) / hi
         accepted.extend(fine[good].tolist())
         if good.all():
@@ -351,7 +363,6 @@ def _indicator_level(f: Grid1D, rel_tol: float = 1e-9) -> float:
 
 
 def brunn_minkowski_check(f: Grid1D, g: Grid1D,
-                          tols: Tolerances = DEFAULT_TOLS,
                           seed: int | None = None) -> VerificationReport:
     """Grid Brunn-Minkowski in the entropy form:
 
@@ -363,7 +374,7 @@ def brunn_minkowski_check(f: Grid1D, g: Grid1D,
     """
     level_f = _indicator_level(f)
     level_g = _indicator_level(g)
-    conv = convolve(f, g, tols)
+    conv = convolve(f, g)
     lhs = conv.support_measure
     rhs = f.support_measure + g.support_measure
     return report_geq("brunn_minkowski", lhs, rhs, 2.0 * f.dx,

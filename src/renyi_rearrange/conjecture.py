@@ -22,9 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .config import DEFAULT_TOLS, Tolerances
+from .config import EPS_CONV_FACTOR
 from .errors import BadParameter, OrderOutOfRange, UnsupportedDimension
 from .grids import Grid1D
 from .convolve import convolve, convolve_k, resample, scale_density
@@ -44,14 +42,13 @@ __all__ = [
 CONJECTURE_LABEL = "conjecture-support"
 
 
-def _maximizer_1d(p: float, cells: int, tols: Tolerances) -> Grid1D:
-    g = generalized_gaussian(1, beta_of_p(p, 1), cells=cells, tols=tols)
+def _maximizer_1d(p: float, cells: int) -> Grid1D:
+    g = generalized_gaussian(1, beta_of_p(p, 1), cells=cells)
     assert isinstance(g, Grid1D)
     return g
 
 
-def c_constant(p: float, n: int = 1, cells: int = 8192,
-               tols: Tolerances = DEFAULT_TOLS) -> float:
+def c_constant(p: float, n: int = 1, cells: int = 8192) -> float:
     """The conjectured sharp constant C_{p,n} (conjecture-support value).
 
     Exact endpoints are returned as such: C_{1,n} = 1 and C_{inf,n} = 1/2.
@@ -67,8 +64,8 @@ def c_constant(p: float, n: int = 1, cells: int = 8192,
             "numeric C_{p,n} is implemented for n = 1 only")
     if p <= n / (n + 2.0):
         raise OrderOutOfRange(f"need p > n/(n+2), got {p}")
-    g = _maximizer_1d(p, cells, tols)
-    conv = convolve(g, g, tols)
+    g = _maximizer_1d(p, cells)
+    conv = convolve(g, g)
     return 0.5 * entropy_power(conv, p, 1) / entropy_power(g, p, 1)
 
 
@@ -79,8 +76,8 @@ class LandscapePoint:
     ratio: float
 
 
-def ratio_landscape(p: float, a_grid: list[tuple[float, float]], cells: int = 2048,
-                    tols: Tolerances = DEFAULT_TOLS) -> list[LandscapePoint]:
+def ratio_landscape(p: float, a_grid: list[tuple[float, float]],
+                    cells: int = 2048) -> list[LandscapePoint]:
     """Ratio N_p(a1 Z1 + a2 Z2) / (N_p(a1 Z1) + N_p(a2 Z2)) over scale pairs.
 
     Z1, Z2 are iid order-p maximizers.  The conjecture says the ratio is
@@ -92,7 +89,7 @@ def ratio_landscape(p: float, a_grid: list[tuple[float, float]], cells: int = 20
     """
     if p == 1.0 or math.isinf(p) or p <= 1.0 / 3.0:
         raise OrderOutOfRange(f"landscape needs finite p in (1/3, inf), p != 1, got {p}")
-    base = _maximizer_1d(p, cells, tols)
+    base = _maximizer_1d(p, cells)
     n_base = entropy_power(base, p, 1)
     out: list[LandscapePoint] = []
     for a1, a2 in a_grid:
@@ -105,7 +102,7 @@ def ratio_landscape(p: float, a_grid: list[tuple[float, float]], cells: int = 20
             f1 = resample(f1, dx)
         if f2.dx > dx * (1.0 + 1e-12):
             f2 = resample(f2, dx)
-        num = entropy_power(convolve(f1, f2, tols), p, 1)
+        num = entropy_power(convolve(f1, f2), p, 1)
         den = (a1 * a1 + a2 * a2) * n_base  # exact scaling of the factors
         out.append(LandscapePoint(a1=a1, a2=a2, ratio=num / den))
     return out
@@ -123,7 +120,6 @@ def bobkov_constant(p: float, n: int = 1) -> float:
 
 
 def bobkov_chistyakov_bound_check(p: float, densities: list[Grid1D],
-                                  tols: Tolerances = DEFAULT_TOLS,
                                   seed: int | None = None, *,
                                   conv: Grid1D | GroupEntropies | None = None
                                   ) -> VerificationReport:
@@ -132,7 +128,7 @@ def bobkov_chistyakov_bound_check(p: float, densities: list[Grid1D],
     This is the proven bound, so the report is a genuine verification
     (no conjecture label).  The tolerance scales like the entropy-power
     image of the k-fold convolution budget.  `conv` is
-    ``convolve_k(densities, tols)`` when the caller already has it, or
+    ``convolve_k(densities)`` when the caller already has it, or
     the group's GroupEntropies, whose `conv` and `factors` rows then give
     h_p of the sum and of each X_i.
     """
@@ -145,14 +141,14 @@ def bobkov_chistyakov_bound_check(p: float, densities: list[Grid1D],
         h_sum, h_each = conv.conv[order], [row[order] for row in conv.factors]
     else:
         if conv is None:
-            conv = convolve_k(densities, tols)
+            conv = convolve_k(densities)
         h_sum = renyi_entropy(conv, order)
         h_each = [renyi_entropy(f, order) for f in densities]
     # N_p = exp(2 h_p) in dimension one, as entropy_power(., p, 1) computes it
     lhs = math.exp(2.0 * h_sum)
     rhs = c_p * sum(math.exp(2.0 * h) for h in h_each)
     dx = densities[0].dx
-    tol = max(2.0 * (lhs + rhs) * tols.eps_conv_factor * dx * k, 1e-9)
+    tol = max(2.0 * (lhs + rhs) * EPS_CONV_FACTOR * dx * k, 1e-9)
     return report_geq(f"bobkov_chistyakov[p={order.label()}]",
                       lhs, rhs, tol,
                       params={"k": k, "c_p": c_p, "p": order.label()},

@@ -18,7 +18,7 @@ to its last, and the result is written at the sum of the two hull offsets
 into zeros covering all N + M - 1 output cells; the output grid does not
 depend on where the factors are positive.
 
-Up to `fft_threshold` output cells of the hull product the quadratic-time
+Up to `FFT_THRESHOLD` output cells of the hull product the quadratic-time
 direct sum is used; larger products go through numpy's real FFT
 (`numpy.fft.rfft`/`irfft`) at the smallest 5-smooth length that holds the
 hull product.  Either result is then given its exact support: the sum set
@@ -45,9 +45,8 @@ import math
 from typing import Sequence
 
 import numpy as np
-import numpy.fft
 
-from .config import DEFAULT_TOLS, Tolerances
+from .config import FFT_THRESHOLD
 from .errors import BadParameter, NonPositiveSpacing, SpacingMismatch
 from .grids import Grid1D, same_spacing
 
@@ -130,11 +129,11 @@ def _sum_runs(runs_p: Runs, runs_q: Runs, n_p: int, n_q: int) -> Runs:
 
 
 def _conv_weights(p: np.ndarray, q: np.ndarray, runs_p: Runs, runs_q: Runs,
-                  tols: Tolerances = DEFAULT_TOLS, force: str | None = None) -> np.ndarray:
+                  force: str | None = None) -> np.ndarray:
     """Convolution of the hulls p and q (first and last cells positive),
     zero exactly off its support."""
     out_len = p.size + q.size - 1
-    method = force or ("direct" if out_len <= tols.fft_threshold else "fft")
+    method = force or ("direct" if out_len <= FFT_THRESHOLD else "fft")
     if method == "direct":
         w = np.convolve(p, q)
     elif min(p.size, q.size) == 1:  # a one-cell factor scales the other exactly
@@ -146,13 +145,12 @@ def _conv_weights(p: np.ndarray, q: np.ndarray, runs_p: Runs, runs_q: Runs,
     return w
 
 
-def convolve(f: Grid1D, g: Grid1D, tols: Tolerances = DEFAULT_TOLS,
-             method: str | None = None) -> Grid1D:
+def convolve(f: Grid1D, g: Grid1D, method: str | None = None) -> Grid1D:
     """Convolution of two grid densities with equal spacing.
 
     Raises SpacingMismatch when the spacings differ by more than one part
     in 1e12.  `method` forces "direct" or "fft" (used by the agreement
-    test); by default the choice follows tols.fft_threshold, applied to
+    test); by default the choice follows FFT_THRESHOLD, applied to
     the output length of the two hulls.
     """
     if not same_spacing(f, g):
@@ -165,7 +163,7 @@ def convolve(f: Grid1D, g: Grid1D, tols: Tolerances = DEFAULT_TOLS,
     if sf.size and sg.size:
         a0, b0 = sf[0], sg[0]
         w = _conv_weights(f.values[a0:ef[-1]] * dx, g.values[b0:eg[-1]] * dx,
-                          (sf - a0, ef - a0), (sg - b0, eg - b0), tols, force=method)
+                          (sf - a0, ef - a0), (sg - b0, eg - b0), force=method)
         np.divide(w, dx, out=vals[a0 + b0:a0 + b0 + w.size])
     vals.flags.writeable = False
     return Grid1D(x0=f.x0 + g.x0 + 0.5 * dx, dx=dx, values=vals)
@@ -236,14 +234,13 @@ def convolve_series(f: Grid1D, g: Grid1D, weights: Sequence[float]) -> Grid1D:
     return Grid1D(x0=f.x0 + min(0.0, k_max * (g.x0 + 0.5 * dx)), dx=0.5 * dx, values=vals)
 
 
-def convolve_k(fs: list[Grid1D] | tuple[Grid1D, ...],
-               tols: Tolerances = DEFAULT_TOLS) -> Grid1D:
+def convolve_k(fs: list[Grid1D] | tuple[Grid1D, ...]) -> Grid1D:
     """Left fold of :func:`convolve` over k >= 1 densities."""
     if len(fs) == 0:
         raise BadParameter("convolve_k needs at least one density")
     out = fs[0]
     for g in fs[1:]:
-        out = convolve(out, g, tols)
+        out = convolve(out, g)
     return out
 
 

@@ -18,24 +18,28 @@ and its entropy power has the closed form
 
     N_p(Z^(p)) = A_beta^(-2/n) * (1 - n beta_p / 2)^(2 / (n (1 - p))),
 
-with N_1 of a standard Gaussian equal to 2 pi e.  The normalizer A_beta
-is computed by radial quadrature rather than a Gamma-function formula;
-tests cross-check the n = 1, beta = 0.4 case against the Beta-integral
-closed form.  A quadrature that cannot meet its tolerance raises
-InaccurateResult instead of returning its estimate.  scipy is imported
-only when a quadrature runs.
+with N_1 of a standard Gaussian equal to 2 pi e.  With m the exponent
+and t = (|beta|/2) r^2 the radial integral of g_beta / A_beta is a Beta
+integral,
+
+    int_0^R (1 - (beta/2) r^2)_+^m r^(n-1) dr
+        = (1/2) (2/|beta|)^(n/2) B(n/2, m + 1)          (beta > 0),
+        = (1/2) (2/|beta|)^(n/2) B(n/2, -m - n/2)       (beta < 0),
+
+so A_beta follows from lgamma.  A heavy-tailed g_beta is gridded out to
+where its mass beyond the radius r0, the regularized incomplete Beta
+I_s(-m - n/2, n/2) at s = 1/(1 + |beta| r0^2 / 2), drops below TAIL_TOL;
+scipy (betainc only) is imported when that tail is evaluated.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 
-from .config import DEFAULT_TOLS, Tolerances
-from .errors import (
-    BadParameter, BetaOutOfRange, InaccurateResult, OrderOutOfRange, UnsupportedDimension)
+from .config import TAIL_TOL
+from .errors import BadParameter, BetaOutOfRange, OrderOutOfRange, UnsupportedDimension
 from .grids import Grid1D, RadialDensity, make_grid, make_radial, normalize, unit_ball_volume
 
 __all__ = [
@@ -80,32 +84,21 @@ def gg_exponent(beta: float, n: int) -> float:
     return 1.0 / beta - n / 2.0 - 1.0
 
 
-def checked_quad(func, a: float, b: float, what: str, **options) -> float:
-    """Value of scipy.integrate.quad(func, a, b, **options).
-
-    An IntegrationWarning (the quadrature could not meet its tolerance)
-    raises InaccurateResult naming `what` instead of returning the estimate.
-    """
-    from scipy.integrate import IntegrationWarning, quad
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", IntegrationWarning)
-        try:
-            val, _ = quad(func, a, b, **options)
-        except IntegrationWarning as exc:
-            raise InaccurateResult(f"{what}: {' '.join(str(exc).split())}") from exc
-    return val
+def _integrable_exponent(beta: float, n: int) -> float:
+    """gg_exponent(beta, n), after checking that g_beta is integrable."""
+    m = gg_exponent(beta, n)
+    if beta > 0.0 and m <= -1.0:
+        raise BetaOutOfRange(
+            f"beta = {beta} is not integrable in dimension {n} (exponent {m})")
+    return m
 
 
 def _gg_radial_unnormalized(beta: float, n: int):
     """Return u(r) with g_beta = A * u(|x|), plus the support radius (or inf)."""
     if beta == 0.0:
         return (lambda r: np.exp(-0.5 * np.asarray(r, dtype=float) ** 2)), math.inf
-    m = gg_exponent(beta, n)
+    m = _integrable_exponent(beta, n)
     if beta > 0.0:
-        if m <= -1.0:
-            raise BetaOutOfRange(
-                f"beta = {beta} is not integrable in dimension {n} (exponent {m})")
         radius = math.sqrt(2.0 / beta)
 
         def u(r):
@@ -121,49 +114,48 @@ def _gg_radial_unnormalized(beta: float, n: int):
     return u, math.inf
 
 
-def gg_normalizer(n: int, beta: float, quad_tol: float = DEFAULT_TOLS.quad_tol) -> float:
-    """Normalizing constant A_beta by adaptive radial quadrature."""
+def gg_normalizer(n: int, beta: float) -> float:
+    """Normalizing constant A_beta in closed form.
+
+    A_beta is 1 / (|S^(n-1)| (1/2) (2/|beta|)^(n/2) B(n/2, b)), with
+    b = m + 1 for beta > 0 and b = -m - n/2 for beta < 0 (m the exponent);
+    as |S^(n-1)| = 2 pi^(n/2) / Gamma(n/2), that is
+    Gamma(n/2 + b) / Gamma(b) (|beta| / (2 pi))^(n/2).
+    """
     if n < 1:
         raise BadParameter(f"dimension must be >= 1, got {n}")
     if beta == 0.0:
         return (2.0 * math.pi) ** (-n / 2.0)
-    u, radius = _gg_radial_unnormalized(beta, n)
-    surface = n * unit_ball_volume(n)
-
-    def integrand(r: float) -> float:
-        return float(u(r)) * r ** (n - 1)
-
-    upper = radius if math.isfinite(radius) else np.inf
-    total = checked_quad(integrand, 0.0, upper, f"normalizer of g_beta, n={n}, beta={beta}",
-                         epsabs=quad_tol, epsrel=quad_tol, limit=200)
-    return 1.0 / (surface * total)
+    m = _integrable_exponent(beta, n)
+    b = m + 1.0 if beta > 0.0 else -m - 0.5 * n
+    return math.exp(math.lgamma(0.5 * n + b) - math.lgamma(b)
+                    + 0.5 * n * math.log(abs(beta) / (2.0 * math.pi)))
 
 
-def _truncation_radius(u, n: int, z_total: float, tail_tol: float) -> float:
-    """Smallest convenient R with relative tail mass below tail_tol."""
-    surface = n * unit_ball_volume(n)
+def _truncation_radius(n: int, beta: float) -> float:
+    """The first radius 4 * 1.5^j whose share of the mass of g_beta (beta < 0)
+    lies within TAIL_TOL of all of it."""
+    from scipy.special import betainc
+
+    a, b = 0.5 * n, -gg_exponent(beta, n) - 0.5 * n
 
     def tail(r0: float) -> float:
-        val = checked_quad(lambda r: float(u(r)) * r ** (n - 1), r0, np.inf,
-                           f"tail mass of g_beta beyond radius {r0}, n={n}",
-                           epsabs=1e-14, epsrel=1e-12, limit=200)
-        return surface * val / z_total
+        return float(betainc(b, a, 1.0 / (1.0 + 0.5 * abs(beta) * r0 * r0)))
 
     radius = 4.0
-    while tail(radius) > tail_tol:
+    while tail(radius) > TAIL_TOL:
         radius *= 1.5
         if radius > 1e9:
             raise BetaOutOfRange("tail does not reach the requested tolerance")
     return radius
 
 
-def generalized_gaussian(n: int, beta: float, cells: int = 8192,
-                         tols: Tolerances = DEFAULT_TOLS) -> Grid1D | RadialDensity:
+def generalized_gaussian(n: int, beta: float, cells: int = 8192) -> Grid1D | RadialDensity:
     """Grid representation of g_beta, normalized to unit mass.
 
     Returns a Grid1D for n = 1 and a RadialDensity for n >= 2.  Compact
     supports (beta > 0) are gridded edge to edge; unbounded supports are
-    truncated where the analytic tail mass drops below tols.tail_tol and
+    truncated where the analytic tail mass drops below TAIL_TOL and
     then renormalized.
     """
     if cells < 8:
@@ -171,10 +163,9 @@ def generalized_gaussian(n: int, beta: float, cells: int = 8192,
     u, radius = _gg_radial_unnormalized(beta, n)
     if not math.isfinite(radius):
         if beta == 0.0:
-            radius = 8.0  # Gaussian tail at 8 sigma is far below tail_tol
+            radius = 8.0  # Gaussian tail at 8 sigma is far below TAIL_TOL
         else:
-            a = gg_normalizer(n, beta)
-            radius = _truncation_radius(u, n, 1.0 / a, tols.tail_tol)
+            radius = _truncation_radius(n, beta)
     if n == 1:
         dx = 2.0 * radius / cells
         mids = -radius + (np.arange(cells) + 0.5) * dx
@@ -189,7 +180,7 @@ def np_closed_form(p: float, n: int) -> float:
 
     Returns 2*pi*e exactly at p = 1; otherwise evaluates
     A_beta^(-2/n) (1 - n beta_p/2)^(2/(n(1-p))) with A_beta from
-    quadrature.
+    gg_normalizer.
     """
     if p == 1.0:
         return GAUSSIAN_ENTROPY_POWER

@@ -36,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import DEFAULT_TOLS
+from .config import FISHER_FLOOR_REL
 from .errors import BadParameter, OrderOutOfRange, WeightSum, ZeroMass
 from .grids import Grid1D, RadialDensity, require_same_grid
 from .reports import VerificationReport, report_leq
@@ -239,18 +239,17 @@ def renyi_divergence(f: Grid1D, g: Grid1D, alpha: float) -> float:
     return float(math.log(s) / (alpha - 1.0))
 
 
-def fisher_information(f: Grid1D,
-                       floor_rel: float = DEFAULT_TOLS.fisher_floor_rel) -> float:
+def fisher_information(f: Grid1D) -> float:
     """Fisher information int f'^2 / f by central differences.
 
     The derivative at cell j uses cells j-1 and j+1, boundary cells are
-    excluded, and cells below floor_rel * max(f) are skipped so that the
+    excluded, and cells below FISHER_FLOOR_REL * max(f) are skipped so that the
     quotient never divides by (near) zero.
     """
     if f.n_cells < 3:
         raise BadParameter("Fisher information needs at least three cells")
     v = f.values
-    floor = floor_rel * float(v.max())
+    floor = FISHER_FLOOR_REL * float(v.max())
     if floor <= 0.0:
         raise ZeroMass("Fisher information of a zero density")
     deriv = (v[2:] - v[:-2]) / (2.0 * f.dx)

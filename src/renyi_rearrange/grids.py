@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_TOLS, Tolerances
+from .config import SYM_TOL
 from .errors import (
     BadParameter,
     EmptyGrid,
@@ -232,7 +232,7 @@ def make_radial(dim: int, dr: float, profile: Iterable[float],
     return RadialDensity(dim=int(dim), dr=float(dr), profile=_readonly(prof), radii=r)
 
 
-def normalize(f: Grid1D | RadialDensity, tols: Tolerances = DEFAULT_TOLS) -> "Grid1D | RadialDensity":
+def normalize(f: Grid1D | RadialDensity) -> "Grid1D | RadialDensity":
     """Rescale to unit mass.  Raises ZeroMass when there is nothing to scale."""
     m = f.mass
     if not (m > 0.0):
@@ -265,23 +265,23 @@ def refine(f: Grid1D, factor: int) -> Grid1D:
     return Grid1D(f.x0, f.dx / factor, _readonly(np.repeat(f.values, factor)))
 
 
-def _asymmetry(f: Grid1D, sym_tol: float) -> str | None:
-    """Why f is not centered at 0 and mirror symmetric within sym_tol, or None."""
+def _asymmetry(f: Grid1D) -> str | None:
+    """Why f is not centered at 0 and mirror symmetric within SYM_TOL, or None."""
     n = f.n_cells
-    if abs(f.x0 + 0.5 * n * f.dx) > sym_tol:
+    if abs(f.x0 + 0.5 * n * f.dx) > SYM_TOL:
         return f"grid [{f.x0}, {f.x0 + n * f.dx}] is not centered at the origin"
     mism = float(np.max(np.abs(f.values - f.values[::-1])))
-    if mism > sym_tol * max(f.max_value, 1.0):
+    if mism > SYM_TOL * max(f.max_value, 1.0):
         return f"values are not mirror symmetric (max gap {mism})"
     return None
 
 
-def is_symmetric_decreasing(f: Grid1D, sym_tol: float = DEFAULT_TOLS.sym_tol) -> bool:
+def is_symmetric_decreasing(f: Grid1D) -> bool:
     """True when the grid is centered at 0, even, and nonincreasing in |x|."""
-    if _asymmetry(f, sym_tol) is not None:
+    if _asymmetry(f) is not None:
         return False
     right = f.values[(f.n_cells + 1) // 2:]
-    return bool(np.all(np.diff(right) <= sym_tol * max(f.max_value, 1.0)))
+    return bool(np.all(np.diff(right) <= SYM_TOL * max(f.max_value, 1.0)))
 
 
 GENERATOR_KINDS = ("uniform-mixture", "gaussian-mixture", "spiky-piecewise", "bimodal")
@@ -372,15 +372,15 @@ def random_density(spec: DensityGeneratorSpec) -> Grid1D:
     return Grid1D(x0=-hw, dx=dx, values=_readonly(vals / total))
 
 
-def radial_from_grid(f: Grid1D, sym_tol: float = DEFAULT_TOLS.sym_tol) -> RadialDensity:
+def radial_from_grid(f: Grid1D) -> RadialDensity:
     """Bridge a symmetric Grid1D to a dim-1 RadialDensity.
 
     The grid must be symmetric about the origin: its support interval is
-    [-L, L] and values mirror within sym_tol.  Cells are split in half so
+    [-L, L] and values mirror within SYM_TOL.  Cells are split in half so
     that 0 is always a cell edge, giving shells of width dx/2 with
     ``profile[j]`` the value at radius (j + 1/2) * dr.
     """
-    reason = _asymmetry(f, sym_tol)
+    reason = _asymmetry(f)
     if reason is not None:
         raise NotSymmetric(reason)
     half = np.repeat(f.values, 2)  # 2n half-cells; 0 sits after cell n-1

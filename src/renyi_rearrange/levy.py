@@ -11,7 +11,7 @@ diffusion but replaces the jump law by its symmetric decreasing
 rearrangement f*; its marginal dominates in every Renyi entropy.
 
 Numerically the series is truncated where the Poisson tail drops below
-series_tol and renormalized.  The Gaussian has its midpoints at integer
+SERIES_TOL and renormalized.  The Gaussian has its midpoints at integer
 multiples of the jump law's spacing dx, and a jump law whose first
 midpoint is not at a multiple of dx/2 is first projected onto the
 nearest grid where it is.  The truncated sum is then one call of
@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .config import DEFAULT_TOLS, Tolerances
+from .config import EPS_CONV_FACTOR, SERIES_TOL
 from .errors import BadParameter, TruncationInsufficient
 from .grids import Grid1D, is_symmetric_decreasing, normalize, refine
 from .convolve import _HALF_CELL_TOL, convolve_series, project_onto
@@ -103,12 +103,12 @@ def _poisson_sf(k: int, mu: float) -> float:
     return math.fsum(terms)
 
 
-def auto_k_max(mu: float, tols: Tolerances = DEFAULT_TOLS) -> int:
-    """Smallest k with Poisson(mu) tail mass beyond k below series_tol."""
+def auto_k_max(mu: float) -> int:
+    """Smallest k with Poisson(mu) tail mass beyond k below SERIES_TOL."""
     if mu == 0.0:
         return 0
     k = int(math.ceil(mu))
-    while k <= _K_CAP and _poisson_sf(k, mu) >= tols.series_tol:
+    while k <= _K_CAP and _poisson_sf(k, mu) >= SERIES_TOL:
         k += 1
     if k > _K_CAP:
         raise TruncationInsufficient(
@@ -127,14 +127,13 @@ def _snap(f: Grid1D) -> Grid1D:
     return project_onto(f, start * f.dx, f.dx, f.n_cells + 2)
 
 
-def _mixture(spec: LevySpec, jump: Grid1D | None, k_max: int,
-             tols: Tolerances) -> Grid1D:
+def _mixture(spec: LevySpec, jump: Grid1D | None, k_max: int) -> Grid1D:
     mu = spec.rate * spec.t
     if mu > 0.0:
         tail = _poisson_sf(k_max, mu)
-        if tail >= tols.series_tol:
+        if tail >= SERIES_TOL:
             raise TruncationInsufficient(
-                f"k_max={k_max} leaves Poisson tail {tail:.3g} >= {tols.series_tol}")
+                f"k_max={k_max} leaves Poisson tail {tail:.3g} >= {SERIES_TOL}")
     sigma = math.sqrt(spec.a * spec.t)
     dx = jump.dx if jump is not None else 16.0 * sigma / 1024
     reach = max(4, int(math.ceil(8.0 * sigma / dx)))
@@ -145,21 +144,19 @@ def _mixture(spec: LevySpec, jump: Grid1D | None, k_max: int,
     return normalize(convolve_series(gauss, _snap(jump), weights))
 
 
-def marginal_density(spec: LevySpec, k_max: int | None = None,
-                     tols: Tolerances = DEFAULT_TOLS) -> Grid1D:
+def marginal_density(spec: LevySpec, k_max: int | None = None) -> Grid1D:
     """Time-t marginal of the process as a grid density.
 
-    k_max defaults to the smallest truncation meeting series_tol (capped
+    k_max defaults to the smallest truncation meeting SERIES_TOL (capped
     at 200); passing an insufficient explicit k_max raises
     TruncationInsufficient.  The result is renormalized to unit mass.
     """
     if k_max is None:
-        k_max = auto_k_max(spec.rate * spec.t, tols)
-    return _mixture(spec, spec.jump if spec.rate > 0.0 else None, k_max, tols)
+        k_max = auto_k_max(spec.rate * spec.t)
+    return _mixture(spec, spec.jump if spec.rate > 0.0 else None, k_max)
 
 
-def rearranged_marginal(spec: LevySpec, k_max: int | None = None,
-                        tols: Tolerances = DEFAULT_TOLS) -> Grid1D:
+def rearranged_marginal(spec: LevySpec, k_max: int | None = None) -> Grid1D:
     """Marginal of the comparison process with rearranged jump law.
 
     The diffusion part is already symmetric decreasing and is kept as
@@ -168,20 +165,19 @@ def rearranged_marginal(spec: LevySpec, k_max: int | None = None,
     comparison process coincides with the original bit for bit.
     """
     if k_max is None:
-        k_max = auto_k_max(spec.rate * spec.t, tols)
+        k_max = auto_k_max(spec.rate * spec.t)
     if spec.rate == 0.0:
-        return _mixture(spec, None, k_max, tols)
+        return _mixture(spec, None, k_max)
     if is_symmetric_decreasing(spec.jump):
         jump_star = spec.jump
     else:
         jump_star = rearrange_1d(_snap(spec.jump))
-    return _mixture(spec, jump_star, k_max, tols)
+    return _mixture(spec, jump_star, k_max)
 
 
 def check_levy_dominance(spec: LevySpec,
                          orders: Sequence[RenyiOrder | float | str],
-                         k_max: int | None = None,
-                         tols: Tolerances = DEFAULT_TOLS) -> list[VerificationReport]:
+                         k_max: int | None = None) -> list[VerificationReport]:
     """Reports h_p(X_t) >= h_p(Z_t) for each requested order.
 
     The tolerance budget scales with the series depth: every term of the
@@ -189,10 +185,10 @@ def check_levy_dominance(spec: LevySpec,
     Each marginal is read once, at every order, by renyi_entropies.
     """
     if k_max is None:
-        k_max = auto_k_max(spec.rate * spec.t, tols)
-    x_t = marginal_density(spec, k_max, tols)
-    z_t = rearranged_marginal(spec, k_max, tols)
-    tol = tols.eps_conv_factor * max(x_t.dx, z_t.dx) * (k_max + 1)
+        k_max = auto_k_max(spec.rate * spec.t)
+    x_t = marginal_density(spec, k_max)
+    z_t = rearranged_marginal(spec, k_max)
+    tol = EPS_CONV_FACTOR * max(x_t.dx, z_t.dx) * (k_max + 1)
     orders = [RenyiOrder.coerce(order) for order in orders]
     out = []
     for order, lhs, rhs in zip(orders, renyi_entropies(x_t, orders),

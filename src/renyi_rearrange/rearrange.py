@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOLS
+from .config import MAJ_TOL
 from .errors import DimensionMismatch
 from .grids import Grid1D, RadialDensity, make_radial, require_same_grid, unit_ball_volume
 
@@ -131,7 +131,7 @@ def _ambient_dim(f: Density) -> int:
 
 
 def majorizes(f: Density, g: Density,
-              maj_tol: float = DEFAULT_TOLS.maj_tol) -> tuple[bool, float]:
+              maj_tol: float = MAJ_TOL) -> tuple[bool, float]:
     """Check the majorization preorder f majorized-by g.
 
     Returns ``(ok, worst_margin)`` where ok means that the cumulative

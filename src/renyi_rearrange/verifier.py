@@ -13,11 +13,14 @@ through the Gaussian lower bound, contraction of Renyi divergence under
 rearrangement, and monotonicity of Fisher information, with isoperimetric
 and log-Sobolev consequences.
 
-Tolerances: identities that are exact for step densities are checked at
+Budgets: identities that are exact for step densities are checked at
 machine-level budgets; anything downstream of a k-fold convolution gets
-eps_conv = 10 * dx * k; derivative-based functionals (Fisher) get a 1%
-relative budget.  Corpora are generated deterministically from the suite
-seed, so rerunning a configuration reproduces every report bit for bit.
+eps_conv = EPS_CONV_FACTOR * dx * k (10 dx k); derivative-based
+functionals (Fisher) get a 1% relative budget.  Every budget is a
+constant of this module or of config, not a parameter: a suite run is
+sized by its SuiteConfig and nothing else.  Corpora are generated
+deterministically from the suite seed, so rerunning a configuration
+reproduces every report bit for bit.
 The main suite convolves each corpus group once, f1 * ... * fk and
 f1^* * ... * fk^*, and every check on that group reads those two values.
 It also reads the Renyi entropies of each density of the group (the two
@@ -28,12 +31,12 @@ checks that need only entropies those rows (a GroupEntropies).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_TOLS, Tolerances, eps_conv
+from .config import EPS_CONV_FACTOR, eps_conv
 from .errors import BadParameter, ConfigInvalid
 from .grids import (
     DensityGeneratorSpec,
@@ -78,7 +81,10 @@ __all__ = [
 
 SUITES = ("main", "rbll", "divergence", "fisher", "levy")
 
-DEFAULT_ORDERS: tuple[float, ...] = (0.0, 0.5, 1.0, 2.0, math.inf)
+# the Renyi orders of the main-theorem checks, and the half width of every
+# generated grid
+ORDERS: tuple[float, ...] = (0.0, 0.5, 1.0, 2.0, math.inf)
+HALFWIDTH = 4.0
 
 
 # ---------------------------------------------------------------------------
@@ -88,20 +94,19 @@ DEFAULT_ORDERS: tuple[float, ...] = (0.0, 0.5, 1.0, 2.0, math.inf)
 Convs = tuple[Grid1D, Grid1D]
 
 
-def _star_convolve(fs: Sequence[Grid1D], tols: Tolerances) -> Convs:
+def _star_convolve(fs: Sequence[Grid1D]) -> Convs:
     """(f1 * ... * fk, f1^* * ... * fk^*), both as left folds."""
-    conv = convolve_k(list(fs), tols)
-    conv_star = convolve_k([rearrange_1d(f) for f in fs], tols)
+    conv = convolve_k(list(fs))
+    conv_star = convolve_k([rearrange_1d(f) for f in fs])
     return conv, conv_star
 
 
 def check_main_theorem(fs: Sequence[Grid1D], order: RenyiOrder | float | str,
-                       tols: Tolerances = DEFAULT_TOLS,
                        seed: int | None = None, *,
                        convs: Convs | GroupEntropies | None = None) -> VerificationReport:
     """h_p of a k-fold convolution never drops under rearranging the factors.
 
-    `convs` is ``_star_convolve(fs, tols)`` when the caller already has it;
+    `convs` is ``_star_convolve(fs)`` when the caller already has it;
     the same holds for the other convolution checks below.  The checks
     that read only entropies (this one and the EPI chain) also take the
     group's GroupEntropies there, and then read h_p from its rows.
@@ -113,11 +118,11 @@ def check_main_theorem(fs: Sequence[Grid1D], order: RenyiOrder | float | str,
     if isinstance(convs, GroupEntropies):
         lhs, rhs = convs.conv[order], convs.conv_star[order]
     else:
-        conv, conv_star = _star_convolve(fs, tols) if convs is None else convs
+        conv, conv_star = _star_convolve(fs) if convs is None else convs
         lhs = renyi_entropy(conv, order)
         rhs = renyi_entropy(conv_star, order)
     return report_geq(f"main_theorem[p={order.label()}]", lhs, rhs,
-                      eps_conv(fs[0].dx, k, tols),
+                      eps_conv(fs[0].dx, k),
                       params={"k": k, "order": order.label(), "dx": fs[0].dx},
                       seed=seed)
 
@@ -128,7 +133,7 @@ def _overlap_integral(f: Grid1D, g: Grid1D) -> float:
     return float(np.sum(f.values * g_on_f.values) * f.dx)
 
 
-def check_rbll(fs: Sequence[Grid1D], tols: Tolerances = DEFAULT_TOLS,
+def check_rbll(fs: Sequence[Grid1D],
                seed: int | None = None) -> VerificationReport:
     """Rogers/Brascamp-Lieb-Luttinger overlap inequality on grids:
 
@@ -143,12 +148,12 @@ def check_rbll(fs: Sequence[Grid1D], tols: Tolerances = DEFAULT_TOLS,
         lhs, rhs = fs[0].mass, rearrange_1d(fs[0]).mass
         tol = 1e-12
     else:
-        rest = convolve_k(list(fs[1:]), tols)
-        rest_star = convolve_k([rearrange_1d(f) for f in fs[1:]], tols)
+        rest = convolve_k(list(fs[1:]))
+        rest_star = convolve_k([rearrange_1d(f) for f in fs[1:]])
         lhs = _overlap_integral(fs[0], rest)
         rhs = _overlap_integral(rearrange_1d(fs[0]), rest_star)
         vmax = max(f.max_value for f in fs)
-        tol = eps_conv(fs[0].dx, k, tols) * vmax
+        tol = eps_conv(fs[0].dx, k) * vmax
     return report_leq(f"rbll[k={k}]", lhs, rhs, tol,
                       params={"k": k}, seed=seed)
 
@@ -190,14 +195,13 @@ class PhiSpec:
 
 
 def check_most_gen(fs: Sequence[Grid1D], phi: PhiSpec,
-                   tols: Tolerances = DEFAULT_TOLS,
                    seed: int | None = None, *,
                    convs: Convs | None = None) -> VerificationReport:
     """int phi(f1 * ... * fk) <= int phi(f1^* * ... * fk^*) for convex phi."""
     k = len(fs)
     if k < 2:
         raise BadParameter("need at least two densities")
-    conv, conv_star = _star_convolve(fs, tols) if convs is None else convs
+    conv, conv_star = _star_convolve(fs) if convs is None else convs
     lhs = float(np.sum(phi.apply(conv.values)) * conv.dx)
     rhs = float(np.sum(phi.apply(conv_star.values)) * conv_star.dx)
     # budget: the convolutions agree with the true step convolution to
@@ -211,21 +215,20 @@ def check_most_gen(fs: Sequence[Grid1D], phi: PhiSpec,
         lip = phi.param * vmax ** (phi.param - 1.0) if vmax > 0.0 else 1.0
     else:
         lip = 1.0
-    tol = eps_conv(fs[0].dx, k, tols) * max(lip, 1.0)
+    tol = eps_conv(fs[0].dx, k) * max(lip, 1.0)
     return report_leq(f"most_gen[{phi.label()}]", lhs, rhs, tol,
                       params={"k": k, "phi": phi.label()}, seed=seed)
 
 
 def check_majorized_convolution(fs: Sequence[Grid1D],
-                                tols: Tolerances = DEFAULT_TOLS,
                                 seed: int | None = None, *,
                                 convs: Convs | None = None) -> VerificationReport:
     """The convolution is majorized by the convolution of rearrangements."""
     k = len(fs)
     if k < 2:
         raise BadParameter("need at least two densities")
-    conv, conv_star = _star_convolve(fs, tols) if convs is None else convs
-    tol = tols.eps_conv_factor * fs[0].dx * max(conv.max_value, conv_star.max_value)
+    conv, conv_star = _star_convolve(fs) if convs is None else convs
+    tol = EPS_CONV_FACTOR * fs[0].dx * max(conv.max_value, conv_star.max_value)
     ok, worst = majorizes(conv, conv_star, maj_tol=tol)
     return VerificationReport(
         name=f"majorized_convolution[k={k}]",
@@ -233,7 +236,7 @@ def check_majorized_convolution(fs: Sequence[Grid1D],
         params={"k": k}, seed=seed, status="pass" if ok else "fail")
 
 
-def check_epi_chain(f1: Grid1D, f2: Grid1D, tols: Tolerances = DEFAULT_TOLS,
+def check_epi_chain(f1: Grid1D, f2: Grid1D,
                     seed: int | None = None, *,
                     convs: Convs | GroupEntropies | None = None) -> VerificationReport:
     """Entropy chain h(f1*f2) >= h(f1^* * f2^*) >= Gaussian EPI bound.
@@ -248,13 +251,13 @@ def check_epi_chain(f1: Grid1D, f2: Grid1D, tols: Tolerances = DEFAULT_TOLS,
         h_sum, h_star = convs.conv[one], convs.conv_star[one]
         h1, h2 = (row[one] for row in convs.factors)
     else:
-        conv, conv_star = _star_convolve((f1, f2), tols) if convs is None else convs
+        conv, conv_star = _star_convolve((f1, f2)) if convs is None else convs
         h_sum, h_star, h1, h2 = (renyi_entropy(d, one)
                                  for d in (conv, conv_star, f1, f2))
     s1 = math.exp(2.0 * h1) / GAUSSIAN_ENTROPY_POWER
     s2 = math.exp(2.0 * h2) / GAUSSIAN_ENTROPY_POWER
     bound = 0.5 * math.log(GAUSSIAN_ENTROPY_POWER * (s1 + s2))
-    tol = eps_conv(f1.dx, 2, tols)
+    tol = eps_conv(f1.dx, 2)
     margin = min(h_sum - h_star, h_star - bound)
     passed = margin >= -tol
     return VerificationReport(
@@ -266,7 +269,6 @@ def check_epi_chain(f1: Grid1D, f2: Grid1D, tols: Tolerances = DEFAULT_TOLS,
 
 
 def check_divergence_contraction(f: Grid1D, g: Grid1D, alpha: float,
-                                 tols: Tolerances = DEFAULT_TOLS,
                                  seed: int | None = None) -> VerificationReport:
     """D_alpha(f^*||g^*) <= D_alpha(f||g) for alpha in (0, 1].
 
@@ -281,19 +283,19 @@ def check_divergence_contraction(f: Grid1D, g: Grid1D, alpha: float,
                       1e-10, params={"alpha": alpha}, seed=seed)
 
 
-def check_fisher_monotone(f: Grid1D, tols: Tolerances = DEFAULT_TOLS,
+def check_fisher_monotone(f: Grid1D,
                           seed: int | None = None) -> VerificationReport:
     """I(f) >= I(f^*) with a 1% relative budget for the finite differences."""
-    lhs = fisher_information(f, tols.fisher_floor_rel)
-    rhs = fisher_information(rearrange_1d(f), tols.fisher_floor_rel)
+    lhs = fisher_information(f)
+    rhs = fisher_information(rearrange_1d(f))
     tol = 0.01 * max(abs(lhs), abs(rhs))
     return report_geq("fisher_monotone", lhs, rhs, tol, params={}, seed=seed)
 
 
-def check_isoperimetric(f: Grid1D, tols: Tolerances = DEFAULT_TOLS,
+def check_isoperimetric(f: Grid1D,
                         seed: int | None = None) -> VerificationReport:
     """Isoperimetric form I(f) >= 1/N(f) (equality for Gaussians)."""
-    lhs = fisher_information(f, tols.fisher_floor_rel)
+    lhs = fisher_information(f)
     n_f = math.exp(2.0 * renyi_entropy(f, RenyiOrder.one())) / GAUSSIAN_ENTROPY_POWER
     rhs = 1.0 / n_f
     tol = 0.01 * abs(rhs) + 1e-6
@@ -301,7 +303,7 @@ def check_isoperimetric(f: Grid1D, tols: Tolerances = DEFAULT_TOLS,
                       params={"entropy_power": n_f}, seed=seed)
 
 
-def check_log_sobolev(f: Grid1D, tols: Tolerances = DEFAULT_TOLS,
+def check_log_sobolev(f: Grid1D,
                       seed: int | None = None) -> VerificationReport:
     """Log-Sobolev form D(f || g~) <= (sigma^2 I(f) - 1)/2.
 
@@ -313,7 +315,7 @@ def check_log_sobolev(f: Grid1D, tols: Tolerances = DEFAULT_TOLS,
     ref = gaussian_on_grid(mean, math.sqrt(var), f.x0, f.dx, f.n_cells,
                            renormalize=False)
     lhs = renyi_divergence(f, ref, 1.0)
-    j = var * fisher_information(f, tols.fisher_floor_rel) - 1.0
+    j = var * fisher_information(f) - 1.0
     rhs = 0.5 * j
     tol = 0.01 * (1.0 + abs(rhs))
     return report_leq("log_sobolev", lhs, rhs, tol,
@@ -330,9 +332,9 @@ class SuiteConfig:
     """What to run and how much of it.
 
     pairs/triples size the convolution corpora, smooth_count the
-    contraction corpus (strictly positive mixtures); cells and halfwidth
-    shape every generated grid.  The same config always produces the
-    same reports in the same order.
+    contraction corpus (strictly positive mixtures); every generated grid
+    has `cells` cells on [-HALFWIDTH, HALFWIDTH].  The same config always
+    produces the same reports in the same order.
     """
 
     suite: str = "all"
@@ -341,9 +343,6 @@ class SuiteConfig:
     triples: int = 50
     smooth_count: int = 50
     cells: int = 2048
-    halfwidth: float = 4.0
-    orders: tuple[float, ...] = DEFAULT_ORDERS
-    tols: Tolerances = field(default_factory=lambda: DEFAULT_TOLS)
 
     def validate(self) -> None:
         if self.suite not in SUITES + ("all",):
@@ -354,12 +353,6 @@ class SuiteConfig:
                 raise ConfigInvalid(f"{name} must be >= 0")
         if self.cells < 8:
             raise ConfigInvalid("cells must be >= 8")
-        if not (self.halfwidth > 0.0):
-            raise ConfigInvalid("halfwidth must be positive")
-        if len(self.orders) == 0:
-            raise ConfigInvalid("at least one Renyi order is required")
-        for p in self.orders:
-            RenyiOrder.coerce(p)
 
 
 def _derived_seed(seed: int, stream: int, index: int) -> int:
@@ -377,7 +370,7 @@ def _corpus(config: SuiteConfig, stream: int, count: int, group: int,
             spec = DensityGeneratorSpec(
                 kind=kind, component_count=2 + (i + j) % 3,
                 seed=_derived_seed(config.seed, stream, i * group + j),
-                domain_halfwidth=config.halfwidth, cells=config.cells)
+                domain_halfwidth=HALFWIDTH, cells=config.cells)
             batch.append(random_density(spec))
         out.append(batch)
     return out
@@ -398,53 +391,52 @@ def _row(f: Grid1D, orders: Sequence[float]) -> Row:
 
 def _run_main(config: SuiteConfig) -> list[VerificationReport]:
     reports: list[VerificationReport] = []
-    tols = config.tols
     pair_corpus = _corpus(config, 1, config.pairs, 2)
     triple_corpus = _corpus(config, 2, config.triples, 3)
     phis = (PhiSpec("xlogx"), PhiSpec("power", 2.0), PhiSpec("power", 0.5),
             PhiSpec("hinge", 0.25))
     for i, fs in enumerate(pair_corpus):
         seed = _derived_seed(config.seed, 1, i)
-        convs = _star_convolve(fs, tols)
+        convs = _star_convolve(fs)
         rows = GroupEntropies(
-            conv=_row(convs[0], (*config.orders, *_BOBKOV_ORDERS)),
-            conv_star=_row(convs[1], (*config.orders, 1.0)),
+            conv=_row(convs[0], (*ORDERS, *_BOBKOV_ORDERS)),
+            conv_star=_row(convs[1], (*ORDERS, 1.0)),
             factors=tuple(_row(f, _BOBKOV_ORDERS) for f in fs))
-        for p in config.orders:
-            reports.append(check_main_theorem(fs, p, tols, seed=seed, convs=rows))
-        reports.append(check_majorized_convolution(fs, tols, seed=seed, convs=convs))
-        reports.append(check_epi_chain(fs[0], fs[1], tols, seed=seed, convs=rows))
-        reports.append(check_most_gen(fs, phis[i % len(phis)], tols, seed=seed,
+        for p in ORDERS:
+            reports.append(check_main_theorem(fs, p, seed=seed, convs=rows))
+        reports.append(check_majorized_convolution(fs, seed=seed, convs=convs))
+        reports.append(check_epi_chain(fs[0], fs[1], seed=seed, convs=rows))
+        reports.append(check_most_gen(fs, phis[i % len(phis)], seed=seed,
                                       convs=convs))
         for p in _BOBKOV_ORDERS:
-            reports.append(bobkov_chistyakov_bound_check(p, fs, tols, seed=seed,
+            reports.append(bobkov_chistyakov_bound_check(p, fs, seed=seed,
                                                          conv=rows))
         reports.append(mixture_entropy_bound_check(fs, [0.5, 0.5], seed=seed,
                                                    convs=rows))
     for i, fs in enumerate(triple_corpus):
         seed = _derived_seed(config.seed, 2, i)
-        convs = _star_convolve(fs, tols)
-        rows = GroupEntropies(conv=_row(convs[0], config.orders),
-                              conv_star=_row(convs[1], config.orders))
-        for p in config.orders:
-            reports.append(check_main_theorem(fs, p, tols, seed=seed, convs=rows))
-        reports.append(check_majorized_convolution(fs, tols, seed=seed, convs=convs))
+        convs = _star_convolve(fs)
+        rows = GroupEntropies(conv=_row(convs[0], ORDERS),
+                              conv_star=_row(convs[1], ORDERS))
+        for p in ORDERS:
+            reports.append(check_main_theorem(fs, p, seed=seed, convs=rows))
+        reports.append(check_majorized_convolution(fs, seed=seed, convs=convs))
     # equality witness: Gaussian factors make every link of the chain tight
-    dx = 2.0 * config.halfwidth / config.cells
-    g1 = gaussian_on_grid(0.0, 0.9, -config.halfwidth, dx, config.cells)
-    g2 = gaussian_on_grid(0.3, 0.7, -config.halfwidth, dx, config.cells)
-    reports.append(check_epi_chain(g1, g2, tols, seed=config.seed))
+    dx = 2.0 * HALFWIDTH / config.cells
+    g1 = gaussian_on_grid(0.0, 0.9, -HALFWIDTH, dx, config.cells)
+    g2 = gaussian_on_grid(0.3, 0.7, -HALFWIDTH, dx, config.cells)
+    reports.append(check_epi_chain(g1, g2, seed=config.seed))
     # Brunn-Minkowski instances on indicator unions
     for i in range(max(4, config.pairs // 2)):
         seed = _derived_seed(config.seed, 7, i)
         f, g = _indicator_pair(config, seed)
-        reports.append(brunn_minkowski_check(f, g, tols, seed=seed))
+        reports.append(brunn_minkowski_check(f, g, seed=seed))
     return reports
 
 
 def _indicator_pair(config: SuiteConfig, seed: int) -> tuple[Grid1D, Grid1D]:
     rng = np.random.default_rng(seed)
-    dx = 2.0 * config.halfwidth / config.cells
+    dx = 2.0 * HALFWIDTH / config.cells
     out = []
     for _ in range(2):
         vals = np.zeros(config.cells)
@@ -453,33 +445,31 @@ def _indicator_pair(config: SuiteConfig, seed: int) -> tuple[Grid1D, Grid1D]:
             hi = int(rng.integers(lo + 1, min(config.cells, lo + config.cells // 4) + 1))
             vals[lo:hi] = 1.0
         total = vals.sum() * dx
-        out.append(Grid1D(-config.halfwidth, dx, vals / total))
+        out.append(Grid1D(-HALFWIDTH, dx, vals / total))
     return out[0], out[1]
 
 
 def _run_rbll(config: SuiteConfig) -> list[VerificationReport]:
     reports = []
-    tols = config.tols
     for i, fs in enumerate(_corpus(config, 3, max(1, config.pairs // 2), 2)):
         seed = _derived_seed(config.seed, 3, i)
-        reports.append(check_rbll(fs, tols, seed=seed))
+        reports.append(check_rbll(fs, seed=seed))
     for i, fs in enumerate(_corpus(config, 4, max(1, config.triples // 2), 3)):
         seed = _derived_seed(config.seed, 4, i)
-        reports.append(check_rbll(fs, tols, seed=seed))
+        reports.append(check_rbll(fs, seed=seed))
     # degenerate k = 1: mass conservation under rearrangement
     solo = _corpus(config, 5, 1, 1)[0]
-    reports.append(check_rbll(solo, tols, seed=_derived_seed(config.seed, 5, 0)))
+    reports.append(check_rbll(solo, seed=_derived_seed(config.seed, 5, 0)))
     return reports
 
 
 def _run_divergence(config: SuiteConfig) -> list[VerificationReport]:
     reports = []
-    tols = config.tols
     corpus = _corpus(config, 8, config.smooth_count, 2, kinds=_SMOOTH)
     for i, (f, g) in enumerate(corpus):
         seed = _derived_seed(config.seed, 8, i)
         for alpha in (0.3, 1.0):
-            reports.append(check_divergence_contraction(f, g, alpha, tols, seed=seed))
+            reports.append(check_divergence_contraction(f, g, alpha, seed=seed))
         # L1 contraction: ||f^* - g^*||_1 <= ||f - g||_1, exact on grids
         lhs = l1_distance(rearrange_1d(f), rearrange_1d(g))
         rhs = l1_distance(f, g)
@@ -494,19 +484,17 @@ def _run_divergence(config: SuiteConfig) -> list[VerificationReport]:
 
 def _run_fisher(config: SuiteConfig) -> list[VerificationReport]:
     reports = []
-    tols = config.tols
     corpus = _corpus(config, 9, config.smooth_count, 1, kinds=_SMOOTH)
     for i, (f,) in enumerate(corpus):
         seed = _derived_seed(config.seed, 9, i)
-        reports.append(check_fisher_monotone(f, tols, seed=seed))
-        reports.append(check_isoperimetric(f, tols, seed=seed))
-        reports.append(check_log_sobolev(f, tols, seed=seed))
+        reports.append(check_fisher_monotone(f, seed=seed))
+        reports.append(check_isoperimetric(f, seed=seed))
+        reports.append(check_log_sobolev(f, seed=seed))
     return reports
 
 
 def _run_levy(config: SuiteConfig) -> list[VerificationReport]:
     reports = []
-    tols = config.tols
     cells = min(config.cells, 512)
     dx = 3.0 / cells
     mids = (np.arange(cells) + 0.5) * dx
@@ -514,12 +502,11 @@ def _run_levy(config: SuiteConfig) -> list[VerificationReport]:
     jump = Grid1D(0.0, dx, vals / (vals.sum() * dx))
     for lam_t in (0.25, 1.0):
         spec = LevySpec(a=1.0, rate=lam_t, jump=jump, t=1.0)
-        reports.extend(check_levy_dominance(spec, (0.5, 1.0, 2.0, math.inf),
-                                            tols=tols))
+        reports.extend(check_levy_dominance(spec, (0.5, 1.0, 2.0, math.inf)))
     # lambda = 0: pure diffusion, rearranging the jump law changes nothing
     spec0 = LevySpec(a=1.0, rate=0.0, jump=jump, t=1.0)
-    h_x = renyi_entropy(marginal_density(spec0, tols=tols), 1.0)
-    h_z = renyi_entropy(rearranged_marginal(spec0, tols=tols), 1.0)
+    h_x = renyi_entropy(marginal_density(spec0), 1.0)
+    h_z = renyi_entropy(rearranged_marginal(spec0), 1.0)
     reports.append(report_geq("levy_dominance[lambda=0]", h_x, h_z, 1e-3,
                               params={"rate": 0.0}))
     return reports

@@ -236,10 +236,11 @@ class TestBallSumEntropy:
         value = _mpmath_ball_sum_entropy(512, math.sqrt(0.5), math.sqrt(0.5))
         assert float(value) == pytest.approx(-871.6083154128002, abs=1e-12)
 
-    def test_unreliable_quadrature_raises(self):
-        # a tolerance below roundoff makes quad warn; the value must not escape
+    def test_unreliable_quadrature_raises(self, monkeypatch):
+        # a tolerance below roundoff cannot be met; the value must not escape
+        monkeypatch.setattr(balls, "QUAD_TOL", 1e-300)
         with pytest.raises(InaccurateResult, match="radial entropy integral"):
-            ball_sum_entropy(BallPair(64, 1.0, 0.6), quad_tol=1e-300)
+            ball_sum_entropy(BallPair(64, 1.0, 0.6))
 
     def test_validation(self):
         with pytest.raises(BadParameter):

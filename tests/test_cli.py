@@ -220,7 +220,7 @@ class TestLevyCommand:
     def test_failing_report_exits_one(self, uniform_csv, monkeypatch, capsys):
         monkeypatch.setattr(
             cli, "check_levy_dominance",
-            lambda spec, orders, tols=None: [report_geq("forced", 0.0, 1.0, 0.0)])
+            lambda spec, orders: [report_geq("forced", 0.0, 1.0, 0.0)])
         rc = cli.main(["levy", "--a", "1.0", "--lambda", "0.5", "--t", "1.0",
                        "--jumps", uniform_csv, "--orders", "1"])
         assert rc == 1
@@ -307,8 +307,8 @@ def _scipy_modules_after(argv):
 
 
 class TestStartup:
-    """The CLI starts on numpy alone; scipy is loaded only by incomplete Beta
-    functions and by the quadratures of generalized Gaussians."""
+    """The CLI starts on numpy alone; scipy is loaded only for incomplete Beta
+    functions, and no command loads scipy.integrate."""
 
     @pytest.mark.parametrize("argv", [
         [],
@@ -334,5 +334,8 @@ class TestStartup:
         assert "scipy.special" in loaded
         assert not any(m.startswith("scipy.integrate") for m in loaded)
 
-    def test_heavy_tailed_normalizer_loads_scipy_integrate(self):
-        assert "scipy.integrate" in _scipy_modules_after(["conjecture", "--p", "0.8"])
+    def test_heavy_tailed_maximizer_loads_no_scipy_integrate(self):
+        # its normalizer and tail mass are closed-form Beta functions
+        loaded = _scipy_modules_after(["conjecture", "--p", "0.8"])
+        assert "scipy.special" in loaded
+        assert not any(m.startswith("scipy.integrate") for m in loaded)

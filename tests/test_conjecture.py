@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 
 from renyi_rearrange import (

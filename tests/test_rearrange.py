@@ -6,11 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from renyi_rearrange import (
-    DEFAULT_TOLS,
     DensityGeneratorSpec,
     GENERATOR_KINDS,
     GridMismatch,
-    RenyiOrder,
     gaussian_on_grid,
     is_symmetric_decreasing,
     l1_distance,
@@ -27,6 +25,7 @@ from renyi_rearrange import (
     sorted_layers,
     unit_ball_volume,
 )
+from renyi_rearrange.config import MAJ_TOL
 from renyi_rearrange.verifier import _star_convolve
 
 ORDERS = [0.0, 0.5, 1.0, 2.0, math.inf]
@@ -147,7 +146,7 @@ class TestSortedLayersReference:
             self._assert_same(f)
             self._assert_same(rearrange_1d(f))
         fs = _corpus(3, cells=256)
-        for h in _star_convolve(fs, DEFAULT_TOLS):
+        for h in _star_convolve(fs):
             self._assert_same(h)
 
 
@@ -209,7 +208,7 @@ class TestMajorization:
             assert ok1
 
 
-def _majorizes_reference(f, g, maj_tol=DEFAULT_TOLS.maj_tol):
+def _majorizes_reference(f, g, maj_tol=MAJ_TOL):
     """majorizes with both cumulative masses interpolated on the union of
     the two sides' breakpoints."""
     vf, wf = sorted_layers(f)
@@ -229,7 +228,7 @@ class TestMajorizesReference:
     """The minimum over each side's own breakpoints is the union minimum."""
 
     @staticmethod
-    def _assert_same(f, g, maj_tol=DEFAULT_TOLS.maj_tol):
+    def _assert_same(f, g, maj_tol=MAJ_TOL):
         for a, b in ((f, g), (g, f)):
             assert majorizes(a, b, maj_tol) == _majorizes_reference(a, b, maj_tol)
 
@@ -247,7 +246,7 @@ class TestMajorizesReference:
     def test_convolution_against_rearranged_convolution(self):
         corpus = _corpus(9, cells=128)
         for fs in (corpus[0:2], corpus[2:4], corpus[4:7], corpus[6:9]):
-            conv, conv_star = _star_convolve(fs, DEFAULT_TOLS)
+            conv, conv_star = _star_convolve(fs)
             self._assert_same(conv, conv_star, 1e-3)
 
     def test_radial_rearrangements(self):
