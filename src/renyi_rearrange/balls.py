@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import QUAD_TOL
+from .config import INDICATOR_REL_TOL, QUAD_TOL
 from .errors import BadParameter, DensityOverflow, InaccurateResult, NotIndicator
 from .grids import Grid1D
 from .convolve import convolve
@@ -195,7 +195,12 @@ def _log_beta_cf(a: float, b: float, x: np.ndarray) -> np.ndarray:
 
 
 def cap_integral(theta: float, n: int) -> float:
-    """h(theta) = int_theta^{pi/2} cos^n x dx (see log_cap_integral)."""
+    """h(theta) = int_theta^{pi/2} cos^n x dx (see log_cap_integral).
+
+    Nothing in the package calls it; it stays in __all__ because the
+    benchmark's per-layer metrics name balls.cap_integral, and its trace
+    reads them from the functions listed there.
+    """
     return math.exp(log_cap_integral(theta, n))
 
 
@@ -351,12 +356,12 @@ def epi_gap_balls(m: int, b1: float, b2: float, lam: float) -> float:
     return h_sum - lam * h1 - (1.0 - lam) * h2 - concavity
 
 
-def _indicator_level(f: Grid1D, rel_tol: float = 1e-9) -> float:
+def _indicator_level(f: Grid1D) -> float:
     pos = f.values[f.values > 0.0]
     if pos.size == 0:
         raise NotIndicator("density has empty support")
     lo, hi = float(pos.min()), float(pos.max())
-    if hi - lo > rel_tol * hi:
+    if hi - lo > INDICATOR_REL_TOL * hi:
         raise NotIndicator(
             f"density takes several positive levels ({lo} .. {hi})")
     return hi

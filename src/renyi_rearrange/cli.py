@@ -12,7 +12,10 @@ epigap      dimensional entropy-power gap for ball uniforms
 
 Exit status: 0 when every requested check passes, 1 when any check
 fails, 2 on usage or configuration errors.  JSON output is deterministic:
-the same argv and seed produce identical bytes.
+the same argv and seed produce identical bytes.  verify runs its suites as
+independent units on forked workers, one per CPU in the affinity mask
+(see verifier.run_suite); the bytes do not depend on the worker count,
+and a small run pays some 20-35 ms to start the pool.
 """
 
 from __future__ import annotations

@@ -27,6 +27,23 @@ FFT_THRESHOLD = 2048      # hull output cells above which FFT is
                           # 0.17/0.16 at 2047, 0.45/0.23 at 4095)
 QUAD_TOL = 1e-10          # absolute and relative tolerance of the
                           # ball-sum radial quadrature
+MIXTURE_TOL = 1e-9        # mixture entropy bound; both sides are
+                          # exact sums
+INDICATOR_REL_TOL = 1e-9  # relative spread of the positive values
+                          # of a density read as an indicator
+MASS_TOL = 1e-12          # mass conservation under rearrangement
+                          # (the k = 1 overlap check)
+DIVERGENCE_TOL = 1e-10    # Renyi divergence contraction under
+                          # rearrangement, exact on grids
+L1_TOL = 1e-12            # L1 contraction under rearrangement,
+                          # exact on grids
+LEVY_DIFFUSION_TOL = 1e-3  # Shannon entropy of the pure-diffusion
+                           # marginal against its rearranged twin
+FISHER_REL_TOL = 0.01     # relative budget of the finite-difference
+                          # Fisher information (monotonicity,
+                          # isoperimetric and log-Sobolev checks)
+ISOPERIMETRIC_ABS_TOL = 1e-6  # absolute floor added to the
+                              # isoperimetric budget
 
 
 def eps_conv(dx: float, k: int) -> float:

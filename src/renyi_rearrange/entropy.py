@@ -36,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import FISHER_FLOOR_REL
+from .config import FISHER_FLOOR_REL, MIXTURE_TOL
 from .errors import BadParameter, OrderOutOfRange, WeightSum, ZeroMass
 from .grids import Grid1D, RadialDensity, require_same_grid
 from .reports import VerificationReport, report_leq
@@ -259,13 +259,12 @@ def fisher_information(f: Grid1D) -> float:
 
 
 def mixture_entropy_bound_check(components: list[Grid1D], weights: list[float],
-                                tol: float = 1e-9,
                                 seed: int | None = None, *,
                                 convs: GroupEntropies | None = None) -> VerificationReport:
     """Check h(sum_i c_i f_i) <= sum_i c_i h(f_i) + H(c).
 
     All components must share a grid; both sides are exact sums, so the
-    default tolerance is tight.  Equality holds when components have
+    budget is the tight MIXTURE_TOL.  Equality holds when components have
     pairwise disjoint supports.  `convs` is the group's GroupEntropies
     when the caller already has it, with the components as its factors;
     h(f_i) is then read from the factor rows.
@@ -292,7 +291,7 @@ def mixture_entropy_bound_check(components: list[Grid1D], weights: list[float],
                         for wi, row in zip(w, convs.factors) if wi > 0.0)
     weight_entropy = float(-np.sum(w[w > 0.0] * np.log(w[w > 0.0])))
     rhs = comp_term + weight_entropy
-    return report_leq("mixture_entropy_bound", lhs, rhs, tol,
+    return report_leq("mixture_entropy_bound", lhs, rhs, MIXTURE_TOL,
                       params={"k": len(components),
                               "weight_entropy": weight_entropy},
                       seed=seed)

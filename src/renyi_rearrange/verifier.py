@@ -16,27 +16,46 @@ and log-Sobolev consequences.
 Budgets: identities that are exact for step densities are checked at
 machine-level budgets; anything downstream of a k-fold convolution gets
 eps_conv = EPS_CONV_FACTOR * dx * k (10 dx k); derivative-based
-functionals (Fisher) get a 1% relative budget.  Every budget is a
-constant of this module or of config, not a parameter: a suite run is
-sized by its SuiteConfig and nothing else.  Corpora are generated
-deterministically from the suite seed, so rerunning a configuration
-reproduces every report bit for bit.
+functionals (Fisher) get a 1% relative budget (FISHER_REL_TOL).  Every
+budget is a constant of config or a formula in dx and the values, not a
+parameter: a suite run is sized by its SuiteConfig and nothing else.
+Corpora are generated deterministically from the suite seed, so rerunning
+a configuration reproduces every report bit for bit.
 The main suite convolves each corpus group once, f1 * ... * fk and
 f1^* * ... * fk^*, and every check on that group reads those two values.
 It also reads the Renyi entropies of each density of the group (the two
 sums and the factors) once, at every order its checks use, and hands the
 checks that need only entropies those rows (a GroupEntropies).
+
+run_suite cuts the configured suites into independent units (chunks of
+the main suite's pairs and triples, its witnesses, each other suite
+whole) and runs them on forked workers, one per CPU in the affinity mask,
+or in the calling process on one CPU.  A unit builds its own groups from
+their derived seeds, and the reports are joined in unit order, so the
+JSON bytes do not depend on the worker count.  The pool costs a small run
+some 20-35 ms to start.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .config import EPS_CONV_FACTOR, eps_conv
+from .config import (
+    DIVERGENCE_TOL,
+    EPS_CONV_FACTOR,
+    FISHER_REL_TOL,
+    ISOPERIMETRIC_ABS_TOL,
+    L1_TOL,
+    LEVY_DIFFUSION_TOL,
+    MASS_TOL,
+    eps_conv,
+)
 from .errors import BadParameter, ConfigInvalid
 from .grids import (
     DensityGeneratorSpec,
@@ -146,7 +165,7 @@ def check_rbll(fs: Sequence[Grid1D],
         raise BadParameter("need at least one density")
     if k == 1:
         lhs, rhs = fs[0].mass, rearrange_1d(fs[0]).mass
-        tol = 1e-12
+        tol = MASS_TOL
     else:
         rest = convolve_k(list(fs[1:]))
         rest_star = convolve_k([rearrange_1d(f) for f in fs[1:]])
@@ -280,7 +299,7 @@ def check_divergence_contraction(f: Grid1D, g: Grid1D, alpha: float,
     lhs = renyi_divergence(f_star, g_star, alpha)
     rhs = renyi_divergence(f, g, alpha)
     return report_leq(f"divergence_contraction[alpha={alpha:g}]", lhs, rhs,
-                      1e-10, params={"alpha": alpha}, seed=seed)
+                      DIVERGENCE_TOL, params={"alpha": alpha}, seed=seed)
 
 
 def check_fisher_monotone(f: Grid1D,
@@ -288,7 +307,7 @@ def check_fisher_monotone(f: Grid1D,
     """I(f) >= I(f^*) with a 1% relative budget for the finite differences."""
     lhs = fisher_information(f)
     rhs = fisher_information(rearrange_1d(f))
-    tol = 0.01 * max(abs(lhs), abs(rhs))
+    tol = FISHER_REL_TOL * max(abs(lhs), abs(rhs))
     return report_geq("fisher_monotone", lhs, rhs, tol, params={}, seed=seed)
 
 
@@ -298,7 +317,7 @@ def check_isoperimetric(f: Grid1D,
     lhs = fisher_information(f)
     n_f = math.exp(2.0 * renyi_entropy(f, RenyiOrder.one())) / GAUSSIAN_ENTROPY_POWER
     rhs = 1.0 / n_f
-    tol = 0.01 * abs(rhs) + 1e-6
+    tol = FISHER_REL_TOL * abs(rhs) + ISOPERIMETRIC_ABS_TOL
     return report_geq("isoperimetric", lhs, rhs, tol,
                       params={"entropy_power": n_f}, seed=seed)
 
@@ -317,7 +336,7 @@ def check_log_sobolev(f: Grid1D,
     lhs = renyi_divergence(f, ref, 1.0)
     j = var * fisher_information(f) - 1.0
     rhs = 0.5 * j
-    tol = 0.01 * (1.0 + abs(rhs))
+    tol = FISHER_REL_TOL * (1.0 + abs(rhs))
     return report_leq("log_sobolev", lhs, rhs, tol,
                       params={"variance": var, "standardized_fisher": j},
                       seed=seed)
@@ -359,11 +378,13 @@ def _derived_seed(seed: int, stream: int, index: int) -> int:
     return int(np.random.SeedSequence((seed, stream, index)).generate_state(1)[0])
 
 
-def _corpus(config: SuiteConfig, stream: int, count: int, group: int,
+def _corpus(config: SuiteConfig, stream: int, indices: range, group: int,
             kinds: tuple[str, ...] = GENERATOR_KINDS) -> list[list[Grid1D]]:
-    """count groups of `group` densities each, deterministic in the seed."""
+    """Groups `indices` of `stream`, `group` densities each; group i depends
+    on the seed, the stream and i alone, so any range of a corpus can be
+    built apart from the rest."""
     out = []
-    for i in range(count):
+    for i in indices:
         batch = []
         for j in range(group):
             kind = kinds[(i * group + j) % len(kinds)]
@@ -389,13 +410,14 @@ def _row(f: Grid1D, orders: Sequence[float]) -> Row:
     return dict(zip(keys, renyi_entropies(f, keys)))
 
 
-def _run_main(config: SuiteConfig) -> list[VerificationReport]:
+_PHIS = (PhiSpec("xlogx"), PhiSpec("power", 2.0), PhiSpec("power", 0.5),
+         PhiSpec("hinge", 0.25))
+
+
+def _run_pairs(config: SuiteConfig, indices: range) -> list[VerificationReport]:
+    """The main suite's checks on pairs `indices` of its pair corpus."""
     reports: list[VerificationReport] = []
-    pair_corpus = _corpus(config, 1, config.pairs, 2)
-    triple_corpus = _corpus(config, 2, config.triples, 3)
-    phis = (PhiSpec("xlogx"), PhiSpec("power", 2.0), PhiSpec("power", 0.5),
-            PhiSpec("hinge", 0.25))
-    for i, fs in enumerate(pair_corpus):
+    for i, fs in zip(indices, _corpus(config, 1, indices, 2)):
         seed = _derived_seed(config.seed, 1, i)
         convs = _star_convolve(fs)
         rows = GroupEntropies(
@@ -406,14 +428,20 @@ def _run_main(config: SuiteConfig) -> list[VerificationReport]:
             reports.append(check_main_theorem(fs, p, seed=seed, convs=rows))
         reports.append(check_majorized_convolution(fs, seed=seed, convs=convs))
         reports.append(check_epi_chain(fs[0], fs[1], seed=seed, convs=rows))
-        reports.append(check_most_gen(fs, phis[i % len(phis)], seed=seed,
+        reports.append(check_most_gen(fs, _PHIS[i % len(_PHIS)], seed=seed,
                                       convs=convs))
         for p in _BOBKOV_ORDERS:
             reports.append(bobkov_chistyakov_bound_check(p, fs, seed=seed,
                                                          conv=rows))
         reports.append(mixture_entropy_bound_check(fs, [0.5, 0.5], seed=seed,
                                                    convs=rows))
-    for i, fs in enumerate(triple_corpus):
+    return reports
+
+
+def _run_triples(config: SuiteConfig, indices: range) -> list[VerificationReport]:
+    """The main suite's checks on triples `indices` of its triple corpus."""
+    reports: list[VerificationReport] = []
+    for i, fs in zip(indices, _corpus(config, 2, indices, 3)):
         seed = _derived_seed(config.seed, 2, i)
         convs = _star_convolve(fs)
         rows = GroupEntropies(conv=_row(convs[0], ORDERS),
@@ -421,11 +449,16 @@ def _run_main(config: SuiteConfig) -> list[VerificationReport]:
         for p in ORDERS:
             reports.append(check_main_theorem(fs, p, seed=seed, convs=rows))
         reports.append(check_majorized_convolution(fs, seed=seed, convs=convs))
+    return reports
+
+
+def _run_witnesses(config: SuiteConfig) -> list[VerificationReport]:
+    """The main suite's Gaussian EPI witness and Brunn-Minkowski pairs."""
     # equality witness: Gaussian factors make every link of the chain tight
     dx = 2.0 * HALFWIDTH / config.cells
     g1 = gaussian_on_grid(0.0, 0.9, -HALFWIDTH, dx, config.cells)
     g2 = gaussian_on_grid(0.3, 0.7, -HALFWIDTH, dx, config.cells)
-    reports.append(check_epi_chain(g1, g2, seed=config.seed))
+    reports = [check_epi_chain(g1, g2, seed=config.seed)]
     # Brunn-Minkowski instances on indicator unions
     for i in range(max(4, config.pairs // 2)):
         seed = _derived_seed(config.seed, 7, i)
@@ -451,21 +484,21 @@ def _indicator_pair(config: SuiteConfig, seed: int) -> tuple[Grid1D, Grid1D]:
 
 def _run_rbll(config: SuiteConfig) -> list[VerificationReport]:
     reports = []
-    for i, fs in enumerate(_corpus(config, 3, max(1, config.pairs // 2), 2)):
+    for i, fs in enumerate(_corpus(config, 3, range(max(1, config.pairs // 2)), 2)):
         seed = _derived_seed(config.seed, 3, i)
         reports.append(check_rbll(fs, seed=seed))
-    for i, fs in enumerate(_corpus(config, 4, max(1, config.triples // 2), 3)):
+    for i, fs in enumerate(_corpus(config, 4, range(max(1, config.triples // 2)), 3)):
         seed = _derived_seed(config.seed, 4, i)
         reports.append(check_rbll(fs, seed=seed))
     # degenerate k = 1: mass conservation under rearrangement
-    solo = _corpus(config, 5, 1, 1)[0]
+    solo = _corpus(config, 5, range(1), 1)[0]
     reports.append(check_rbll(solo, seed=_derived_seed(config.seed, 5, 0)))
     return reports
 
 
 def _run_divergence(config: SuiteConfig) -> list[VerificationReport]:
     reports = []
-    corpus = _corpus(config, 8, config.smooth_count, 2, kinds=_SMOOTH)
+    corpus = _corpus(config, 8, range(config.smooth_count), 2, kinds=_SMOOTH)
     for i, (f, g) in enumerate(corpus):
         seed = _derived_seed(config.seed, 8, i)
         for alpha in (0.3, 1.0):
@@ -473,7 +506,7 @@ def _run_divergence(config: SuiteConfig) -> list[VerificationReport]:
         # L1 contraction: ||f^* - g^*||_1 <= ||f - g||_1, exact on grids
         lhs = l1_distance(rearrange_1d(f), rearrange_1d(g))
         rhs = l1_distance(f, g)
-        reports.append(report_leq("l1_contraction", lhs, rhs, 1e-12, seed=seed))
+        reports.append(report_leq("l1_contraction", lhs, rhs, L1_TOL, seed=seed))
         # variance can only shrink; midpoint moments carry O(dx^2)
         v_tol = 0.5 * f.dx * f.dx
         reports.append(report_leq("variance_decrease",
@@ -484,7 +517,7 @@ def _run_divergence(config: SuiteConfig) -> list[VerificationReport]:
 
 def _run_fisher(config: SuiteConfig) -> list[VerificationReport]:
     reports = []
-    corpus = _corpus(config, 9, config.smooth_count, 1, kinds=_SMOOTH)
+    corpus = _corpus(config, 9, range(config.smooth_count), 1, kinds=_SMOOTH)
     for i, (f,) in enumerate(corpus):
         seed = _derived_seed(config.seed, 9, i)
         reports.append(check_fisher_monotone(f, seed=seed))
@@ -507,23 +540,79 @@ def _run_levy(config: SuiteConfig) -> list[VerificationReport]:
     spec0 = LevySpec(a=1.0, rate=0.0, jump=jump, t=1.0)
     h_x = renyi_entropy(marginal_density(spec0), 1.0)
     h_z = renyi_entropy(rearranged_marginal(spec0), 1.0)
-    reports.append(report_geq("levy_dominance[lambda=0]", h_x, h_z, 1e-3,
-                              params={"rate": 0.0}))
+    reports.append(report_geq("levy_dominance[lambda=0]", h_x, h_z,
+                              LEVY_DIFFUSION_TOL, params={"rate": 0.0}))
     return reports
 
 
-def run_suite(config: SuiteConfig) -> list[VerificationReport]:
-    """Run the configured suites and return their reports in a fixed order."""
-    config.validate()
+# the main suite's pair and triple corpora are cut into this many units
+# each, so that its work can be shared out over the workers
+_PAIR_UNITS = 8
+_TRIPLE_UNITS = 2
+
+
+def _chunks(count: int, parts: int) -> list[range]:
+    """range(count) cut into at most `parts` consecutive non-empty ranges."""
+    bounds = [count * k // parts for k in range(parts + 1)]
+    return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
+
+
+Unit = Callable[[], list[VerificationReport]]
+
+
+def _units(config: SuiteConfig) -> list[Unit]:
+    """The configured suites as independent units, in report order.
+
+    A unit carries only the config and an index range, and builds its own
+    corpus groups from their derived seeds, so it pickles small.
+    """
     runners: dict[str, Callable[[SuiteConfig], list[VerificationReport]]] = {
-        "main": _run_main,
         "rbll": _run_rbll,
         "divergence": _run_divergence,
         "fisher": _run_fisher,
         "levy": _run_levy,
     }
     selected = SUITES if config.suite == "all" else (config.suite,)
-    reports: list[VerificationReport] = []
+    units: list[Unit] = []
     for name in selected:
-        reports.extend(runners[name](config))
-    return reports
+        if name == "main":
+            units += [partial(_run_pairs, config, r)
+                      for r in _chunks(config.pairs, _PAIR_UNITS)]
+            units += [partial(_run_triples, config, r)
+                      for r in _chunks(config.triples, _TRIPLE_UNITS)]
+            units.append(partial(_run_witnesses, config))
+        else:
+            units.append(partial(runners[name], config))
+    return units
+
+
+def _run_unit(unit: Unit) -> list[VerificationReport]:
+    return unit()
+
+
+def run_suite(config: SuiteConfig) -> list[VerificationReport]:
+    """Run the configured suites and return their reports in a fixed order.
+
+    The units of _units run on a pool of forked workers, one per CPU in
+    this process's affinity mask (no more than there are units); with a
+    single worker they run here, one after another.  Reports are put
+    together in unit order, so they do not depend on the worker count.
+    An error raised in a worker is raised here with its class.
+    """
+    config.validate()
+    units = _units(config)
+    workers = min(len(os.sched_getaffinity(0)), len(units))
+    if workers < 2:
+        parts = list(map(_run_unit, units))
+    else:
+        # imported here, not at module level: a CLI start-up that runs no
+        # suite need not pay for it
+        import multiprocessing
+
+        # fork, not spawn: a forked worker starts with numpy and this
+        # package loaded, where a spawned one would import them again
+        # (some 0.2 s each, a third of an acceptance-size run); the
+        # package starts no threads that a fork could catch mid-work
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
+            parts = pool.map(_run_unit, units, chunksize=1)
+    return [rep for part in parts for rep in part]

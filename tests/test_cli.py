@@ -285,30 +285,38 @@ class TestEpigapCommand:
         assert rc == 1
 
 
-_LOADED_SCIPY = """
-import contextlib, io, json, sys
+# one CPU, so that a verify run happens in this interpreter and not in
+# forked workers whose imports it would not see
+_LOADED = """
+import contextlib, io, json, os, sys
+os.sched_getaffinity = lambda pid: {0}
 import renyi_rearrange.cli as cli
-if sys.argv[1:]:
+if sys.argv[2:]:
     with contextlib.redirect_stdout(io.StringIO()):
-        rc = cli.main(sys.argv[1:])
+        rc = cli.main(sys.argv[2:])
     assert rc == 0, rc
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == sys.argv[1])))
 """
 
 
-def _scipy_modules_after(argv):
-    """The scipy modules a fresh interpreter holds after running argv."""
+def _modules_after(package, argv):
+    """The modules of `package` a fresh interpreter holds after running argv."""
     src = os.path.dirname(os.path.dirname(renyi_rearrange.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    out = subprocess.run([sys.executable, "-c", _LOADED_SCIPY, *argv], env=env,
+    out = subprocess.run([sys.executable, "-c", _LOADED, package, *argv], env=env,
                          capture_output=True, text=True, check=True).stdout
     return json.loads(out.splitlines()[-1])
 
 
+def _scipy_modules_after(argv):
+    return _modules_after("scipy", argv)
+
+
 class TestStartup:
     """The CLI starts on numpy alone; scipy is loaded only for incomplete Beta
-    functions, and no command loads scipy.integrate."""
+    functions, no command loads scipy.integrate, and multiprocessing is
+    loaded only when verify starts its worker pool."""
 
     @pytest.mark.parametrize("argv", [
         [],
@@ -333,6 +341,10 @@ class TestStartup:
         loaded = _scipy_modules_after(argv)
         assert "scipy.special" in loaded
         assert not any(m.startswith("scipy.integrate") for m in loaded)
+
+    def test_import_loads_no_multiprocessing(self):
+        # verify imports it when it starts its worker pool, and no sooner
+        assert _modules_after("multiprocessing", []) == []
 
     def test_heavy_tailed_maximizer_loads_no_scipy_integrate(self):
         # its normalizer and tail mass are closed-form Beta functions

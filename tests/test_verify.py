@@ -1,5 +1,7 @@
 import json
 import math
+import multiprocessing
+import os
 import sys
 
 import numpy as np
@@ -8,10 +10,12 @@ import pytest
 from renyi_rearrange import (
     BadParameter,
     ConfigInvalid,
+    DensityError,
     DensityGeneratorSpec,
     GroupEntropies,
     PhiSpec,
     SuiteConfig,
+    ZeroMass,
     bobkov_chistyakov_bound_check,
     eps_conv,
     gaussian_on_grid,
@@ -23,6 +27,7 @@ from renyi_rearrange import (
     run_suite,
     summarize,
 )
+from renyi_rearrange import cli, verifier
 from renyi_rearrange.verifier import (
     HALFWIDTH,
     ORDERS,
@@ -240,6 +245,8 @@ class TestRunSuite:
         assert unseeded == []
 
     def test_main_suite_never_repeats_a_convolution(self, monkeypatch):
+        # one CPU: the suite runs in this process, where the recorder is
+        _cpus(monkeypatch, 1)
         # the package re-exports the function under the submodule's name
         original = sys.modules["renyi_rearrange.convolve"].convolve
         keys = []
@@ -261,6 +268,7 @@ class TestRunSuite:
     def test_main_suite_reads_each_density_once(self, monkeypatch):
         # every order a group's checks use comes out of one layer pass per
         # density: the sums, the factors, the mixture, the EPI witness
+        _cpus(monkeypatch, 1)
         original = sys.modules["renyi_rearrange.entropy"].renyi_entropies
         keys = []
 
@@ -278,6 +286,67 @@ class TestRunSuite:
         # the Gaussian EPI witness: two sums, two factors
         assert len(keys) == 4 * 5 + 2 * 2 + 4
         assert len(set(keys)) == len(keys)
+
+
+def _cpus(monkeypatch, n):
+    """Make run_suite see n CPUs in the affinity mask."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _pools_started(monkeypatch):
+    """The list of start methods of the pools run_suite makes from now on."""
+    started = []
+    original = multiprocessing.get_context
+
+    def get_context(method=None):
+        started.append(method)
+        return original(method)
+
+    monkeypatch.setattr(multiprocessing, "get_context", get_context)
+    return started
+
+
+class TestWorkerPool:
+    """The suite's units run on one forked worker per CPU, or in this process
+    on one CPU; the reports are the same either way."""
+
+    CONFIG = SuiteConfig(suite="all", seed=3, pairs=9, triples=3, smooth_count=2,
+                         cells=128)
+
+    def test_unit_ranges_cover_each_corpus_once(self):
+        units = verifier._units(SuiteConfig(pairs=9, triples=3))
+        pairs = [i for u in units if u.func is verifier._run_pairs for i in u.args[1]]
+        triples = [i for u in units if u.func is verifier._run_triples for i in u.args[1]]
+        assert pairs == list(range(9)) and triples == list(range(3))
+        assert len(units) == 8 + 2 + 1 + 4
+
+    def test_json_bytes_do_not_depend_on_the_worker_count(self, monkeypatch):
+        started = _pools_started(monkeypatch)
+        _cpus(monkeypatch, 2)
+        pooled = reports_to_json(run_suite(self.CONFIG))
+        assert started == ["fork"]
+        _cpus(monkeypatch, 1)
+        serial = reports_to_json(run_suite(self.CONFIG))
+        assert started == ["fork"]  # no pool for one worker
+        assert serial == pooled
+        assert json.loads(serial)["summary"]["failed"] == 0
+
+    def test_worker_error_reaches_the_parent_with_its_class(self, monkeypatch, capsys):
+        def no_mass(spec):
+            raise ZeroMass(f"no mass for seed {spec.seed}")
+
+        # patched before the fork, so every worker inherits it
+        monkeypatch.setattr(verifier, "random_density", no_mass)
+        _cpus(monkeypatch, 2)
+        started = _pools_started(monkeypatch)
+        with pytest.raises(DensityError) as excinfo:
+            run_suite(self.CONFIG)
+        assert excinfo.type is ZeroMass
+        assert started == ["fork"]
+        rc = cli.main(["verify", "--suite", "main", "--count", "4", "--cells", "64"])
+        assert rc == 2
+        assert "error: no mass for seed" in capsys.readouterr().err
+        assert started == ["fork", "fork"]
 
 
 def _kw(name, value):
