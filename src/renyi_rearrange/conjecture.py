@@ -25,9 +25,9 @@ from dataclasses import dataclass
 from .config import EPS_CONV_FACTOR
 from .errors import BadParameter, OrderOutOfRange, UnsupportedDimension
 from .grids import Grid1D
-from .convolve import convolve, convolve_k, resample, scale_density
+from .convolve import convolve, resample, scale_density
 from .densities import beta_of_p, generalized_gaussian
-from .entropy import GroupEntropies, RenyiOrder, entropy_power, renyi_entropy
+from .entropy import Group, RenyiOrder, entropy_power
 from .reports import VerificationReport, report_geq
 
 __all__ = [
@@ -119,35 +119,24 @@ def bobkov_constant(p: float, n: int = 1) -> float:
     return (1.0 / math.e) * p ** (1.0 / (p - 1.0))
 
 
-def bobkov_chistyakov_bound_check(p: float, densities: list[Grid1D],
-                                  seed: int | None = None, *,
-                                  conv: Grid1D | GroupEntropies | None = None
-                                  ) -> VerificationReport:
-    """Check N_p(X1 + ... + Xk) >= c_p sum_i N_p(Xi) on grid densities.
+def bobkov_chistyakov_bound_check(group: Group, p: float,
+                                  seed: int | None = None) -> VerificationReport:
+    """Check N_p(X1 + ... + Xk) >= c_p sum_i N_p(Xi) on the group's densities.
 
     This is the proven bound, so the report is a genuine verification
     (no conjecture label).  The tolerance scales like the entropy-power
-    image of the k-fold convolution budget.  `conv` is
-    ``convolve_k(densities)`` when the caller already has it, or
-    the group's GroupEntropies, whose `conv` and `factors` rows then give
-    h_p of the sum and of each X_i.
+    image of the k-fold convolution budget.  h_p of the sum and of each
+    X_i come from the group's rows, so p is one of FACTOR_ORDERS.
     """
-    if len(densities) < 2:
-        raise BadParameter("need at least two densities to add")
-    k = len(densities)
+    k = len(group.fs)
     c_p = bobkov_constant(p, 1)
     order = RenyiOrder.coerce(p)
-    if isinstance(conv, GroupEntropies):
-        h_sum, h_each = conv.conv[order], [row[order] for row in conv.factors]
-    else:
-        if conv is None:
-            conv = convolve_k(densities)
-        h_sum = renyi_entropy(conv, order)
-        h_each = [renyi_entropy(f, order) for f in densities]
+    h_sum = group.h_conv[order]
+    h_each = [row[order] for row in group.h_factors]
     # N_p = exp(2 h_p) in dimension one, as entropy_power(., p, 1) computes it
     lhs = math.exp(2.0 * h_sum)
     rhs = c_p * sum(math.exp(2.0 * h) for h in h_each)
-    dx = densities[0].dx
+    dx = group.fs[0].dx
     tol = max(2.0 * (lhs + rhs) * EPS_CONV_FACTOR * dx * k, 1e-9)
     return report_geq(f"bobkov_chistyakov[p={order.label()}]",
                       lhs, rhs, tol,

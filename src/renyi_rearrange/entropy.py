@@ -13,9 +13,13 @@ log space so that extreme orders (p = 1e-4 or 1e4) neither overflow nor
 underflow.  p = 1 is always computed directly from the Shannon sum,
 never as a numerical limit.  renyi_entropies(f, orders) evaluates several
 orders from one pass over the layers of f (one positive mask, one gather,
-at most one log), with the same bits as renyi_entropy order by order; a
-GroupEntropies holds such rows for the densities of one convolution group,
-so that every check on the group reads them instead of the densities.
+at most one log), with the same bits as renyi_entropy order by order.
+
+A Group is one convolution group f1, ..., fk: its sum f1 * ... * fk, the
+sum f1^* * ... * fk^* of its rearrangements, and a Row of Renyi entropies
+(one such pass) for each sum and each factor.  Each is computed the first
+time a check reads it and kept, so every check on the group shares them
+and a group's checks take the group as their only data.
 
 The entropy power of order p in dimension n is N_p(f) = exp(2 h_p(f)/n).
 
@@ -32,20 +36,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .config import FISHER_FLOOR_REL, MIXTURE_TOL
+from .convolve import convolve_k
 from .errors import BadParameter, OrderOutOfRange, WeightSum, ZeroMass
 from .grids import Grid1D, RadialDensity, require_same_grid
+from .rearrange import rearrange_1d
 from .reports import VerificationReport, report_leq
 
 __all__ = [
     "RenyiOrder",
     "renyi_entropy",
     "renyi_entropies",
-    "GroupEntropies",
+    "ORDERS",
+    "FACTOR_ORDERS",
+    "Group",
     "entropy_power",
     "renyi_divergence",
     "renyi_affinity",
@@ -102,7 +111,10 @@ class RenyiOrder:
             s = order.strip().lower()
             if s in ("inf", "infinity", "oo"):
                 return cls.infinity()
-            order = float(s)
+            try:
+                order = float(s)
+            except ValueError:
+                raise OrderOutOfRange(f"not a Renyi order: {order!r}") from None
         p = float(order)
         if p == 0.0:
             return cls.zero()
@@ -114,25 +126,6 @@ class RenyiOrder:
 
     def label(self) -> str:
         return {"zero": "0", "one": "1", "infinity": "inf"}.get(self.tag, repr(self.p))
-
-
-# h_p of one density, keyed by order
-Row = dict[RenyiOrder, float]
-
-
-@dataclass(frozen=True)
-class GroupEntropies:
-    """Renyi entropies of the densities of one convolution group.
-
-    Each row maps a RenyiOrder to h_p: `conv` for f1 * ... * fk,
-    `conv_star` for f1^* * ... * fk^*, and `factors[i]` for f_i.  The
-    checks that take one read their entropies from it instead of
-    computing them; a row missing an order a check needs raises KeyError.
-    """
-
-    conv: Row
-    conv_star: Row
-    factors: tuple[Row, ...] = ()
 
 
 def renyi_entropy(f: Density, order: RenyiOrder | float | str) -> float:
@@ -189,6 +182,72 @@ def _log_sum_exp(a: np.ndarray, b: np.ndarray) -> float:
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             out = np.log(np.sum(b * np.exp(a)))
     return float(out)
+
+
+# the orders of a Group's sum rows (those of the main theorem), and of its
+# factor rows (those of the Bobkov-Chistyakov bound, which include the h_1
+# of the EPI chain and the mixture bound)
+ORDERS: tuple[float, ...] = (0.0, 0.5, 1.0, 2.0, math.inf)
+FACTOR_ORDERS: tuple[float, ...] = (1.0, 2.0, math.inf)
+
+
+class Row(dict):
+    """h_p(f) at the given orders, from one renyi_entropies pass over f.
+
+    Looked up by any order RenyiOrder.coerce takes; an order outside the
+    row raises OrderOutOfRange.
+    """
+
+    def __init__(self, f: Density, orders: Sequence[RenyiOrder | float | str]) -> None:
+        keys = [RenyiOrder.coerce(p) for p in orders]
+        super().__init__(zip(keys, renyi_entropies(f, keys)))
+
+    def __getitem__(self, order: RenyiOrder | float | str) -> float:
+        order = RenyiOrder.coerce(order)
+        if order not in self:
+            raise OrderOutOfRange(
+                f"h_p at p={order.label()} is not in the row "
+                f"(orders {', '.join(o.label() for o in self)})")
+        return super().__getitem__(order)
+
+
+# eq=False: the densities hold arrays, so groups compare by identity
+@dataclass(frozen=True, eq=False)
+class Group:
+    """One convolution group f1, ..., fk (k >= 2) and what its checks read.
+
+    Every member is computed on first read and kept: `conv` is the left
+    fold f1 * ... * fk, `conv_star` the fold f1^* * ... * fk^*, `h_conv`
+    and `h_conv_star` their Rows at ORDERS, and `h_factors[i]` the Row of
+    f_i at FACTOR_ORDERS.  However many checks read a group, each sum is
+    convolved once and each density's layers are read once.
+    """
+
+    fs: tuple[Grid1D, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.fs) < 2:
+            raise BadParameter("a convolution group needs at least two densities")
+
+    @cached_property
+    def conv(self) -> Grid1D:
+        return convolve_k(self.fs)
+
+    @cached_property
+    def conv_star(self) -> Grid1D:
+        return convolve_k([rearrange_1d(f) for f in self.fs])
+
+    @cached_property
+    def h_conv(self) -> Row:
+        return Row(self.conv, ORDERS)
+
+    @cached_property
+    def h_conv_star(self) -> Row:
+        return Row(self.conv_star, ORDERS)
+
+    @cached_property
+    def h_factors(self) -> tuple[Row, ...]:
+        return tuple(Row(f, FACTOR_ORDERS) for f in self.fs)
 
 
 def entropy_power(f: Density, order: RenyiOrder | float | str, n: int | None = None) -> float:
@@ -258,40 +317,35 @@ def fisher_information(f: Grid1D) -> float:
     return float(np.sum(deriv[ok] ** 2 / center[ok]) * f.dx)
 
 
-def mixture_entropy_bound_check(components: list[Grid1D], weights: list[float],
-                                seed: int | None = None, *,
-                                convs: GroupEntropies | None = None) -> VerificationReport:
-    """Check h(sum_i c_i f_i) <= sum_i c_i h(f_i) + H(c).
+def mixture_entropy_bound_check(group: Group, weights: Sequence[float],
+                                seed: int | None = None) -> VerificationReport:
+    """Check h(sum_i c_i f_i) <= sum_i c_i h(f_i) + H(c) over the group's f_i.
 
     All components must share a grid; both sides are exact sums, so the
     budget is the tight MIXTURE_TOL.  Equality holds when components have
-    pairwise disjoint supports.  `convs` is the group's GroupEntropies
-    when the caller already has it, with the components as its factors;
-    h(f_i) is then read from the factor rows.
+    pairwise disjoint supports.  h(f_i) is read from the group's factor
+    rows; only the mixture itself is a new density.
     """
-    if len(components) == 0 or len(components) != len(weights):
+    fs = group.fs
+    if len(fs) != len(weights):
         raise WeightSum("need one weight per component")
     w = np.asarray(weights, dtype=float)
     if np.any(w < 0.0) or abs(w.sum() - 1.0) > 1e-9:
         raise WeightSum(f"weights must be nonnegative and sum to 1, got sum {w.sum()}")
-    base = components[0]
-    for c in components[1:]:
+    base = fs[0]
+    for c in fs[1:]:
         require_same_grid(base, c)
     mix_vals = np.zeros(base.n_cells)
-    for wi, c in zip(w, components):
+    for wi, c in zip(w, fs):
         mix_vals += wi * c.values
     mix = Grid1D(base.x0, base.dx, mix_vals)
     one = RenyiOrder.one()
     lhs = renyi_entropy(mix, one)
-    if convs is None:
-        comp_term = sum(wi * renyi_entropy(c, one)
-                        for wi, c in zip(w, components) if wi > 0.0)
-    else:
-        comp_term = sum(wi * row[one]
-                        for wi, row in zip(w, convs.factors) if wi > 0.0)
+    comp_term = sum(wi * row[one]
+                    for wi, row in zip(w, group.h_factors) if wi > 0.0)
     weight_entropy = float(-np.sum(w[w > 0.0] * np.log(w[w > 0.0])))
     rhs = comp_term + weight_entropy
     return report_leq("mixture_entropy_bound", lhs, rhs, MIXTURE_TOL,
-                      params={"k": len(components),
+                      params={"k": len(fs),
                               "weight_entropy": weight_entropy},
                       seed=seed)

@@ -417,8 +417,16 @@ def read_density_csv(path: str) -> Grid1D:
         for row in r:
             if not row:
                 continue
-            xs.append(float(row[0]))
-            vs.append(float(row[1]))
+            try:
+                x, v = float(row[0]), float(row[1])
+            except (IndexError, ValueError):
+                x = math.nan
+            # a NaN midpoint would pass the spacing test below
+            if not math.isfinite(x):
+                raise BadParameter(f"{path}: line {r.line_num}: expected numbers 'x,f' "
+                                   f"with x finite, got {','.join(row)!r}")
+            xs.append(x)
+            vs.append(v)
     if len(xs) == 0:
         raise EmptyGrid(f"{path}: no data rows")
     if len(xs) == 1:

@@ -20,8 +20,6 @@ breakpoints and at the other side's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .config import MAJ_TOL
@@ -32,8 +30,6 @@ __all__ = [
     "rearrange_1d",
     "rearrange_radial",
     "level_set_measure",
-    "LevelSetProfile",
-    "level_set_profile",
     "sorted_layers",
     "majorizes",
     "l1_distance",
@@ -82,35 +78,6 @@ def level_set_measure(f: Density, t: float) -> float:
     """Lebesgue measure of the super-level set {f > t}."""
     vals, meas = f.cells()
     return float(meas[vals > t].sum())
-
-
-@dataclass(frozen=True)
-class LevelSetProfile:
-    """Distribution function of a density: measures of {f > t}.
-
-    thresholds are strictly decreasing, measures correspondingly
-    nondecreasing; the pair is the complete rearrangement invariant of a
-    step density.
-    """
-
-    thresholds: np.ndarray
-    measures: np.ndarray
-
-
-def level_set_profile(f: Density) -> LevelSetProfile:
-    v, cell = sorted_layers(f)
-    w = np.cumsum(cell)
-    # keep the last occurrence of each distinct value: measure{f > t} for
-    # t just below that value
-    keep = np.concatenate((v[1:] != v[:-1], [True]))
-    thresholds = v[keep]
-    measures = w[keep]
-    pos = thresholds > 0.0
-    t = np.asarray(thresholds[pos], dtype=float)
-    m = np.asarray(measures[pos], dtype=float)
-    t.flags.writeable = False
-    m.flags.writeable = False
-    return LevelSetProfile(thresholds=t, measures=m)
 
 
 def sorted_layers(f: Density) -> tuple[np.ndarray, np.ndarray]:

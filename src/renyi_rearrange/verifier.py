@@ -21,11 +21,12 @@ budget is a constant of config or a formula in dx and the values, not a
 parameter: a suite run is sized by its SuiteConfig and nothing else.
 Corpora are generated deterministically from the suite seed, so rerunning
 a configuration reproduces every report bit for bit.
-The main suite convolves each corpus group once, f1 * ... * fk and
-f1^* * ... * fk^*, and every check on that group reads those two values.
-It also reads the Renyi entropies of each density of the group (the two
-sums and the factors) once, at every order its checks use, and hands the
-checks that need only entropies those rows (a GroupEntropies).
+The checks on a convolution group take the group as an entropy.Group and
+read everything from it: the sums f1 * ... * fk and f1^* * ... * fk^*
+and the Renyi entropies of the sums and the factors, each computed on
+first read and kept.  The main suite builds one Group per corpus group,
+so each sum is convolved once and each density's layers are read once
+however many checks run on it.
 
 run_suite cuts the configured suites into independent units (chunks of
 the main suite's pairs and triples, its witnesses, each other suite
@@ -67,13 +68,13 @@ from .grids import (
 from .convolve import convolve_k, project_onto
 from .densities import GAUSSIAN_ENTROPY_POWER, gaussian_on_grid
 from .entropy import (
-    GroupEntropies,
+    FACTOR_ORDERS,
+    ORDERS,
+    Group,
     RenyiOrder,
-    Row,
     fisher_information,
     mixture_entropy_bound_check,
     renyi_divergence,
-    renyi_entropies,
     renyi_entropy,
 )
 from .rearrange import l1_distance, majorizes, rearrange_1d
@@ -100,9 +101,7 @@ __all__ = [
 
 SUITES = ("main", "rbll", "divergence", "fisher", "levy")
 
-# the Renyi orders of the main-theorem checks, and the half width of every
-# generated grid
-ORDERS: tuple[float, ...] = (0.0, 0.5, 1.0, 2.0, math.inf)
+# the half width of every generated grid
 HALFWIDTH = 4.0
 
 
@@ -110,39 +109,19 @@ HALFWIDTH = 4.0
 # individual checks
 
 
-Convs = tuple[Grid1D, Grid1D]
-
-
-def _star_convolve(fs: Sequence[Grid1D]) -> Convs:
-    """(f1 * ... * fk, f1^* * ... * fk^*), both as left folds."""
-    conv = convolve_k(list(fs))
-    conv_star = convolve_k([rearrange_1d(f) for f in fs])
-    return conv, conv_star
-
-
-def check_main_theorem(fs: Sequence[Grid1D], order: RenyiOrder | float | str,
-                       seed: int | None = None, *,
-                       convs: Convs | GroupEntropies | None = None) -> VerificationReport:
+def check_main_theorem(group: Group, order: RenyiOrder | float | str,
+                       seed: int | None = None) -> VerificationReport:
     """h_p of a k-fold convolution never drops under rearranging the factors.
 
-    `convs` is ``_star_convolve(fs)`` when the caller already has it;
-    the same holds for the other convolution checks below.  The checks
-    that read only entropies (this one and the EPI chain) also take the
-    group's GroupEntropies there, and then read h_p from its rows.
+    Reads h_p of the group's two sums from its rows, so the order is one
+    of ORDERS.
     """
     order = RenyiOrder.coerce(order)
-    k = len(fs)
-    if k < 2:
-        raise BadParameter("need at least two densities")
-    if isinstance(convs, GroupEntropies):
-        lhs, rhs = convs.conv[order], convs.conv_star[order]
-    else:
-        conv, conv_star = _star_convolve(fs) if convs is None else convs
-        lhs = renyi_entropy(conv, order)
-        rhs = renyi_entropy(conv_star, order)
-    return report_geq(f"main_theorem[p={order.label()}]", lhs, rhs,
-                      eps_conv(fs[0].dx, k),
-                      params={"k": k, "order": order.label(), "dx": fs[0].dx},
+    k = len(group.fs)
+    return report_geq(f"main_theorem[p={order.label()}]",
+                      group.h_conv[order], group.h_conv_star[order],
+                      eps_conv(group.fs[0].dx, k),
+                      params={"k": k, "order": order.label(), "dx": group.fs[0].dx},
                       seed=seed)
 
 
@@ -213,14 +192,11 @@ class PhiSpec:
         return f"{self.kind}({self.param:g})"
 
 
-def check_most_gen(fs: Sequence[Grid1D], phi: PhiSpec,
-                   seed: int | None = None, *,
-                   convs: Convs | None = None) -> VerificationReport:
+def check_most_gen(group: Group, phi: PhiSpec,
+                   seed: int | None = None) -> VerificationReport:
     """int phi(f1 * ... * fk) <= int phi(f1^* * ... * fk^*) for convex phi."""
-    k = len(fs)
-    if k < 2:
-        raise BadParameter("need at least two densities")
-    conv, conv_star = _star_convolve(fs) if convs is None else convs
+    k = len(group.fs)
+    conv, conv_star = group.conv, group.conv_star
     lhs = float(np.sum(phi.apply(conv.values)) * conv.dx)
     rhs = float(np.sum(phi.apply(conv_star.values)) * conv_star.dx)
     # budget: the convolutions agree with the true step convolution to
@@ -234,20 +210,17 @@ def check_most_gen(fs: Sequence[Grid1D], phi: PhiSpec,
         lip = phi.param * vmax ** (phi.param - 1.0) if vmax > 0.0 else 1.0
     else:
         lip = 1.0
-    tol = eps_conv(fs[0].dx, k) * max(lip, 1.0)
+    tol = eps_conv(group.fs[0].dx, k) * max(lip, 1.0)
     return report_leq(f"most_gen[{phi.label()}]", lhs, rhs, tol,
                       params={"k": k, "phi": phi.label()}, seed=seed)
 
 
-def check_majorized_convolution(fs: Sequence[Grid1D],
-                                seed: int | None = None, *,
-                                convs: Convs | None = None) -> VerificationReport:
+def check_majorized_convolution(group: Group,
+                                seed: int | None = None) -> VerificationReport:
     """The convolution is majorized by the convolution of rearrangements."""
-    k = len(fs)
-    if k < 2:
-        raise BadParameter("need at least two densities")
-    conv, conv_star = _star_convolve(fs) if convs is None else convs
-    tol = EPS_CONV_FACTOR * fs[0].dx * max(conv.max_value, conv_star.max_value)
+    k = len(group.fs)
+    conv, conv_star = group.conv, group.conv_star
+    tol = EPS_CONV_FACTOR * group.fs[0].dx * max(conv.max_value, conv_star.max_value)
     ok, worst = majorizes(conv, conv_star, maj_tol=tol)
     return VerificationReport(
         name=f"majorized_convolution[k={k}]",
@@ -255,28 +228,24 @@ def check_majorized_convolution(fs: Sequence[Grid1D],
         params={"k": k}, seed=seed, status="pass" if ok else "fail")
 
 
-def check_epi_chain(f1: Grid1D, f2: Grid1D,
-                    seed: int | None = None, *,
-                    convs: Convs | GroupEntropies | None = None) -> VerificationReport:
+def check_epi_chain(group: Group, seed: int | None = None) -> VerificationReport:
     """Entropy chain h(f1*f2) >= h(f1^* * f2^*) >= Gaussian EPI bound.
 
-    sigma_i is the standard deviation of the Gaussian with the same
-    entropy as f_i (not the variance of f_i), so the final bound is the
-    Shannon-Stam lower bound 0.5 log(2 pi e (sigma_1^2 + sigma_2^2)).
-    Both links are reported; the margin is the smaller of the two.
+    The group is a pair.  sigma_i is the standard deviation of the
+    Gaussian with the same entropy as f_i (not the variance of f_i), so the
+    final bound is the Shannon-Stam lower bound
+    0.5 log(2 pi e (sigma_1^2 + sigma_2^2)).  Both links are reported; the
+    margin is the smaller of the two.
     """
+    if len(group.fs) != 2:
+        raise BadParameter(f"the EPI chain takes a pair, got {len(group.fs)} densities")
     one = RenyiOrder.one()
-    if isinstance(convs, GroupEntropies):
-        h_sum, h_star = convs.conv[one], convs.conv_star[one]
-        h1, h2 = (row[one] for row in convs.factors)
-    else:
-        conv, conv_star = _star_convolve((f1, f2)) if convs is None else convs
-        h_sum, h_star, h1, h2 = (renyi_entropy(d, one)
-                                 for d in (conv, conv_star, f1, f2))
+    h_sum, h_star = group.h_conv[one], group.h_conv_star[one]
+    h1, h2 = (row[one] for row in group.h_factors)
     s1 = math.exp(2.0 * h1) / GAUSSIAN_ENTROPY_POWER
     s2 = math.exp(2.0 * h2) / GAUSSIAN_ENTROPY_POWER
     bound = 0.5 * math.log(GAUSSIAN_ENTROPY_POWER * (s1 + s2))
-    tol = eps_conv(f1.dx, 2)
+    tol = eps_conv(group.fs[0].dx, 2)
     margin = min(h_sum - h_star, h_star - bound)
     passed = margin >= -tol
     return VerificationReport(
@@ -399,16 +368,6 @@ def _corpus(config: SuiteConfig, stream: int, indices: range, group: int,
 
 _SMOOTH = ("gaussian-mixture",)
 
-# orders of the Bobkov-Chistyakov checks, which read the sum and the factors
-# of a pair; they include the h_1 that the EPI chain and the mixture bound read
-_BOBKOV_ORDERS = (1.0, 2.0, math.inf)
-
-
-def _row(f: Grid1D, orders: Sequence[float]) -> Row:
-    """{order: h_p(f)} over the distinct orders, from one layer pass."""
-    keys = tuple(dict.fromkeys(RenyiOrder.coerce(p) for p in orders))
-    return dict(zip(keys, renyi_entropies(f, keys)))
-
 
 _PHIS = (PhiSpec("xlogx"), PhiSpec("power", 2.0), PhiSpec("power", 0.5),
          PhiSpec("hinge", 0.25))
@@ -419,22 +378,15 @@ def _run_pairs(config: SuiteConfig, indices: range) -> list[VerificationReport]:
     reports: list[VerificationReport] = []
     for i, fs in zip(indices, _corpus(config, 1, indices, 2)):
         seed = _derived_seed(config.seed, 1, i)
-        convs = _star_convolve(fs)
-        rows = GroupEntropies(
-            conv=_row(convs[0], (*ORDERS, *_BOBKOV_ORDERS)),
-            conv_star=_row(convs[1], (*ORDERS, 1.0)),
-            factors=tuple(_row(f, _BOBKOV_ORDERS) for f in fs))
+        group = Group(tuple(fs))
         for p in ORDERS:
-            reports.append(check_main_theorem(fs, p, seed=seed, convs=rows))
-        reports.append(check_majorized_convolution(fs, seed=seed, convs=convs))
-        reports.append(check_epi_chain(fs[0], fs[1], seed=seed, convs=rows))
-        reports.append(check_most_gen(fs, _PHIS[i % len(_PHIS)], seed=seed,
-                                      convs=convs))
-        for p in _BOBKOV_ORDERS:
-            reports.append(bobkov_chistyakov_bound_check(p, fs, seed=seed,
-                                                         conv=rows))
-        reports.append(mixture_entropy_bound_check(fs, [0.5, 0.5], seed=seed,
-                                                   convs=rows))
+            reports.append(check_main_theorem(group, p, seed=seed))
+        reports.append(check_majorized_convolution(group, seed=seed))
+        reports.append(check_epi_chain(group, seed=seed))
+        reports.append(check_most_gen(group, _PHIS[i % len(_PHIS)], seed=seed))
+        for p in FACTOR_ORDERS:
+            reports.append(bobkov_chistyakov_bound_check(group, p, seed=seed))
+        reports.append(mixture_entropy_bound_check(group, [0.5, 0.5], seed=seed))
     return reports
 
 
@@ -443,12 +395,10 @@ def _run_triples(config: SuiteConfig, indices: range) -> list[VerificationReport
     reports: list[VerificationReport] = []
     for i, fs in zip(indices, _corpus(config, 2, indices, 3)):
         seed = _derived_seed(config.seed, 2, i)
-        convs = _star_convolve(fs)
-        rows = GroupEntropies(conv=_row(convs[0], ORDERS),
-                              conv_star=_row(convs[1], ORDERS))
+        group = Group(tuple(fs))
         for p in ORDERS:
-            reports.append(check_main_theorem(fs, p, seed=seed, convs=rows))
-        reports.append(check_majorized_convolution(fs, seed=seed, convs=convs))
+            reports.append(check_main_theorem(group, p, seed=seed))
+        reports.append(check_majorized_convolution(group, seed=seed))
     return reports
 
 
@@ -458,7 +408,7 @@ def _run_witnesses(config: SuiteConfig) -> list[VerificationReport]:
     dx = 2.0 * HALFWIDTH / config.cells
     g1 = gaussian_on_grid(0.0, 0.9, -HALFWIDTH, dx, config.cells)
     g2 = gaussian_on_grid(0.3, 0.7, -HALFWIDTH, dx, config.cells)
-    reports = [check_epi_chain(g1, g2, seed=config.seed)]
+    reports = [check_epi_chain(Group((g1, g2)), seed=config.seed)]
     # Brunn-Minkowski instances on indicator unions
     for i in range(max(4, config.pairs // 2)):
         seed = _derived_seed(config.seed, 7, i)

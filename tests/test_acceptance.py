@@ -19,6 +19,7 @@ from renyi_rearrange import (
     DensityGeneratorSpec,
     GENERATOR_KINDS,
     Grid1D,
+    Group,
     LevySpec,
     SuiteConfig,
     ball_sum_entropy,
@@ -196,8 +197,8 @@ def test_criterion_07_epi_chain(main_suite):
     cells, hw = 2048, 4.0
     from renyi_rearrange import gaussian_on_grid
     dx = 2.0 * hw / cells
-    rep = check_epi_chain(gaussian_on_grid(0.0, 0.9, -hw, dx, cells),
-                          gaussian_on_grid(0.3, 0.7, -hw, dx, cells))
+    rep = check_epi_chain(Group((gaussian_on_grid(0.0, 0.9, -hw, dx, cells),
+                                 gaussian_on_grid(0.3, 0.7, -hw, dx, cells))))
     chain = (rep.params["h_sum"], rep.params["h_star"],
              rep.params["gaussian_bound"])
     spread = max(chain) - min(chain)
@@ -273,7 +274,7 @@ def test_criterion_11_bobkov_chistyakov(main_suite):
     if bad:
         failures.append(f"{len(bad)} failures")
     u = uniform_interval(-0.5, 0.5, cells=256)
-    rep = bobkov_chistyakov_bound_check(math.inf, [u, u])
+    rep = bobkov_chistyakov_bound_check(Group((u, u)), math.inf)
     if not rep.passed or abs(rep.lhs - rep.rhs) > 1e-3:
         failures.append(f"sup-norm equality off by {abs(rep.lhs - rep.rhs):.2e}")
     _verdict(11, failures)

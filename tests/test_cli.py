@@ -61,9 +61,19 @@ class TestEntropyCommand:
         assert "error:" in capsys.readouterr().err
 
     def test_bad_order_is_usage_error(self, uniform_csv, capsys):
-        rc = cli.main(["entropy", "--density", uniform_csv, "--order", "p=-3"])
+        for token in ("p=-3", "abc"):
+            rc = cli.main(["entropy", "--density", uniform_csv, "--order", token])
+            assert rc == 2
+            assert "error:" in capsys.readouterr().err
+
+    def test_malformed_csv_row_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_text("x,f\n0.0,1.0\nabc,1\n1.0,1.0\n")
+        rc = cli.main(["entropy", "--density", str(path), "--order", "1"])
         assert rc == 2
-        assert "error:" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
 
 
 class TestParserErrors:

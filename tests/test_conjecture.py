@@ -4,6 +4,7 @@ import pytest
 
 from renyi_rearrange import (
     CONJECTURE_LABEL,
+    Group,
     OrderOutOfRange,
     UnsupportedDimension,
     bobkov_chistyakov_bound_check,
@@ -101,7 +102,7 @@ class TestRatioLandscape:
 class TestBoundCheck:
     def test_sup_norm_equality_for_identical_uniforms(self):
         f = uniform_interval(-0.5, 0.5, cells=256)
-        rep = bobkov_chistyakov_bound_check(math.inf, [f, f])
+        rep = bobkov_chistyakov_bound_check(Group((f, f)), math.inf)
         assert rep.passed
         # N_inf(f + f) = 1 = (1/2)(N_inf + N_inf) exactly for this pair
         assert rep.lhs == pytest.approx(rep.rhs, abs=1e-3)
@@ -110,5 +111,5 @@ class TestBoundCheck:
     def test_holds_on_mixed_pair(self, p):
         f = uniform_interval(-1.0, 1.0, cells=256)
         g = uniform_interval(-0.25, 0.25, cells=64)
-        rep = bobkov_chistyakov_bound_check(p, [f, g])
+        rep = bobkov_chistyakov_bound_check(Group((f, g)), p)
         assert rep.passed

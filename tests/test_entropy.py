@@ -8,6 +8,7 @@ from renyi_rearrange import (
     DensityGeneratorSpec,
     GAUSSIAN_ENTROPY_POWER,
     GridMismatch,
+    Group,
     OrderOutOfRange,
     RenyiOrder,
     WeightSum,
@@ -42,7 +43,7 @@ class TestRenyiOrder:
         assert RenyiOrder.coerce(0.0).label() == "0"
         assert RenyiOrder.coerce("inf").label() == "inf"
 
-    @pytest.mark.parametrize("bad", [-1.0, -0.001, float("nan")])
+    @pytest.mark.parametrize("bad", [-1.0, -0.001, float("nan"), "abc", "p=x"])
     def test_rejects_bad_orders(self, bad):
         with pytest.raises(OrderOutOfRange):
             RenyiOrder.coerce(bad)
@@ -294,7 +295,7 @@ class TestMixtureBound:
         b[128:192] = 1.0  # uniform on [2, 3]
         f = make_grid(0.0, dx, a)
         g = make_grid(0.0, dx, b)
-        rep = mixture_entropy_bound_check([f, g], [0.5, 0.5])
+        rep = mixture_entropy_bound_check(Group((f, g)), [0.5, 0.5])
         assert rep.passed
         assert rep.margin == pytest.approx(0.0, abs=1e-12)
         assert rep.lhs == pytest.approx(math.log(2.0), abs=1e-12)
@@ -302,6 +303,6 @@ class TestMixtureBound:
     def test_weight_validation(self):
         f = uniform_interval(0.0, 1.0, cells=16)
         with pytest.raises(WeightSum):
-            mixture_entropy_bound_check([f, f], [0.7, 0.7])
+            mixture_entropy_bound_check(Group((f, f)), [0.7, 0.7])
         with pytest.raises(WeightSum):
-            mixture_entropy_bound_check([f, f], [1.5, -0.5])
+            mixture_entropy_bound_check(Group((f, f)), [1.5, -0.5])

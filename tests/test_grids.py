@@ -220,3 +220,10 @@ class TestCsvRoundTrip:
         path.write_text("x,f\n0.0,1.0\n1.0,1.0\n3.0,1.0\n")
         with pytest.raises(BadParameter):
             read_density_csv(path)
+
+    @pytest.mark.parametrize("row", ["abc,1", "0.5", "nan,1"])
+    def test_rejects_malformed_row(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"x,f\n0.0,1.0\n{row}\n1.0,1.0\n")
+        with pytest.raises(BadParameter, match=r"bad\.csv: line 3: "):
+            read_density_csv(path)

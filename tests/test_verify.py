@@ -12,8 +12,10 @@ from renyi_rearrange import (
     ConfigInvalid,
     DensityError,
     DensityGeneratorSpec,
-    GroupEntropies,
+    Group,
+    OrderOutOfRange,
     PhiSpec,
+    RenyiOrder,
     SuiteConfig,
     ZeroMass,
     bobkov_chistyakov_bound_check,
@@ -21,6 +23,7 @@ from renyi_rearrange import (
     gaussian_on_grid,
     mixture_entropy_bound_check,
     random_density,
+    renyi_entropies,
     report_geq,
     report_leq,
     reports_to_json,
@@ -28,11 +31,11 @@ from renyi_rearrange import (
     summarize,
 )
 from renyi_rearrange import cli, verifier
+from renyi_rearrange.convolve import convolve_k
+from renyi_rearrange.entropy import FACTOR_ORDERS, ORDERS
+from renyi_rearrange.rearrange import rearrange_1d
 from renyi_rearrange.verifier import (
     HALFWIDTH,
-    ORDERS,
-    _row,
-    _star_convolve,
     check_epi_chain,
     check_main_theorem,
     check_majorized_convolution,
@@ -134,17 +137,18 @@ class TestChecks:
         # a centered Gaussian is its own rearrangement, so the two sides
         # only differ through the resolution doubling
         g = _gauss(0.0, 1.0)
+        group = Group((g, g))
         for p in (0.0, 0.5, 1.0, 2.0, math.inf):
-            rep = check_main_theorem([g, g], p)
+            rep = check_main_theorem(group, p)
             assert rep.passed
             assert abs(rep.margin) < 1e-3
 
     def test_main_theorem_needs_two(self):
         with pytest.raises(BadParameter):
-            check_main_theorem([_gauss(0.0, 1.0)], 1.0)
+            check_main_theorem(Group((_gauss(0.0, 1.0),)), 1.0)
 
     def test_epi_chain_gaussians_tight(self):
-        rep = check_epi_chain(_gauss(0.0, 0.9), _gauss(0.3, 0.7))
+        rep = check_epi_chain(Group((_gauss(0.0, 0.9), _gauss(0.3, 0.7))))
         assert rep.passed
         h_sum = rep.params["h_sum"]
         h_star = rep.params["h_star"]
@@ -349,56 +353,65 @@ class TestWorkerPool:
         assert started == ["fork", "fork"]
 
 
-def _kw(name, value):
-    return {} if value is None else {name: value}
+_PHIS = (PhiSpec("xlogx"), PhiSpec("power", 2.0), PhiSpec("power", 0.5),
+         PhiSpec("hinge", 0.25))
 
 
-def _first(pre):
-    """The sum alone when `pre` is the (sum, rearranged sum) pair."""
-    return pre[0] if isinstance(pre, tuple) else pre
+def _group_checks(group):
+    """Every check that reads a convolution group, run on `group`."""
+    k = len(group.fs)
+    reports = [check_main_theorem(group, p) for p in ORDERS]
+    reports += [check_most_gen(group, phi) for phi in _PHIS]
+    reports.append(check_majorized_convolution(group))
+    reports += [bobkov_chistyakov_bound_check(group, p) for p in FACTOR_ORDERS]
+    reports.append(mixture_entropy_bound_check(group, [1.0 / k] * k))
+    if k == 2:
+        reports.append(check_epi_chain(group))
+    return [r.to_dict() for r in reports]
 
 
-# each check with the forms of precomputed input it takes: "convs" is
-# _star_convolve's pair, "rows" the group's GroupEntropies
-_CONV_CHECKS = [
-    *[(f"main_theorem[p={p:g}]", ("convs", "rows"),
-       lambda fs, pre, p=p: check_main_theorem(fs, p, **_kw("convs", pre)))
-      for p in (0.0, 0.5, 1.0, 2.0, math.inf)],
-    *[(f"most_gen[{phi.label()}]", ("convs",),
-       lambda fs, pre, phi=phi: check_most_gen(fs, phi, **_kw("convs", pre)))
-      for phi in (PhiSpec("xlogx"), PhiSpec("power", 2.0), PhiSpec("power", 0.5),
-                  PhiSpec("hinge", 0.25))],
-    ("majorized_convolution", ("convs",),
-     lambda fs, pre: check_majorized_convolution(fs, **_kw("convs", pre))),
-    ("epi_chain", ("convs", "rows"),
-     lambda fs, pre: check_epi_chain(*fs, **_kw("convs", pre))),
-    *[(f"bobkov_chistyakov[p={p:g}]", ("convs", "rows"),
-       lambda fs, pre, p=p: bobkov_chistyakov_bound_check(
-           p, fs, **_kw("conv", _first(pre))))
-      for p in (1.0, 2.0, math.inf)],
-    ("mixture_entropy_bound", ("rows",),
-     lambda fs, pre: mixture_entropy_bound_check(
-         fs, [1.0 / len(fs)] * len(fs), **_kw("convs", pre))),
-]
-
-
-@pytest.mark.parametrize("name, check, k, form", [
-    pytest.param(name, check, k, form,
-                 id=f"{name}-k{k}" + ("" if form == "convs" else f"-{form}"))
-    for name, forms, check in _CONV_CHECKS for k in (2, 3) for form in forms
-    if not (name == "epi_chain" and k == 3)  # the EPI chain takes a pair
-])
-def test_precomputed_convolutions_give_same_reports(name, check, k, form):
+@pytest.mark.parametrize("k", [2, 3])
+def test_group_computes_each_member_once(k, monkeypatch):
     kinds = ("spiky-piecewise", "uniform-mixture", "bimodal")
-    fs = [random_density(DensityGeneratorSpec(kind=kinds[j], seed=40 + j, cells=128))
-          for j in range(k)]
-    convs = _star_convolve(fs)
-    if form == "convs":
-        pre = convs
-    else:
-        pre = GroupEntropies(conv=_row(convs[0], ORDERS),
-                             conv_star=_row(convs[1], ORDERS),
-                             factors=tuple(_row(f, ORDERS) for f in fs))
-    with_pre = check(fs, pre).to_dict()
-    assert with_pre["name"].startswith(name.split("[")[0])
-    assert with_pre == check(fs, None).to_dict()
+    fs = tuple(random_density(DensityGeneratorSpec(kind=kinds[j], seed=40 + j, cells=128))
+               for j in range(k))
+    module = sys.modules["renyi_rearrange.convolve"]
+    original = module.convolve
+    calls = []
+
+    def recorder(f, g, *args, **kwargs):
+        calls.append((f, g))
+        return original(f, g, *args, **kwargs)
+
+    monkeypatch.setattr(module, "convolve", recorder)
+    group = Group(fs)
+    # the members are lazy: a triple's main-theorem checks compute no factor row
+    check_main_theorem(group, 1.0)
+    assert "h_factors" not in vars(group)
+    first = _group_checks(group)
+    assert _group_checks(group) == first
+    assert len(calls) == 2 * (k - 1)
+
+    # the members are the plain folds and passes, bit for bit
+    conv = convolve_k(list(fs))
+    conv_star = convolve_k([rearrange_1d(f) for f in fs])
+    for got, want in ((group.conv, conv), (group.conv_star, conv_star)):
+        assert (got.x0, got.dx, got.values.tobytes()) == (want.x0, want.dx,
+                                                          want.values.tobytes())
+
+    def row(f, orders):
+        return dict(zip(map(RenyiOrder.coerce, orders), renyi_entropies(f, orders)))
+
+    assert dict(group.h_conv) == row(conv, ORDERS)
+    assert dict(group.h_conv_star) == row(conv_star, ORDERS)
+    assert [dict(r) for r in group.h_factors] == [row(f, FACTOR_ORDERS) for f in fs]
+    assert group.h_conv["inf"] == group.h_conv[math.inf]
+
+    # an order outside a row is out of range for the checks that read it
+    with pytest.raises(OrderOutOfRange):
+        check_main_theorem(group, 3.0)
+    with pytest.raises(OrderOutOfRange):
+        bobkov_chistyakov_bound_check(group, 1.5)
+    if k == 3:
+        with pytest.raises(BadParameter):
+            check_epi_chain(group)
