@@ -415,3 +415,50 @@ def test_group_computes_each_member_once(k, monkeypatch):
     if k == 3:
         with pytest.raises(BadParameter):
             check_epi_chain(group)
+
+
+# each group check with the members it can find precomputed: "convs" is a
+# group whose conv and conv_star were read first, "rows" one whose entropy
+# rows were
+_CONV_CHECKS = [
+    *[(f"main_theorem[p={p:g}]", ("convs", "rows"),
+       lambda group, p=p: check_main_theorem(group, p)) for p in ORDERS],
+    *[(f"most_gen[{phi.label()}]", ("convs",),
+       lambda group, phi=phi: check_most_gen(group, phi)) for phi in _PHIS],
+    ("majorized_convolution", ("convs",), check_majorized_convolution),
+    ("epi_chain", ("convs", "rows"), check_epi_chain),
+    *[(f"bobkov_chistyakov[p={p:g}]", ("convs", "rows"),
+       lambda group, p=p: bobkov_chistyakov_bound_check(group, p)) for p in FACTOR_ORDERS],
+    ("mixture_entropy_bound", ("rows",),
+     lambda group: mixture_entropy_bound_check(group, [1.0 / len(group.fs)] * len(group.fs))),
+]
+
+
+@pytest.mark.parametrize("name, check, k, form", [
+    pytest.param(name, check, k, form,
+                 id=f"{name}-k{k}" + ("" if form == "convs" else f"-{form}"))
+    for name, forms, check in _CONV_CHECKS for k in (2, 3) for form in forms
+    if not (name == "epi_chain" and k == 3)  # the EPI chain takes a pair
+])
+def test_precomputed_convolutions_give_same_reports(name, check, k, form, monkeypatch):
+    kinds = ("spiky-piecewise", "uniform-mixture", "bimodal")
+    fs = tuple(random_density(DensityGeneratorSpec(kind=kinds[j], seed=40 + j, cells=128))
+               for j in range(k))
+    pre = Group(fs)
+    members = ("conv", "conv_star") if form == "convs" else ("h_conv", "h_conv_star", "h_factors")
+    for member in members:
+        getattr(pre, member)  # computed now and kept
+
+    module = sys.modules["renyi_rearrange.convolve"]
+    original = module.convolve
+    calls = []
+
+    def recorder(f, g, *args, **kwargs):
+        calls.append((f, g))
+        return original(f, g, *args, **kwargs)
+
+    monkeypatch.setattr(module, "convolve", recorder)
+    with_pre = check(pre).to_dict()
+    assert calls == []  # the check convolves nothing the group already holds
+    assert with_pre["name"].startswith(name.split("[")[0])
+    assert with_pre == check(Group(fs)).to_dict()
