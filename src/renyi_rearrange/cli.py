@@ -198,8 +198,8 @@ def _cmd_conjecture(args: argparse.Namespace) -> int:
         lo, hi, steps = float(lo_s), float(hi_s), int(steps_s)
     except ValueError as exc:
         raise DensityError(f"bad --landscape spec {args.landscape!r}") from exc
-    if steps < 2 or not (hi > lo > 0.0):
-        raise DensityError("landscape needs 0 < a1min < a1max and steps >= 2")
+    if steps < 2 or not (math.inf > hi > lo > 0.0):
+        raise DensityError("landscape needs 0 < a1min < a1max < inf and steps >= 2")
     scales = np.linspace(lo, hi, steps)
     grid = [(float(a1), float(a2)) for a1 in scales for a2 in scales]
     points = ratio_landscape(args.p, grid, cells=2048)

@@ -20,10 +20,12 @@ N_p(X1 + ... + Xk) >= c_p sum_i N_p(Xi) with c_p = (1/e) p^(1/(p-1)) for
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
-from .config import EPS_CONV_FACTOR
-from .errors import BadParameter, OrderOutOfRange, UnsupportedDimension
+from .config import EPS_CONV_FACTOR, LANDSCAPE_MAX_CELLS
+from .errors import (BadParameter, DensityOverflow, OrderOutOfRange,
+                     UnsupportedDimension)
 from .grids import Grid1D
 from .convolve import convolve, resample, scale_density
 from .densities import beta_of_p, generalized_gaussian
@@ -83,28 +85,43 @@ def ratio_landscape(p: float, a_grid: list[tuple[float, float]],
     Z1, Z2 are iid order-p maximizers.  The conjecture says the ratio is
     minimized on the diagonal a1 = a2, where it equals C_{p,1}; scaling
     both arguments leaves it invariant, and letting one scale vanish
-    drives it to 1.  Scaled copies are resampled onto a common spacing
-    before convolving (entropy powers of the factors are computed on
-    their own exact grids).
+    drives it to 1.  The ratio is symmetric in (a1, a2), so each unordered
+    pair is computed once, with the smaller scale as the first factor and
+    the larger one resampled onto its spacing, and a pair and its mirror
+    get the same float.  Entropy powers of the factors are computed on
+    their own exact grids.  A pair whose resampled grid would exceed
+    LANDSCAPE_MAX_CELLS is a BadParameter; entropy powers that leave the
+    normal float range are a DensityOverflow.
     """
     if p == 1.0 or math.isinf(p) or p <= 1.0 / 3.0:
         raise OrderOutOfRange(f"landscape needs finite p in (1/3, inf), p != 1, got {p}")
+    for a1, a2 in a_grid:
+        if not (0.0 < a1 < math.inf and 0.0 < a2 < math.inf):
+            raise BadParameter(f"scales must be positive and finite, got ({a1}, {a2})")
+        fine_cells = cells * (max(a1, a2) / min(a1, a2))
+        if fine_cells > LANDSCAPE_MAX_CELLS:
+            raise BadParameter(
+                f"scales ({a1}, {a2}) would resample onto {fine_cells:.0f} cells, "
+                f"more than LANDSCAPE_MAX_CELLS = {LANDSCAPE_MAX_CELLS}")
     base = _maximizer_1d(p, cells)
     n_base = entropy_power(base, p, 1)
+    ratios: dict[tuple[float, float], float] = {}
     out: list[LandscapePoint] = []
     for a1, a2 in a_grid:
-        if not (a1 > 0.0 and a2 > 0.0):
-            raise BadParameter(f"scales must be positive, got ({a1}, {a2})")
-        f1 = scale_density(base, a1)
-        f2 = scale_density(base, a2)
-        dx = min(f1.dx, f2.dx)
-        if f1.dx > dx * (1.0 + 1e-12):
-            f1 = resample(f1, dx)
-        if f2.dx > dx * (1.0 + 1e-12):
-            f2 = resample(f2, dx)
-        num = entropy_power(convolve(f1, f2), p, 1)
-        den = (a1 * a1 + a2 * a2) * n_base  # exact scaling of the factors
-        out.append(LandscapePoint(a1=a1, a2=a2, ratio=num / den))
+        lo, hi = min(a1, a2), max(a1, a2)
+        if (lo, hi) not in ratios:
+            den = (lo * lo + hi * hi) * n_base  # exact scaling of the factors
+            # a subnormal sum has lost digits the ratio would silently lack
+            if not (sys.float_info.min <= den < math.inf):
+                raise DensityOverflow(
+                    f"N_p(a1 Z1) + N_p(a2 Z2) is {den} at scales ({a1}, {a2}), "
+                    "outside the normal float range")
+            small = scale_density(base, lo)
+            large = scale_density(base, hi)
+            if large.dx > small.dx * (1.0 + 1e-12):
+                large = resample(large, small.dx)
+            ratios[lo, hi] = entropy_power(convolve(small, large), p, 1) / den
+        out.append(LandscapePoint(a1=a1, a2=a2, ratio=ratios[lo, hi]))
     return out
 
 

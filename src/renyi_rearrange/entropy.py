@@ -43,7 +43,7 @@ import numpy as np
 
 from .config import FISHER_FLOOR_REL, MIXTURE_TOL
 from .convolve import convolve_k
-from .errors import BadParameter, OrderOutOfRange, WeightSum, ZeroMass
+from .errors import BadParameter, DensityOverflow, OrderOutOfRange, WeightSum, ZeroMass
 from .grids import Grid1D, RadialDensity, require_same_grid
 from .rearrange import rearrange_1d
 from .reports import VerificationReport, report_leq
@@ -257,7 +257,11 @@ def entropy_power(f: Density, order: RenyiOrder | float | str, n: int | None = N
     if n < 1:
         raise BadParameter(f"dimension must be >= 1, got {n}")
     h = renyi_entropy(f, order)
-    return float(math.exp(2.0 * h / n))
+    try:
+        return math.exp(2.0 * h / n)
+    except OverflowError:
+        raise DensityOverflow(
+            f"entropy power exp(2 h / n) overflows a float at h = {h}, n = {n}") from None
 
 
 def renyi_affinity(f: Grid1D, g: Grid1D, alpha: float) -> float:

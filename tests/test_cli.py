@@ -181,6 +181,31 @@ class TestConjectureCommand:
         rc = cli.main(["conjecture", "--p", "2.0", "--landscape", "1:2"])
         assert rc == 2
 
+    @pytest.mark.parametrize("spec", ["1e200:2e200:2", "1e-200:2e-200:2"])
+    def test_landscape_entropy_power_past_the_float_range(self, spec, capsys):
+        rc = cli.main(["conjecture", "--p", "2.0", "--landscape", spec])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: N_p(a1 Z1) + N_p(a2 Z2) is ")
+
+    def test_landscape_scale_ratio_past_the_cell_bound(self, capsys, monkeypatch):
+        def no_resample(*args):
+            raise AssertionError("resample ran for a refused pair")
+
+        monkeypatch.setattr(renyi_rearrange.conjecture, "resample", no_resample)
+        rc = cli.main(["conjecture", "--p", "2.0", "--landscape", "1e-6:1:3"])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert "would resample onto 1024001024 cells" in err[0]
+
+    def test_infinite_landscape_bound(self, capsys):
+        rc = cli.main(["conjecture", "--p", "2.0", "--landscape", "0.5:inf:3"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: landscape needs 0 < a1min < a1max < inf and steps >= 2\n")
+
     def test_nan_order_is_usage_error(self, capsys):
         rc = cli.main(["conjecture", "--p", "nan"])
         assert rc == 2

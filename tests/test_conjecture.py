@@ -1,9 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 
+import renyi_rearrange.conjecture as conjecture
 from renyi_rearrange import (
     CONJECTURE_LABEL,
+    BadParameter,
+    DensityOverflow,
     Group,
     OrderOutOfRange,
     UnsupportedDimension,
@@ -79,7 +83,67 @@ class TestRatioLandscape:
 
     def test_symmetric_in_scales(self):
         a, b = ratio_landscape(2.0, [(0.8, 1.3), (1.3, 0.8)], cells=512)
-        assert a.ratio == pytest.approx(b.ratio, rel=1e-10)
+        assert a.ratio == b.ratio
+
+    def test_mirrored_pairs_get_the_same_float(self):
+        scales = [float(a) for a in np.linspace(0.3, 3.0, 12)]
+        grid = [(a1, a2) for a1 in scales for a2 in scales]
+        points = ratio_landscape(3.5, grid, cells=2048)
+        ratio = {(pt.a1, pt.a2): pt.ratio for pt in points}
+        assert [(pt.a1, pt.a2) for pt in points] == grid
+        assert all(ratio[a1, a2] == ratio[a2, a1] for a1, a2 in grid)
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_one_convolution_per_unordered_pair(self, k, monkeypatch):
+        calls = []
+        real = conjecture.convolve
+
+        def counting(f, g):
+            calls.append((f.dx, g.dx))
+            return real(f, g)
+
+        monkeypatch.setattr(conjecture, "convolve", counting)
+        scales = [0.5 + 0.25 * i for i in range(k)]
+        ratio_landscape(2.0, [(a1, a2) for a1 in scales for a2 in scales],
+                        cells=256)
+        assert len(calls) == k * (k + 1) // 2
+        # the smaller scale, with the finer spacing, is the first factor
+        assert all(dx_f <= dx_g for dx_f, dx_g in calls)
+
+    def test_far_apart_scales_are_refused_before_resampling(self, monkeypatch):
+        def no_resample(*args):
+            raise AssertionError("resample ran for a refused pair")
+
+        monkeypatch.setattr(conjecture, "resample", no_resample)
+        # 2048 * 1e6 cells would be 16 GB of float64
+        with pytest.raises(BadParameter, match=r"\(1e-06, 1.0\) would resample "
+                                               r"onto 2048000000 cells"):
+            ratio_landscape(2.0, [(1.0, 1.0), (1e-6, 1.0)], cells=2048)
+        # a scale ratio past the float range is refused too
+        with pytest.raises(BadParameter, match="onto inf cells"):
+            ratio_landscape(2.0, [(1.0, 5e-324)], cells=2048)
+
+    def test_cell_bound_admits_a_thousandfold_ratio(self, monkeypatch):
+        class Reached(Exception):
+            pass
+
+        def stop(f, dx_new):
+            raise Reached(round(f.n_cells * f.dx / dx_new))
+
+        monkeypatch.setattr(conjecture, "resample", stop)
+        with pytest.raises(Reached, match="^2048000$"):
+            ratio_landscape(2.0, [(0.001, 1.0)], cells=2048)
+
+    @pytest.mark.parametrize("scale", [1e154, 1e-155])
+    def test_entropy_powers_outside_the_float_range(self, scale):
+        with pytest.raises(DensityOverflow, match="outside the normal float range"):
+            ratio_landscape(2.0, [(scale, 2.0 * scale)], cells=256)
+
+    @pytest.mark.parametrize("pair", [(0.0, 1.0), (1.0, -1.0), (math.inf, 1.0),
+                                      (1.0, math.nan)])
+    def test_rejects_bad_scales(self, pair):
+        with pytest.raises(BadParameter, match="positive and finite"):
+            ratio_landscape(2.0, [(1.0, 1.0), pair], cells=256)
 
     def test_degenerate_scale_tends_to_one(self):
         # one vanishing summand: N_p(a1 Z + a2 Z') -> a1^2 N_p(Z)

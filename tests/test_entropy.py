@@ -6,6 +6,7 @@ from scipy.special import logsumexp
 
 from renyi_rearrange import (
     DensityGeneratorSpec,
+    DensityOverflow,
     GAUSSIAN_ENTROPY_POWER,
     GridMismatch,
     Group,
@@ -86,6 +87,13 @@ class TestGaussianAnchors:
         g2 = gaussian(0.0, 2.0)
         assert entropy_power(g2, 1.0) == pytest.approx(
             4.0 * entropy_power(g1, 1.0), rel=1e-8)
+
+    def test_entropy_power_past_the_float_range(self):
+        # uniform on a width-1e200 interval: N_p = 1e400 for every p
+        wide = make_grid(0.0, 1e200, [1e-200])
+        assert renyi_entropy(wide, 2.0) == pytest.approx(200.0 * math.log(10.0))
+        with pytest.raises(DensityOverflow, match="overflows a float"):
+            entropy_power(wide, 2.0)
 
 
 class TestOrderStructure:
