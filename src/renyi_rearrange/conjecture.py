@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from .config import EPS_CONV_FACTOR, LANDSCAPE_MAX_CELLS
 from .errors import (BadParameter, DensityOverflow, OrderOutOfRange,
                      UnsupportedDimension)
-from .grids import Grid1D
+from .grids import Grid1D, same_spacing
 from .convolve import convolve, resample, scale_density
 from .densities import beta_of_p, generalized_gaussian
 from .entropy import Group, RenyiOrder, entropy_power
@@ -118,7 +118,7 @@ def ratio_landscape(p: float, a_grid: list[tuple[float, float]],
                     "outside the normal float range")
             small = scale_density(base, lo)
             large = scale_density(base, hi)
-            if large.dx > small.dx * (1.0 + 1e-12):
+            if not same_spacing(small, large):
                 large = resample(large, small.dx)
             ratios[lo, hi] = entropy_power(convolve(small, large), p, 1) / den
         out.append(LandscapePoint(a1=a1, a2=a2, ratio=ratios[lo, hi]))

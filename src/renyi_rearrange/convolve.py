@@ -48,16 +48,13 @@ import numpy as np
 
 from .config import FFT_THRESHOLD
 from .errors import BadParameter, NonPositiveSpacing, SpacingMismatch
-from .grids import Grid1D, same_spacing
+from .grids import Grid1D, half_cell_offset, same_spacing
 
 __all__ = [
     "convolve", "convolve_series", "convolve_k", "scale_density", "resample", "project_onto",
 ]
 
 _TINY = np.finfo(float).tiny
-# how far, in half cells, the second factor of a series may start from a
-# multiple of dx/2
-_HALF_CELL_TOL = 2e-9
 
 Runs = tuple[np.ndarray, np.ndarray]
 
@@ -165,7 +162,6 @@ def convolve(f: Grid1D, g: Grid1D, method: str | None = None) -> Grid1D:
         w = _conv_weights(f.values[a0:ef[-1]] * dx, g.values[b0:eg[-1]] * dx,
                           (sf - a0, ef - a0), (sg - b0, eg - b0), force=method)
         np.divide(w, dx, out=vals[a0 + b0:a0 + b0 + w.size])
-    vals.flags.writeable = False
     return Grid1D(x0=f.x0 + g.x0 + 0.5 * dx, dx=dx, values=vals)
 
 
@@ -195,13 +191,11 @@ def convolve_series(f: Grid1D, g: Grid1D, weights: Sequence[float]) -> Grid1D:
         raise BadParameter("convolve_series needs nonnegative weights, one of them positive")
     dx = f.dx
     if len(weights) == 1:
-        vals = np.repeat(f.values, 2) * weights[0]
-        vals.flags.writeable = False
-        return Grid1D(x0=f.x0, dx=0.5 * dx, values=vals)
-    half_cells = 2.0 * g.x0 / dx
-    if abs(half_cells - round(half_cells)) > _HALF_CELL_TOL:
+        return Grid1D(x0=f.x0, dx=0.5 * dx, values=np.repeat(f.values, 2) * weights[0])
+    half_cells = half_cell_offset(g)
+    if half_cells is None:
         raise BadParameter(f"second factor starts at x0={g.x0}, not a multiple of dx/2")
-    h = round(half_cells) + 1  # half cells from one term's first cell to the next's
+    h = half_cells + 1  # half cells from one term's first cell to the next's
     n_f, n_g, k_max = f.n_cells, g.n_cells, len(weights) - 1
     lo = min(0, k_max * h)  # the output's first half cell, from f's
     n_out = max(2 * n_f, 2 * n_f + k_max * (h + 2 * n_g - 2)) - lo
@@ -230,7 +224,6 @@ def convolve_series(f: Grid1D, g: Grid1D, weights: Sequence[float]) -> Grid1D:
     vals[1:] += vals[:-1].copy()
     np.maximum(vals, _TINY, out=vals)
     vals[~support] = 0.0
-    vals.flags.writeable = False
     return Grid1D(x0=f.x0 + min(0.0, k_max * (g.x0 + 0.5 * dx)), dx=0.5 * dx, values=vals)
 
 
@@ -252,9 +245,7 @@ def scale_density(f: Grid1D, s: float) -> Grid1D:
     """
     if not (s > 0.0) or not math.isfinite(s):
         raise BadParameter(f"scale factor must be positive and finite, got {s}")
-    vals = f.values / s
-    vals.flags.writeable = False
-    return Grid1D(x0=f.x0 * s, dx=f.dx * s, values=vals)
+    return Grid1D(x0=f.x0 * s, dx=f.dx * s, values=f.values / s)
 
 
 def project_onto(f: Grid1D, x0: float, dx: float, n_cells: int) -> Grid1D:
@@ -274,7 +265,6 @@ def project_onto(f: Grid1D, x0: float, dx: float, n_cells: int) -> Grid1D:
     cum_at = np.interp(tgt_edges, f.edges, cum, left=0.0, right=cum[-1])
     vals = np.diff(cum_at) / dx
     np.maximum(vals, 0.0, out=vals)
-    vals.flags.writeable = False
     return Grid1D(x0=float(x0), dx=float(dx), values=vals)
 
 

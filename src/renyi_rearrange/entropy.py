@@ -35,6 +35,7 @@ since the rearrangement contraction is most naturally stated for it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -251,17 +252,23 @@ class Group:
 
 
 def entropy_power(f: Density, order: RenyiOrder | float | str, n: int | None = None) -> float:
-    """Entropy power N_p(f) = exp(2 h_p(f) / n)."""
+    """Entropy power N_p(f) = exp(2 h_p(f) / n); DensityOverflow outside
+    the normal float range, where a result would have lost its digits."""
     if n is None:
         n = 1 if isinstance(f, Grid1D) else f.dim
     if n < 1:
         raise BadParameter(f"dimension must be >= 1, got {n}")
     h = renyi_entropy(f, order)
     try:
-        return math.exp(2.0 * h / n)
+        power = math.exp(2.0 * h / n)
     except OverflowError:
         raise DensityOverflow(
             f"entropy power exp(2 h / n) overflows a float at h = {h}, n = {n}") from None
+    if power < sys.float_info.min:
+        raise DensityOverflow(
+            f"entropy power exp(2 h / n) is {power}, below the normal float range, "
+            f"at h = {h}, n = {n}")
+    return power
 
 
 def renyi_affinity(f: Grid1D, g: Grid1D, alpha: float) -> float:

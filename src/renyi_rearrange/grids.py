@@ -16,6 +16,12 @@ why non-uniform boundaries are allowed).
 
 Moments use the midpoint rule, which is exact for the zeroth and first
 moment of a step density and carries an O(dx^2) error for k >= 2.
+
+The grid contract lives here.  A density owns its arrays and makes them
+read-only, copying a view so that no writable base stays reachable
+(make_grid and make_radial copy caller data once), so entropy.Group may
+cache what it computes from one.  Spacings agree to one part in 1e12
+(same_spacing), and half_cell_offset alone tests half-cell alignment.
 """
 
 from __future__ import annotations
@@ -71,10 +77,11 @@ def shell_volume(n: int, j: int, dr: float) -> float:
     return unit_ball_volume(n) * (float(j + 1) ** n - float(j) ** n) * dr**n
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    out = np.asarray(a, dtype=float).copy()
-    out.flags.writeable = False
-    return out
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """a made read-only in place, or a read-only copy when a is a view."""
+    a = a if a.base is None else a.copy()
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -88,12 +95,15 @@ class Grid1D:
     dx : float
         Cell width, strictly positive.
     values : np.ndarray
-        Nonnegative density values, one per cell.  Stored read-only.
+        Nonnegative density values, one per cell.  Owned, read-only.
     """
 
     x0: float
     dx: float
     values: np.ndarray
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "values", _frozen(self.values))
 
     @property
     def n_cells(self) -> int:
@@ -133,8 +143,8 @@ def make_grid(x0: float, dx: float, values: Iterable[float]) -> Grid1D:
     """
     if not (dx > 0.0) or not math.isfinite(dx):
         raise NonPositiveSpacing(f"dx must be positive and finite, got {dx}")
-    vals = np.asarray(list(values) if not isinstance(values, np.ndarray) else values,
-                      dtype=float)
+    vals = np.array(list(values) if not isinstance(values, np.ndarray) else values,
+                    dtype=float)
     if vals.ndim != 1 or vals.size == 0:
         raise EmptyGrid("grid needs at least one cell")
     if not np.all(np.isfinite(vals)):
@@ -142,15 +152,22 @@ def make_grid(x0: float, dx: float, values: Iterable[float]) -> Grid1D:
     if np.any(vals < 0.0):
         worst = float(vals.min())
         raise NegativeValue(f"grid values must be nonnegative, min={worst}")
-    return Grid1D(x0=float(x0), dx=float(dx), values=_readonly(vals))
+    return Grid1D(x0=float(x0), dx=float(dx), values=vals)
 
-
-# The grid-compatibility rule: spacings agree to one part in 1e12, and
-# grids that must coincide also share their cell count and, to 1e-9 of a
-# cell, their origin.
 
 def same_spacing(f: Grid1D, g: Grid1D) -> bool:
     return abs(f.dx - g.dx) <= 1e-12 * f.dx
+
+
+# how far, in half cells, an origin may sit from a multiple of dx/2
+_HALF_CELL_TOL = 2e-9
+
+
+def half_cell_offset(f: Grid1D) -> int | None:
+    """x0 in half cells, 2 x0 / dx, when whole to _HALF_CELL_TOL, else None."""
+    half_cells = 2.0 * f.x0 / f.dx
+    nearest = round(half_cells)
+    return nearest if abs(half_cells - nearest) <= _HALF_CELL_TOL else None
 
 
 def require_same_grid(f: Grid1D, g: Grid1D) -> None:
@@ -168,13 +185,18 @@ class RadialDensity:
 
     ``profile[j]`` holds on the shell between ``boundaries[j]`` and
     ``boundaries[j+1]``.  With ``radii=None`` the boundaries are the
-    uniform sequence ``j*dr``.
+    uniform sequence ``j*dr``.  `profile` and `radii` are owned, read-only.
     """
 
     dim: int
     dr: float
     profile: np.ndarray
     radii: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "profile", _frozen(self.profile))
+        if self.radii is not None:
+            object.__setattr__(self, "radii", _frozen(self.radii))
 
     @property
     def n_shells(self) -> int:
@@ -215,21 +237,20 @@ def make_radial(dim: int, dr: float, profile: Iterable[float],
         raise BadParameter(f"dimension must be a positive integer, got {dim}")
     if not (dr > 0.0) or not math.isfinite(dr):
         raise NonPositiveSpacing(f"dr must be positive and finite, got {dr}")
-    prof = np.asarray(list(profile) if not isinstance(profile, np.ndarray) else profile,
-                      dtype=float)
+    prof = np.array(list(profile) if not isinstance(profile, np.ndarray) else profile,
+                    dtype=float)
     if prof.ndim != 1 or prof.size == 0:
         raise EmptyGrid("radial density needs at least one shell")
     if np.any(~np.isfinite(prof)) or np.any(prof < 0.0):
         raise NegativeValue("profile values must be finite and nonnegative")
     r = None
     if radii is not None:
-        r = np.asarray(radii, dtype=float)
+        r = np.array(radii, dtype=float)
         if r.shape != (prof.size + 1,):
             raise BadParameter("radii must have length len(profile)+1")
         if r[0] != 0.0 or np.any(np.diff(r) <= 0.0):
             raise BadParameter("radii must start at 0 and increase strictly")
-        r = _readonly(r)
-    return RadialDensity(dim=int(dim), dr=float(dr), profile=_readonly(prof), radii=r)
+    return RadialDensity(dim=int(dim), dr=float(dr), profile=prof, radii=r)
 
 
 def normalize(f: Grid1D | RadialDensity) -> "Grid1D | RadialDensity":
@@ -238,8 +259,8 @@ def normalize(f: Grid1D | RadialDensity) -> "Grid1D | RadialDensity":
     if not (m > 0.0):
         raise ZeroMass(f"total mass is {m}")
     if isinstance(f, Grid1D):
-        return Grid1D(f.x0, f.dx, _readonly(f.values / m))
-    return RadialDensity(f.dim, f.dr, _readonly(f.profile / m), f.radii)
+        return Grid1D(f.x0, f.dx, f.values / m)
+    return RadialDensity(f.dim, f.dr, f.profile / m, f.radii)
 
 
 def moment(f: Grid1D, k: int) -> float:
@@ -262,7 +283,7 @@ def refine(f: Grid1D, factor: int) -> Grid1D:
     """Split every cell into `factor` equal sub-cells (exact as a function)."""
     if factor < 1 or int(factor) != factor:
         raise BadParameter("refinement factor must be a positive integer")
-    return Grid1D(f.x0, f.dx / factor, _readonly(np.repeat(f.values, factor)))
+    return Grid1D(f.x0, f.dx / factor, np.repeat(f.values, factor))
 
 
 def _asymmetry(f: Grid1D) -> str | None:
@@ -369,7 +390,7 @@ def random_density(spec: DensityGeneratorSpec) -> Grid1D:
     total = vals.sum() * dx
     if not (total > 0.0):
         raise ZeroMass("generator produced an empty density")
-    return Grid1D(x0=-hw, dx=dx, values=_readonly(vals / total))
+    return Grid1D(x0=-hw, dx=dx, values=vals / total)
 
 
 def radial_from_grid(f: Grid1D) -> RadialDensity:

@@ -32,8 +32,8 @@ from typing import Sequence
 
 from .config import EPS_CONV_FACTOR, SERIES_TOL
 from .errors import BadParameter, TruncationInsufficient
-from .grids import Grid1D, is_symmetric_decreasing, normalize, refine
-from .convolve import _HALF_CELL_TOL, convolve_series, project_onto
+from .grids import Grid1D, half_cell_offset, is_symmetric_decreasing, normalize, refine
+from .convolve import convolve_series, project_onto
 from .densities import gaussian_on_grid
 from .entropy import RenyiOrder, renyi_entropies
 from .rearrange import rearrange_1d
@@ -120,8 +120,7 @@ def _snap(f: Grid1D) -> Grid1D:
     """f itself when its midpoints sit on multiples of dx/2, else f
     projected onto the nearest such grid (shifting mass by at most half a
     cell), widened by one cell on each side so no mass is dropped."""
-    half_cells = 2.0 * f.x0 / f.dx
-    if abs(half_cells - round(half_cells)) <= _HALF_CELL_TOL:
+    if half_cell_offset(f) is not None:
         return f
     start = round(f.x0 / f.dx) - 1
     return project_onto(f, start * f.dx, f.dx, f.n_cells + 2)

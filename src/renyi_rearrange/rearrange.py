@@ -49,7 +49,6 @@ def rearrange_1d(f: Grid1D) -> Grid1D:
     n = f.n_cells
     ascending = np.sort(f.values)
     out = np.concatenate((ascending, ascending[::-1]))
-    out.flags.writeable = False
     return Grid1D(x0=-0.5 * n * f.dx, dx=0.5 * f.dx, values=out)
 
 

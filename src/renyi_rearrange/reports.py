@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Mapping
 
 __all__ = ["VerificationReport", "report_geq", "report_leq", "summarize", "reports_to_json"]
@@ -32,10 +32,13 @@ class VerificationReport:
     rhs: float
     margin: float
     tolerance: float
-    passed: bool
+    status: str
     params: dict[str, Any] = field(default_factory=dict)
     seed: int | None = None
-    status: str = "pass"
+
+    @property
+    def passed(self) -> bool:
+        return self.status == "pass"
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -63,24 +66,19 @@ def report_geq(name: str, lhs: float, rhs: float, tolerance: float,
     lhs = float(lhs)
     rhs = float(rhs)
     if math.isinf(lhs) and math.isinf(rhs) and lhs == rhs:
-        margin, passed, status = math.nan, False, "inconclusive"
+        margin, status = math.nan, "inconclusive"
     elif math.isinf(lhs):
         # +inf on the large side passes, -inf fails, outright
-        passed = lhs > 0
-        margin = math.inf if passed else -math.inf
-        status = "pass" if passed else "fail"
+        margin, status = (math.inf, "pass") if lhs > 0 else (-math.inf, "fail")
     elif math.isinf(rhs):
         # finite lhs against -inf passes trivially, against +inf fails
-        passed = rhs < 0
-        margin = math.inf if passed else -math.inf
-        status = "pass" if passed else "fail"
+        margin, status = (math.inf, "pass") if rhs < 0 else (-math.inf, "fail")
     else:
         margin = lhs - rhs
-        passed = margin >= -tolerance
-        status = "pass" if passed else "fail"
+        status = "pass" if margin >= -tolerance else "fail"
     return VerificationReport(name=name, lhs=lhs, rhs=rhs, margin=margin,
-                              tolerance=float(tolerance), passed=passed,
-                              params=dict(params or {}), seed=seed, status=status)
+                              tolerance=float(tolerance), status=status,
+                              params=dict(params or {}), seed=seed)
 
 
 def report_leq(name: str, lhs: float, rhs: float, tolerance: float,
@@ -89,10 +87,7 @@ def report_leq(name: str, lhs: float, rhs: float, tolerance: float,
     """Report for a claim of the form lhs <= rhs (normalized to rhs >= lhs)."""
     rep = report_geq(name, rhs, lhs, tolerance, params, seed)
     # keep the statement's own lhs/rhs order for readability
-    return VerificationReport(name=name, lhs=float(lhs), rhs=float(rhs),
-                              margin=rep.margin, tolerance=rep.tolerance,
-                              passed=rep.passed, params=rep.params, seed=seed,
-                              status=rep.status)
+    return replace(rep, lhs=float(lhs), rhs=float(rhs))
 
 
 def summarize(reports: list[VerificationReport]) -> dict[str, int]:

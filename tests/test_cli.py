@@ -75,6 +75,15 @@ class TestEntropyCommand:
         assert captured.out == ""
         assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
 
+    def test_entropy_power_below_normal_floats_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "narrow.csv"
+        write_density_csv(Grid1D(0.0, 1e-200, np.array([5e199, 5e199])), str(path))
+        rc = cli.main(["entropy", "--density", str(path), "--order", "2"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
+
 
 class TestParserErrors:
     def test_no_subcommand(self):

@@ -95,6 +95,13 @@ class TestGaussianAnchors:
         with pytest.raises(DensityOverflow, match="overflows a float"):
             entropy_power(wide, 2.0)
 
+    @pytest.mark.parametrize("width", [1e-200, 1e-160])
+    def test_entropy_power_below_the_normal_floats(self, width):
+        # N_p = width^2: 0.0 and the subnormal 1e-320 as plain floats
+        narrow = make_grid(0.0, width, [1.0 / width])
+        with pytest.raises(DensityOverflow, match="below the normal float range"):
+            entropy_power(narrow, 2.0)
+
 
 class TestOrderStructure:
     def test_monotone_nonincreasing_in_p(self):

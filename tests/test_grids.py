@@ -10,6 +10,7 @@ from renyi_rearrange import (
     DensityGeneratorSpec,
     GENERATOR_KINDS,
     Grid1D,
+    Group,
     NegativeValue,
     NonPositiveSpacing,
     NotSymmetric,
@@ -32,6 +33,14 @@ from renyi_rearrange import (
     variance,
     write_density_csv,
 )
+from renyi_rearrange import entropy, verifier
+from renyi_rearrange.convolve import (convolve, convolve_k, convolve_series, project_onto,
+                                      resample, scale_density)
+from renyi_rearrange.entropy import mixture_entropy_bound_check
+from renyi_rearrange.grids import half_cell_offset
+from renyi_rearrange.levy import _snap
+from renyi_rearrange.rearrange import rearrange_1d, rearrange_radial
+from renyi_rearrange.verifier import SuiteConfig
 
 
 class TestGrid1D:
@@ -227,3 +236,108 @@ class TestCsvRoundTrip:
         path.write_text(f"x,f\n0.0,1.0\n{row}\n1.0,1.0\n")
         with pytest.raises(BadParameter, match=r"bad\.csv: line 3: "):
             read_density_csv(path)
+
+
+def _uneven(cells=64, seed=5):
+    return random_density(DensityGeneratorSpec("spiky-piecewise", seed=seed, cells=cells))
+
+
+def _levy_jump(monkeypatch):
+    """The jump law verifier._run_levy builds, seen by its callee."""
+    seen = []
+    monkeypatch.setattr(verifier, "check_levy_dominance",
+                        lambda spec, orders: seen.append(spec.jump) or [])
+    verifier._run_levy(SuiteConfig(cells=64))
+    return seen[0]
+
+
+def _mixture(monkeypatch):
+    """The mixture mixture_entropy_bound_check builds, seen by its callee."""
+    seen = []
+    real = entropy.renyi_entropy
+    monkeypatch.setattr(entropy, "renyi_entropy",
+                        lambda f, order: seen.append(f) or real(f, order))
+    mixture_entropy_bound_check(Group((_uneven(seed=1), _uneven(seed=2))), [0.25, 0.75])
+    return seen[0]
+
+
+_BUILDERS = {
+    "Grid1D": lambda mp: Grid1D(0.0, 0.5, np.array([1.0, 0.5, 0.5])),
+    "Grid1D-view": lambda mp: Grid1D(0.0, 0.5, np.array([9.0, 1.0, 1.0])[1:]),
+    "RadialDensity": lambda mp: RadialDensity(2, 0.5, np.array([1.0, 2.0]),
+                                              np.array([0.0, 0.5, 0.8])[:]),
+    "make_grid": lambda mp: make_grid(0.0, 0.5, [1.0, 1.0]),
+    "make_radial": lambda mp: make_radial(2, 0.5, [2.0, 1.0], [0.0, 0.5, 1.0]),
+    "normalize": lambda mp: normalize(_uneven()),
+    "normalize-radial": lambda mp: normalize(make_radial(3, 0.5, [2.0, 1.0])),
+    "refine": lambda mp: refine(_uneven(), 3),
+    "random_density": lambda mp: _uneven(),
+    "convolve-direct": lambda mp: convolve(_uneven(), _uneven(seed=6), method="direct"),
+    "convolve-fft": lambda mp: convolve(_uneven(), _uneven(seed=6), method="fft"),
+    "convolve_series-one": lambda mp: convolve_series(_uneven(), _uneven(seed=6), [0.5]),
+    "convolve_series-many": lambda mp: convolve_series(_uneven(), _uneven(seed=6),
+                                                       [0.5, 0.3, 0.2]),
+    "rearrange_1d": lambda mp: rearrange_1d(_uneven()),
+    "rearrange_radial": lambda mp: rearrange_radial(make_radial(2, 0.5, [1.0, 3.0, 2.0])),
+    "scale_density": lambda mp: scale_density(_uneven(), 2.5),
+    "project_onto": lambda mp: project_onto(_uneven(), -1.0, 0.3, 10),
+    "resample": lambda mp: resample(_uneven(), 0.07),
+    "indicator_pair": lambda mp: verifier._indicator_pair(SuiteConfig(cells=64), 3)[0],
+    "levy_jump": _levy_jump,
+    "mixture": _mixture,
+}
+
+
+def _arrays(d):
+    if isinstance(d, Grid1D):
+        return [d.values]
+    return [d.profile] + ([] if d.radii is None else [d.radii])
+
+
+class TestGridContract:
+    @pytest.mark.parametrize("name", sorted(_BUILDERS))
+    def test_every_density_is_read_only(self, name, monkeypatch):
+        d = _BUILDERS[name](monkeypatch)
+        assert isinstance(d, (Grid1D, RadialDensity))
+        for a in _arrays(d):
+            assert not a.flags.writeable
+            # no base that the array views into can be written either
+            base = a.base
+            while isinstance(base, np.ndarray):
+                assert not base.flags.writeable
+                base = base.base
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+
+    def test_make_grid_copies_caller_data(self):
+        data = np.array([1.0, 2.0, 3.0])
+        f = make_grid(0.0, 1.0, data)
+        assert data.flags.writeable and not np.shares_memory(data, f.values)
+        data[0] = 7.0
+        assert f.values[0] == 1.0
+
+    def test_group_members_cannot_go_stale(self):
+        f = Grid1D(-4.0, 1.0, np.full(8, 0.125))
+        group = Group((f, _uneven(cells=8)))
+        h = group.h_conv[1.0]
+        with pytest.raises(ValueError):
+            group.fs[0].values[0] = 3.0
+        with pytest.raises(ValueError):
+            group.conv.values[0] = 3.0
+        assert entropy.renyi_entropy(convolve_k(group.fs), 1.0) == h
+
+    @pytest.mark.parametrize("off, aligned", [(1e-9, True), (1e-8, False)])
+    def test_half_cell_tolerance_edge(self, off, aligned):
+        dx = 0.1
+        g = make_grid((3.0 + off) * dx / 2.0, dx, [1.0, 2.0, 7.0])
+        f = make_grid(-0.2, dx, [5.0, 5.0])
+        assert half_cell_offset(g) == (3 if aligned else None)
+        if aligned:
+            convolve_series(f, g, [0.5, 0.5])
+            assert _snap(g) is g
+        else:
+            with pytest.raises(BadParameter, match="multiple of dx/2"):
+                convolve_series(f, g, [0.5, 0.5])
+            snapped = _snap(g)
+            assert snapped is not g and half_cell_offset(snapped) is not None
+            assert snapped.mass == pytest.approx(g.mass, rel=1e-12)

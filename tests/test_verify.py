@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import multiprocessing
@@ -67,6 +68,12 @@ class TestReportGeq:
     def test_infinite_rhs(self):
         assert report_geq("x", 7.0, -math.inf, 0.0).passed
         assert not report_geq("x", 7.0, math.inf, 0.0).passed
+
+    def test_passed_is_read_from_status(self):
+        rep = report_geq("x", 3.0, 2.5, 1e-9)
+        assert not dataclasses.replace(rep, status="fail").passed
+        with pytest.raises(TypeError):
+            dataclasses.replace(rep, passed=True)
 
     def test_same_sign_infinities_inconclusive(self):
         for side in (math.inf, -math.inf):
