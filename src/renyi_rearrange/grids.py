@@ -91,7 +91,7 @@ class Grid1D:
     Attributes
     ----------
     x0 : float
-        Left edge of the first cell.
+        Left edge of the first cell, finite (else BadParameter).
     dx : float
         Cell width, strictly positive.
     values : np.ndarray
@@ -103,6 +103,8 @@ class Grid1D:
     values: np.ndarray
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.x0):
+            raise BadParameter(f"grid origin x0 must be finite, got {self.x0}")
         object.__setattr__(self, "values", _frozen(self.values))
 
     @property
@@ -138,7 +140,8 @@ class Grid1D:
 def make_grid(x0: float, dx: float, values: Iterable[float]) -> Grid1D:
     """Validated Grid1D constructor.
 
-    Raises NonPositiveSpacing, EmptyGrid or NegativeValue on bad input.
+    Raises NonPositiveSpacing, EmptyGrid, NegativeValue or (for a
+    non-finite x0) BadParameter on bad input.
     Mass is *not* required to be 1 here; see :func:`normalize`.
     """
     if not (dx > 0.0) or not math.isfinite(dx):

@@ -69,6 +69,17 @@ class TestGrid1D:
         with pytest.raises(EmptyGrid):
             make_grid(0.0, 1.0, [])
 
+    @pytest.mark.parametrize("x0", [math.inf, -math.inf, math.nan])
+    def test_origin_must_be_finite(self, x0):
+        # an infinite origin put every midpoint at inf, and half_cell_offset
+        # raised a bare OverflowError (ValueError for nan) from round()
+        with pytest.raises(BadParameter):
+            make_grid(x0, 0.1, [1.0, 2.0])
+        with pytest.raises(BadParameter):
+            Grid1D(x0, 0.1, np.array([1.0, 2.0]))
+        with pytest.raises(BadParameter):
+            Grid1D(np.float64(x0), 0.1, np.array([1.0, 2.0]))
+
     def test_normalize(self):
         f = make_grid(-1.0, 0.5, [3.0, 1.0, 0.0, 4.0])
         g = normalize(f)

@@ -7,6 +7,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from renyi_rearrange import (
     BadParameter,
@@ -18,6 +20,7 @@ from renyi_rearrange import (
     PhiSpec,
     RenyiOrder,
     SuiteConfig,
+    VerificationReport,
     ZeroMass,
     bobkov_chistyakov_bound_check,
     eps_conv,
@@ -104,27 +107,51 @@ class TestReportLeq:
         assert rep.status == "inconclusive" and math.isnan(rep.margin)
 
 
+def _strict(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def _records(reports):
+    """The report records as reports_to_json writes them, parsed as strict JSON."""
+    return json.loads(reports_to_json(list(reports)), parse_constant=_strict)["reports"]
+
+
 class TestSerialization:
-    def test_to_dict_wraps_nonfinite(self):
+    def test_nonfinite_are_strings(self):
         rep = report_geq("x", math.inf, math.inf, 0.0)
-        d = rep.to_dict()
+        [d] = _records([rep])
         assert d["lhs"] == "inf" and d["rhs"] == "inf"
         assert d["margin"] == "nan"
         assert d["pass"] is False and d["status"] == "inconclusive"
 
-    def test_to_dict_sorts_params(self):
+    def test_params_are_sorted(self):
         rep = report_geq("x", 1.0, 0.0, 0.0, params={"b": 1, "a": 2})
-        assert list(rep.to_dict()["params"]) == ["a", "b"]
+        assert list(_records([rep])[0]["params"]) == ["a", "b"]
 
     def test_json_is_strict_and_deterministic(self):
         reps = [report_geq("a", 1.0, 0.0, 1e-9, seed=3),
-                report_leq("b", -math.inf, 0.0, 0.0)]
+                report_leq("b", -math.inf, 0.0, 0.0),
+                report_geq("x", 1.0, 0.0, 0.1, params={"h": math.inf, "g": math.nan})]
         text1 = reports_to_json(reps, extra={"seed": 3, "argv": ["verify"]})
         text2 = reports_to_json(reps, extra={"seed": 3, "argv": ["verify"]})
         assert text1 == text2
-        payload = json.loads(text1)  # would choke on bare Infinity/NaN
-        assert payload["summary"]["total"] == 2
+        payload = json.loads(text1, parse_constant=_strict)
+        assert payload["summary"]["total"] == 3
+        assert payload["reports"][2]["params"] == {"g": "nan", "h": "inf"}
         assert "Infinity" not in text1 and "NaN" not in text1
+
+    @pytest.mark.parametrize("key", ["reports", "summary"])
+    def test_extra_cannot_replace_the_reports(self, key):
+        with pytest.raises(ValueError):
+            reports_to_json([report_geq("a", 1.0, 0.0, 0.0)], extra={key: []})
+
+    def test_nonfinite_extra_is_refused(self):
+        with pytest.raises(ValueError):
+            reports_to_json([], extra={"config": {"rate": math.inf}})
+
+    def test_params_must_be_json_scalars(self):
+        with pytest.raises(TypeError):
+            reports_to_json([report_geq("a", 1.0, 0.0, 0.0, params={"v": [1.0]})])
 
     def test_summarize_counts(self):
         reps = [report_geq("a", 1.0, 0.0, 0.0),
@@ -132,6 +159,57 @@ class TestSerialization:
                 report_geq("c", math.inf, math.inf, 0.0)]
         assert summarize(reps) == {
             "total": 3, "passed": 1, "failed": 1, "inconclusive": 1}
+
+
+def _json_float(x):
+    return x if math.isfinite(x) else repr(x)
+
+
+def _oracle_dict(r):
+    """The record reports_to_json must write, for json.dumps(indent=2)."""
+    return {
+        "name": r.name,
+        "lhs": _json_float(r.lhs),
+        "rhs": _json_float(r.rhs),
+        "margin": _json_float(r.margin),
+        "tolerance": _json_float(r.tolerance),
+        "pass": r.passed,
+        "params": {k: _json_float(v) if isinstance(v, float) else v
+                   for k, v in sorted(r.params.items())},
+        "seed": r.seed,
+        "status": r.status,
+    }
+
+
+# text that reaches every branch of the string escaper
+_TEXT = st.text(st.one_of(st.sampled_from('"\\\x00\x1f\x7f\n\té€\u2028\U0001f600'),
+                          st.characters()), max_size=8)
+_FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                    st.sampled_from([math.inf, -math.inf, math.nan]))
+_PARAMS = st.dictionaries(_TEXT, st.one_of(st.integers(), _FLOATS, _TEXT, st.booleans(),
+                                           st.none()), max_size=4)
+_REPORTS = st.lists(st.builds(
+    VerificationReport, name=_TEXT, lhs=_FLOATS, rhs=_FLOATS, margin=_FLOATS,
+    tolerance=_FLOATS, status=st.sampled_from(["pass", "fail", "inconclusive"]),
+    params=_PARAMS, seed=st.one_of(st.none(), st.integers())), max_size=4)
+_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(),
+              st.floats(allow_nan=False, allow_infinity=False), _TEXT),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(_TEXT, inner, max_size=3)),
+    max_leaves=8)
+_EXTRA = st.one_of(st.none(), st.just({}), st.dictionaries(
+    _TEXT.filter(lambda k: k not in ("reports", "summary")),
+    st.dictionaries(_TEXT, _JSON, max_size=3), min_size=1, max_size=3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(reports=_REPORTS, extra=_EXTRA)
+def test_writer_matches_json_dumps_of_the_records(reports, extra):
+    payload = {"reports": [_oracle_dict(r) for r in reports],
+               "summary": summarize(reports),
+               **{k: extra[k] for k in sorted(extra or {})}}
+    assert reports_to_json(reports, extra) == json.dumps(payload, indent=2, allow_nan=False)
 
 
 def _gauss(mean, sd, cells=1024, halfwidth=6.0):
@@ -217,8 +295,8 @@ class TestRunSuite:
     def test_deterministic_reports(self):
         config = SuiteConfig(suite="divergence", seed=11, smooth_count=3,
                              cells=256)
-        first = [r.to_dict() for r in run_suite(config)]
-        second = [r.to_dict() for r in run_suite(config)]
+        first = _records(run_suite(config))
+        second = _records(run_suite(config))
         assert first == second
         assert len(first) == 3 * 4  # two alphas + L1 + variance per pair
 
@@ -374,7 +452,7 @@ def _group_checks(group):
     reports.append(mixture_entropy_bound_check(group, [1.0 / k] * k))
     if k == 2:
         reports.append(check_epi_chain(group))
-    return [r.to_dict() for r in reports]
+    return _records(reports)
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -465,7 +543,7 @@ def test_precomputed_convolutions_give_same_reports(name, check, k, form, monkey
         return original(f, g, *args, **kwargs)
 
     monkeypatch.setattr(module, "convolve", recorder)
-    with_pre = check(pre).to_dict()
+    [with_pre] = _records([check(pre)])
     assert calls == []  # the check convolves nothing the group already holds
     assert with_pre["name"].startswith(name.split("[")[0])
-    assert with_pre == check(Group(fs)).to_dict()
+    assert [with_pre] == _records([check(Group(fs))])
