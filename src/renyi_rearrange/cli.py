@@ -32,7 +32,7 @@ from .balls import (BallPair, ball_sum_entropy, ball_sum_log_radial, ball_sum_ra
                     epi_gap_balls)
 from .config import QUAD_TOL
 from .conjecture import CONJECTURE_LABEL, c_constant, ratio_landscape
-from .entropy import RenyiOrder, entropy_power, renyi_entropy
+from .entropy import entropy_power, order, order_label, renyi_entropy
 from .errors import DensityError, DensityOverflow
 from .grids import read_density_csv, write_density_csv
 from .levy import LevySpec, check_levy_dominance
@@ -43,11 +43,11 @@ from .verifier import SUITES, SuiteConfig, run_suite
 __all__ = ["main", "build_parser"]
 
 
-def _parse_order(token: str) -> RenyiOrder:
+def _parse_order(token: str) -> float:
     token = token.strip()
     if token.startswith("p="):
         token = token[2:]
-    return RenyiOrder.coerce(token)
+    return order(token)
 
 
 def _print_payload(payload: dict) -> None:
@@ -128,13 +128,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_entropy(args: argparse.Namespace) -> int:
     f = read_density_csv(args.density)
-    order = _parse_order(args.order)
-    h = renyi_entropy(f, order)
+    p = _parse_order(args.order)
+    h = renyi_entropy(f, p)
     _print_payload({
         "density": args.density,
-        "order": order.label(),
+        "order": order_label(p),
         "entropy": h,
-        "entropy_power": entropy_power(f, order, 1),
+        "entropy_power": entropy_power(f, p, 1),
         "mass": f.mass,
         "cells": f.n_cells,
         "dx": f.dx,

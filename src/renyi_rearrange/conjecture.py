@@ -29,14 +29,13 @@ from .errors import (BadParameter, DensityOverflow, OrderOutOfRange,
 from .grids import Grid1D, same_spacing
 from .convolve import convolve, resample, scale_density
 from .densities import beta_of_p, generalized_gaussian
-from .entropy import Group, RenyiOrder, entropy_power
+from .entropy import Group, entropy_power, order_label
 from .reports import VerificationReport, report_geq
 
 __all__ = [
     "c_constant",
     "ratio_landscape",
     "LandscapePoint",
-    "bobkov_constant",
     "bobkov_chistyakov_bound_check",
     "CONJECTURE_LABEL",
 ]
@@ -147,15 +146,15 @@ def bobkov_chistyakov_bound_check(group: Group, p: float,
     """
     k = len(group.fs)
     c_p = bobkov_constant(p, 1)
-    order = RenyiOrder.coerce(p)
-    h_sum = group.h_conv[order]
-    h_each = [row[order] for row in group.h_factors]
+    h_sum = group.h_conv[p]
+    h_each = [row[p] for row in group.h_factors]
     # N_p = exp(2 h_p) in dimension one, as entropy_power(., p, 1) computes it
     lhs = math.exp(2.0 * h_sum)
     rhs = c_p * sum(math.exp(2.0 * h) for h in h_each)
     dx = group.fs[0].dx
     tol = max(2.0 * (lhs + rhs) * EPS_CONV_FACTOR * dx * k, 1e-9)
-    return report_geq(f"bobkov_chistyakov[p={order.label()}]",
+    label = order_label(p)
+    return report_geq(f"bobkov_chistyakov[p={label}]",
                       lhs, rhs, tol,
-                      params={"k": k, "c_p": c_p, "p": order.label()},
+                      params={"k": k, "c_p": c_p, "p": label},
                       seed=seed)

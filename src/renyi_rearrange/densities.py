@@ -47,7 +47,6 @@ __all__ = [
     "gg_exponent",
     "gg_normalizer",
     "generalized_gaussian",
-    "np_closed_form",
     "gaussian",
     "gaussian_on_grid",
     "uniform_interval",
@@ -173,20 +172,6 @@ def generalized_gaussian(n: int, beta: float, cells: int = 8192) -> Grid1D | Rad
     dr = radius / cells
     mids = (np.arange(cells) + 0.5) * dr
     return normalize(make_radial(n, dr, u(mids)))
-
-
-def np_closed_form(p: float, n: int) -> float:
-    """Closed-form entropy power N_p(Z^(p)) of the order-p maximizer.
-
-    Returns 2*pi*e exactly at p = 1; otherwise evaluates
-    A_beta^(-2/n) (1 - n beta_p/2)^(2/(n(1-p))) with A_beta from
-    gg_normalizer.
-    """
-    if p == 1.0:
-        return GAUSSIAN_ENTROPY_POWER
-    beta = beta_of_p(p, n)
-    a = gg_normalizer(n, beta)
-    return a ** (-2.0 / n) * (1.0 - n * beta / 2.0) ** (2.0 / (n * (1.0 - p)))
 
 
 def gaussian(mu: float, sigma: float, cells: int = 4096,

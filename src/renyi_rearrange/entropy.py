@@ -7,11 +7,14 @@ For a density f and order p in [0, inf] the Renyi entropy is
     h_1(f) = -int f log f        (with 0 log 0 = 0)
     h_inf(f) = -log ||f||_inf
 
-and h_p is nonincreasing in p.  On step densities every one of these is
-a finite sum and therefore exact; the general-p branch is evaluated in
-log space so that extreme orders (p = 1e-4 or 1e4) neither overflow nor
-underflow.  p = 1 is always computed directly from the Shannon sum,
-never as a numerical limit.  renyi_entropies(f, orders) evaluates several
+and h_p is nonincreasing in p.  An order is a plain float; order(p)
+validates it (numeric strings and "inf"/"oo" are read too) and
+order_label(p) names it in reports.  p = 0, 1 and inf are exact branches
+of their own, the support measure, the Shannon sum and the maximum, never
+numerical limits of the general formula.  On step densities every one of
+these is a finite sum and therefore exact; the general-p branch is
+evaluated in log space so that extreme orders (p = 1e-4 or 1e4) neither
+overflow nor underflow.  renyi_entropies(f, orders) evaluates several
 orders from one pass over the layers of f (one positive mask, one gather,
 at most one log), with the same bits as renyi_entropy order by order.
 
@@ -28,8 +31,9 @@ The Renyi divergence implemented here is the standard one,
     D_alpha(f||g) = (alpha - 1)^{-1} log int f^alpha g^{1-alpha} dx,
 
 for alpha in (0, 1], with the Kullback-Leibler sum at alpha = 1.  The
-raw integral int f^alpha g^{1-alpha} (the affinity) is exposed as well,
-since the rearrangement contraction is most naturally stated for it.
+raw integral int f^alpha g^{1-alpha} (the affinity, renyi_affinity) is
+a function of its own, since the rearrangement contraction is most
+naturally stated for it.
 """
 
 from __future__ import annotations
@@ -50,7 +54,6 @@ from .rearrange import rearrange_1d
 from .reports import VerificationReport, report_leq
 
 __all__ = [
-    "RenyiOrder",
     "renyi_entropy",
     "renyi_entropies",
     "ORDERS",
@@ -58,7 +61,6 @@ __all__ = [
     "Group",
     "entropy_power",
     "renyi_divergence",
-    "renyi_affinity",
     "fisher_information",
     "mixture_entropy_bound_check",
 ]
@@ -66,83 +68,43 @@ __all__ = [
 Density = Grid1D | RadialDensity
 
 
-@dataclass(frozen=True)
-class RenyiOrder:
-    """Renyi order tag: zero, one, infinity, or a general p.
+def order(p: float | str) -> float:
+    """The Renyi order p in [0, inf] as a float.
 
-    The three special orders get their own tags because their formulas
-    are different expressions, not limits to be approximated.
+    Takes a number or a numeric string; "inf", "infinity" and "oo" (any
+    case, surrounding blanks ignored) are inf.  Anything else, including
+    a negative p, nan and -inf, raises OrderOutOfRange.
     """
-
-    tag: str
-    p: float
-
-    _TAGS = ("zero", "one", "infinity", "general")
-
-    def __post_init__(self) -> None:
-        if self.tag not in self._TAGS:
-            raise OrderOutOfRange(f"unknown order tag {self.tag!r}")
-        if self.tag == "general":
-            if not (self.p > 0.0) or self.p == 1.0 or math.isinf(self.p):
-                raise OrderOutOfRange(
-                    f"general order must be finite, positive and != 1, got {self.p}")
-
-    @classmethod
-    def zero(cls) -> "RenyiOrder":
-        return cls("zero", 0.0)
-
-    @classmethod
-    def one(cls) -> "RenyiOrder":
-        return cls("one", 1.0)
-
-    @classmethod
-    def infinity(cls) -> "RenyiOrder":
-        return cls("infinity", math.inf)
-
-    @classmethod
-    def general(cls, p: float) -> "RenyiOrder":
-        return cls("general", float(p))
-
-    @classmethod
-    def coerce(cls, order: "RenyiOrder | float | int | str") -> "RenyiOrder":
-        """Accept 0, 1, inf, numeric p, or strings like "2", "inf"."""
-        if isinstance(order, RenyiOrder):
-            return order
-        if isinstance(order, str):
-            s = order.strip().lower()
-            if s in ("inf", "infinity", "oo"):
-                return cls.infinity()
-            try:
-                order = float(s)
-            except ValueError:
-                raise OrderOutOfRange(f"not a Renyi order: {order!r}") from None
-        p = float(order)
-        if p == 0.0:
-            return cls.zero()
-        if p == 1.0:
-            return cls.one()
-        if math.isinf(p):
-            return cls.infinity()
-        return cls.general(p)
-
-    def label(self) -> str:
-        return {"zero": "0", "one": "1", "infinity": "inf"}.get(self.tag, repr(self.p))
+    token = p.strip().lower() if isinstance(p, str) else p
+    try:
+        q = math.inf if token == "oo" else float(token)
+    except (TypeError, ValueError):
+        raise OrderOutOfRange(f"not a Renyi order: {p!r}") from None
+    if not q >= 0.0:
+        raise OrderOutOfRange(f"a Renyi order is in [0, inf], got {q}")
+    return q
 
 
-def renyi_entropy(f: Density, order: RenyiOrder | float | str) -> float:
-    """Renyi entropy h_p(f) of a step density, exact for every order."""
-    return renyi_entropies(f, (order,))[0]
+def order_label(p: float) -> str:
+    """"0", "1" and "inf" for the orders with their own formulas, else repr(p)."""
+    return {0.0: "0", 1.0: "1", math.inf: "inf"}.get(p, repr(float(p)))
 
 
-def renyi_entropies(f: Density,
-                    orders: Sequence[RenyiOrder | float | str]) -> tuple[float, ...]:
+def renyi_entropy(f: Density, p: float | str) -> float:
+    """Renyi entropy h_p(f) of a step density, exact for every order p
+    that order() takes."""
+    return renyi_entropies(f, (p,))[0]
+
+
+def renyi_entropies(f: Density, orders: Sequence[float | str]) -> tuple[float, ...]:
     """(h_p(f) for p in orders) from one pass over the layers of f.
 
     One positive mask, one gather and at most one log serve every order;
-    each order then costs one reduction.  Bit for bit the same numbers as
-    calling :func:`renyi_entropy` order by order.
+    each order then costs one reduction.  p = 0, 1 and inf take their own
+    exact branches; every other p takes the log-space power sum.  Bit for
+    bit the same numbers as calling :func:`renyi_entropy` order by order.
     """
-    orders = [RenyiOrder.coerce(order) for order in orders]
+    orders = [order(p) for p in orders]
     vals, meas = f.cells()
     pos = vals > 0.0
     if not pos.any():
@@ -151,18 +113,18 @@ def renyi_entropies(f: Density,
     m = meas[pos]
     log_v = None
     out = []
-    for order in orders:
-        if order.tag == "zero":
+    for p in orders:
+        if p == 0.0:
             h = float(np.log(m.sum()))
-        elif order.tag == "infinity":
+        elif math.isinf(p):
             h = float(-np.log(v.max()))
         else:
             if log_v is None:
                 log_v = np.log(v)
-            if order.tag == "one":
+            if p == 1.0:
                 h = float(-np.sum(m * v * log_v))
             else:
-                h = _log_sum_exp(order.p * log_v, m) / (1.0 - order.p)
+                h = _log_sum_exp(p * log_v, m) / (1.0 - p)
         out.append(h)
     return tuple(out)
 
@@ -193,23 +155,23 @@ FACTOR_ORDERS: tuple[float, ...] = (1.0, 2.0, math.inf)
 
 
 class Row(dict):
-    """h_p(f) at the given orders, from one renyi_entropies pass over f.
+    """{p: h_p(f)} keyed by float order, from one renyi_entropies pass over f.
 
-    Looked up by any order RenyiOrder.coerce takes; an order outside the
-    row raises OrderOutOfRange.
+    Any order that order() takes looks up its float (row["inf"] is
+    row[math.inf]); an order outside the row raises OrderOutOfRange.
     """
 
-    def __init__(self, f: Density, orders: Sequence[RenyiOrder | float | str]) -> None:
-        keys = [RenyiOrder.coerce(p) for p in orders]
+    def __init__(self, f: Density, orders: Sequence[float | str]) -> None:
+        keys = [order(p) for p in orders]
         super().__init__(zip(keys, renyi_entropies(f, keys)))
 
-    def __getitem__(self, order: RenyiOrder | float | str) -> float:
-        order = RenyiOrder.coerce(order)
-        if order not in self:
+    def __missing__(self, p: float | str) -> float:
+        q = order(p)
+        if q not in self:
             raise OrderOutOfRange(
-                f"h_p at p={order.label()} is not in the row "
-                f"(orders {', '.join(o.label() for o in self)})")
-        return super().__getitem__(order)
+                f"h_p at p={order_label(q)} is not in the row "
+                f"(orders {', '.join(map(order_label, self))})")
+        return self[q]
 
 
 # eq=False: the densities hold arrays, so groups compare by identity
@@ -251,14 +213,14 @@ class Group:
         return tuple(Row(f, FACTOR_ORDERS) for f in self.fs)
 
 
-def entropy_power(f: Density, order: RenyiOrder | float | str, n: int | None = None) -> float:
+def entropy_power(f: Density, p: float | str, n: int | None = None) -> float:
     """Entropy power N_p(f) = exp(2 h_p(f) / n); DensityOverflow outside
     the normal float range, where a result would have lost its digits."""
     if n is None:
         n = 1 if isinstance(f, Grid1D) else f.dim
     if n < 1:
         raise BadParameter(f"dimension must be >= 1, got {n}")
-    h = renyi_entropy(f, order)
+    h = renyi_entropy(f, p)
     try:
         power = math.exp(2.0 * h / n)
     except OverflowError:
@@ -350,9 +312,8 @@ def mixture_entropy_bound_check(group: Group, weights: Sequence[float],
     for wi, c in zip(w, fs):
         mix_vals += wi * c.values
     mix = Grid1D(base.x0, base.dx, mix_vals)
-    one = RenyiOrder.one()
-    lhs = renyi_entropy(mix, one)
-    comp_term = sum(wi * row[one]
+    lhs = renyi_entropy(mix, 1.0)
+    comp_term = sum(wi * row[1.0]
                     for wi, row in zip(w, group.h_factors) if wi > 0.0)
     weight_entropy = float(-np.sum(w[w > 0.0] * np.log(w[w > 0.0])))
     rhs = comp_term + weight_entropy

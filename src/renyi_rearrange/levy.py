@@ -35,7 +35,7 @@ from .errors import BadParameter, TruncationInsufficient
 from .grids import Grid1D, half_cell_offset, is_symmetric_decreasing, normalize, refine
 from .convolve import convolve_series, project_onto
 from .densities import gaussian_on_grid
-from .entropy import RenyiOrder, renyi_entropies
+from .entropy import order, order_label, renyi_entropies
 from .rearrange import rearrange_1d
 from .reports import VerificationReport, report_geq
 
@@ -175,7 +175,7 @@ def rearranged_marginal(spec: LevySpec, k_max: int | None = None) -> Grid1D:
 
 
 def check_levy_dominance(spec: LevySpec,
-                         orders: Sequence[RenyiOrder | float | str],
+                         orders: Sequence[float],
                          k_max: int | None = None) -> list[VerificationReport]:
     """Reports h_p(X_t) >= h_p(Z_t) for each requested order.
 
@@ -188,12 +188,13 @@ def check_levy_dominance(spec: LevySpec,
     x_t = marginal_density(spec, k_max)
     z_t = rearranged_marginal(spec, k_max)
     tol = EPS_CONV_FACTOR * max(x_t.dx, z_t.dx) * (k_max + 1)
-    orders = [RenyiOrder.coerce(order) for order in orders]
+    orders = [order(p) for p in orders]
     out = []
-    for order, lhs, rhs in zip(orders, renyi_entropies(x_t, orders),
-                               renyi_entropies(z_t, orders)):
+    for p, lhs, rhs in zip(orders, renyi_entropies(x_t, orders),
+                           renyi_entropies(z_t, orders)):
+        label = order_label(p)
         out.append(report_geq(
-            f"levy_dominance[p={order.label()}]", lhs, rhs, tol,
+            f"levy_dominance[p={label}]", lhs, rhs, tol,
             params={"a": spec.a, "rate": spec.rate, "t": spec.t,
-                    "k_max": k_max, "order": order.label()}))
+                    "k_max": k_max, "order": label}))
     return out

@@ -29,7 +29,6 @@ from .grids import Grid1D, RadialDensity, make_radial, require_same_grid, unit_b
 __all__ = [
     "rearrange_1d",
     "rearrange_radial",
-    "level_set_measure",
     "sorted_layers",
     "majorizes",
     "l1_distance",
@@ -71,12 +70,6 @@ def rearrange_radial(f: RadialDensity) -> RadialDensity:
     cum = np.concatenate(([0.0], np.cumsum(vols[order])))
     radii = (cum / unit_ball_volume(f.dim)) ** (1.0 / f.dim)
     return make_radial(f.dim, f.dr, ranked, radii)
-
-
-def level_set_measure(f: Density, t: float) -> float:
-    """Lebesgue measure of the super-level set {f > t}."""
-    vals, meas = f.cells()
-    return float(meas[vals > t].sum())
 
 
 def sorted_layers(f: Density) -> tuple[np.ndarray, np.ndarray]:

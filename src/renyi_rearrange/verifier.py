@@ -71,9 +71,9 @@ from .entropy import (
     FACTOR_ORDERS,
     ORDERS,
     Group,
-    RenyiOrder,
     fisher_information,
     mixture_entropy_bound_check,
+    order_label,
     renyi_divergence,
     renyi_entropy,
 )
@@ -109,19 +109,18 @@ HALFWIDTH = 4.0
 # individual checks
 
 
-def check_main_theorem(group: Group, order: RenyiOrder | float | str,
+def check_main_theorem(group: Group, p: float,
                        seed: int | None = None) -> VerificationReport:
     """h_p of a k-fold convolution never drops under rearranging the factors.
 
-    Reads h_p of the group's two sums from its rows, so the order is one
-    of ORDERS.
+    Reads h_p of the group's two sums from its rows, so p is one of ORDERS.
     """
-    order = RenyiOrder.coerce(order)
     k = len(group.fs)
-    return report_geq(f"main_theorem[p={order.label()}]",
-                      group.h_conv[order], group.h_conv_star[order],
+    lhs, rhs = group.h_conv[p], group.h_conv_star[p]
+    label = order_label(p)
+    return report_geq(f"main_theorem[p={label}]", lhs, rhs,
                       eps_conv(group.fs[0].dx, k),
-                      params={"k": k, "order": order.label(), "dx": group.fs[0].dx},
+                      params={"k": k, "order": label, "dx": group.fs[0].dx},
                       seed=seed)
 
 
@@ -237,9 +236,8 @@ def check_epi_chain(group: Group, seed: int | None = None) -> VerificationReport
     """
     if len(group.fs) != 2:
         raise BadParameter(f"the EPI chain takes a pair, got {len(group.fs)} densities")
-    one = RenyiOrder.one()
-    h_sum, h_star = group.h_conv[one], group.h_conv_star[one]
-    h1, h2 = (row[one] for row in group.h_factors)
+    h_sum, h_star = group.h_conv[1.0], group.h_conv_star[1.0]
+    h1, h2 = (row[1.0] for row in group.h_factors)
     s1 = math.exp(2.0 * h1) / GAUSSIAN_ENTROPY_POWER
     s2 = math.exp(2.0 * h2) / GAUSSIAN_ENTROPY_POWER
     bound = 0.5 * math.log(GAUSSIAN_ENTROPY_POWER * (s1 + s2))
@@ -281,7 +279,7 @@ def check_isoperimetric(f: Grid1D,
                         seed: int | None = None) -> VerificationReport:
     """Isoperimetric form I(f) >= 1/N(f) (equality for Gaussians)."""
     lhs = fisher_information(f)
-    n_f = math.exp(2.0 * renyi_entropy(f, RenyiOrder.one())) / GAUSSIAN_ENTROPY_POWER
+    n_f = math.exp(2.0 * renyi_entropy(f, 1.0)) / GAUSSIAN_ENTROPY_POWER
     rhs = 1.0 / n_f
     tol = FISHER_REL_TOL * abs(rhs) + ISOPERIMETRIC_ABS_TOL
     return report_geq("isoperimetric", lhs, rhs, tol,

@@ -66,6 +66,14 @@ class TestEntropyCommand:
             assert rc == 2
             assert "error:" in capsys.readouterr().err
 
+    def test_minus_infinity_order_is_usage_error(self, uniform_csv, capsys):
+        # -inf is no Renyi order; it must not be read as +inf
+        rc = cli.main(["entropy", "--density", uniform_csv, "--order=-inf"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
     def test_malformed_csv_row_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text("x,f\n0.0,1.0\nabc,1\n1.0,1.0\n")

@@ -12,11 +12,11 @@ from renyi_rearrange import (
     OrderOutOfRange,
     UnsupportedDimension,
     bobkov_chistyakov_bound_check,
-    bobkov_constant,
     c_constant,
     ratio_landscape,
     uniform_interval,
 )
+from renyi_rearrange.conjecture import bobkov_constant
 
 # the p = 2, n = 1 constant in closed (radical) form
 C_21_EXACT = 166753125.0 / (

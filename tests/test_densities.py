@@ -13,7 +13,6 @@ from renyi_rearrange import (
     generalized_gaussian,
     gg_exponent,
     gg_normalizer,
-    np_closed_form,
     renyi_entropy,
     uniform_ball,
     uniform_interval,
@@ -96,6 +95,20 @@ class TestGeneralizedGaussian:
         # normalizer only by the final grid renormalization
         assert float(ratio.std() / ratio.mean()) < 1e-12
         assert float(ratio.mean()) == pytest.approx(gg_normalizer(1, -1.0), rel=1e-5)
+
+
+def np_closed_form(p, n):
+    """Closed-form entropy power N_p(Z^(p)) of the order-p maximizer.
+
+    Returns 2*pi*e exactly at p = 1; otherwise evaluates
+    A_beta^(-2/n) (1 - n beta_p/2)^(2/(n(1-p))) with A_beta from
+    gg_normalizer.
+    """
+    if p == 1.0:
+        return GAUSSIAN_ENTROPY_POWER
+    beta = beta_of_p(p, n)
+    a = gg_normalizer(n, beta)
+    return a ** (-2.0 / n) * (1.0 - n * beta / 2.0) ** (2.0 / (n * (1.0 - p)))
 
 
 class TestClosedFormEntropyPower:

@@ -11,7 +11,6 @@ from renyi_rearrange import (
     GridMismatch,
     Group,
     OrderOutOfRange,
-    RenyiOrder,
     WeightSum,
     ZeroMass,
     entropy_power,
@@ -23,31 +22,42 @@ from renyi_rearrange import (
     mixture_entropy_bound_check,
     random_density,
     rearrange_1d,
-    renyi_affinity,
     renyi_divergence,
     renyi_entropies,
     renyi_entropy,
     uniform_interval,
 )
-from renyi_rearrange.entropy import _log_sum_exp
+from renyi_rearrange.cli import _parse_order
+from renyi_rearrange.entropy import _log_sum_exp, order, order_label, renyi_affinity
 
 
 class TestRenyiOrder:
+    """order() reads a Renyi order as a plain float; order_label() names it."""
+
     def test_coercion(self):
-        assert RenyiOrder.coerce("inf").tag == "infinity"
-        assert RenyiOrder.coerce("1").tag == "one"
-        assert RenyiOrder.coerce(2.0).p == 2.0
-        o = RenyiOrder.coerce("0.5")
-        assert RenyiOrder.coerce(o) is o
+        for given, want in ((0, 0.0), ("1", 1.0), (2, 2.0), ("0.5", 0.5),
+                            (" 2 ", 2.0), ("inf", math.inf), (" Infinity ", math.inf),
+                            ("oo", math.inf), (np.float64(1e4), 1e4)):
+            got = order(given)
+            assert type(got) is float and got == want
 
     def test_labels(self):
-        assert RenyiOrder.coerce(0.0).label() == "0"
-        assert RenyiOrder.coerce("inf").label() == "inf"
+        # the report labels: p=0, p=0.5, p=1, p=2.0, p=inf
+        for given, label in ((0, "0"), (-0.0, "0"), (1, "1"), (1.0, "1"),
+                             (0.5, "0.5"), (2, "2.0"), ("2", "2.0"),
+                             (math.inf, "inf"), ("inf", "inf"),
+                             (" Infinity ", "inf"), ("oo", "inf")):
+            assert order_label(order(given)) == label
+        assert order_label(_parse_order("p=0")) == "0"
 
-    @pytest.mark.parametrize("bad", [-1.0, -0.001, float("nan"), "abc", "p=x"])
+    @pytest.mark.parametrize("bad", [-1.0, -0.001, float("nan"), "abc", "p=x",
+                                     -math.inf, "-inf", None])
     def test_rejects_bad_orders(self, bad):
         with pytest.raises(OrderOutOfRange):
-            RenyiOrder.coerce(bad)
+            order(bad)
+        f = uniform_interval(-1.0, 1.0, cells=8)
+        with pytest.raises(OrderOutOfRange):
+            renyi_entropy(f, bad)
 
 
 class TestUniform:
@@ -126,22 +136,22 @@ class TestOrderStructure:
         assert renyi_entropy(f, 1e-4) <= renyi_entropy(f, 0.0) + 1e-12
 
 
-def _renyi_entropy_reference(f, order):
+def _renyi_entropy_reference(f, p):
     """h_p(f) for one order, each order reading the layers of f afresh."""
-    order = RenyiOrder.coerce(order)
+    p = float(p)
     vals, meas = f.cells()
     pos = vals > 0.0
     if not pos.any():
         raise ZeroMass("entropy of an identically zero density")
     v = vals[pos]
     m = meas[pos]
-    if order.tag == "zero":
+    if p == 0.0:
         return float(np.log(m.sum()))
-    if order.tag == "infinity":
+    if p == math.inf:
         return float(-np.log(v.max()))
-    if order.tag == "one":
+    if p == 1.0:
         return float(-np.sum(m * v * np.log(v)))
-    return _log_sum_exp(order.p * np.log(v), m) / (1.0 - order.p)
+    return _log_sum_exp(p * np.log(v), m) / (1.0 - p)
 
 
 class TestRenyiEntropies:
