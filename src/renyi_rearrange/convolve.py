@@ -31,16 +31,21 @@ value is positive, but below FFT resolution or, on the direct path, a sum
 of products below the float range.  Both paths thus give the same
 support, and the threshold is a speed choice only.
 
-:func:`convolve_series` sums sum_k w_k f * g^(*k) in one transform pair:
-the terms start k(g.x0 + dx/2) apart, a whole number of half cells when
-g's first midpoint sits on a multiple of dx/2, so on the dx/2
-refinement the series is f times a power series in g, evaluated by
-Horner's rule on the spectrum of g.  Its support is the union over k of
-the sum sets of the runs, by the same rule as in :func:`convolve`.
+:func:`convolve_series` sums sum_k w_k f * g^(*k) in five real transforms
+on whole cells, each about half as long as its dx/2 output (four when the
+terms step by a whole number of cells).  The terms start k(g.x0 + dx/2)
+apart, a whole number of half cells when g's first midpoint sits on a
+multiple of dx/2, so the terms of even k sit on one whole-cell lattice and
+those of odd k on another, shifted by that step's odd half cell if it has
+one.  On each lattice the class is f times a power series in the spectrum
+of g^(*2), evaluated by Horner's rule, and each whole-cell value is then
+written to the two half cells it covers.  Its support is the union over k
+of the sum sets of the runs, by the same rule as in :func:`convolve`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Sequence
 
@@ -59,6 +64,7 @@ _TINY = np.finfo(float).tiny
 Runs = tuple[np.ndarray, np.ndarray]
 
 
+@functools.lru_cache(maxsize=1024)  # more than the ~580 lengths of a verify pass
 def _fast_len(n: int) -> int:
     """Smallest 2^a 3^b 5^c >= n, a length numpy's FFT splits into radix-2,
     -3 and -5 passes only (scipy.fft.next_fast_len(n, real=True))."""
@@ -170,16 +176,21 @@ def convolve_series(f: Grid1D, g: Grid1D, weights: Sequence[float]) -> Grid1D:
 
     Term k is the k-fold :func:`convolve` of f with g; its first cell sits
     k*h half cells from f's, h = 2 (g.x0 + dx/2) / dx, and each of its
-    values covers two half cells of the dx/2 refinement.  f goes on the
-    even half cells and g at offset h (cyclically, when h < 0) of one real
-    transform pair at the smallest 5-smooth length that holds the output,
-    the weights are summed over the spectrum of g by Horner's rule, and
-    each half-cell value of the sum is then added to the half cell on its
-    right.  The result spans the union of the terms' grids.  It is zero off
-    the union of the supports of the terms of positive weight (run sums,
-    merged term by term) and at least the smallest normal float on it, as
-    in :func:`convolve`.  One weight gives refine(f, 2) times that weight,
-    with no transform.
+    values covers two half cells of the dx/2 refinement.  With h = 2a + r,
+    r in {0, 1}, term 2j starts j*h whole cells after f and term 2j + 1
+    starts a + j*h whole cells and r half cells after it.  So each parity
+    class of k is one whole-cell convolution, cyclic at the smallest
+    5-smooth length that holds it: f times sum_j w_2j z^j for the even
+    terms and f times g_a sum_j w_(2j+1) z^j for the odd ones, where g_a
+    and g_(a+r) are the spectra of g*dx shifted by a and a + r cells and
+    z = g_a g_(a+r), summed by Horner's rule.  Each cell value of a class
+    is added to the two half cells it covers.  That is three forward
+    transforms (two when r = 0) and two inverse ones, all about half the
+    output's length.  The result spans the union of the terms' grids.  It
+    is zero off the union of the supports of the terms of positive weight
+    (run sums, merged term by term) and at least the smallest normal float
+    on it, as in :func:`convolve`.  One weight gives refine(f, 2) times
+    that weight, with no transform.
 
     Raises SpacingMismatch as :func:`convolve` does, and BadParameter when
     2 g.x0 / dx is not an integer, or unless the weights are nonnegative
@@ -210,18 +221,31 @@ def convolve_series(f: Grid1D, g: Grid1D, weights: Sequence[float]) -> Grid1D:
             ends.append(k * h - lo + 2 * runs[1])
     support = _mark(np.concatenate(starts), np.concatenate(ends), n_out)
 
-    n = _fast_len(n_out)
+    a, r = divmod(h, 2)
+    n = _fast_len(n_out // 2 + 2)
+    lo_cell, odd_lo = divmod(lo, 2)  # cell 0 of the transforms starts odd_lo half cells before lo
     p = np.zeros(n)
-    p[-lo:2 * n_f - lo:2] = f.values
+    p[-lo_cell:n_f - lo_cell] = f.values
+    f_hat = np.fft.rfft(p)
     q = np.zeros(n)
-    q[:2 * n_g:2] = g.values * dx
-    q_hat = np.fft.rfft(np.roll(q, h))
-    series = np.full(q_hat.size, complex(weights[-1]))
-    for w in weights[-2::-1]:
-        series *= q_hat
-        series += w
-    vals = np.fft.irfft(np.fft.rfft(p) * series, n)[:n_out]
-    vals[1:] += vals[:-1].copy()
+    q[:n_g] = g.values * dx
+    g_hat = np.fft.rfft(np.roll(q, a))
+    z = g_hat * (g_hat if r == 0 else np.fft.rfft(np.roll(q, a + r)))
+    vals = np.zeros(n_out)
+    for parity, first in ((0, -odd_lo), (1, r - odd_lo)):
+        class_weights = weights[parity::2]
+        series = np.full(z.size, complex(class_weights[-1]))
+        for w in class_weights[-2::-1]:
+            series *= z
+            series += w
+        if parity:
+            series *= g_hat
+        series *= f_hat
+        cells = np.fft.irfft(series, n)
+        for half in (first, first + 1):  # cell i covers half cells first + 2i and the next
+            skip, odd = divmod(half, 2)
+            dst = vals[odd::2][max(skip, 0):]
+            dst += cells[max(-skip, 0):][:dst.size]
     np.maximum(vals, _TINY, out=vals)
     vals[~support] = 0.0
     return Grid1D(x0=f.x0 + min(0.0, k_max * (g.x0 + 0.5 * dx)), dx=0.5 * dx, values=vals)

@@ -290,6 +290,18 @@ class TestLevyCommand:
         assert captured.out == ""
         assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
 
+    def test_rate_past_the_term_cap_is_usage_error(self, uniform_csv, capsys):
+        # lambda t = 1e12 needs ~1e12 Poisson terms; it was refused only
+        # after 11.8 s of summing a tail that read "still 0.999"
+        rc = cli.main(["levy", "--a", "1", "--lambda", "1e12", "--t", "1",
+                       "--jumps", uniform_csv, "--orders", "1"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
+        assert "k=200" in captured.err and "lambda*t=1e+12" in captured.err
+        assert "above 1/2" in captured.err
+
     def test_no_orders_is_usage_error(self, uniform_csv, capsys):
         rc = cli.main(["levy", "--a", "1.0", "--lambda", "0.5", "--t", "1.0",
                        "--jumps", uniform_csv, "--orders", ","])

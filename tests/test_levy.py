@@ -28,7 +28,7 @@ from renyi_rearrange import (
     uniform_interval,
     variance,
 )
-from renyi_rearrange.grids import require_same_grid
+from renyi_rearrange.grids import half_cell_offset, require_same_grid
 from renyi_rearrange.levy import _K_CAP, _poisson_pmf, _poisson_sf, _snap, auto_k_max
 
 
@@ -131,6 +131,37 @@ class TestTruncation:
                     auto_k_max(mu)
             else:
                 assert auto_k_max(mu) == expected, mu
+
+    @pytest.mark.parametrize("refuse", ["auto_k_max", "explicit_k_max"])
+    def test_large_mean_is_refused_without_summing(self, refuse, monkeypatch):
+        # at lambda t = 1e12 the Poisson tail beyond any k <= mu - 2 is above
+        # 1/2; summing it took 11.8 s of pmf terms whose exponent cancels
+        module = sys.modules["renyi_rearrange.levy"]
+        calls = []
+        monkeypatch.setattr(module, "_poisson_pmf",
+                            lambda k, mu: calls.append(k) or _poisson_pmf(k, mu))
+        spec = LevySpec(a=1.0, rate=1e12, jump=skewed_jump(cells=32), t=1.0)
+        with pytest.raises(TruncationInsufficient,
+                           match=r"lambda\*t=1e\+12: the Poisson tail beyond it is above 1/2"):
+            if refuse == "auto_k_max":
+                auto_k_max(1e12)
+            else:
+                marginal_density(spec, k_max=5)
+        assert len(calls) <= 1000
+
+    def test_auto_k_max_computes_each_term_once(self, monkeypatch):
+        module = sys.modules["renyi_rearrange.levy"]
+        calls = []
+        monkeypatch.setattr(module, "_poisson_pmf",
+                            lambda k, mu: calls.append(k) or _poisson_pmf(k, mu))
+        for mu in (30.0, 120.0):
+            calls.clear()
+            auto_k_max(mu)
+            assert len(calls) == len(set(calls))
+        calls.clear()
+        with pytest.raises(TruncationInsufficient, match=f"k={_K_CAP}"):
+            auto_k_max(201.5)  # past the cap, though not by 2: its tail is summed
+        assert len(calls) == len(set(calls))
 
     def test_explicit_k_max_too_small(self):
         spec = LevySpec(a=1.0, rate=30.0, jump=skewed_jump(cells=32), t=1.0)
@@ -293,10 +324,18 @@ def _one_cell_jump():
     return make_grid(0.25, 0.05, np.array([20.0]))
 
 
+def _placed_jump(first_midpoint_cells):
+    # a law whose first midpoint sits a whole number of cells after -dx/2,
+    # so h = 2 (x0 + dx/2) / dx is even: the terms of odd k start a whole
+    # number of cells from those of even k
+    law = _uniform_mixture(7, cells=128)
+    return make_grid(first_midpoint_cells * law.dx, law.dx, law.values)
+
+
 # (jump law, rate, explicit k_max or None): the benchmark's jump laws at
 # rate 30, the verify suite's skewed law at lambda t = 0.25 and 1, a
-# gapped spiky law, a law that needs snapping, a one-cell law, and an
-# explicit k_max beyond the automatic one
+# gapped spiky law, a law that needs snapping, a one-cell law, an
+# explicit k_max beyond the automatic one, and laws with even h = 0, -6, 4
 SERIES_CASES = {
     "uniform-mixture-0-rate30": (lambda: _uniform_mixture(0), 30.0, None),
     "uniform-mixture-977-rate30": (lambda: _uniform_mixture(977), 30.0, None),
@@ -307,6 +346,9 @@ SERIES_CASES = {
     "off-lattice-rate3": (_off_lattice_jump, 3.0, None),
     "one-cell-rate2": (_one_cell_jump, 2.0, None),
     "uniform-mixture-5-rate4-kmax20": (lambda: _uniform_mixture(5, cells=128), 4.0, 20),
+    "even-h0-rate3": (lambda: _placed_jump(-0.5), 3.0, None),
+    "even-h-6-rate3-kmax25": (lambda: _placed_jump(-3.5), 3.0, 25),
+    "even-h4-rate2": (lambda: _placed_jump(1.5), 2.0, None),
 }
 
 
@@ -332,6 +374,22 @@ class TestSeriesAgainstFold:
         h = round(2.0 * star.x0 / star.dx) + 1
         assert h < 0 and h % 2 == 1
         assert_same_series(fold_marginal(spec, star, k), rearranged_marginal(spec, k_max))
+
+    @pytest.mark.parametrize("seed", [0, 977])
+    def test_half_order_reaches_only_the_roundoff_floor(self, seed):
+        # a third or more of each rate-30 marginal's cells lie below 1e-15 of
+        # its maximum, where the transform's roundoff is the value; h_p for
+        # p < 1 weighs those cells up, so it agrees with the fold only to
+        # ~1e-7, while h_0, h_1, h_2 and h_inf agree to roundoff
+        jump = _uniform_mixture(seed)
+        spec = LevySpec(a=1.0, rate=30.0, jump=jump, t=1.0)
+        k = auto_k_max(30.0)
+        pairs = [(fold_marginal(spec, jump, k), marginal_density(spec)),
+                 (fold_marginal(spec, rearrange_1d(_snap(jump)), k), rearranged_marginal(spec))]
+        for ref, new in pairs:
+            assert abs(renyi_entropy(new, 0.5) - renyi_entropy(ref, 0.5)) <= 1e-6
+            for p in (0.0, 1.0, 2.0, math.inf):
+                assert abs(renyi_entropy(new, p) - renyi_entropy(ref, p)) <= 1e-11
 
     def test_one_weight_is_refine(self):
         f = _uniform_mixture(1, cells=96)
@@ -375,6 +433,18 @@ class TestSeriesAgainstFold:
         assert_same_series(fold_series(f, g, weights), out)
         assert np.count_nonzero(out.values) == 8
 
+    @pytest.mark.parametrize("first, h", [(-0.5, 0), (-3.5, -6), (1.5, 4)])
+    @pytest.mark.parametrize("weights", [[0.5, 0.0, 0.5], [0.1, 0.2, 0.3, 0.4],
+                                         [0.0, 0.25, 0.0, 0.75, 0.0]])
+    def test_even_h_matches_fold(self, first, h, weights):
+        # the terms of odd k sit on whole cells of those of even k, and
+        # [0.5, 0, 0.5] leaves the odd class all zero
+        g = _placed_jump(first)
+        assert half_cell_offset(g) + 1 == h
+        f = _uniform_mixture(11, cells=96)
+        f = make_grid(-0.5 * g.dx * f.n_cells, g.dx, f.values)
+        assert_same_series(fold_series(f, g, weights), convolve_series(f, g, weights))
+
     def test_validation(self):
         g = _off_lattice_jump()
         f = make_grid(-0.1, g.dx, np.full(4, 5.0))
@@ -387,19 +457,28 @@ class TestSeriesAgainstFold:
             convolve_series(f, skewed_jump(cells=32), [0.5, 0.5])
 
     def test_transform_count_does_not_grow_with_k_max(self, monkeypatch):
-        counts = {"rfft": 0, "irfft": 0}
-        for name in counts:
+        # three forward transforms (f and the jump law at two shifts) and one
+        # inverse per parity class of k, all at half the length that zero
+        # stuffing onto the dx/2 lattice took (138240 and 69120 points)
+        calls = []
+        for name in ("rfft", "irfft"):
             real = getattr(np.fft, name)
 
-            def counted(*args, _name=name, _real=real, **kwargs):
-                counts[_name] += 1
-                return _real(*args, **kwargs)
+            def counted(a, n=None, *args, _name=name, _real=real, **kwargs):
+                calls.append((_name, len(a) if n is None else n))
+                return _real(a, n, *args, **kwargs)
 
             monkeypatch.setattr(np.fft, name, counted)
         spec = LevySpec(a=1.0, rate=30.0, jump=_uniform_mixture(0), t=1.0)
-        seen = []
-        for k_max in (auto_k_max(30.0), 90, 130):
-            counts.update(rfft=0, irfft=0)
-            marginal_density(spec, k_max)
-            seen.append(dict(counts))
-        assert seen == [{"rfft": 2, "irfft": 1}] * 3
+        assert auto_k_max(30.0) == 65
+        seen = {}
+        for marginal in (marginal_density, rearranged_marginal):
+            for k_max in (65, 90, 130):
+                calls.clear()
+                marginal(spec, k_max)
+                seen[marginal.__name__, k_max] = (
+                    sorted(name for name, _ in calls), {n for _, n in calls})
+        counts = ["irfft"] * 2 + ["rfft"] * 3
+        assert all(names == counts for names, _ in seen.values())
+        assert seen["rearranged_marginal", 65][1] == {69_120}
+        assert seen["marginal_density", 65][1] == {34_560}
