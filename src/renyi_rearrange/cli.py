@@ -134,7 +134,7 @@ def _cmd_entropy(args: argparse.Namespace) -> int:
         "density": args.density,
         "order": order_label(p),
         "entropy": h,
-        "entropy_power": entropy_power(f, p, 1),
+        "entropy_power": entropy_power(f, p),
         "mass": f.mass,
         "cells": f.n_cells,
         "dx": f.dx,
@@ -180,8 +180,8 @@ _ARGMIN_REL = 1e-9
 
 def _cmd_conjecture(args: argparse.Namespace) -> int:
     if args.landscape is None:
-        value = c_constant(args.p, 1)
-        half = c_constant(args.p, 1, cells=4096) if not (
+        value = c_constant(args.p)
+        half = c_constant(args.p, cells=4096) if not (
             args.p == 1.0 or math.isinf(args.p)) else value
         _print_payload({
             "p": args.p,

@@ -11,7 +11,6 @@ of ``EPS_CONV_FACTOR * dx * k`` for a k-fold convolution.
 from __future__ import annotations
 
 SYM_TOL = 1e-9            # symmetry slack for is_symmetric_decreasing
-                          # and radial_from_grid
 TAIL_TOL = 1e-6           # truncation tail for unbounded supports
 SERIES_TOL = 1e-8         # Poisson series truncation tail
 MAJ_TOL = 1e-12           # majorization slack on exact comparisons

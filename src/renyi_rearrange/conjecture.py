@@ -24,9 +24,8 @@ import sys
 from dataclasses import dataclass
 
 from .config import EPS_CONV_FACTOR, LANDSCAPE_MAX_CELLS
-from .errors import (BadParameter, DensityOverflow, OrderOutOfRange,
-                     UnsupportedDimension)
-from .grids import Grid1D, same_spacing
+from .errors import BadParameter, DensityOverflow, OrderOutOfRange
+from .grids import same_spacing
 from .convolve import convolve, resample, scale_density
 from .densities import beta_of_p, generalized_gaussian
 from .entropy import Group, entropy_power, order_label
@@ -43,31 +42,22 @@ __all__ = [
 CONJECTURE_LABEL = "conjecture-support"
 
 
-def _maximizer_1d(p: float, cells: int) -> Grid1D:
-    g = generalized_gaussian(1, beta_of_p(p, 1), cells=cells)
-    assert isinstance(g, Grid1D)
-    return g
+def c_constant(p: float, cells: int = 8192) -> float:
+    """The conjectured sharp constant C_{p,1} (conjecture-support value).
 
-
-def c_constant(p: float, n: int = 1, cells: int = 8192) -> float:
-    """The conjectured sharp constant C_{p,n} (conjecture-support value).
-
-    Exact endpoints are returned as such: C_{1,n} = 1 and C_{inf,n} = 1/2.
-    Interior orders are computed on a grid (dimension one only): convolve
-    two copies of the maximizer and take the entropy-power ratio.
+    Exact endpoints are returned as such: C_{1,1} = 1 and C_{inf,1} = 1/2.
+    Interior orders are computed on a grid: convolve two copies of the
+    maximizer and take the entropy-power ratio.
     """
     if p == 1.0:
         return 1.0
     if math.isinf(p):
         return 0.5
-    if n != 1:
-        raise UnsupportedDimension(
-            "numeric C_{p,n} is implemented for n = 1 only")
-    if p <= n / (n + 2.0):
-        raise OrderOutOfRange(f"need p > n/(n+2), got {p}")
-    g = _maximizer_1d(p, cells)
+    if p <= 1.0 / 3.0:
+        raise OrderOutOfRange(f"need p > 1/3, got {p}")
+    g = generalized_gaussian(beta_of_p(p, 1), cells=cells)
     conv = convolve(g, g)
-    return 0.5 * entropy_power(conv, p, 1) / entropy_power(g, p, 1)
+    return 0.5 * entropy_power(conv, p) / entropy_power(g, p)
 
 
 @dataclass(frozen=True)
@@ -102,8 +92,8 @@ def ratio_landscape(p: float, a_grid: list[tuple[float, float]],
             raise BadParameter(
                 f"scales ({a1}, {a2}) would resample onto {fine_cells:.0f} cells, "
                 f"more than LANDSCAPE_MAX_CELLS = {LANDSCAPE_MAX_CELLS}")
-    base = _maximizer_1d(p, cells)
-    n_base = entropy_power(base, p, 1)
+    base = generalized_gaussian(beta_of_p(p, 1), cells=cells)
+    n_base = entropy_power(base, p)
     ratios: dict[tuple[float, float], float] = {}
     out: list[LandscapePoint] = []
     for a1, a2 in a_grid:
@@ -119,17 +109,18 @@ def ratio_landscape(p: float, a_grid: list[tuple[float, float]],
             large = scale_density(base, hi)
             if not same_spacing(small, large):
                 large = resample(large, small.dx)
-            ratios[lo, hi] = entropy_power(convolve(small, large), p, 1) / den
+            ratios[lo, hi] = entropy_power(convolve(small, large), p) / den
         out.append(LandscapePoint(a1=a1, a2=a2, ratio=ratios[lo, hi]))
     return out
 
 
-def bobkov_constant(p: float, n: int = 1) -> float:
-    """Proven entropy-power constant c_p for sums of iid-independent terms."""
+def bobkov_constant(p: float) -> float:
+    """Proven entropy-power constant c_p for sums of independent terms on
+    the line."""
     if p == 1.0:
         return 1.0
     if math.isinf(p):
-        return 0.5 if n == 1 else 1.0 / math.e
+        return 0.5
     if p <= 1.0:
         raise OrderOutOfRange(f"Bobkov-Chistyakov constant needs p >= 1, got {p}")
     return (1.0 / math.e) * p ** (1.0 / (p - 1.0))
@@ -145,10 +136,10 @@ def bobkov_chistyakov_bound_check(group: Group, p: float,
     X_i come from the group's rows, so p is one of FACTOR_ORDERS.
     """
     k = len(group.fs)
-    c_p = bobkov_constant(p, 1)
+    c_p = bobkov_constant(p)
     h_sum = group.h_conv[p]
     h_each = [row[p] for row in group.h_factors]
-    # N_p = exp(2 h_p) in dimension one, as entropy_power(., p, 1) computes it
+    # N_p = exp(2 h_p), as entropy_power computes it
     lhs = math.exp(2.0 * h_sum)
     rhs = c_p * sum(math.exp(2.0 * h) for h in h_each)
     dx = group.fs[0].dx

@@ -278,10 +278,9 @@ def project_onto(f: Grid1D, x0: float, dx: float, n_cells: int) -> Grid1D:
     Each target cell receives exactly the mass f assigns to it (the
     cumulative mass of a step density is piecewise linear, so linear
     interpolation at target edges is exact).  Mass outside the target
-    window is dropped.
+    window is dropped.  Grid1D refuses a dx that is not positive and
+    finite.
     """
-    if not (dx > 0.0):
-        raise NonPositiveSpacing(f"target dx must be positive, got {dx}")
     if n_cells < 1:
         raise BadParameter("target grid needs at least one cell")
     cum = np.concatenate(([0.0], np.cumsum(f.values) * f.dx))
@@ -299,8 +298,8 @@ def resample(f: Grid1D, dx_new: float) -> Grid1D:
     support; refining by an integer factor and coarsening back is the
     identity.
     """
-    if not (dx_new > 0.0):
-        raise NonPositiveSpacing(f"dx_new must be positive, got {dx_new}")
+    if not (0.0 < dx_new < math.inf):  # also dx_new = nan
+        raise NonPositiveSpacing(f"dx_new must be positive and finite, got {dx_new}")
     span = f.n_cells * f.dx
     n_new = max(1, int(math.ceil(span / dx_new - 1e-12)))
     return project_onto(f, f.x0, dx_new, n_new)

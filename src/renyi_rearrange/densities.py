@@ -1,4 +1,4 @@
-"""Reference densities: Gaussians, uniforms, and generalized Gaussians.
+"""Reference densities on the line: Gaussians, uniforms, and generalized Gaussians.
 
 The generalized Gaussian of shape beta in R^n is
 
@@ -26,10 +26,12 @@ integral,
         = (1/2) (2/|beta|)^(n/2) B(n/2, m + 1)          (beta > 0),
         = (1/2) (2/|beta|)^(n/2) B(n/2, -m - n/2)       (beta < 0),
 
-so A_beta follows from lgamma.  A heavy-tailed g_beta is gridded out to
-where its mass beyond the radius r0, the regularized incomplete Beta
-I_s(-m - n/2, n/2) at s = 1/(1 + |beta| r0^2 / 2), drops below TAIL_TOL;
-scipy (betainc only) is imported when that tail is evaluated.
+so A_beta follows from lgamma.  These closed forms hold in every
+dimension n; the grid density generalized_gaussian(beta) is the n = 1
+case.  A heavy-tailed g_beta is gridded out to where its mass beyond the
+radius r0, the regularized incomplete Beta I_s(-m - 1/2, 1/2) at
+s = 1/(1 + |beta| r0^2 / 2), drops below TAIL_TOL; scipy (betainc only)
+is imported when that tail is evaluated.
 """
 
 from __future__ import annotations
@@ -39,18 +41,16 @@ import math
 import numpy as np
 
 from .config import TAIL_TOL
-from .errors import BadParameter, BetaOutOfRange, OrderOutOfRange, UnsupportedDimension
-from .grids import Grid1D, RadialDensity, make_grid, make_radial, normalize, unit_ball_volume
+from .errors import BadParameter, BetaOutOfRange, OrderOutOfRange
+from .grids import Grid1D, make_grid, normalize
 
 __all__ = [
     "beta_of_p",
     "gg_exponent",
     "gg_normalizer",
     "generalized_gaussian",
-    "gaussian",
     "gaussian_on_grid",
     "uniform_interval",
-    "uniform_ball",
     "GAUSSIAN_ENTROPY_POWER",
 ]
 
@@ -92,11 +92,12 @@ def _integrable_exponent(beta: float, n: int) -> float:
     return m
 
 
-def _gg_radial_unnormalized(beta: float, n: int):
-    """Return u(r) with g_beta = A * u(|x|), plus the support radius (or inf)."""
+def _gg_unnormalized(beta: float):
+    """Return u(x) with g_beta = A * u(x) on the line, plus the support
+    radius (or inf)."""
     if beta == 0.0:
         return (lambda r: np.exp(-0.5 * np.asarray(r, dtype=float) ** 2)), math.inf
-    m = _integrable_exponent(beta, n)
+    m = _integrable_exponent(beta, 1)
     if beta > 0.0:
         radius = math.sqrt(2.0 / beta)
 
@@ -131,12 +132,12 @@ def gg_normalizer(n: int, beta: float) -> float:
                     + 0.5 * n * math.log(abs(beta) / (2.0 * math.pi)))
 
 
-def _truncation_radius(n: int, beta: float) -> float:
+def _truncation_radius(beta: float) -> float:
     """The first radius 4 * 1.5^j whose share of the mass of g_beta (beta < 0)
-    lies within TAIL_TOL of all of it."""
+    on the line lies within TAIL_TOL of all of it."""
     from scipy.special import betainc
 
-    a, b = 0.5 * n, -gg_exponent(beta, n) - 0.5 * n
+    a, b = 0.5, -gg_exponent(beta, 1) - 0.5
 
     def tail(r0: float) -> float:
         return float(betainc(b, a, 1.0 / (1.0 + 0.5 * abs(beta) * r0 * r0)))
@@ -149,41 +150,24 @@ def _truncation_radius(n: int, beta: float) -> float:
     return radius
 
 
-def generalized_gaussian(n: int, beta: float, cells: int = 8192) -> Grid1D | RadialDensity:
-    """Grid representation of g_beta, normalized to unit mass.
+def generalized_gaussian(beta: float, cells: int = 8192) -> Grid1D:
+    """Grid representation of g_beta on the line, normalized to unit mass.
 
-    Returns a Grid1D for n = 1 and a RadialDensity for n >= 2.  Compact
-    supports (beta > 0) are gridded edge to edge; unbounded supports are
-    truncated where the analytic tail mass drops below TAIL_TOL and
-    then renormalized.
+    Compact supports (beta > 0) are gridded edge to edge; unbounded
+    supports are truncated where the analytic tail mass drops below
+    TAIL_TOL and then renormalized.
     """
     if cells < 8:
         raise BadParameter("cells must be >= 8")
-    u, radius = _gg_radial_unnormalized(beta, n)
+    u, radius = _gg_unnormalized(beta)
     if not math.isfinite(radius):
         if beta == 0.0:
             radius = 8.0  # Gaussian tail at 8 sigma is far below TAIL_TOL
         else:
-            radius = _truncation_radius(n, beta)
-    if n == 1:
-        dx = 2.0 * radius / cells
-        mids = -radius + (np.arange(cells) + 0.5) * dx
-        return normalize(make_grid(-radius, dx, u(mids)))
-    dr = radius / cells
-    mids = (np.arange(cells) + 0.5) * dr
-    return normalize(make_radial(n, dr, u(mids)))
-
-
-def gaussian(mu: float, sigma: float, cells: int = 4096,
-             radius_sigmas: float = 8.0) -> Grid1D:
-    """Normalized grid Gaussian on [mu - r*sigma, mu + r*sigma]."""
-    if not (sigma > 0.0):
-        raise BadParameter(f"sigma must be positive, got {sigma}")
-    half = radius_sigmas * sigma
-    dx = 2.0 * half / cells
-    mids = mu - half + (np.arange(cells) + 0.5) * dx
-    vals = np.exp(-0.5 * ((mids - mu) / sigma) ** 2)
-    return normalize(make_grid(mu - half, dx, vals))
+            radius = _truncation_radius(beta)
+    dx = 2.0 * radius / cells
+    mids = -radius + (np.arange(cells) + 0.5) * dx
+    return normalize(make_grid(-radius, dx, u(mids)))
 
 
 def gaussian_on_grid(mu: float, sigma: float, x0: float, dx: float, n_cells: int,
@@ -209,12 +193,3 @@ def uniform_interval(a: float, b: float, cells: int = 1024) -> Grid1D:
     dx = (b - a) / cells
     return make_grid(a, dx, np.full(cells, 1.0 / (b - a)))
 
-
-def uniform_ball(n: int, r: float, shells: int = 256) -> RadialDensity:
-    """Uniform density on the centered ball of radius r in R^n."""
-    if not (r > 0.0):
-        raise BadParameter(f"radius must be positive, got {r}")
-    if n < 1:
-        raise UnsupportedDimension(f"dimension must be >= 1, got {n}")
-    value = 1.0 / (unit_ball_volume(n) * r**n)
-    return make_radial(n, r / shells, np.full(shells, value))

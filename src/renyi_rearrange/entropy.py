@@ -24,7 +24,8 @@ sum f1^* * ... * fk^* of its rearrangements, and a Row of Renyi entropies
 time a check reads it and kept, so every check on the group shares them
 and a group's checks take the group as their only data.
 
-The entropy power of order p in dimension n is N_p(f) = exp(2 h_p(f)/n).
+The entropy power of order p is N_p(f) = exp(2 h_p(f)), every density
+here being one-dimensional.
 
 The Renyi divergence implemented here is the standard one,
 
@@ -49,7 +50,7 @@ import numpy as np
 from .config import FISHER_FLOOR_REL, MIXTURE_TOL
 from .convolve import convolve_k
 from .errors import BadParameter, DensityOverflow, OrderOutOfRange, WeightSum, ZeroMass
-from .grids import Grid1D, RadialDensity, require_same_grid
+from .grids import Grid1D, require_same_grid
 from .rearrange import rearrange_1d
 from .reports import VerificationReport, report_leq
 
@@ -64,8 +65,6 @@ __all__ = [
     "fisher_information",
     "mixture_entropy_bound_check",
 ]
-
-Density = Grid1D | RadialDensity
 
 
 def order(p: float | str) -> float:
@@ -90,13 +89,13 @@ def order_label(p: float) -> str:
     return {0.0: "0", 1.0: "1", math.inf: "inf"}.get(p, repr(float(p)))
 
 
-def renyi_entropy(f: Density, p: float | str) -> float:
+def renyi_entropy(f: Grid1D, p: float | str) -> float:
     """Renyi entropy h_p(f) of a step density, exact for every order p
     that order() takes."""
     return renyi_entropies(f, (p,))[0]
 
 
-def renyi_entropies(f: Density, orders: Sequence[float | str]) -> tuple[float, ...]:
+def renyi_entropies(f: Grid1D, orders: Sequence[float | str]) -> tuple[float, ...]:
     """(h_p(f) for p in orders) from one pass over the layers of f.
 
     One positive mask, one gather and at most one log serve every order;
@@ -161,7 +160,7 @@ class Row(dict):
     row[math.inf]); an order outside the row raises OrderOutOfRange.
     """
 
-    def __init__(self, f: Density, orders: Sequence[float | str]) -> None:
+    def __init__(self, f: Grid1D, orders: Sequence[float | str]) -> None:
         keys = [order(p) for p in orders]
         super().__init__(zip(keys, renyi_entropies(f, keys)))
 
@@ -213,23 +212,19 @@ class Group:
         return tuple(Row(f, FACTOR_ORDERS) for f in self.fs)
 
 
-def entropy_power(f: Density, p: float | str, n: int | None = None) -> float:
-    """Entropy power N_p(f) = exp(2 h_p(f) / n); DensityOverflow outside
-    the normal float range, where a result would have lost its digits."""
-    if n is None:
-        n = 1 if isinstance(f, Grid1D) else f.dim
-    if n < 1:
-        raise BadParameter(f"dimension must be >= 1, got {n}")
+def entropy_power(f: Grid1D, p: float | str) -> float:
+    """Entropy power N_p(f) = exp(2 h_p(f)); DensityOverflow outside the
+    normal float range, where a result would have lost its digits."""
     h = renyi_entropy(f, p)
     try:
-        power = math.exp(2.0 * h / n)
+        power = math.exp(2.0 * h)
     except OverflowError:
         raise DensityOverflow(
-            f"entropy power exp(2 h / n) overflows a float at h = {h}, n = {n}") from None
+            f"entropy power exp(2 h) overflows a float at h = {h}") from None
     if power < sys.float_info.min:
         raise DensityOverflow(
-            f"entropy power exp(2 h / n) is {power}, below the normal float range, "
-            f"at h = {h}, n = {n}")
+            f"entropy power exp(2 h) is {power}, below the normal float range, "
+            f"at h = {h}")
     return power
 
 

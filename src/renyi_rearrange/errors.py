@@ -11,7 +11,7 @@ class DensityError(ValueError):
 
 
 class NonPositiveSpacing(DensityError):
-    """Grid spacing (dx or dr) must be strictly positive."""
+    """Grid spacing dx must be positive and finite."""
 
 
 class NegativeValue(DensityError):
@@ -24,14 +24,6 @@ class EmptyGrid(DensityError):
 
 class ZeroMass(DensityError):
     """Operation requires strictly positive total mass."""
-
-
-class NotSymmetric(DensityError):
-    """Grid density is not symmetric about the origin."""
-
-
-class DimensionMismatch(DensityError):
-    """Operands live in different ambient dimensions."""
 
 
 class GridMismatch(DensityError):
@@ -64,10 +56,6 @@ class WeightSum(DensityError):
 
 class TruncationInsufficient(DensityError):
     """Truncated series does not meet the requested tail tolerance."""
-
-
-class UnsupportedDimension(DensityError):
-    """Requested dimension not supported by this routine."""
 
 
 class ConfigInvalid(DensityError):

@@ -1,4 +1,4 @@
-"""Grid densities on the line and radial densities in R^n.
+"""Step densities on a uniform grid on the line.
 
 A :class:`Grid1D` is a piecewise-constant probability density: cell j
 covers ``[x0 + j*dx, x0 + (j+1)*dx)`` and carries the constant value
@@ -7,21 +7,15 @@ convolution is computed exactly for such step functions, which is the
 point of the representation: rearrangement, level-set measures and Renyi
 entropies reduce to finite sums over cells.
 
-A :class:`RadialDensity` is the spherically symmetric analogue in
-dimension n: ``profile[j]`` is the constant value on the spherical shell
-between radii ``radii[j]`` and ``radii[j+1]`` (uniform width ``dr`` unless
-explicit boundaries are given; rearrangement of a radial density in n >= 2
-produces shells whose boundaries sit at exact cumulative volumes, which is
-why non-uniform boundaries are allowed).
-
 Moments use the midpoint rule, which is exact for the zeroth and first
 moment of a step density and carries an O(dx^2) error for k >= 2.
 
-The grid contract lives here.  A density owns its arrays and makes them
-read-only, copying a view so that no writable base stays reachable
-(make_grid and make_radial copy caller data once), so entropy.Group may
-cache what it computes from one.  Spacings agree to one part in 1e12
-(same_spacing), and half_cell_offset alone tests half-cell alignment.
+The grid contract lives here.  A Grid1D checks its origin and spacing
+(finite, and dx > 0), owns its values and makes them read-only, copying
+a view so that no writable base stays reachable (make_grid copies caller
+data once), so entropy.Group may cache what it computes from one.
+Spacings agree to one part in 1e12 (same_spacing), and half_cell_offset
+alone tests half-cell alignment.
 """
 
 from __future__ import annotations
@@ -29,7 +23,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -40,41 +34,23 @@ from .errors import (
     GridMismatch,
     NegativeValue,
     NonPositiveSpacing,
-    NotSymmetric,
     ZeroMass,
 )
 
 __all__ = [
     "Grid1D",
-    "RadialDensity",
     "DensityGeneratorSpec",
     "GENERATOR_KINDS",
     "make_grid",
-    "make_radial",
     "normalize",
     "moment",
     "variance",
     "random_density",
-    "radial_from_grid",
     "refine",
     "is_symmetric_decreasing",
-    "unit_ball_volume",
-    "shell_volume",
     "write_density_csv",
     "read_density_csv",
 ]
-
-
-def unit_ball_volume(n: int) -> float:
-    """Volume of the unit ball in R^n, pi^(n/2) / Gamma(n/2 + 1)."""
-    if n < 1:
-        raise BadParameter(f"dimension must be >= 1, got {n}")
-    return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
-
-
-def shell_volume(n: int, j: int, dr: float) -> float:
-    """Volume of the shell between radii j*dr and (j+1)*dr in R^n."""
-    return unit_ball_volume(n) * (float(j + 1) ** n - float(j) ** n) * dr**n
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -93,7 +69,7 @@ class Grid1D:
     x0 : float
         Left edge of the first cell, finite (else BadParameter).
     dx : float
-        Cell width, strictly positive.
+        Cell width, positive and finite (else NonPositiveSpacing).
     values : np.ndarray
         Nonnegative density values, one per cell.  Owned, read-only.
     """
@@ -105,6 +81,8 @@ class Grid1D:
     def __post_init__(self) -> None:
         if not math.isfinite(self.x0):
             raise BadParameter(f"grid origin x0 must be finite, got {self.x0}")
+        if not (0.0 < self.dx < math.inf):  # also dx = nan
+            raise NonPositiveSpacing(f"dx must be positive and finite, got {self.dx}")
         object.__setattr__(self, "values", _frozen(self.values))
 
     @property
@@ -144,8 +122,6 @@ def make_grid(x0: float, dx: float, values: Iterable[float]) -> Grid1D:
     non-finite x0) BadParameter on bad input.
     Mass is *not* required to be 1 here; see :func:`normalize`.
     """
-    if not (dx > 0.0) or not math.isfinite(dx):
-        raise NonPositiveSpacing(f"dx must be positive and finite, got {dx}")
     vals = np.array(list(values) if not isinstance(values, np.ndarray) else values,
                     dtype=float)
     if vals.ndim != 1 or vals.size == 0:
@@ -182,88 +158,12 @@ def require_same_grid(f: Grid1D, g: Grid1D) -> None:
             f"(x0={g.x0}, dx={g.dx}, n={g.n_cells})")
 
 
-@dataclass(frozen=True)
-class RadialDensity:
-    """Spherically symmetric piecewise-constant density in R^dim.
-
-    ``profile[j]`` holds on the shell between ``boundaries[j]`` and
-    ``boundaries[j+1]``.  With ``radii=None`` the boundaries are the
-    uniform sequence ``j*dr``.  `profile` and `radii` are owned, read-only.
-    """
-
-    dim: int
-    dr: float
-    profile: np.ndarray
-    radii: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "profile", _frozen(self.profile))
-        if self.radii is not None:
-            object.__setattr__(self, "radii", _frozen(self.radii))
-
-    @property
-    def n_shells(self) -> int:
-        return int(self.profile.shape[0])
-
-    @property
-    def boundaries(self) -> np.ndarray:
-        if self.radii is not None:
-            return self.radii
-        return np.arange(self.n_shells + 1) * self.dr
-
-    def shell_volumes(self) -> np.ndarray:
-        b = self.boundaries
-        return unit_ball_volume(self.dim) * np.diff(b ** float(self.dim))
-
-    @property
-    def mass(self) -> float:
-        return float(np.dot(self.profile, self.shell_volumes()))
-
-    @property
-    def max_value(self) -> float:
-        return float(self.profile.max())
-
-    @property
-    def support_measure(self) -> float:
-        vols = self.shell_volumes()
-        return float(vols[self.profile > 0.0].sum())
-
-    def cells(self) -> tuple[np.ndarray, np.ndarray]:
-        """(profile values, shell volumes) in storage order."""
-        return self.profile, self.shell_volumes()
-
-
-def make_radial(dim: int, dr: float, profile: Iterable[float],
-                radii: Sequence[float] | None = None) -> RadialDensity:
-    """Validated RadialDensity constructor."""
-    if dim < 1 or int(dim) != dim:
-        raise BadParameter(f"dimension must be a positive integer, got {dim}")
-    if not (dr > 0.0) or not math.isfinite(dr):
-        raise NonPositiveSpacing(f"dr must be positive and finite, got {dr}")
-    prof = np.array(list(profile) if not isinstance(profile, np.ndarray) else profile,
-                    dtype=float)
-    if prof.ndim != 1 or prof.size == 0:
-        raise EmptyGrid("radial density needs at least one shell")
-    if np.any(~np.isfinite(prof)) or np.any(prof < 0.0):
-        raise NegativeValue("profile values must be finite and nonnegative")
-    r = None
-    if radii is not None:
-        r = np.array(radii, dtype=float)
-        if r.shape != (prof.size + 1,):
-            raise BadParameter("radii must have length len(profile)+1")
-        if r[0] != 0.0 or np.any(np.diff(r) <= 0.0):
-            raise BadParameter("radii must start at 0 and increase strictly")
-    return RadialDensity(dim=int(dim), dr=float(dr), profile=prof, radii=r)
-
-
-def normalize(f: Grid1D | RadialDensity) -> "Grid1D | RadialDensity":
+def normalize(f: Grid1D) -> Grid1D:
     """Rescale to unit mass.  Raises ZeroMass when there is nothing to scale."""
     m = f.mass
     if not (m > 0.0):
         raise ZeroMass(f"total mass is {m}")
-    if isinstance(f, Grid1D):
-        return Grid1D(f.x0, f.dx, f.values / m)
-    return RadialDensity(f.dim, f.dr, f.profile / m, f.radii)
+    return Grid1D(f.x0, f.dx, f.values / m)
 
 
 def moment(f: Grid1D, k: int) -> float:
@@ -289,23 +189,16 @@ def refine(f: Grid1D, factor: int) -> Grid1D:
     return Grid1D(f.x0, f.dx / factor, np.repeat(f.values, factor))
 
 
-def _asymmetry(f: Grid1D) -> str | None:
-    """Why f is not centered at 0 and mirror symmetric within SYM_TOL, or None."""
-    n = f.n_cells
-    if abs(f.x0 + 0.5 * n * f.dx) > SYM_TOL:
-        return f"grid [{f.x0}, {f.x0 + n * f.dx}] is not centered at the origin"
-    mism = float(np.max(np.abs(f.values - f.values[::-1])))
-    if mism > SYM_TOL * max(f.max_value, 1.0):
-        return f"values are not mirror symmetric (max gap {mism})"
-    return None
-
-
 def is_symmetric_decreasing(f: Grid1D) -> bool:
-    """True when the grid is centered at 0, even, and nonincreasing in |x|."""
-    if _asymmetry(f) is not None:
+    """True when the grid is centered at 0, even, and nonincreasing in |x|,
+    each within SYM_TOL."""
+    slack = SYM_TOL * max(f.max_value, 1.0)
+    if abs(f.x0 + 0.5 * f.n_cells * f.dx) > SYM_TOL:
+        return False
+    if np.max(np.abs(f.values - f.values[::-1])) > slack:
         return False
     right = f.values[(f.n_cells + 1) // 2:]
-    return bool(np.all(np.diff(right) <= SYM_TOL * max(f.max_value, 1.0)))
+    return bool(np.all(np.diff(right) <= slack))
 
 
 GENERATOR_KINDS = ("uniform-mixture", "gaussian-mixture", "spiky-piecewise", "bimodal")
@@ -394,22 +287,6 @@ def random_density(spec: DensityGeneratorSpec) -> Grid1D:
     if not (total > 0.0):
         raise ZeroMass("generator produced an empty density")
     return Grid1D(x0=-hw, dx=dx, values=vals / total)
-
-
-def radial_from_grid(f: Grid1D) -> RadialDensity:
-    """Bridge a symmetric Grid1D to a dim-1 RadialDensity.
-
-    The grid must be symmetric about the origin: its support interval is
-    [-L, L] and values mirror within SYM_TOL.  Cells are split in half so
-    that 0 is always a cell edge, giving shells of width dx/2 with
-    ``profile[j]`` the value at radius (j + 1/2) * dr.
-    """
-    reason = _asymmetry(f)
-    if reason is not None:
-        raise NotSymmetric(reason)
-    half = np.repeat(f.values, 2)  # 2n half-cells; 0 sits after cell n-1
-    profile = half[f.n_cells:]
-    return make_radial(1, f.dx / 2.0, profile)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from renyi_rearrange import (
     convolve,
     entropy_power,
     epi_gap_balls,
-    gaussian,
+    gaussian_on_grid,
     generalized_gaussian,
     marginal_density,
     moment,
@@ -83,8 +83,8 @@ def _failing(reports):
 def test_criterion_01_constant_reproduction():
     failures = []
     start = time.perf_counter()
-    value = c_constant(2.0, 1)
-    coarse = c_constant(2.0, 1, cells=4096)
+    value = c_constant(2.0)
+    coarse = c_constant(2.0, cells=4096)
     elapsed = time.perf_counter() - start
     if abs(value - 0.956668) > 5e-4:
         failures.append(f"C_2,1 = {value} vs published 0.956668")
@@ -99,7 +99,7 @@ def test_criterion_01_constant_reproduction():
 
 def test_criterion_02_closed_form_anchors():
     failures = []
-    n1 = entropy_power(gaussian(0.0, 1.0), 1.0, 1)
+    n1 = entropy_power(gaussian_on_grid(0.0, 1.0, -8.0, 16.0 / 4096, 4096), 1.0)
     if abs(n1 / (2.0 * math.pi * math.e) - 1.0) > 1e-3:
         failures.append(f"N_1(gaussian) = {n1}")
     u = uniform_interval(-0.5, 0.5, cells=512)
@@ -110,7 +110,7 @@ def test_criterion_02_closed_form_anchors():
     if abs(h_ball - 0.5) > 1e-4:
         failures.append(f"ball sum entropy = {h_ball}")
     for beta in (-1.0, 0.0, 0.4):
-        m2 = moment(generalized_gaussian(1, beta), 2)
+        m2 = moment(generalized_gaussian(beta), 2)
         if abs(m2 - 1.0) > 5e-3:
             failures.append(f"E X^2 = {m2} at beta = {beta}")
     _verdict(2, failures)
@@ -200,7 +200,6 @@ def test_criterion_07_epi_chain(main_suite):
     if bad:
         failures.append(f"{len(bad)} failures")
     cells, hw = 2048, 4.0
-    from renyi_rearrange import gaussian_on_grid
     dx = 2.0 * hw / cells
     rep = check_epi_chain(Group((gaussian_on_grid(0.0, 0.9, -hw, dx, cells),
                                  gaussian_on_grid(0.3, 0.7, -hw, dx, cells))))

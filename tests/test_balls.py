@@ -22,7 +22,6 @@ from renyi_rearrange import (
     make_grid,
     renyi_entropy,
     uniform_interval,
-    unit_ball_volume,
     epi_gap_balls,
     log_cap_integral,
 )
@@ -31,6 +30,25 @@ from renyi_rearrange import (
 def _cap(theta, n):
     """The cap integral h(theta) itself."""
     return math.exp(log_cap_integral(theta, n))
+
+
+def _unit_ball_volume(n):
+    """V_n = pi^(n/2) / Gamma(n/2 + 1), the closed form as the oracle."""
+    return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
+
+
+class TestLogUnitBallVolume:
+    def test_unit_ball_volume_against_recursive_slices(self):
+        # V_n = V_{n-1} * int_{-1}^{1} (1 - t^2)^{(n-1)/2} dt, integrated
+        # numerically, against the closed form pi^{n/2} / Gamma(n/2 + 1)
+        v = 1.0
+        for n in range(1, 9):
+            slice_integral, _ = integrate.quad(
+                lambda t, k=n: (1.0 - t * t) ** ((k - 1) / 2.0), -1.0, 1.0)
+            v = v * slice_integral
+            closed = _unit_ball_volume(n)
+            assert math.exp(balls.log_unit_ball_volume(n)) == pytest.approx(closed, rel=1e-12)
+            assert v == pytest.approx(closed, rel=1e-10)
 
 
 class TestCapIntegral:
@@ -147,7 +165,7 @@ class TestBallSumRadial:
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_density_integrates_to_one(self, n):
         bp = BallPair(n, 1.0, 0.5)
-        surface = n * unit_ball_volume(n)
+        surface = n * _unit_ball_volume(n)
 
         def radial_mass(r):
             return ball_sum_radial(bp, r) * surface * r ** (n - 1)
@@ -227,7 +245,7 @@ class TestBallSumEntropy:
         h = ball_sum_entropy(BallPair(64, 1.0, 1.0))
         assert math.isfinite(h)
         # entropy of the sum exceeds that of a single ball
-        single = 64.0 * math.log(1.0) + math.log(unit_ball_volume(64))
+        single = 64.0 * math.log(1.0) + math.log(_unit_ball_volume(64))
         assert h > single
 
     @pytest.mark.parametrize("m, expected", [(512, -871.6083154128002),
@@ -325,7 +343,7 @@ class TestEpiGap:
         # with b1 = b2 the whole gap is the entropy difference itself
         lam = 0.3
         bp = BallPair(3, math.sqrt(lam) * 0.8, math.sqrt(1.0 - lam) * 0.8)
-        h1 = math.log(unit_ball_volume(3) * 0.8 ** 3)
+        h1 = math.log(_unit_ball_volume(3) * 0.8 ** 3)
         assert epi_gap_balls(3, 0.8, 0.8, lam) == pytest.approx(
             ball_sum_entropy(bp) - h1, rel=1e-12)
 

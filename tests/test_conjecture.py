@@ -10,7 +10,6 @@ from renyi_rearrange import (
     DensityOverflow,
     Group,
     OrderOutOfRange,
-    UnsupportedDimension,
     bobkov_chistyakov_bound_check,
     c_constant,
     ratio_landscape,
@@ -26,29 +25,32 @@ C_21_EXACT = 166753125.0 / (
 class TestSharpConstant:
     def test_p2_matches_radical(self):
         assert C_21_EXACT == pytest.approx(0.956668, abs=5e-7)
-        assert c_constant(2.0, 1) == pytest.approx(C_21_EXACT, abs=5e-4)
+        assert c_constant(2.0) == pytest.approx(C_21_EXACT, abs=5e-4)
 
     def test_two_resolutions_agree(self):
-        a = c_constant(2.0, 1, cells=8192)
-        b = c_constant(2.0, 1, cells=4096)
+        a = c_constant(2.0, cells=8192)
+        b = c_constant(2.0, cells=4096)
         assert abs(a - b) < 2e-4
 
     def test_endpoints(self):
         # Gaussians make the ratio exactly 1; uniforms exactly 1/2
-        assert c_constant(1.0, 1) == 1.0
-        assert c_constant(math.inf, 1) == 0.5
+        assert c_constant(1.0) == 1.0
+        assert c_constant(math.inf) == 0.5
 
     def test_between_bobkov_and_one(self):
-        c = c_constant(2.0, 1)
+        c = c_constant(2.0)
         assert bobkov_constant(2.0) <= c <= 1.0
 
     def test_dimension_guard(self):
-        with pytest.raises(UnsupportedDimension):
-            c_constant(2.0, 3)
+        # the one dimension is implied: a dimension passed where cells now
+        # stands is refused, not read as a grid size
+        for n in (1, 3):
+            with pytest.raises(BadParameter, match="cells must be >= 8"):
+                c_constant(2.0, n)
 
     def test_order_boundary(self):
         with pytest.raises(OrderOutOfRange):
-            c_constant(0.2, 1)
+            c_constant(0.2)
 
     def test_label_is_exported(self):
         assert CONJECTURE_LABEL == "conjecture-support"
@@ -152,7 +154,7 @@ class TestRatioLandscape:
 
     def test_diagonal_matches_constant(self):
         (pt,) = ratio_landscape(2.0, [(1.0, 1.0)], cells=2048)
-        assert pt.ratio == pytest.approx(c_constant(2.0, 1), abs=2e-4)
+        assert pt.ratio == pytest.approx(c_constant(2.0), abs=2e-4)
 
     def test_rejects_special_orders(self):
         with pytest.raises(OrderOutOfRange):

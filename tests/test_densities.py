@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 from scipy.special import gamma
 
 from renyi_rearrange import (
@@ -14,7 +15,6 @@ from renyi_rearrange import (
     gg_exponent,
     gg_normalizer,
     renyi_entropy,
-    uniform_ball,
     uniform_interval,
     variance,
 )
@@ -72,13 +72,13 @@ class TestNormalizer:
 class TestGeneralizedGaussian:
     @pytest.mark.parametrize("beta", [-1.0, 0.0, 0.4])
     def test_unit_second_moment(self, beta):
-        f = generalized_gaussian(1, beta)
+        f = generalized_gaussian(beta)
         assert f.mass == pytest.approx(1.0, abs=1e-9)
         assert variance(f) == pytest.approx(1.0, rel=5e-3)
 
     def test_p_infinity_is_uniform(self):
         # beta = 2/3 in one dimension: flat on [-sqrt(3), sqrt(3)]
-        f = generalized_gaussian(1, 2.0 / 3.0)
+        f = generalized_gaussian(2.0 / 3.0)
         assert f.support_measure == pytest.approx(2.0 * math.sqrt(3.0), rel=1e-12)
         assert f.max_value == pytest.approx(1.0 / (2.0 * math.sqrt(3.0)), rel=1e-10)
         inside = f.values[f.values > 0]
@@ -87,7 +87,7 @@ class TestGeneralizedGaussian:
     def test_heavy_tail_is_student_like(self):
         # beta = -1: density proportional to (1 + x^2/2)^(-5/2), a scaled
         # Student t with four degrees of freedom
-        f = generalized_gaussian(1, -1.0)
+        f = generalized_gaussian(-1.0)
         mid = f.midpoints
         shape = (1.0 + mid ** 2 / 2.0) ** (-2.5)
         ratio = f.values / shape
@@ -124,20 +124,35 @@ class TestClosedFormEntropyPower:
 
     @pytest.mark.parametrize("p,rel", [(1.5, 1e-6), (2.0, 1e-6), (3.0, 1e-5)])
     def test_matches_grid_entropy(self, p, rel):
-        f = generalized_gaussian(1, beta_of_p(p, 1))
-        assert entropy_power(f, p, 1) == pytest.approx(np_closed_form(p, 1), rel=rel)
+        f = generalized_gaussian(beta_of_p(p, 1))
+        assert entropy_power(f, p) == pytest.approx(np_closed_form(p, 1), rel=rel)
 
     def test_matches_grid_entropy_heavy_tail(self):
         # p < 1 extremals have polynomial tails, so the truncation to a
         # finite window costs more accuracy than the compact cases
         p = 0.7
-        f = generalized_gaussian(1, beta_of_p(p, 1))
-        assert entropy_power(f, p, 1) == pytest.approx(np_closed_form(p, 1), rel=2e-3)
+        f = generalized_gaussian(beta_of_p(p, 1))
+        assert entropy_power(f, p) == pytest.approx(np_closed_form(p, 1), rel=2e-3)
 
     def test_dimension_two(self):
-        f = generalized_gaussian(2, beta_of_p(2.0, 2))
-        assert entropy_power(f, 2.0, 2) == pytest.approx(np_closed_form(2.0, 2),
-                                                         rel=1e-4)
+        # the closed forms at n = 2 against radial quadrature in the plane
+        # of the order-2 maximizer (1 - beta r^2 / 2)_+^m
+        p, n = 2.0, 2
+        beta = beta_of_p(p, n)
+        m = gg_exponent(beta, n)
+        radius = math.sqrt(2.0 / beta)
+
+        def planar(func):
+            return integrate.quad(lambda r: 2.0 * math.pi * r * func(r), 0.0, radius)[0]
+
+        def shape(r):
+            return (1.0 - 0.5 * beta * r * r) ** m
+
+        a = 1.0 / planar(shape)
+        assert gg_normalizer(n, beta) == pytest.approx(a, rel=1e-10)
+        # N_2 = exp(2 h_2 / n), h_2 = -log int g^2
+        l2 = planar(lambda r: (a * shape(r)) ** 2)
+        assert np_closed_form(p, n) == pytest.approx(l2 ** (-2.0 / n), rel=1e-10)
 
 
 class TestSimpleDensities:
@@ -145,9 +160,3 @@ class TestSimpleDensities:
         f = uniform_interval(-2.0, 3.0, cells=50)
         assert f.mass == pytest.approx(1.0, rel=1e-14)
         assert renyi_entropy(f, 1.0) == pytest.approx(math.log(5.0), abs=1e-12)
-
-    def test_uniform_ball_mass(self):
-        for n in (1, 2, 3):
-            b = uniform_ball(n, 1.5)
-            assert b.mass == pytest.approx(1.0, rel=1e-12)
-            assert b.dim == n

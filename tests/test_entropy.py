@@ -15,10 +15,8 @@ from renyi_rearrange import (
     ZeroMass,
     entropy_power,
     fisher_information,
-    gaussian,
     gaussian_on_grid,
     make_grid,
-    make_radial,
     mixture_entropy_bound_check,
     random_density,
     rearrange_1d,
@@ -73,14 +71,19 @@ class TestUniform:
             renyi_entropy(f, 1.0)
 
 
+def _gaussian(sigma):
+    """N(0, sigma^2) sampled on 4096 cells of [-8 sigma, 8 sigma], renormalized."""
+    return gaussian_on_grid(0.0, sigma, -8.0 * sigma, 16.0 * sigma / 4096, 4096)
+
+
 class TestGaussianAnchors:
     def test_shannon_entropy_power(self):
-        g = gaussian(0.0, 1.0)
+        g = _gaussian(1.0)
         assert entropy_power(g, 1.0) == pytest.approx(GAUSSIAN_ENTROPY_POWER,
                                                       rel=1e-9)
 
     def test_sup_entropy(self):
-        g = gaussian(0.0, 2.0)
+        g = _gaussian(2.0)
         # -log of the peak value 1/(2 sqrt(2 pi)); the top cell midpoint
         # sits dx/2 off the mode, which costs (dx/2)^2/(2 sigma^2)
         assert renyi_entropy(g, math.inf) == pytest.approx(
@@ -88,13 +91,13 @@ class TestGaussianAnchors:
 
     def test_quadratic_entropy(self):
         # h_2 = -log ||f||_2^2 = log(2 sigma sqrt(pi))
-        g = gaussian(0.0, 1.3)
+        g = _gaussian(1.3)
         assert renyi_entropy(g, 2.0) == pytest.approx(
             math.log(2.0 * 1.3 * math.sqrt(math.pi)), abs=1e-8)
 
     def test_variance_scaling(self):
-        g1 = gaussian(0.0, 1.0)
-        g2 = gaussian(0.0, 2.0)
+        g1 = _gaussian(1.0)
+        g2 = _gaussian(2.0)
         assert entropy_power(g2, 1.0) == pytest.approx(
             4.0 * entropy_power(g1, 1.0), rel=1e-8)
 
@@ -166,11 +169,9 @@ class TestRenyiEntropies:
         vals[rng.integers(0, 700, size=120)] = 0.0
         vals[:50] = 0.0
         grid = make_grid(-3.0, 0.01, vals)
-        prof = rng.random(60)
-        prof[rng.integers(0, 60, size=10)] = 0.0
-        radii = np.concatenate(([0.0], np.cumsum(rng.random(60) + 0.05)))
-        radial = make_radial(3, 0.1, prof, radii)
-        return grid, radial
+        coarse = rng.random(60)
+        coarse[rng.integers(0, 60, size=10)] = 0.0
+        return grid, make_grid(0.25, 0.37, coarse)
 
     def test_matches_order_by_order(self):
         for f in self._densities():
@@ -225,14 +226,15 @@ class TestLogSumExp:
 
     @pytest.mark.parametrize("p", ORDERS)
     def test_radial_density_measures(self, p):
+        # a sorted profile, tied at its maximum, weighted by the volumes of
+        # the shells of width 0.01 in R^dim (up to the unit-ball factor)
         rng = np.random.default_rng(42)
+        r = np.arange(401) * 0.01
         for dim in (2, 3, 7):
             prof = np.sort(rng.random(400))[::-1].copy()
             prof[:40] = prof[0]
-            f = make_radial(dim, 0.01, prof)
-            vals, meas = f.cells()
-            pos = vals > 0.0
-            self._assert_bitwise(p * np.log(vals[pos]), meas[pos])
+            meas = np.diff(r ** dim)
+            self._assert_bitwise(p * np.log(prof), meas)
 
 
 class TestDivergence:
@@ -297,7 +299,7 @@ class TestDivergence:
 class TestFisherInformation:
     def test_gaussian_value(self):
         for sigma in (0.7, 1.0, 1.6):
-            g = gaussian(0.0, sigma)
+            g = _gaussian(sigma)
             assert fisher_information(g) == pytest.approx(1.0 / sigma ** 2,
                                                           rel=1e-3)
 

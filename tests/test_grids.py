@@ -1,10 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy import integrate
-from scipy.special import gamma
 
 from renyi_rearrange import (
     DensityGeneratorSpec,
@@ -13,23 +12,17 @@ from renyi_rearrange import (
     Group,
     NegativeValue,
     NonPositiveSpacing,
-    NotSymmetric,
-    RadialDensity,
     BadParameter,
     EmptyGrid,
     ZeroMass,
     gaussian_on_grid,
     is_symmetric_decreasing,
     make_grid,
-    make_radial,
     moment,
     normalize,
-    radial_from_grid,
     random_density,
     read_density_csv,
     refine,
-    shell_volume,
-    unit_ball_volume,
     variance,
     write_density_csv,
 )
@@ -39,7 +32,7 @@ from renyi_rearrange.convolve import (convolve, convolve_k, convolve_series, pro
 from renyi_rearrange.entropy import mixture_entropy_bound_check
 from renyi_rearrange.grids import half_cell_offset
 from renyi_rearrange.levy import _snap
-from renyi_rearrange.rearrange import rearrange_1d, rearrange_radial
+from renyi_rearrange.rearrange import rearrange_1d
 from renyi_rearrange.verifier import SuiteConfig
 
 
@@ -80,6 +73,30 @@ class TestGrid1D:
         with pytest.raises(BadParameter):
             Grid1D(np.float64(x0), 0.1, np.array([1.0, 2.0]))
 
+    @pytest.mark.parametrize("dx", [0.0, -1.0, math.inf, math.nan])
+    def test_spacing_must_be_positive_and_finite(self, dx):
+        # Grid1D owns the check: built directly it once took any dx, and
+        # Grid1D(0, -1, [1]) had mass -1
+        with pytest.raises(NonPositiveSpacing):
+            Grid1D(0.0, dx, np.array([1.0]))
+        with pytest.raises(NonPositiveSpacing):
+            make_grid(0.0, dx, [1.0])
+
+    @pytest.mark.parametrize("dx_new", [math.inf, math.nan, 0.0, -0.5])
+    def test_resample_refuses_a_bad_spacing(self, dx_new):
+        # resample(f, inf) once sized a one-cell target and returned a grid
+        # with dx = inf and value nan, with a RuntimeWarning on the way; it
+        # now refuses before any arithmetic on dx_new
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonPositiveSpacing):
+                resample(make_grid(0.0, 0.5, [1.0, 1.0]), dx_new)
+
+    @pytest.mark.parametrize("dx", [0.0, -0.3, math.inf, math.nan])
+    def test_project_onto_refuses_a_bad_spacing(self, dx):
+        with pytest.raises(NonPositiveSpacing):
+            project_onto(make_grid(0.0, 0.5, [1.0, 1.0]), 0.0, dx, 4)
+
     def test_normalize(self):
         f = make_grid(-1.0, 0.5, [3.0, 1.0, 0.0, 4.0])
         g = normalize(f)
@@ -119,65 +136,6 @@ class TestMoments:
         f = gaussian_on_grid(0.3, 0.8, -4.0, 8.0 / 2048, 2048)
         assert moment(f, 1) / f.mass == pytest.approx(0.3, abs=1e-4)
         assert variance(f) == pytest.approx(0.64, rel=1e-3)
-
-
-class TestRadialDensity:
-    def test_shell_volumes_sum_to_ball(self):
-        for n in (1, 2, 3, 5):
-            dr = 0.125
-            j_max = 16
-            total = sum(shell_volume(n, j, dr) for j in range(j_max))
-            ball = unit_ball_volume(n) * (j_max * dr) ** n
-            assert total == pytest.approx(ball, rel=1e-12)
-
-    def test_unit_ball_volume_against_recursive_slices(self):
-        # V_n = V_{n-1} * int_{-1}^{1} (1 - t^2)^{(n-1)/2} dt, integrated
-        # numerically, against the closed form pi^{n/2} / Gamma(n/2 + 1)
-        v = 1.0
-        for n in range(1, 9):
-            slice_integral, _ = integrate.quad(
-                lambda t, k=n: (1.0 - t * t) ** ((k - 1) / 2.0), -1.0, 1.0)
-            v = v * slice_integral
-            closed = math.pi ** (n / 2.0) / gamma(n / 2.0 + 1.0)
-            assert unit_ball_volume(n) == pytest.approx(closed, rel=1e-12)
-            assert v == pytest.approx(closed, rel=1e-10)
-
-    def test_make_radial_mass(self):
-        prof = np.array([1.0, 0.5, 0.0, 0.25])
-        f = make_radial(2, 0.5, prof)
-        expected = sum(p * shell_volume(2, j, 0.5) for j, p in enumerate(prof))
-        assert f.mass == pytest.approx(expected, rel=1e-14)
-        assert f.support_measure == pytest.approx(
-            shell_volume(2, 0, 0.5) + shell_volume(2, 1, 0.5) + shell_volume(2, 3, 0.5))
-
-    def test_radial_validation(self):
-        with pytest.raises(BadParameter):
-            make_radial(0, 0.5, [1.0])
-        with pytest.raises(NonPositiveSpacing):
-            make_radial(2, 0.0, [1.0])
-        with pytest.raises(NegativeValue):
-            make_radial(2, 0.5, [1.0, -1.0])
-
-
-class TestRadialFromGrid:
-    def test_symmetric_grid_round_trip(self):
-        f = gaussian_on_grid(0.0, 1.0, -4.0, 8.0 / 512, 512)
-        rad = radial_from_grid(f)
-        assert rad.dim == 1
-        assert rad.dr == pytest.approx(f.dx / 2.0)
-        # same mass, same maximum
-        assert rad.mass == pytest.approx(f.mass, rel=1e-12)
-        assert float(rad.profile.max()) == f.max_value
-
-    def test_asymmetric_grid_rejected(self):
-        f = make_grid(-1.0, 0.5, [1.0, 2.0, 3.0, 4.0])
-        with pytest.raises(NotSymmetric):
-            radial_from_grid(f)
-
-    def test_off_center_grid_rejected(self):
-        f = make_grid(0.0, 0.5, [1.0, 2.0, 2.0, 1.0])
-        with pytest.raises(NotSymmetric):
-            radial_from_grid(f)
 
 
 class TestGenerators:
@@ -222,6 +180,10 @@ class TestSymmetricDecreasing:
 
     def test_single_cell(self):
         assert is_symmetric_decreasing(make_grid(-0.5, 1.0, [3.0]))
+
+    def test_asymmetric_values_rejected(self):
+        # centered and nonincreasing to the right of 0, but not mirrored
+        assert not is_symmetric_decreasing(make_grid(-1.0, 0.5, [1.0, 3.0, 2.0, 1.0]))
 
 
 class TestCsvRoundTrip:
@@ -275,12 +237,8 @@ def _mixture(monkeypatch):
 _BUILDERS = {
     "Grid1D": lambda mp: Grid1D(0.0, 0.5, np.array([1.0, 0.5, 0.5])),
     "Grid1D-view": lambda mp: Grid1D(0.0, 0.5, np.array([9.0, 1.0, 1.0])[1:]),
-    "RadialDensity": lambda mp: RadialDensity(2, 0.5, np.array([1.0, 2.0]),
-                                              np.array([0.0, 0.5, 0.8])[:]),
     "make_grid": lambda mp: make_grid(0.0, 0.5, [1.0, 1.0]),
-    "make_radial": lambda mp: make_radial(2, 0.5, [2.0, 1.0], [0.0, 0.5, 1.0]),
     "normalize": lambda mp: normalize(_uneven()),
-    "normalize-radial": lambda mp: normalize(make_radial(3, 0.5, [2.0, 1.0])),
     "refine": lambda mp: refine(_uneven(), 3),
     "random_density": lambda mp: _uneven(),
     "convolve-direct": lambda mp: convolve(_uneven(), _uneven(seed=6), method="direct"),
@@ -289,7 +247,6 @@ _BUILDERS = {
     "convolve_series-many": lambda mp: convolve_series(_uneven(), _uneven(seed=6),
                                                        [0.5, 0.3, 0.2]),
     "rearrange_1d": lambda mp: rearrange_1d(_uneven()),
-    "rearrange_radial": lambda mp: rearrange_radial(make_radial(2, 0.5, [1.0, 3.0, 2.0])),
     "scale_density": lambda mp: scale_density(_uneven(), 2.5),
     "project_onto": lambda mp: project_onto(_uneven(), -1.0, 0.3, 10),
     "resample": lambda mp: resample(_uneven(), 0.07),
@@ -299,26 +256,20 @@ _BUILDERS = {
 }
 
 
-def _arrays(d):
-    if isinstance(d, Grid1D):
-        return [d.values]
-    return [d.profile] + ([] if d.radii is None else [d.radii])
-
-
 class TestGridContract:
     @pytest.mark.parametrize("name", sorted(_BUILDERS))
     def test_every_density_is_read_only(self, name, monkeypatch):
         d = _BUILDERS[name](monkeypatch)
-        assert isinstance(d, (Grid1D, RadialDensity))
-        for a in _arrays(d):
-            assert not a.flags.writeable
-            # no base that the array views into can be written either
-            base = a.base
-            while isinstance(base, np.ndarray):
-                assert not base.flags.writeable
-                base = base.base
-            with pytest.raises(ValueError):
-                a[0] = 1.0
+        assert isinstance(d, Grid1D)
+        a = d.values
+        assert not a.flags.writeable
+        # no base that the array views into can be written either
+        base = a.base
+        while isinstance(base, np.ndarray):
+            assert not base.flags.writeable
+            base = base.base
+        with pytest.raises(ValueError):
+            a[0] = 1.0
 
     def test_make_grid_copies_caller_data(self):
         data = np.array([1.0, 2.0, 3.0])
