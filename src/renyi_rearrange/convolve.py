@@ -22,11 +22,13 @@ Up to `FFT_THRESHOLD` output cells of the hull product the quadratic-time
 direct sum is used; larger products go through numpy's real FFT
 (`numpy.fft.rfft`/`irfft`) at the smallest 5-smooth length that holds the
 hull product.  Either result is then given its exact support: the sum set
-of the two factors' runs of positive cells, marked run pair by run pair,
-or from an FFT of the two indicators (a pair count, exact when rounded at
-1/2) when the run pairs outnumber the output cells.  Cells off the
-support are set to zero.  A cell on it that the kernel left below the
-smallest normal float, `np.finfo(float).tiny`, gets that value: its true
+of the two factors' runs of positive cells, the run pair sums sorted and
+merged where they overlap or touch, or the runs of an FFT of the two
+indicators (a pair count, exact when rounded at 1/2) when the run pairs
+outnumber the output cells; when each hull is one run it is every cell.
+The gaps between its runs are zeroed slice by slice, with no full-length
+mask.  A cell on the support that the kernel left below the smallest
+normal float, `np.finfo(float).tiny`, gets that value: its true
 value is positive, but below FFT resolution or, on the direct path, a sum
 of products below the float range.  Both paths thus give the same
 support, and the threshold is a speed choice only.
@@ -40,7 +42,9 @@ those of odd k on another, shifted by that step's odd half cell if it has
 one.  On each lattice the class is f times a power series in the spectrum
 of g^(*2), evaluated by Horner's rule, and each whole-cell value is then
 written to the two half cells it covers.  Its support is the union over k
-of the sum sets of the runs, by the same rule as in :func:`convolve`.
+of the sum sets of the runs, by the same rule as in :func:`convolve`,
+summed term by term only until a term is one run wider than every gap of
+g; each later term is then one run, one hull of g wider than the last.
 """
 
 from __future__ import annotations
@@ -100,35 +104,33 @@ def _mark(starts: np.ndarray, ends: np.ndarray, n: int) -> np.ndarray:
     return np.cumsum(edge[:n]) > 0
 
 
-def _sum_set(p: np.ndarray, q: np.ndarray, runs_p: Runs, runs_q: Runs) -> np.ndarray:
-    """Mask of the cells k = i + j with p[i] > 0 and q[j] > 0.
-
-    Runs [s, e) of p and [t, u) of q add up to the cells [s + t, e + u - 1),
-    marked by a difference array; past out_len run pairs the pair counts
-    come from an FFT of the indicators instead.
-    """
-    out_len = p.size + q.size - 1
-    (sp, ep), (sq, eq) = runs_p, runs_q
-    if sp.size * sq.size > out_len:
-        return _fft_conv(p > 0.0, q > 0.0, out_len) >= 0.5
-    return _mark((sp[:, None] + sq).ravel(), (ep[:, None] + eq - 1).ravel(), out_len)
+def _merge(starts: np.ndarray, ends: np.ndarray) -> Runs:
+    """The union of the intervals [starts, ends) as sorted runs, merged
+    where they overlap or touch."""
+    if starts.size == 0:
+        return starts, ends
+    order = np.argsort(starts, kind="stable")
+    starts = starts[order]
+    reach = np.maximum.accumulate(ends[order])
+    first = np.flatnonzero(np.concatenate(([True], starts[1:] > reach[:-1])))
+    return starts[first], reach[np.append(first[1:], starts.size) - 1]
 
 
 def _sum_runs(runs_p: Runs, runs_q: Runs, n_p: int, n_q: int) -> Runs:
     """Runs of the sum set of runs_p (on n_p cells) and runs_q (on n_q
-    cells): the run pair sums of :func:`_sum_set`, sorted and merged where
-    they overlap or touch, or the runs of its mask past n_p + n_q - 1 pairs."""
+    cells): the run pair sums [s + t, e + u - 1), merged, or past
+    n_p + n_q - 1 pairs the runs of an FFT pair count of the indicators."""
     (sp, ep), (sq, eq) = runs_p, runs_q
     if sp.size * sq.size > n_p + n_q - 1:
-        return _runs(_sum_set(_mark(sp, ep, n_p), _mark(sq, eq, n_q), runs_p, runs_q))
-    if sp.size * sq.size == 0:
-        return sp[:0], ep[:0]
-    starts = (sp[:, None] + sq).ravel()
-    order = np.argsort(starts, kind="stable")
-    starts = starts[order]
-    reach = np.maximum.accumulate((ep[:, None] + eq - 1).ravel()[order])
-    first = np.flatnonzero(np.concatenate(([True], starts[1:] > reach[:-1])))
-    return starts[first], reach[np.append(first[1:], starts.size) - 1]
+        return _runs(_fft_conv(_mark(sp, ep, n_p), _mark(sq, eq, n_q), n_p + n_q - 1) >= 0.5)
+    return _merge((sp[:, None] + sq).ravel(), (ep[:, None] + eq - 1).ravel())
+
+
+def _zero_off(values: np.ndarray, runs: Runs) -> None:
+    """Zero values in place outside the sorted disjoint runs."""
+    starts, ends = runs
+    for end, start in zip([0, *ends.tolist()], [*starts.tolist(), values.size]):
+        values[end:start] = 0.0
 
 
 def _conv_weights(p: np.ndarray, q: np.ndarray, runs_p: Runs, runs_q: Runs,
@@ -144,7 +146,8 @@ def _conv_weights(p: np.ndarray, q: np.ndarray, runs_p: Runs, runs_q: Runs,
     else:
         w = _fft_conv(p, q, out_len)
     np.maximum(w, _TINY, out=w)
-    w[~_sum_set(p, q, runs_p, runs_q)] = 0.0
+    if runs_p[0].size > 1 or runs_q[0].size > 1:  # else the sum set is every cell
+        _zero_off(w, _sum_runs(runs_p, runs_q, p.size, q.size))
     return w
 
 
@@ -188,9 +191,10 @@ def convolve_series(f: Grid1D, g: Grid1D, weights: Sequence[float]) -> Grid1D:
     transforms (two when r = 0) and two inverse ones, all about half the
     output's length.  The result spans the union of the terms' grids.  It
     is zero off the union of the supports of the terms of positive weight
-    (run sums, merged term by term) and at least the smallest normal float
-    on it, as in :func:`convolve`.  One weight gives refine(f, 2) times
-    that weight, with no transform.
+    and at least the smallest normal float on it, as in :func:`convolve`
+    (the terms' runs merged, the gaps zeroed by slices, no difference
+    array).  One weight gives refine(f, 2) times that weight, with no
+    transform.
 
     Raises SpacingMismatch as :func:`convolve` does, and BadParameter when
     2 g.x0 / dx is not an integer, or unless the weights are nonnegative
@@ -211,15 +215,24 @@ def convolve_series(f: Grid1D, g: Grid1D, weights: Sequence[float]) -> Grid1D:
     lo = min(0, k_max * h)  # the output's first half cell, from f's
     n_out = max(2 * n_f, 2 * n_f + k_max * (h + 2 * n_g - 2)) - lo
 
-    runs, runs_g, n_k = _runs(f.values), _runs(g.values), n_f
+    # the runs of term k, in half cells of the output, for each k of positive weight
+    runs, runs_g, k = _runs(f.values), _runs(g.values), 0
+    (sg, eg), positive = runs_g, np.asarray(weights) > 0.0
+    # a zero g leaves every term past the first empty, never one run
+    widest_gap = np.max(sg[1:] - eg[:-1], initial=0) if sg.size else math.inf
     starts, ends = [], []
-    for k, w in enumerate(weights):
-        if k:
-            runs, n_k = _sum_runs(runs, runs_g, n_k, n_g), n_k + n_g - 1
-        if w > 0.0:
+    while runs[0].size != 1 or runs[1][0] - runs[0][0] <= widest_gap:
+        if positive[k]:
             starts.append(k * h - lo + 2 * runs[0])
             ends.append(k * h - lo + 2 * runs[1])
-    support = _mark(np.concatenate(starts), np.concatenate(ends), n_out)
+        if k == k_max:
+            break
+        runs = _sum_runs(runs, runs_g, n_f + k * (n_g - 1), n_g)
+        k += 1
+    else:  # one run wider than every gap of g: so is each later term, one hull wider
+        j = np.arange(k_max + 1 - k)
+        starts.append(((k + j) * h - lo + 2 * (runs[0] + j * sg[0]))[positive[k:]])
+        ends.append(((k + j) * h - lo + 2 * (runs[1] + j * (eg[-1] - 1)))[positive[k:]])
 
     a, r = divmod(h, 2)
     n = _fast_len(n_out // 2 + 2)
@@ -247,7 +260,7 @@ def convolve_series(f: Grid1D, g: Grid1D, weights: Sequence[float]) -> Grid1D:
             dst = vals[odd::2][max(skip, 0):]
             dst += cells[max(-skip, 0):][:dst.size]
     np.maximum(vals, _TINY, out=vals)
-    vals[~support] = 0.0
+    _zero_off(vals, _merge(np.concatenate(starts), np.concatenate(ends)))
     return Grid1D(x0=f.x0 + min(0.0, k_max * (g.x0 + 0.5 * dx)), dx=0.5 * dx, values=vals)
 
 
@@ -278,9 +291,11 @@ def project_onto(f: Grid1D, x0: float, dx: float, n_cells: int) -> Grid1D:
     Each target cell receives exactly the mass f assigns to it (the
     cumulative mass of a step density is piecewise linear, so linear
     interpolation at target edges is exact).  Mass outside the target
-    window is dropped.  Grid1D refuses a dx that is not positive and
-    finite.
+    window is dropped.  A dx that is not positive and finite raises
+    NonPositiveSpacing before any arithmetic on it.
     """
+    if not (0.0 < dx < math.inf):  # also dx = nan
+        raise NonPositiveSpacing(f"dx must be positive and finite, got {dx}")
     if n_cells < 1:
         raise BadParameter("target grid needs at least one cell")
     cum = np.concatenate(([0.0], np.cumsum(f.values) * f.dx))

@@ -133,17 +133,22 @@ def _log_sum_exp(a: np.ndarray, b: np.ndarray) -> float:
 
     The same arithmetic as ``scipy.special.logsumexp(a, b=b)``, so the
     result is bitwise equal to it: the maximal entries are taken out of
-    the sum and contribute through log(m) with m their total weight.
+    the sum and contribute through log(m) with m their total weight.  The
+    shifted terms are formed in one scratch array; a is left as it was.
     """
     a_max = a.max()
-    top = a == a_max
-    m = np.sum(b * top)
-    s = np.sum(b * np.exp(np.where(top, -np.inf, a) - a_max))
-    out = np.log1p(s / m) + np.log(m) + a_max
-    if not np.isfinite(out):
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            out = np.log(np.sum(b * np.exp(a)))
-    return float(out)
+    if np.isfinite(a_max):  # so a - a_max is never inf - inf
+        top = a == a_max
+        m = np.sum(b * top)
+        e = a - a_max
+        e[top] = -np.inf
+        np.exp(e, out=e)
+        e *= b
+        out = np.log1p(np.sum(e) / m) + np.log(m) + a_max
+        if np.isfinite(out):
+            return float(out)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return float(np.log(np.sum(b * np.exp(a))))
 
 
 # the orders of a Group's sum rows (those of the main theorem), and of its

@@ -190,10 +190,11 @@ def refine(f: Grid1D, factor: int) -> Grid1D:
 
 
 def is_symmetric_decreasing(f: Grid1D) -> bool:
-    """True when the grid is centered at 0, even, and nonincreasing in |x|,
-    each within SYM_TOL."""
+    """True when the grid is centered at 0 within SYM_TOL cells, and even
+    and nonincreasing in |x| within SYM_TOL of the larger of 1 and the
+    maximum value."""
     slack = SYM_TOL * max(f.max_value, 1.0)
-    if abs(f.x0 + 0.5 * f.n_cells * f.dx) > SYM_TOL:
+    if abs(f.x0 / f.dx + 0.5 * f.n_cells) > SYM_TOL:
         return False
     if np.max(np.abs(f.values - f.values[::-1])) > slack:
         return False

@@ -140,8 +140,8 @@ class TestFftKernel:
                               np.convolve(gauss.values > 0.0, gauss.values > 0.0))
 
     def test_sizes_exercise_both_support_rules(self):
-        # the run-pair difference array serves few runs, the indicator FFT
-        # many; the size pairs above must reach both
+        # merged run-pair sums serve few runs, the indicator FFT many; the
+        # size pairs above must reach both
         from renyi_rearrange.convolve import _runs
         many = []
         for n, m in _SIZE_PAIRS:

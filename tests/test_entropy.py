@@ -224,6 +224,16 @@ class TestLogSumExp:
         # a flat density: every entry is the maximum
         self._assert_bitwise(p * np.log(np.full(300, 0.25)), np.full(300, 0.01))
 
+    def test_leaves_its_input_unchanged(self):
+        # the shifted terms are formed in a scratch array, not in a
+        rng = np.random.default_rng(44)
+        v = rng.random(2000)
+        v[::9] = v.max()
+        a, b = 0.5 * np.log(v), rng.random(2000) + 1e-3
+        a_before, b_before = a.copy(), b.copy()
+        self._assert_bitwise(a, b)
+        assert np.array_equal(a, a_before) and np.array_equal(b, b_before)
+
     @pytest.mark.parametrize("p", ORDERS)
     def test_radial_density_measures(self, p):
         # a sorted profile, tied at its maximum, weighted by the volumes of

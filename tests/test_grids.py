@@ -94,8 +94,11 @@ class TestGrid1D:
 
     @pytest.mark.parametrize("dx", [0.0, -0.3, math.inf, math.nan])
     def test_project_onto_refuses_a_bad_spacing(self, dx):
-        with pytest.raises(NonPositiveSpacing):
-            project_onto(make_grid(0.0, 0.5, [1.0, 1.0]), 0.0, dx, 4)
+        # refused before any arithmetic on dx, so numpy warns of nothing
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonPositiveSpacing):
+                project_onto(make_grid(0.0, 0.5, [1.0, 1.0]), 0.0, dx, 4)
 
     def test_normalize(self):
         f = make_grid(-1.0, 0.5, [3.0, 1.0, 0.0, 4.0])
@@ -180,6 +183,12 @@ class TestSymmetricDecreasing:
 
     def test_single_cell(self):
         assert is_symmetric_decreasing(make_grid(-0.5, 1.0, [3.0]))
+
+    def test_centering_is_measured_in_cells(self):
+        # two cells on [0, 2e-12] are off center by a whole cell, however
+        # small the cell; a 3e6-wide grid whose origin is 2e-9 off is not
+        assert not is_symmetric_decreasing(make_grid(0.0, 1e-12, [1.0, 1.0]))
+        assert is_symmetric_decreasing(make_grid(-1.5e6 + 2e-9, 1e6, [1.0, 2.0, 1.0]))
 
     def test_asymmetric_values_rejected(self):
         # centered and nonincreasing to the right of 0, but not mirrored

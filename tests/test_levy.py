@@ -38,11 +38,11 @@ def skewed_jump(cells=256, decay=2.0, span=3.0):
     return normalize(make_grid(0.0, dx, np.exp(-decay * x)))
 
 
-def hull_sum_set(f, jump, k_max):
-    """Cells of f, a marginal at rate 5 and a = t = 1, inside the union over
+def hull_sum_set(f, jump, k_max, a=1.0):
+    """Cells of f, a marginal at diffusion a and t = 1, inside the union over
     k <= k_max of the Gaussian window plus k copies of the jump's hull."""
     dx = jump.dx
-    reach = math.ceil(8.0 / dx)
+    reach = max(4, math.ceil(8.0 * math.sqrt(a) / dx))
     pos = np.flatnonzero(jump.values > 0.0)
     a_lo, b_hi = jump.x0 + pos[0] * dx, jump.x0 + (pos[-1] + 1) * dx
     expected = np.zeros(f.n_cells, dtype=bool)
@@ -51,6 +51,33 @@ def hull_sum_set(f, jump, k_max):
         hi = (reach + 0.5) * dx + k * (b_hi - dx / 2)
         expected |= (f.midpoints > lo) & (f.midpoints < hi)
     return expected
+
+
+def run_sum_set(f, jump, k_max, a):
+    """Cells of f, a marginal at diffusion a and t = 1, inside the union over
+    k <= k_max of the Gaussian window plus k copies of the jump's positive
+    cells: the k-fold sum set, from indicator convolutions on whole cells."""
+    dx = jump.dx
+    reach = max(4, math.ceil(8.0 * math.sqrt(a) / dx))
+    term = np.ones(2 * reach + 1, dtype=np.int64)
+    x0 = -(reach + 0.5) * dx
+    expected = np.zeros(f.n_cells, dtype=bool)
+    for _ in range(k_max + 1):
+        # each half cell's midpoint lies a quarter cell inside a whole cell
+        cell = np.floor((f.midpoints - x0) / dx).astype(np.int64)
+        inside = (cell >= 0) & (cell < term.size)
+        expected[inside] |= term[cell[inside]] > 0
+        term = np.minimum(np.convolve(term, jump.values > 0.0), 1)
+        x0 += jump.x0 + dx / 2
+    return expected
+
+
+def _count_run_sums(monkeypatch):
+    calls = []
+    module = sys.modules["renyi_rearrange.convolve"]
+    real = module._sum_runs
+    monkeypatch.setattr(module, "_sum_runs", lambda *args: calls.append(1) or real(*args))
+    return calls
 
 
 class TestLevySpec:
@@ -218,6 +245,23 @@ class TestMarginal:
         spec = LevySpec(a=1.0, rate=5.0, jump=jump, t=1.0)
         f = marginal_density(spec, k_max=40)
         assert np.array_equal(f.values > 0.0, hull_sum_set(f, jump, 40))
+
+    def test_support_with_gaps_wider_than_the_window(self, monkeypatch):
+        # three 4-cell runs 30 cells apart, 200 cells out, and a 9-cell
+        # Gaussian window: the terms stay gapped until their clusters meet
+        # near k = 9, so the single-run rule for the later terms must wait
+        vals = np.zeros(72)
+        vals[[*range(4), *range(34, 38), *range(68, 72)]] = 1.0
+        jump = normalize(make_grid(10.0, 0.05, vals))
+        spec = LevySpec(a=1e-4, rate=5.0, jump=jump, t=1.0)
+        k_max = auto_k_max(spec.rate * spec.t)
+        calls = _count_run_sums(monkeypatch)
+        f = marginal_density(spec)
+        assert 5 <= len(calls) < k_max
+        expected = run_sum_set(f, jump, k_max, spec.a)
+        assert np.array_equal(f.values > 0.0, expected)
+        # the gaps are real: the hulls alone would fill them
+        assert np.count_nonzero(expected) < np.count_nonzero(hull_sum_set(f, jump, k_max, spec.a))
 
     def test_entropy_grows_in_time(self):
         jump = skewed_jump()
@@ -433,6 +477,14 @@ class TestSeriesAgainstFold:
         assert_same_series(fold_series(f, g, weights), out)
         assert np.count_nonzero(out.values) == 8
 
+    def test_zero_second_factor_leaves_the_first_term(self):
+        # no term past k = 0 has a positive cell, however wide f's run
+        f = make_grid(-0.1, 0.1, np.array([1.0, 2.0]))
+        g = make_grid(0.0, 0.1, np.zeros(3))
+        out = convolve_series(f, g, [0.5, 0.5])
+        assert_same_series(fold_series(f, g, [0.5, 0.5]), out)
+        assert np.array_equal(out.values, [0.5, 0.5, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+
     @pytest.mark.parametrize("first, h", [(-0.5, 0), (-3.5, -6), (1.5, 4)])
     @pytest.mark.parametrize("weights", [[0.5, 0.0, 0.5], [0.1, 0.2, 0.3, 0.4],
                                          [0.0, 0.25, 0.0, 0.75, 0.0]])
@@ -455,6 +507,20 @@ class TestSeriesAgainstFold:
                 convolve_series(f, _snap(g), weights)
         with pytest.raises(SpacingMismatch):
             convolve_series(f, skewed_jump(cells=32), [0.5, 0.5])
+
+    def test_run_sums_do_not_grow_with_k_max(self, monkeypatch):
+        # the Gaussian window outspans the jump law's one gap, so every
+        # term's support is one run read off the window's and the law's
+        # hulls; no term's runs are summed from the last term's
+        calls = _count_run_sums(monkeypatch)
+        spec = LevySpec(a=1.0, rate=30.0, jump=_uniform_mixture(0), t=1.0)
+        counts = {}
+        for marginal in (marginal_density, rearranged_marginal):
+            for k_max in (65, 90, 130):
+                calls.clear()
+                marginal(spec, k_max)
+                counts[marginal.__name__, k_max] = len(calls)
+        assert len(set(counts.values())) == 1, counts
 
     def test_transform_count_does_not_grow_with_k_max(self, monkeypatch):
         # three forward transforms (f and the jump law at two shifts) and one
