@@ -6,7 +6,7 @@ verify      run randomized verification suites, optionally dumping JSON
 entropy     Renyi entropy of a density read from CSV
 rearrange   symmetric decreasing rearrangement of a CSV density
 ballsum     entropy (and profile facts) of a sum of two ball uniforms
-conjecture  sharp-constant exploration (values labeled conjecture-support)
+conjecture  iid-maximizer ratio C_{p,1}, an upper bound on the sharp constant
 levy        entropy dominance for a diffusion-plus-jumps marginal
 epigap      dimensional entropy-power gap for ball uniforms
 
@@ -31,7 +31,7 @@ import numpy as np
 from .balls import (BallPair, ball_sum_entropy, ball_sum_log_radial, ball_sum_radial,
                     epi_gap_balls)
 from .config import QUAD_TOL
-from .conjecture import CONJECTURE_LABEL, c_constant, ratio_landscape
+from .conjecture import UPPER_BOUND_LABEL, c_constant, ratio_landscape
 from .entropy import entropy_power, order, order_label, renyi_entropy
 from .errors import DensityError, DensityOverflow
 from .grids import read_density_csv, write_density_csv
@@ -84,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ball.add_argument("--r2", type=float, required=True)
     p_ball.add_argument("--entropy-only", action="store_true")
 
-    p_conj = sub.add_parser("conjecture", help="sharp-constant exploration")
+    p_conj = sub.add_parser("conjecture", help="upper bound on the sharp constant")
     p_conj.add_argument("--p", type=float, required=True)
     p_conj.add_argument("--landscape", default=None,
                         help="a1min:a1max:steps for a square scale grid")
@@ -189,8 +189,9 @@ def _cmd_conjecture(args: argparse.Namespace) -> int:
             "cells": 8192,
             "coarse_value": half,
             "resolution_agreement": abs(value - half),
-            "label": CONJECTURE_LABEL,
-            "tolerance_note": "grid value; resolutions 8192/4096 should agree to 2e-4",
+            "label": UPPER_BOUND_LABEL,
+            "tolerance_note": ("grid value of an upper bound on the sharp constant; "
+                               "resolutions 8192/4096 should agree to 2e-4"),
         })
         return 0
     try:
@@ -212,7 +213,7 @@ def _cmd_conjecture(args: argparse.Namespace) -> int:
     near = [pt for pt in points if pt.ratio - low <= _ARGMIN_REL * abs(low)]
     print(f"# argmin ratio={low:.6g} at (a1,a2)=({near[0].a1:g},{near[0].a2:g}), "
           f"first in grid order of {len(near)} points within {_ARGMIN_REL:g} "
-          f"relative of the minimum [{CONJECTURE_LABEL}]", file=sys.stderr)
+          f"relative of the minimum [{UPPER_BOUND_LABEL}]", file=sys.stderr)
     return 0
 
 

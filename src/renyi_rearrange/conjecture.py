@@ -1,16 +1,17 @@
-"""Numerical exploration of the sharp Renyi entropy-power constant.
+"""The iid-maximizer ratio, an upper bound on the sharp entropy-power constant.
 
 For p > n/(n+2) let Z^(p) be the order-p maximizer with E|Z|^2 = n
 (a generalized Gaussian) and define
 
     C_{p,n} = (1/2) N_p(Z1 + Z2) / N_p(Z),   Z1, Z2 iid copies.
 
-The conjecture is that N_p(X + Y) >= C_{p,n} (N_p(X) + N_p(Y)) for all
-independent X, Y, with equality for iid maximizers; C_1 = 1 recovers the
-classical entropy-power inequality and C_inf = 1/2 the order-infinity
-one.  Everything this module produces about the conjectured sharp form
-is labeled "conjecture-support": the numbers support, but do not prove,
-the statement.
+C_{p,n} is the ratio N_p(X + Y) / (N_p(X) + N_p(Y)) of one pair, so it
+bounds the sharp constant (the infimum over independent X, Y) from above
+and is not the constant: at p = 2, n = 1 a symmetric decreasing step pair
+has ratio 0.95455 in exact rational arithmetic, against C_{2,1} = 0.95667.
+C_1 = 1 (the classical entropy-power inequality) and C_inf = 1/2 are
+sharp.  Everything this module produces about C_{p,n} is labeled
+"upper-bound".
 
 A proven fallback of the same shape is the Bobkov-Chistyakov bound
 N_p(X1 + ... + Xk) >= c_p sum_i N_p(Xi) with c_p = (1/e) p^(1/(p-1)) for
@@ -36,14 +37,15 @@ __all__ = [
     "ratio_landscape",
     "LandscapePoint",
     "bobkov_chistyakov_bound_check",
-    "CONJECTURE_LABEL",
+    "UPPER_BOUND_LABEL",
 ]
 
-CONJECTURE_LABEL = "conjecture-support"
+UPPER_BOUND_LABEL = "upper-bound"
 
 
 def c_constant(p: float, cells: int = 8192) -> float:
-    """The conjectured sharp constant C_{p,1} (conjecture-support value).
+    """The iid-maximizer ratio C_{p,1}, an upper bound on the sharp constant
+    (the infimum of the ratio over all pairs, strictly lower at p = 2).
 
     Exact endpoints are returned as such: C_{1,1} = 1 and C_{inf,1} = 1/2.
     Interior orders are computed on a grid: convolve two copies of the
@@ -71,13 +73,13 @@ def ratio_landscape(p: float, a_grid: list[tuple[float, float]],
                     cells: int = 2048) -> list[LandscapePoint]:
     """Ratio N_p(a1 Z1 + a2 Z2) / (N_p(a1 Z1) + N_p(a2 Z2)) over scale pairs.
 
-    Z1, Z2 are iid order-p maximizers.  The conjecture says the ratio is
-    minimized on the diagonal a1 = a2, where it equals C_{p,1}; scaling
-    both arguments leaves it invariant, and letting one scale vanish
-    drives it to 1.  The ratio is symmetric in (a1, a2), so each unordered
-    pair is computed once, with the smaller scale as the first factor and
-    the larger one resampled onto its spacing, and a pair and its mirror
-    get the same float.  Entropy powers of the factors are computed on
+    Z1, Z2 are iid order-p maximizers.  On the diagonal a1 = a2 the ratio
+    equals C_{p,1}; scaling both arguments leaves it invariant, and
+    letting one scale vanish drives it to 1.  Each point is the ratio of
+    one pair, so an upper bound on the sharp constant.  The ratio is
+    symmetric in (a1, a2), so each unordered pair is computed once, with
+    the smaller scale as the first factor and the larger one resampled
+    onto its spacing, and a pair and its mirror get the same float.  Entropy powers of the factors are computed on
     their own exact grids.  A pair whose resampled grid would exceed
     LANDSCAPE_MAX_CELLS is a BadParameter; entropy powers that leave the
     normal float range are a DensityOverflow.
@@ -131,7 +133,7 @@ def bobkov_chistyakov_bound_check(group: Group, p: float,
     """Check N_p(X1 + ... + Xk) >= c_p sum_i N_p(Xi) on the group's densities.
 
     This is the proven bound, so the report is a genuine verification
-    (no conjecture label).  The tolerance scales like the entropy-power
+    (no upper-bound label).  The tolerance scales like the entropy-power
     image of the k-fold convolution budget.  h_p of the sum and of each
     X_i come from the group's rows, so p is one of FACTOR_ORDERS.
     """

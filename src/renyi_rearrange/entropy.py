@@ -12,11 +12,12 @@ validates it (numeric strings and "inf"/"oo" are read too) and
 order_label(p) names it in reports.  p = 0, 1 and inf are exact branches
 of their own, the support measure, the Shannon sum and the maximum, never
 numerical limits of the general formula.  On step densities every one of
-these is a finite sum and therefore exact; the general-p branch is
-evaluated in log space so that extreme orders (p = 1e-4 or 1e4) neither
-overflow nor underflow.  renyi_entropies(f, orders) evaluates several
-orders from one pass over the layers of f (one positive mask, one gather,
-at most one log), with the same bits as renyi_entropy order by order.
+these is a finite sum and therefore exact.  Every cell measures dx, so
+the general-p branch reads the positive values v alone, as
+(p/(1-p)) log M + (log sum (v/M)^p + log dx)/(1-p) with M = max v: each
+term is at most 1, so no order up to the largest float overflows.
+renyi_entropies(f, orders) evaluates several orders from one positive
+mask and one gather, with the same bits as renyi_entropy order by order.
 
 A Group is one convolution group f1, ..., fk: its sum f1 * ... * fk, the
 sum f1^* * ... * fk^* of its rearrangements, and a Row of Renyi entropies
@@ -104,51 +105,46 @@ def renyi_entropies(f: Grid1D, orders: Sequence[float | str]) -> tuple[float, ..
     bit the same numbers as calling :func:`renyi_entropy` order by order.
     """
     orders = [order(p) for p in orders]
-    vals, meas = f.cells()
-    pos = vals > 0.0
-    if not pos.any():
+    v = f.values[f.values > 0.0]
+    if v.size == 0:
         raise ZeroMass("entropy of an identically zero density")
-    v = vals[pos]
-    m = meas[pos]
     log_v = None
     out = []
     for p in orders:
         if p == 0.0:
-            h = float(np.log(m.sum()))
+            h = math.log(v.size * f.dx)
         elif math.isinf(p):
             h = float(-np.log(v.max()))
         else:
             if log_v is None:
                 log_v = np.log(v)
+                log_max = float(log_v.max())
+                shifted = log_v - log_max  # <= 0, and 0 at the maximum
             if p == 1.0:
-                h = float(-np.sum(m * v * log_v))
+                h = float(-np.sum(v * log_v) * f.dx)
             else:
-                h = _log_sum_exp(p * log_v, m) / (1.0 - p)
+                with np.errstate(over="ignore"):  # an overflow to -inf drops a term
+                    lse = _log_sum_exp(p * shifted)
+                h = (p / (1.0 - p)) * log_max + (lse + math.log(f.dx)) / (1.0 - p)
         out.append(h)
     return tuple(out)
 
 
-def _log_sum_exp(a: np.ndarray, b: np.ndarray) -> float:
-    """log sum(b * exp(a)) for a 1-D array a and positive weights b.
+def _log_sum_exp(a: np.ndarray) -> float:
+    """log sum(exp(a)) for a 1-D array a with a finite maximum.
 
-    The same arithmetic as ``scipy.special.logsumexp(a, b=b)``, so the
-    result is bitwise equal to it: the maximal entries are taken out of
-    the sum and contribute through log(m) with m their total weight.  The
-    shifted terms are formed in one scratch array; a is left as it was.
+    The same arithmetic as ``scipy.special.logsumexp(a)``, so the result
+    is bitwise equal to it: the maximal entries are taken out of the sum
+    and contribute through log(m) with m their count.  The shifted terms
+    are formed in one scratch array; a is left as it was.
     """
     a_max = a.max()
-    if np.isfinite(a_max):  # so a - a_max is never inf - inf
-        top = a == a_max
-        m = np.sum(b * top)
-        e = a - a_max
-        e[top] = -np.inf
-        np.exp(e, out=e)
-        e *= b
-        out = np.log1p(np.sum(e) / m) + np.log(m) + a_max
-        if np.isfinite(out):
-            return float(out)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        return float(np.log(np.sum(b * np.exp(a))))
+    top = a == a_max
+    m = np.count_nonzero(top)
+    e = a - a_max
+    e[top] = -np.inf
+    np.exp(e, out=e)
+    return float(np.log1p(np.sum(e) / m) + np.log(m) + a_max)
 
 
 # the orders of a Group's sum rows (those of the main theorem), and of its

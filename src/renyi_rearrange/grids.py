@@ -64,6 +64,9 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 class Grid1D:
     """Piecewise-constant density on a uniform 1-D grid.
 
+    Every cell measures dx, so the layer reads (entropies, rearrangement,
+    majorization) take `values` and the scalar dx, no measure array.
+
     Attributes
     ----------
     x0 : float
@@ -109,10 +112,6 @@ class Grid1D:
     def support_measure(self) -> float:
         """Lebesgue measure of {f > 0} (exact zeros are outside support)."""
         return float(np.count_nonzero(self.values) * self.dx)
-
-    def cells(self) -> tuple[np.ndarray, np.ndarray]:
-        """(values, cell lengths) in storage order."""
-        return self.values, np.full(self.values.shape, self.dx)
 
 
 def make_grid(x0: float, dx: float, values: Iterable[float]) -> Grid1D:

@@ -14,8 +14,8 @@ every Renyi entropy and any integral of the form  int phi(f)  is
 preserved exactly, not just to quadrature accuracy.  Majorization
 (cumulative mass of f* inside centered intervals never exceeding that of
 g*) is likewise checked exactly by comparing piecewise-linear cumulative
-masses in the interval length, each side evaluated at its own breakpoints
-and at the other side's.
+masses in the interval length at every knot of the finer side, a
+superset of the coarser side's knots.
 """
 
 from __future__ import annotations
@@ -23,11 +23,11 @@ from __future__ import annotations
 import numpy as np
 
 from .config import MAJ_TOL
+from .errors import SpacingMismatch
 from .grids import Grid1D, require_same_grid
 
 __all__ = [
     "rearrange_1d",
-    "sorted_layers",
     "majorizes",
     "l1_distance",
 ]
@@ -47,14 +47,6 @@ def rearrange_1d(f: Grid1D) -> Grid1D:
     return Grid1D(x0=-0.5 * n * f.dx, dx=0.5 * f.dx, values=out)
 
 
-def sorted_layers(f: Grid1D) -> tuple[np.ndarray, np.ndarray]:
-    """(values desc, cell measures) of f, i.e. the layers of f*.
-
-    Every cell measures dx, so the values are sorted alone.
-    """
-    return np.sort(f.values)[::-1], np.full(f.n_cells, f.dx)
-
-
 def majorizes(f: Grid1D, g: Grid1D) -> tuple[bool, float]:
     """Check the majorization preorder f majorized-by g.
 
@@ -65,23 +57,33 @@ def majorizes(f: Grid1D, g: Grid1D) -> tuple[bool, float]:
     over all interval lengths; margins at or above -MAJ_TOL pass.
 
     Both cumulative masses are piecewise linear in the interval length
-    with breakpoints at layer boundaries, so their difference takes its
-    minimum at a breakpoint of one side or the other: the
-    minimum is taken over f's breakpoints, with g's mass interpolated
-    there, and over g's, with f's interpolated.  np.interp returns the
-    knot values exactly, so this is the minimum over the merged
-    breakpoints without forming their union.
+    with a knot at every multiple of their own spacing.  The spacings must
+    be in a whole ratio (else SpacingMismatch, the rule convolve uses), so
+    every knot of the coarser side is one of the finer side's, and the
+    minimum over those knots is the minimum over all lengths.
     """
-    vf, wf = sorted_layers(f)
-    vg, wg = sorted_layers(g)
-    bf = np.concatenate(([0.0], np.cumsum(wf)))
-    bg = np.concatenate(([0.0], np.cumsum(wg)))
-    cf = np.concatenate(([0.0], np.cumsum(vf * wf)))
-    cg = np.concatenate(([0.0], np.cumsum(vg * wg)))
-    at_f = np.interp(bf[1:], bg, cg, right=cg[-1]) - cf[1:]
-    at_g = cg[1:] - np.interp(bg[1:], bf, cf, right=cf[-1])
-    worst = float(min(at_f.min(), at_g.min()))
+    fine = min(f.dx, g.dx)
+    rf, rg = round(f.dx / fine), round(g.dx / fine)
+    if abs(rf * fine - f.dx) + abs(rg * fine - g.dx) > 1e-12 * max(f.dx, g.dx):
+        raise SpacingMismatch(f"spacings {f.dx} and {g.dx} are not in a whole ratio")
+    n = max(rf * f.n_cells, rg * g.n_cells)
+    margin = _cumulative_mass(g, rg, n) - _cumulative_mass(f, rf, n)
+    worst = float(margin.min())
     return bool(worst >= -MAJ_TOL), worst
+
+
+def _cumulative_mass(f: Grid1D, r: int, n: int) -> np.ndarray:
+    """Mass of f* inside the centered intervals of length h, 2h, ..., nh
+    (h = f.dx / r): one sort and one running sum give it at every r-th
+    length, linear slices in between, and the total past the support."""
+    mass = np.cumsum(np.sort(f.values)[::-1]) * f.dx
+    out = np.full(n, mass[-1])
+    end = r * mass.size
+    out[r - 1:end:r] = mass
+    for i in range(1, r):
+        below = np.concatenate(([0.0], mass[:-1]))
+        out[i - 1:end:r] = below + (i / r) * (mass - below)
+    return out
 
 
 def l1_distance(f: Grid1D, g: Grid1D) -> float:

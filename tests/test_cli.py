@@ -169,7 +169,7 @@ class TestConjectureCommand:
         rc = cli.main(["conjecture", "--p", "2.0"])
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["label"] == "conjecture-support"
+        assert payload["label"] == "upper-bound"
         assert payload["c_constant"] == pytest.approx(0.956668, abs=5e-4)
         assert payload["resolution_agreement"] < 2e-4
         assert payload["coarse_value"] == pytest.approx(payload["c_constant"],

@@ -5,7 +5,7 @@ import pytest
 
 import renyi_rearrange.conjecture as conjecture
 from renyi_rearrange import (
-    CONJECTURE_LABEL,
+    UPPER_BOUND_LABEL,
     BadParameter,
     DensityOverflow,
     Group,
@@ -53,7 +53,7 @@ class TestSharpConstant:
             c_constant(0.2)
 
     def test_label_is_exported(self):
-        assert CONJECTURE_LABEL == "conjecture-support"
+        assert UPPER_BOUND_LABEL == "upper-bound"
 
 
 class TestBobkovConstant:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -140,21 +141,21 @@ class TestOrderStructure:
 
 
 def _renyi_entropy_reference(f, p):
-    """h_p(f) for one order, each order reading the layers of f afresh."""
+    """h_p(f) for one order, each order reading the values of f afresh."""
     p = float(p)
-    vals, meas = f.cells()
-    pos = vals > 0.0
-    if not pos.any():
+    v = f.values[f.values > 0.0]
+    if v.size == 0:
         raise ZeroMass("entropy of an identically zero density")
-    v = vals[pos]
-    m = meas[pos]
     if p == 0.0:
-        return float(np.log(m.sum()))
+        return math.log(v.size * f.dx)
     if p == math.inf:
         return float(-np.log(v.max()))
+    log_v = np.log(v)
     if p == 1.0:
-        return float(-np.sum(m * v * np.log(v)))
-    return _log_sum_exp(p * np.log(v), m) / (1.0 - p)
+        return float(-np.sum(v * log_v) * f.dx)
+    log_max = float(log_v.max())
+    return (p / (1.0 - p)) * log_max + (
+        _log_sum_exp(p * (log_v - log_max)) + math.log(f.dx)) / (1.0 - p)
 
 
 class TestRenyiEntropies:
@@ -192,6 +193,43 @@ class TestRenyiEntropies:
         with pytest.raises(ZeroMass):
             renyi_entropies(f, self.ORDERS)
 
+    def test_order_zero_is_the_log_support_measure(self):
+        fs = self._densities() + (
+            random_density(DensityGeneratorSpec(kind="spiky-piecewise", seed=5,
+                                                cells=999)),
+            make_grid(1.0, 0.1, [0.0, 3.0, 0.0]),
+            make_grid(-7.0, 1e-9, np.full(4097, 1e9 / 4097)))
+        for f in fs:
+            assert renyi_entropy(f, 0.0) == math.log(f.support_measure)
+
+
+class TestHugeOrders:
+    """Orders up to the largest float approach h_inf without overflow.
+
+    The power sum is shifted by the maximum M before it is raised to p,
+    so p * log(v / M) <= 0 and a term too small for a float only drops
+    out; unshifted, p * log v overflows to +inf (M > 1) or -inf (M < 1).
+    """
+
+    DENSITIES = (
+        make_grid(0.0, 10.0, [0.02, 0.04, 0.04]),        # M < 1
+        make_grid(0.0, 0.1, [2.0, 4.0, 4.0, 0.0]),       # M > 1
+        make_grid(-1.0, 0.25, [1e-3, 0.5, 3.0, 0.0, 0.499]),  # p log(v/M) < -1.8e308
+    )
+
+    @pytest.mark.parametrize("p", (1e300, 1e308, 1.7e308))
+    def test_close_to_the_sup_entropy(self, p):
+        for f in self.DENSITIES:
+            h_inf = renyi_entropy(f, math.inf)
+            assert abs(renyi_entropy(f, p) - h_inf) <= 1e-12
+            assert renyi_entropies(f, (p, math.inf))[0] == renyi_entropy(f, p)
+
+    def test_no_runtime_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for f in self.DENSITIES:
+                renyi_entropies(f, (1e300, 1e308, 1.7e308, 1e-300))
+
 
 class TestLogSumExp:
     """The general-order branch's log-sum-exp matches scipy's bit for bit."""
@@ -199,9 +237,9 @@ class TestLogSumExp:
     ORDERS = (1e-4, 0.5, 2.0, 1e4)
 
     @staticmethod
-    def _assert_bitwise(a, b):
-        expected = float(logsumexp(a, b=b))
-        got = _log_sum_exp(a, b)
+    def _assert_bitwise(a):
+        expected = float(logsumexp(a))
+        got = _log_sum_exp(a)
         assert got == expected or (math.isnan(got) and math.isnan(expected))
 
     @pytest.mark.parametrize("p", ORDERS)
@@ -210,8 +248,10 @@ class TestLogSumExp:
         for _ in range(50):
             n = int(rng.integers(1, 9000))
             v = rng.random(n) * 10.0 ** rng.integers(-6, 7)
-            b = rng.random(n) + 1e-3
-            self._assert_bitwise(p * np.log(v), b)
+            self._assert_bitwise(p * np.log(v))
+            # as renyi_entropies calls it: shifted to a maximum of 0
+            log_v = np.log(v)
+            self._assert_bitwise(p * (log_v - log_v.max()))
 
     @pytest.mark.parametrize("p", ORDERS)
     def test_ties_at_the_max(self, p):
@@ -220,31 +260,19 @@ class TestLogSumExp:
             n = int(rng.integers(2, 5000))
             v = rng.random(n)
             v[rng.integers(0, n, size=max(2, n // 7))] = v.max()
-            self._assert_bitwise(p * np.log(v), np.full(n, 1.0 / 1024))
+            self._assert_bitwise(p * np.log(v))
         # a flat density: every entry is the maximum
-        self._assert_bitwise(p * np.log(np.full(300, 0.25)), np.full(300, 0.01))
+        self._assert_bitwise(p * np.log(np.full(300, 0.25)))
 
     def test_leaves_its_input_unchanged(self):
         # the shifted terms are formed in a scratch array, not in a
         rng = np.random.default_rng(44)
         v = rng.random(2000)
         v[::9] = v.max()
-        a, b = 0.5 * np.log(v), rng.random(2000) + 1e-3
-        a_before, b_before = a.copy(), b.copy()
-        self._assert_bitwise(a, b)
-        assert np.array_equal(a, a_before) and np.array_equal(b, b_before)
-
-    @pytest.mark.parametrize("p", ORDERS)
-    def test_radial_density_measures(self, p):
-        # a sorted profile, tied at its maximum, weighted by the volumes of
-        # the shells of width 0.01 in R^dim (up to the unit-ball factor)
-        rng = np.random.default_rng(42)
-        r = np.arange(401) * 0.01
-        for dim in (2, 3, 7):
-            prof = np.sort(rng.random(400))[::-1].copy()
-            prof[:40] = prof[0]
-            meas = np.diff(r ** dim)
-            self._assert_bitwise(p * np.log(prof), meas)
+        a = 0.5 * np.log(v)
+        a_before = a.copy()
+        self._assert_bitwise(a)
+        assert np.array_equal(a, a_before)
 
 
 class TestDivergence:

@@ -10,6 +10,7 @@ from renyi_rearrange import (
     GENERATOR_KINDS,
     GridMismatch,
     Group,
+    SpacingMismatch,
     gaussian_on_grid,
     is_symmetric_decreasing,
     l1_distance,
@@ -19,17 +20,18 @@ from renyi_rearrange import (
     rearrange_1d,
     refine,
     renyi_entropy,
-    sorted_layers,
 )
 from renyi_rearrange.config import MAJ_TOL
+from renyi_rearrange.rearrange import _cumulative_mass
+
+from exact_oracle import majorization_margin
 
 ORDERS = [0.0, 0.5, 1.0, 2.0, math.inf]
 
 
 def level_set_measure(f, t):
     """Lebesgue measure of the super-level set {f > t}."""
-    vals, meas = f.cells()
-    return float(meas[vals > t].sum())
+    return float(np.count_nonzero(f.values > t) * f.dx)
 
 
 def _corpus(count, cells=200):
@@ -127,14 +129,14 @@ class TestRearrange1DReference:
 
 
 class TestSortedLayersReference:
-    """sorted_layers on a Grid1D sorts values alone; the reference ranks
-    cells by a stable argsort and gathers values and measures."""
+    """majorizes reads the layers of f by sorting its values alone; the
+    reference ranks cells by a stable argsort, gathers their values and
+    scales their running sum by dx."""
 
     def _assert_same(self, f):
-        order = np.argsort(-f.values, kind="stable")
-        vals, cell = sorted_layers(f)
-        assert vals.tobytes() == f.values[order].tobytes()
-        assert cell.tobytes() == np.full(f.n_cells, f.dx)[order].tobytes()
+        ranked = f.values[np.argsort(-f.values, kind="stable")]
+        got = _cumulative_mass(f, 1, f.n_cells)
+        assert got.tobytes() == (np.cumsum(ranked) * f.dx).tobytes()
 
     def test_ties_and_zero_cells(self):
         rng = np.random.default_rng(11)
@@ -178,59 +180,74 @@ class TestMajorization:
             assert ok1
 
 
-def _majorizes_reference(f, g):
-    """majorizes with both cumulative masses interpolated on the union of
-    the two sides' breakpoints."""
-    vf, wf = sorted_layers(f)
-    vg, wg = sorted_layers(g)
-    bf = np.concatenate(([0.0], np.cumsum(wf)))
-    bg = np.concatenate(([0.0], np.cumsum(wg)))
-    cf = np.concatenate(([0.0], np.cumsum(vf * wf)))
-    cg = np.concatenate(([0.0], np.cumsum(vg * wg)))
-    grid = np.union1d(bf[1:], bg[1:])
-    f_at = np.interp(grid, bf, cf, right=cf[-1])
-    g_at = np.interp(grid, bg, cg, right=cg[-1])
-    worst = float((g_at - f_at).min())
-    return bool(worst >= -MAJ_TOL), worst
-
-
 class TestMajorizesReference:
-    """The minimum over each side's own breakpoints is the union minimum."""
+    """majorizes against the exact rational margin of tests/exact_oracle.py.
+
+    The float margin is a difference of two running sums of at most n
+    terms each, scaled by dx and read off linear slices, so it is within
+    a few n ulps of the total mass of the exact one.
+    """
 
     @staticmethod
-    def _assert_same(f, g):
+    def _assert_close(f, g):
         for a, b in ((f, g), (g, f)):
-            assert majorizes(a, b) == _majorizes_reference(a, b)
+            ok, worst = majorizes(a, b)
+            exact = majorization_margin(a.values, a.dx, b.values, b.dx)
+            n = 2 * max(a.n_cells, b.n_cells)
+            bound = 4 * n * np.finfo(float).eps * max(a.mass, b.mass, 1.0)
+            assert abs(worst - float(exact)) <= bound
+            if abs(exact + MAJ_TOL) > bound:
+                assert ok == (exact >= -MAJ_TOL)
+
+    @pytest.mark.parametrize("r", (1, 2, 4))
+    def test_small_grids_with_ties_and_zero_cells(self, r):
+        rng = np.random.default_rng(50 + r)
+        for _ in range(40):
+            n, m = (int(k) for k in rng.integers(1, 12, size=2))
+            fv = rng.integers(0, 4, size=n) * 0.5
+            gv = rng.integers(0, 4, size=m) * 0.25
+            fv[0] = gv[0] = 1.0  # not identically zero
+            f = make_grid(0.0, 0.1, fv)
+            g = make_grid(0.3, 0.1 / r, gv)
+            self._assert_close(f, g)
+            self._assert_close(rearrange_1d(f), g)
+
+    def test_ties_at_exact_equality(self):
+        # a density and its rearrangement have the same layers: the exact
+        # margin is 0 at every length, in both directions
+        for f in (make_grid(0.0, 0.5, [0.0, 2.0, 0.0, 2.0, 1.0, 0.0]),
+                  make_grid(-1.0, 0.25, [1.0, 1.0, 1.0, 1.0])):
+            assert majorization_margin(f.values, f.dx, rearrange_1d(f).values,
+                                       rearrange_1d(f).dx) == 0
+            self._assert_close(f, rearrange_1d(f))
 
     def test_random_pairs_matched_resolution(self):
-        corpus = _corpus(10, cells=256)
+        corpus = _corpus(10, cells=64)
         for f, g in zip(corpus, corpus[1:]):
-            self._assert_same(f, g)
-            self._assert_same(rearrange_1d(f), g)
+            self._assert_close(f, g)
+            self._assert_close(rearrange_1d(f), g)
 
     def test_half_spacing(self):
-        for f, g in zip(_corpus(5, cells=128), _corpus(6, cells=256)[1:]):
-            self._assert_same(f, g)
-            self._assert_same(f, refine(f, 2))
+        for f, g in zip(_corpus(5, cells=32), _corpus(6, cells=64)[1:]):
+            self._assert_close(f, g)
+            self._assert_close(f, refine(f, 2))
 
     def test_convolution_against_rearranged_convolution(self):
-        corpus = _corpus(9, cells=128)
+        corpus = _corpus(9, cells=32)
         for fs in (corpus[0:2], corpus[2:4], corpus[4:7], corpus[6:9]):
             group = Group(tuple(fs))
-            self._assert_same(group.conv, group.conv_star)
+            self._assert_close(group.conv, group.conv_star)
 
     def test_incommensurate_spacings(self):
-        # breakpoints at multiples of 0.1 on one side and 0.07 on the other
-        # interleave irregularly; zeros leave f's layers short of its window
+        # spacings 0.1 and 0.07 share no grid of knots: majorizes refuses
+        # them, as convolve does
         rng = np.random.default_rng(11)
-        for _ in range(4):
-            vals = rng.uniform(0.0, 2.0, size=40)
-            vals[rng.integers(0, 40, size=6)] = 0.0
-            f = make_grid(-2.0, 0.1, vals)
-            g = make_grid(-1.75, 0.07, rng.uniform(0.0, 3.0, size=50))
-            self._assert_same(rearrange_1d(f), f)
-            self._assert_same(rearrange_1d(f), rearrange_1d(g))
-            self._assert_same(f, g)
+        f = make_grid(-2.0, 0.1, rng.uniform(0.0, 2.0, size=40))
+        for dx in (0.07, 0.3 + 1e-9, 0.1 / 2.5):
+            g = make_grid(-1.75, dx, rng.uniform(0.0, 3.0, size=50))
+            for a, b in ((f, g), (g, f), (rearrange_1d(f), g)):
+                with pytest.raises(SpacingMismatch):
+                    majorizes(a, b)
 
 
 class TestLevelSetProfile:

@@ -361,8 +361,7 @@ class TestRunSuite:
         keys = []
 
         def recorder(f, orders):
-            vals, meas = f.cells()
-            keys.append((getattr(f, "x0", None), vals.tobytes(), meas.tobytes()))
+            keys.append((f.x0, f.dx, f.values.tobytes()))
             return original(f, orders)
 
         for name, module in list(sys.modules.items()):
