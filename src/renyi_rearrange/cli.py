@@ -13,9 +13,11 @@ epigap      dimensional entropy-power gap for ball uniforms
 Exit status: 0 when every requested check passes, 1 when any check
 fails, 2 on usage or configuration errors.  JSON output is deterministic:
 the same argv and seed produce identical bytes.  verify runs its suites as
-independent units on forked workers, one per CPU in the affinity mask
-(see verifier.run_suite); the bytes do not depend on the worker count,
-and a small run pays some 20-35 ms to start the pool.
+independent units in this process and on one forked worker per further
+CPU in the affinity mask (see verifier.run_suite_rendered); each unit's
+records are rendered where it ran, and the JSON file is written from
+them in unit order by reports.write_reports_json, so the bytes do not
+depend on the number of processes.
 """
 
 from __future__ import annotations
@@ -37,8 +39,8 @@ from .errors import DensityError, DensityOverflow
 from .grids import read_density_csv, write_density_csv
 from .levy import LevySpec, check_levy_dominance
 from .rearrange import rearrange_1d
-from .reports import reports_to_json, summarize
-from .verifier import SUITES, SuiteConfig, run_suite
+from .reports import summarize, write_reports_json
+from .verifier import SUITES, SuiteConfig, run_suite_rendered
 
 __all__ = ["main", "build_parser"]
 
@@ -108,7 +110,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         suite=args.suite, seed=args.seed, pairs=args.count,
         triples=max(1, args.count // 4), smooth_count=max(1, args.count // 4),
         cells=args.cells)
-    reports = run_suite(config)
+    units = run_suite_rendered(config)
+    reports = [rep for unit_reports, _ in units for rep in unit_reports]
     summary = summarize(reports)
     for rep in reports:
         if rep.status == "fail":
@@ -121,7 +124,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         extra = {"config": {"suite": args.suite, "seed": args.seed,
                             "count": args.count, "cells": args.cells}}
         with open(args.json_path, "w") as fh:
-            fh.write(reports_to_json(reports, extra))
+            # each unit's records were rendered where the unit ran
+            write_reports_json(fh.write, (records for _, records in units), summary, extra)
             fh.write("\n")
     return 0 if summary["failed"] == 0 else 1
 

@@ -15,7 +15,15 @@ numerical limits of the general formula.  On step densities every one of
 these is a finite sum and therefore exact.  Every cell measures dx, so
 the general-p branch reads the positive values v alone, as
 (p/(1-p)) log M + (log sum (v/M)^p + log dx)/(1-p) with M = max v: each
-term is at most 1, so no order up to the largest float overflows.
+term is at most 1, so no order up to the largest float overflows.  Near
+p = 1 that quotient divides the rounding of the log sum by 1 - p, so for
+0 < |p - 1| < RENYI_SERIES_WIDTH (config) h_p is read instead from the
+cumulant series of L = log f under f/|f|_1, with t = p - 1,
+
+    h_p = h_1 - t k2(L)/2 - t^2 k3(L)/6 - O(t^3),
+
+which meets h_1 at p = 1 and the quotient at the window's edges to
+about 1e-10.
 renyi_entropies(f, orders) evaluates several orders from one positive
 mask and one gather, with the same bits as renyi_entropy order by order.
 
@@ -48,7 +56,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import FISHER_FLOOR_REL, MIXTURE_TOL
+from .config import FISHER_FLOOR_REL, MIXTURE_TOL, RENYI_SERIES_WIDTH
 from .convolve import convolve_k
 from .errors import BadParameter, DensityOverflow, OrderOutOfRange, WeightSum, ZeroMass
 from .grids import Grid1D, require_same_grid
@@ -92,7 +100,8 @@ def order_label(p: float) -> str:
 
 def renyi_entropy(f: Grid1D, p: float | str) -> float:
     """Renyi entropy h_p(f) of a step density, exact for every order p
-    that order() takes."""
+    that order() takes but those within RENYI_SERIES_WIDTH of 1 (not 1
+    itself), where the cumulant series is accurate to about 1e-10."""
     return renyi_entropies(f, (p,))[0]
 
 
@@ -101,14 +110,16 @@ def renyi_entropies(f: Grid1D, orders: Sequence[float | str]) -> tuple[float, ..
 
     One positive mask, one gather and at most one log serve every order;
     each order then costs one reduction.  p = 0, 1 and inf take their own
-    exact branches; every other p takes the log-space power sum.  Bit for
-    bit the same numbers as calling :func:`renyi_entropy` order by order.
+    exact branches, p within RENYI_SERIES_WIDTH of 1 the cumulant series
+    (its two cumulants formed once), and every other p the log-space
+    power sum.  Bit for bit the same numbers as calling
+    :func:`renyi_entropy` order by order.
     """
     orders = [order(p) for p in orders]
     v = f.values[f.values > 0.0]
     if v.size == 0:
         raise ZeroMass("entropy of an identically zero density")
-    log_v = None
+    log_v = cumulants = None
     out = []
     for p in orders:
         if p == 0.0:
@@ -122,12 +133,27 @@ def renyi_entropies(f: Grid1D, orders: Sequence[float | str]) -> tuple[float, ..
                 shifted = log_v - log_max  # <= 0, and 0 at the maximum
             if p == 1.0:
                 h = float(-np.sum(v * log_v) * f.dx)
+            elif abs(p - 1.0) < RENYI_SERIES_WIDTH:
+                if cumulants is None:
+                    cumulants = _log_cumulants(v, log_v)
+                k2, k3 = cumulants
+                t = p - 1.0
+                h = float(-np.sum(v * log_v) * f.dx) - t * (k2 / 2.0 + t * k3 / 6.0)
             else:
                 with np.errstate(over="ignore"):  # an overflow to -inf drops a term
                     lse = _log_sum_exp(p * shifted)
                 h = (p / (1.0 - p)) * log_max + (lse + math.log(f.dx)) / (1.0 - p)
         out.append(h)
     return tuple(out)
+
+
+def _log_cumulants(v: np.ndarray, log_v: np.ndarray) -> tuple[float, float]:
+    """The second and third cumulants of log f under f/|f|_1, for f's
+    positive values v (each cell measures the same dx, which cancels)."""
+    w = v / np.sum(v)
+    d = log_v - float(np.dot(w, log_v))
+    d2 = d * d
+    return float(np.dot(w, d2)), float(np.dot(w, d2 * d))
 
 
 def _log_sum_exp(a: np.ndarray) -> float:

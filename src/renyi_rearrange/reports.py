@@ -12,7 +12,12 @@ writes each record itself, in a fixed field order (name, lhs, rhs,
 margin, tolerance, pass, params with its keys sorted, seed, status), and
 its bytes equal ``json.dumps(..., indent=2)`` of that record.  The JSON is
 strict: every non-finite float, in params too, is written as its quoted
-repr ("inf", "-inf", "nan").
+repr ("inf", "-inf", "nan").  report_records renders a run of reports as
+one piece of the document's report list, and write_reports_json writes
+the document from such pieces through a caller's write function, so a
+document made of many pieces (verify's, one per unit of its suites) is
+never held as one string.  reports_to_json is that writer collecting into
+a string.
 """
 
 from __future__ import annotations
@@ -21,9 +26,10 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from json.encoder import encode_basestring_ascii as _string
-from typing import Any, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
-__all__ = ["VerificationReport", "report_geq", "report_leq", "summarize", "reports_to_json"]
+__all__ = ["VerificationReport", "report_geq", "report_leq", "summarize", "reports_to_json",
+           "report_records", "write_reports_json"]
 
 
 @dataclass(frozen=True)
@@ -128,21 +134,44 @@ def _report_json(r: VerificationReport) -> str:
             f'      "status": {_string(r.status)}\n    }}')
 
 
-def reports_to_json(reports: list[VerificationReport],
-                    extra: Mapping[str, Any] | None = None) -> str:
-    """Deterministic JSON for a report list (same input, same bytes).
+def report_records(reports: list[VerificationReport]) -> str:
+    """The reports' records, ",\n"-joined as they stand in the report list."""
+    return ",\n".join(map(_report_json, reports))
 
-    The summary and the caller's extra keys (sorted) follow the report
-    list, encoded by json.dumps(indent=2).  extra may not name "reports" or
-    "summary", nor hold a non-finite float (ValueError).
+
+def write_reports_json(write: Callable[[str], object], records: Iterable[str],
+                       summary: Mapping[str, int],
+                       extra: Mapping[str, Any] | None = None) -> None:
+    """Write the JSON document of a report list piece by piece through write.
+
+    records are report_records of consecutive runs of the list, in order
+    (an empty one adds nothing), and summary is summarize() of the whole
+    list.  The summary and the caller's extra keys (sorted) follow the
+    report list, encoded by json.dumps(indent=2).  extra may not name
+    "reports" or "summary", nor hold a non-finite float (ValueError, raised
+    before anything is written).
     """
     extra = extra or {}
     if "reports" in extra or "summary" in extra:
         raise ValueError("extra may not replace the reports or their summary")
     # the tail object's "{\n" is the document's own
-    tail = json.dumps({"summary": summarize(reports), **{k: extra[k] for k in sorted(extra)}},
+    tail = json.dumps({"summary": dict(summary), **{k: extra[k] for k in sorted(extra)}},
                       indent=2, allow_nan=False)[2:]
-    if not reports:
-        return '{\n  "reports": [],\n' + tail
-    body = ",\n".join(map(_report_json, reports))
-    return f'{{\n  "reports": [\n{body}\n  ],\n{tail}'
+    write('{\n  "reports": [')
+    sep = "\n"
+    for chunk in records:
+        if chunk:
+            write(sep)
+            write(chunk)
+            sep = ",\n"
+    write("],\n" if sep == "\n" else "\n  ],\n")
+    write(tail)
+
+
+def reports_to_json(reports: list[VerificationReport],
+                    extra: Mapping[str, Any] | None = None) -> str:
+    """Deterministic JSON for a report list (same input, same bytes), as
+    write_reports_json writes it."""
+    parts: list[str] = []
+    write_reports_json(parts.append, [report_records(reports)], summarize(reports), extra)
+    return "".join(parts)

@@ -30,20 +30,25 @@ however many checks run on it.
 
 run_suite cuts the configured suites into independent units (chunks of
 the main suite's pairs and triples, its witnesses, each other suite
-whole) and runs them on forked workers, one per CPU in the affinity mask,
-or in the calling process on one CPU.  A unit builds its own groups from
-their derived seeds, and the reports are joined in unit order, so the
-JSON bytes do not depend on the worker count.  The pool costs a small run
-some 20-35 ms to start.
+whole).  The calling process runs units, beside one forked worker per
+further CPU in the affinity mask (none on one CPU); each process takes
+the next unit index from one counter they share, so the work is shared
+out as it goes.  A unit builds its own groups from their derived seeds,
+one group at a time, and the results are joined by unit index, so the
+JSON bytes do not depend on the number of processes.  run_suite_rendered
+also renders each unit's records in the process that ran it, for the
+CLI to write the document from.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
+import pickle
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Sequence
+from typing import Callable, Iterator, NoReturn, Sequence, TypeVar
 
 import numpy as np
 
@@ -81,7 +86,7 @@ from .rearrange import l1_distance, majorizes, rearrange_1d
 from .balls import brunn_minkowski_check
 from .conjecture import bobkov_chistyakov_bound_check
 from .levy import LevySpec, check_levy_dominance, marginal_density, rearranged_marginal
-from .reports import VerificationReport, report_geq, report_leq
+from .reports import VerificationReport, report_geq, report_leq, report_records
 
 __all__ = [
     "SuiteConfig",
@@ -96,6 +101,7 @@ __all__ = [
     "check_isoperimetric",
     "check_log_sobolev",
     "run_suite",
+    "run_suite_rendered",
     "SUITES",
 ]
 
@@ -343,11 +349,10 @@ def _derived_seed(seed: int, stream: int, index: int) -> int:
 
 
 def _corpus(config: SuiteConfig, stream: int, indices: range, group: int,
-            kinds: tuple[str, ...] = GENERATOR_KINDS) -> list[list[Grid1D]]:
-    """Groups `indices` of `stream`, `group` densities each; group i depends
-    on the seed, the stream and i alone, so any range of a corpus can be
-    built apart from the rest."""
-    out = []
+            kinds: tuple[str, ...] = GENERATOR_KINDS) -> Iterator[list[Grid1D]]:
+    """Groups `indices` of `stream`, `group` densities each, built one at a
+    time as they are read; group i depends on the seed, the stream and i
+    alone, so any range of a corpus can be built apart from the rest."""
     for i in indices:
         batch = []
         for j in range(group):
@@ -357,8 +362,7 @@ def _corpus(config: SuiteConfig, stream: int, indices: range, group: int,
                 seed=_derived_seed(config.seed, stream, i * group + j),
                 domain_halfwidth=HALFWIDTH, cells=config.cells)
             batch.append(random_density(spec))
-        out.append(batch)
-    return out
+        yield batch
 
 
 _SMOOTH = ("gaussian-mixture",)
@@ -436,7 +440,7 @@ def _run_rbll(config: SuiteConfig) -> list[VerificationReport]:
         seed = _derived_seed(config.seed, 4, i)
         reports.append(check_rbll(fs, seed=seed))
     # degenerate k = 1: mass conservation under rearrangement
-    solo = _corpus(config, 5, range(1), 1)[0]
+    solo = next(_corpus(config, 5, range(1), 1))
     reports.append(check_rbll(solo, seed=_derived_seed(config.seed, 5, 0)))
     return reports
 
@@ -491,7 +495,7 @@ def _run_levy(config: SuiteConfig) -> list[VerificationReport]:
 
 
 # the main suite's pair and triple corpora are cut into this many units
-# each, so that its work can be shared out over the workers
+# each, so that its work can be shared out over the processes
 _PAIR_UNITS = 8
 _TRIPLE_UNITS = 2
 
@@ -509,7 +513,7 @@ def _units(config: SuiteConfig) -> list[Unit]:
     """The configured suites as independent units, in report order.
 
     A unit carries only the config and an index range, and builds its own
-    corpus groups from their derived seeds, so it pickles small.
+    corpus groups from their derived seeds.
     """
     runners: dict[str, Callable[[SuiteConfig], list[VerificationReport]]] = {
         "rbll": _run_rbll,
@@ -531,33 +535,159 @@ def _units(config: SuiteConfig) -> list[Unit]:
     return units
 
 
-def _run_unit(unit: Unit) -> list[VerificationReport]:
-    return unit()
+T = TypeVar("T")
+
+
+class _WorkerTraceback(Exception):
+    """The traceback, as text, of an error a forked worker raised; set as
+    the __cause__ of that error when it is raised again in the caller."""
+
+    def __str__(self) -> str:
+        return "\n" + self.args[0]
+
+
+def _take(units: list[Unit], work: Callable[[Unit], T], tokens: int
+          ) -> tuple[dict[int, T], tuple[int, Exception] | None]:
+    """work(units[i]) for each index i this process reads from the token
+    pipe, until the pipe is empty or a unit raises.
+
+    Returns the results by index, and the index and error of the unit that
+    raised, if one did.  On an error the pipe is drained, so that no
+    process starts another unit: every unit it could start has a higher
+    index.
+    """
+    done: dict[int, T] = {}
+    while token := os.read(tokens, 1):
+        i = token[0]
+        try:
+            done[i] = work(units[i])
+        except Exception as exc:
+            os.read(tokens, len(units))  # every token there is
+            return done, (i, exc)
+    return done, None
+
+
+def _work_and_send(units: list[Unit], work: Callable[[Unit], T],
+                   tokens: int, results: int) -> NoReturn:
+    """A forked worker's life: take units, pickle what they gave to the
+    results pipe, and exit without returning to the caller's frames.  If
+    that pickling fails (an error that does not pickle), the worker exits
+    with status 1 and the caller raises for the missing results."""
+    status = 1
+    try:
+        done, failed = _take(units, work, tokens)
+        sent = None
+        if failed is not None:
+            # signal and traceback are imported where they are used, on
+            # the rare paths, so that a CLI start-up does not pay for them
+            import traceback
+
+            i, exc = failed
+            text = "".join(traceback.format_exception(type(exc), exc, exc.__traceback__))
+            sent = (i, exc, text)
+        with os.fdopen(results, "wb") as fh:
+            pickle.dump((done, sent), fh, pickle.HIGHEST_PROTOCOL)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _run_units(config: SuiteConfig, work: Callable[[Unit], T]) -> list[T]:
+    """work(unit) for each unit of _units(config), in unit order.
+
+    The calling process runs units, and so does one forked worker per
+    further CPU in the affinity mask (no more processes than units); on
+    one CPU nothing is forked.  The unit indices are handed out from a
+    pipe filled before the fork, one byte each (there are at most 15
+    units): a read of one byte is atomic, so the pipe is a counter shared
+    by all the processes, and each index goes to one of them, in
+    ascending order.  A worker pickles its results to a pipe of its own
+    once it finds no unit left; the caller reads them after its own last
+    unit, and joins all results by index.  When units raise, the error of
+    the lowest-index one is raised, with its class, whichever process ran
+    it: every lower unit had been taken and is finished by then.  Every
+    worker has been waited for when this returns or raises; on any other
+    error (an interrupt, a worker that died) the rest are killed first.
+    """
+    config.validate()
+    units = _units(config)
+    forks = min(len(os.sched_getaffinity(0)), len(units)) - 1
+    if forks < 1:
+        return [work(unit) for unit in units]
+    tokens, fill = os.pipe()
+    os.write(fill, bytes(range(len(units))))
+    os.close(fill)
+    workers: dict[int, int] = {}  # pid -> read end of its results pipe
+    try:
+        for _ in range(forks):
+            read, write = os.pipe()
+            # fork, not spawn: a forked worker starts with numpy and this
+            # package loaded, where a spawned one would import them again
+            # (some 0.2 s, a third of an acceptance-size run), and it needs
+            # nothing pickled but its results; the package starts no
+            # threads that a fork could catch mid-work
+            pid = os.fork()
+            if pid == 0:
+                _work_and_send(units, work, tokens, write)
+            workers[pid] = read
+            os.close(write)
+        results, failed = _take(units, work, tokens)
+        errors = [] if failed is None else [(*failed, None)]
+        for pid in list(workers):
+            with open(workers[pid], "rb", closefd=False) as fh:
+                try:
+                    done, sent = pickle.load(fh)
+                except (EOFError, pickle.UnpicklingError):
+                    done = sent = None
+            _, status = os.waitpid(pid, 0)
+            os.close(workers.pop(pid))
+            if done is None:
+                raise RuntimeError(f"verify worker {pid} ended (wait status {status}) "
+                                   "before sending its results")
+            results.update(done)
+            if sent is not None:
+                errors.append(sent)
+        if errors:
+            _, exc, text = min(errors, key=lambda e: e[0])
+            if text is None:
+                raise exc
+            raise exc from _WorkerTraceback(text)
+        return [results[i] for i in range(len(units))]
+    finally:
+        # only on an error: a worker the loop above has not waited for
+        if workers:
+            import signal
+        for pid, read in workers.items():
+            os.close(read)
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            with contextlib.suppress(ChildProcessError):
+                os.waitpid(pid, 0)
+        os.close(tokens)
+
+
+def _rendered(unit: Unit) -> tuple[list[VerificationReport], str]:
+    reports = unit()
+    return reports, report_records(reports)
 
 
 def run_suite(config: SuiteConfig) -> list[VerificationReport]:
     """Run the configured suites and return their reports in a fixed order.
 
-    The units of _units run on a pool of forked workers, one per CPU in
-    this process's affinity mask (no more than there are units); with a
-    single worker they run here, one after another.  Reports are put
-    together in unit order, so they do not depend on the worker count.
-    An error raised in a worker is raised here with its class.
+    The suites are cut into units that run in this process and on forked
+    workers, one per further CPU in the affinity mask (see _run_units).
+    Reports are put together in unit order, so they do not depend on the
+    number of processes.  When units raise, the error of the first of them
+    in unit order is raised here with its class.
     """
-    config.validate()
-    units = _units(config)
-    workers = min(len(os.sched_getaffinity(0)), len(units))
-    if workers < 2:
-        parts = list(map(_run_unit, units))
-    else:
-        # imported here, not at module level: a CLI start-up that runs no
-        # suite need not pay for it
-        import multiprocessing
+    return [rep for reports in _run_units(config, lambda unit: unit()) for rep in reports]
 
-        # fork, not spawn: a forked worker starts with numpy and this
-        # package loaded, where a spawned one would import them again
-        # (some 0.2 s each, a third of an acceptance-size run); the
-        # package starts no threads that a fork could catch mid-work
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
-            parts = pool.map(_run_unit, units, chunksize=1)
-    return [rep for part in parts for rep in part]
+
+def run_suite_rendered(config: SuiteConfig) -> list[tuple[list[VerificationReport], str]]:
+    """run_suite's reports unit by unit, each unit's with their records.
+
+    The records are report_records of the unit's reports, rendered in the
+    process that ran the unit, so write_reports_json can write the whole
+    document from them without rendering a record here.
+    """
+    return _run_units(config, _rendered)

@@ -17,6 +17,7 @@ from renyi_rearrange import (
     uniform_interval,
     write_density_csv,
 )
+from renyi_rearrange.reports import report_records
 
 
 @pytest.fixture
@@ -247,9 +248,9 @@ class TestVerifyCommand:
         assert "failed=0" in out
 
     def test_failing_report_exits_one(self, monkeypatch, capsys):
-        monkeypatch.setattr(
-            cli, "run_suite",
-            lambda config: [report_geq("forced", 0.0, 1.0, 0.0)])
+        forced = [report_geq("forced", 0.0, 1.0, 0.0)]
+        monkeypatch.setattr(cli, "run_suite_rendered",
+                            lambda config: [(forced, report_records(forced))])
         rc = cli.main(["verify", "--suite", "main", "--count", "1"])
         assert rc == 1
         out = capsys.readouterr().out
@@ -349,8 +350,8 @@ class TestEpigapCommand:
         assert rc == 1
 
 
-# one CPU, so that a verify run happens in this interpreter and not in
-# forked workers whose imports it would not see
+# one CPU, so that the whole of a verify run happens in this interpreter,
+# none of it in a forked worker whose imports it would not see
 _LOADED = """
 import contextlib, io, json, os, sys
 os.sched_getaffinity = lambda pid: {0}
@@ -379,8 +380,8 @@ def _scipy_modules_after(argv):
 
 class TestStartup:
     """The CLI starts on numpy alone; scipy is loaded only for incomplete Beta
-    functions, no command loads scipy.integrate, and multiprocessing is
-    loaded only when verify starts its worker pool."""
+    functions, no command loads scipy.integrate, and nothing loads
+    multiprocessing (verify forks its workers with os.fork)."""
 
     @pytest.mark.parametrize("argv", [
         [],
@@ -407,8 +408,9 @@ class TestStartup:
         assert not any(m.startswith("scipy.integrate") for m in loaded)
 
     def test_import_loads_no_multiprocessing(self):
-        # verify imports it when it starts its worker pool, and no sooner
         assert _modules_after("multiprocessing", []) == []
+        argv = ["verify", "--suite", "all", "--count", "5", "--cells", "256"]
+        assert _modules_after("multiprocessing", argv) == []
 
     def test_heavy_tailed_maximizer_loads_no_scipy_integrate(self):
         # its normalizer and tail mass are closed-form Beta functions

@@ -1,6 +1,8 @@
+import functools
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import logsumexp
@@ -27,6 +29,7 @@ from renyi_rearrange import (
     uniform_interval,
 )
 from renyi_rearrange.cli import _parse_order
+from renyi_rearrange.config import RENYI_SERIES_WIDTH
 from renyi_rearrange.entropy import _log_sum_exp, order, order_label, renyi_affinity
 
 
@@ -138,6 +141,52 @@ class TestOrderStructure:
         assert renyi_entropy(f, 1e4) == pytest.approx(
             renyi_entropy(f, math.inf), abs=2e-3)
         assert renyi_entropy(f, 1e-4) <= renyi_entropy(f, 0.0) + 1e-12
+
+
+@functools.lru_cache(maxsize=None)
+def _near_one_density():
+    return random_density(DensityGeneratorSpec(kind="gaussian-mixture", seed=0, cells=2048))
+
+
+def _mpmath_renyi(f, p, dps=50):
+    """h_p of the probability density f/|f|_1 in dps-digit arithmetic, from
+    the float values of f as they stand."""
+    with mpmath.workdps(dps):
+        v = [mpmath.mpf(float(x)) for x in f.values if x > 0.0]
+        dx = mpmath.mpf(f.dx)
+        mass = mpmath.fsum(v) * dx
+        q = mpmath.mpf(p)
+        power_sum = mpmath.fsum(mpmath.exp(q * mpmath.log(x)) for x in v) * dx
+        return float(mpmath.log(power_sum / mass**q) / (1 - q))
+
+
+class TestNearOrderOne:
+    """Orders within RENYI_SERIES_WIDTH of 1 take the cumulant series: the
+    quotient log(int f^p)/(1 - p) divides its rounding by |1 - p| and erred
+    by 2.6e-2 at p = 1 - 1e-14 and 2.3e-4 at 1 + 1e-12 on this density."""
+
+    @pytest.mark.parametrize("t", [-1e-14, 1e-14, -1e-12, 1e-12, -1e-10, 1e-10,
+                                   -1e-8, 1e-8, -1e-6, 1e-6])
+    def test_matches_a_50_digit_reference(self, t):
+        f = _near_one_density()
+        p = 1.0 + t
+        assert abs(renyi_entropy(f, p) - _mpmath_renyi(f, p)) <= 1e-9
+
+    def test_window_edges_meet_the_quotient(self):
+        f = _near_one_density()
+        for side in (1.0, -1.0):
+            inside = renyi_entropy(f, 1.0 + side * RENYI_SERIES_WIDTH * (1.0 - 1e-9))
+            outside = renyi_entropy(f, 1.0 + side * RENYI_SERIES_WIDTH * (1.0 + 1e-9))
+            assert abs(inside - outside) <= 1e-9
+
+    def test_nonincreasing_through_the_window(self):
+        f = _near_one_density()
+        w = RENYI_SERIES_WIDTH
+        orders = [1.0 - 3.0 * w, 1.0 - 1.001 * w, 1.0 - 0.999 * w, 1.0 - 1e-7, 1.0,
+                  1.0 + 1e-7, 1.0 + 0.999 * w, 1.0 + 1.001 * w, 1.0 + 3.0 * w]
+        values = renyi_entropies(f, orders)
+        assert all(b < a for a, b in zip(values, values[1:]))
+        assert values[4] == renyi_entropy(f, 1.0)
 
 
 def _renyi_entropy_reference(f, p):

@@ -4,6 +4,9 @@ import math
 import multiprocessing
 import os
 import sys
+import time
+import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -380,22 +383,52 @@ def _cpus(monkeypatch, n):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
-def _pools_started(monkeypatch):
-    """The list of start methods of the pools run_suite makes from now on."""
-    started = []
-    original = multiprocessing.get_context
+def _forks(monkeypatch, late=None):
+    """The list that gets an item for each process forked from now on.
 
-    def get_context(method=None):
-        started.append(method)
-        return original(method)
+    With late "caller" or "worker", that side of each fork sleeps 0.15 s
+    after it, so that the other side takes the first unit."""
+    forks = []
+    real = os.fork
 
-    monkeypatch.setattr(multiprocessing, "get_context", get_context)
-    return started
+    def fork():
+        forks.append(os.getpid())
+        pid = real()
+        if late == ("caller" if pid else "worker"):
+            time.sleep(0.15)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def _around_units(monkeypatch, around):
+    """Make unit i of every run call around(i, unit) in its place."""
+    original = verifier._units
+    monkeypatch.setattr(verifier, "_units", lambda config: [
+        partial(around, i, unit) for i, unit in enumerate(original(config))])
+
+
+def _logged(path):
+    """The (unit index, pid) lines an _around_units callback wrote to path."""
+    return [tuple(map(int, line.split())) for line in path.read_text().splitlines()]
+
+
+def _log(path, i):
+    with open(path, "a") as fh:
+        fh.write(f"{i} {os.getpid()}\n")
+
+
+def _assert_no_children():
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class TestWorkerPool:
-    """The suite's units run on one forked worker per CPU, or in this process
-    on one CPU; the reports are the same either way."""
+    """The suite's units run in this process and on one forked worker per
+    further CPU, or in this process alone on one CPU; the reports are the
+    same either way, and no worker outlives the call."""
 
     CONFIG = SuiteConfig(suite="all", seed=3, pairs=9, triples=3, smooth_count=2,
                          cells=128)
@@ -408,32 +441,178 @@ class TestWorkerPool:
         assert len(units) == 8 + 2 + 1 + 4
 
     def test_json_bytes_do_not_depend_on_the_worker_count(self, monkeypatch):
-        started = _pools_started(monkeypatch)
+        forks = _forks(monkeypatch)
         _cpus(monkeypatch, 2)
-        pooled = reports_to_json(run_suite(self.CONFIG))
-        assert started == ["fork"]
+        shared = reports_to_json(run_suite(self.CONFIG))
+        assert len(forks) == 1
         _cpus(monkeypatch, 1)
         serial = reports_to_json(run_suite(self.CONFIG))
-        assert started == ["fork"]  # no pool for one worker
-        assert serial == pooled
+        assert len(forks) == 1  # nothing forked on one CPU
+        assert serial == shared
         assert json.loads(serial)["summary"]["failed"] == 0
+        _assert_no_children()
+
+    # 8: more processes than this host may have cores; each unit must
+    # still run once, which a counter that lost an update would break
+    @pytest.mark.parametrize("cpus", [2, 3, 8])
+    def test_the_caller_runs_units_beside_its_workers(self, cpus, monkeypatch, tmp_path):
+        log = tmp_path / "units.log"
+
+        def around(i, unit):
+            _log(log, i)
+            time.sleep(0.01)  # no process can take every unit alone
+            return unit()
+
+        _around_units(monkeypatch, around)
+        forks = _forks(monkeypatch)
+        _cpus(monkeypatch, cpus)
+        reports = run_suite(self.CONFIG)
+        assert len(forks) == cpus - 1
+        ran = _logged(log)
+        assert sorted(i for i, _ in ran) == list(range(15))
+        pids = {pid for _, pid in ran}
+        assert len(pids) <= cpus
+        if cpus == 2:
+            # with more workers the caller may still be forking when they
+            # have taken every unit
+            assert os.getpid() in pids and len(pids) == 2
+        _assert_no_children()
+        _cpus(monkeypatch, 1)
+        assert _records(run_suite(self.CONFIG)) == _records(reports)
 
     def test_worker_error_reaches_the_parent_with_its_class(self, monkeypatch, capsys):
+        parent = os.getpid()
+
         def no_mass(spec):
+            if os.getpid() == parent:
+                time.sleep(0.01)
+                return real(spec)
             raise ZeroMass(f"no mass for seed {spec.seed}")
 
-        # patched before the fork, so every worker inherits it
+        # patched before the fork, so the worker inherits it
+        real = verifier.random_density
         monkeypatch.setattr(verifier, "random_density", no_mass)
         _cpus(monkeypatch, 2)
-        started = _pools_started(monkeypatch)
+        forks = _forks(monkeypatch)
         with pytest.raises(DensityError) as excinfo:
             run_suite(self.CONFIG)
         assert excinfo.type is ZeroMass
-        assert started == ["fork"]
+        # the worker's traceback comes along as the cause
+        assert "no_mass" in str(excinfo.value.__cause__)
+        assert len(forks) == 1
+        _assert_no_children()
         rc = cli.main(["verify", "--suite", "main", "--count", "4", "--cells", "64"])
         assert rc == 2
         assert "error: no mass for seed" in capsys.readouterr().err
-        assert started == ["fork", "fork"]
+        assert len(forks) == 2
+        _assert_no_children()
+
+    def test_caller_error_leaves_no_worker(self, monkeypatch):
+        parent = os.getpid()
+
+        def around(i, unit):
+            time.sleep(0.01)
+            if os.getpid() == parent:
+                raise ZeroMass(f"unit {i}")
+            return unit()
+
+        _around_units(monkeypatch, around)
+        _cpus(monkeypatch, 2)
+        with pytest.raises(ZeroMass):
+            run_suite(self.CONFIG)
+        _assert_no_children()
+
+    @pytest.mark.parametrize("first", ["caller", "worker"])
+    def test_the_lowest_unit_error_is_raised(self, first, monkeypatch, tmp_path):
+        # every unit fails; unit 0 fails last, after the other process has
+        # failed on unit 1, so the first error to arrive is not the one raised
+        log = tmp_path / "units.log"
+
+        def around(i, unit):
+            _log(log, i)
+            if i == 0:
+                time.sleep(0.3)
+            raise ZeroMass(f"unit {i}")
+
+        _around_units(monkeypatch, around)
+        _forks(monkeypatch, late="caller" if first == "worker" else "worker")
+        _cpus(monkeypatch, 2)
+        with pytest.raises(ZeroMass, match="^unit 0$"):
+            run_suite(self.CONFIG)
+        ran = dict(_logged(log))
+        assert sorted(ran) == [0, 1]  # each process failed once, then stopped
+        assert (ran[0] == os.getpid()) == (first == "caller")
+        assert ran[1] != ran[0]
+        _assert_no_children()
+
+    @pytest.mark.parametrize("death", ["exit", "unpicklable error"])
+    def test_worker_that_dies_is_an_error(self, death, monkeypatch):
+        parent = os.getpid()
+
+        class Local(Exception):
+            """Defined in a function, so pickle cannot name it."""
+
+        def around(i, unit):
+            time.sleep(0.01)
+            if os.getpid() != parent:
+                if death == "exit":
+                    os._exit(3)
+                raise Local(f"unit {i}")
+            return unit()
+
+        _around_units(monkeypatch, around)
+        _cpus(monkeypatch, 2)
+        with pytest.raises(RuntimeError, match="before sending its results"):
+            run_suite(self.CONFIG)
+        _assert_no_children()
+
+    def test_interrupted_caller_kills_its_worker(self, monkeypatch):
+        parent = os.getpid()
+
+        def around(i, unit):
+            if os.getpid() != parent:
+                time.sleep(60.0)
+            time.sleep(0.05)
+            raise KeyboardInterrupt
+
+        _around_units(monkeypatch, around)
+        _cpus(monkeypatch, 2)
+        t0 = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            run_suite(self.CONFIG)
+        assert time.perf_counter() - t0 < 10.0
+        _assert_no_children()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_cli_json_is_reports_to_json_of_run_suite(self, cpus, monkeypatch, tmp_path):
+        _cpus(monkeypatch, cpus)
+        path = tmp_path / "verify.json"
+        rc = cli.main(["verify", "--suite", "all", "--seed", "5", "--count", "9",
+                       "--cells", "128", "--json", str(path)])
+        assert rc == 0
+        config = SuiteConfig(suite="all", seed=5, pairs=9, triples=2, smooth_count=2,
+                             cells=128)
+        extra = {"config": {"suite": "all", "seed": 5, "count": 9, "cells": 128}}
+        assert path.read_text() == reports_to_json(run_suite(config), extra) + "\n"
+        _assert_no_children()
+
+
+def test_rbll_unit_holds_one_group_at_a_time():
+    # its 100 pairs, 25 triples and one solo density took 3.64 MB together
+    # while they were built as one list
+    config = SuiteConfig(cells=2048)
+    # a small run first, so that the modules loaded on first use are not counted
+    verifier._run_rbll(SuiteConfig(pairs=2, triples=2, cells=64))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        reports = verifier._run_rbll(config)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(reports) == 100 + 25 + 1
+    assert peak < 1e6
 
 
 _PHIS = (PhiSpec("xlogx"), PhiSpec("power", 2.0), PhiSpec("power", 0.5),
