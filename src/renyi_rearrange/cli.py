@@ -34,7 +34,7 @@ from .balls import (BallPair, ball_sum_entropy, ball_sum_log_radial, ball_sum_ra
                     epi_gap_balls)
 from .config import QUAD_TOL
 from .conjecture import UPPER_BOUND_LABEL, c_constant, ratio_landscape
-from .entropy import entropy_power, order, order_label, renyi_entropy
+from .entropy import entropy_power, order, order_label, renyi_entropy, uses_series
 from .errors import DensityError, DensityOverflow
 from .grids import read_density_csv, write_density_csv
 from .levy import LevySpec, check_levy_dominance
@@ -142,7 +142,8 @@ def _cmd_entropy(args: argparse.Namespace) -> int:
         "mass": f.mass,
         "cells": f.n_cells,
         "dx": f.dx,
-        "tolerance_note": "exact finite sum for a step density",
+        "tolerance_note": ("cumulant series near order 1, accurate to about 1e-11"
+                           if uses_series(f, p) else "exact finite sum for a step density"),
     })
     return 0
 

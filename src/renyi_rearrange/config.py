@@ -26,17 +26,15 @@ FFT_THRESHOLD = 2048      # hull output cells above which FFT is
                           # 0.17/0.16 at 2047, 0.45/0.23 at 4095)
 QUAD_TOL = 1e-10          # absolute and relative tolerance of the
                           # ball-sum radial quadrature
-RENYI_SERIES_WIDTH = 1e-5  # |p - 1| below which h_p is the cumulant
-                           # series h_1 - t k2/2 - t^2 k3/6 (t = p - 1)
-                           # rather than log(int f^p)/(1 - p): the log
-                           # power sum carries a rounding of some 1e-15
-                           # (a few ulp of |log dx| + |log max f|), so
-                           # the quotient errs by about 1e-15/|t|; the
-                           # series drops k4 |t|^3/24 and less, with
-                           # |k4| <= 13.2 over the verify corpus (factors
-                           # and sums).  At 1e-5 the quotient errs by
-                           # about 1e-10 and the series by under 1e-14,
-                           # and it stays below 1e-10 up to |k4| = 2e5
+RENYI_SERIES_MAX_WIDTH = 1e-3  # widest |p - 1| at which h_p may be
+                               # the cumulant series through k3; each
+                               # density narrows it to where t^4 |k4|/24
+                               # meets the quotient's rounding (entropy.
+                               # _NearOne).  Only |k4| < 0.05 reaches it,
+                               # and there the dropped k5 t^4/120 stays
+                               # below 1e-11 for |k5| < 1200 (|k5| <= 82
+                               # on the Levy marginals, conjecture
+                               # maximizers and random densities measured)
 MIXTURE_TOL = 1e-9        # mixture entropy bound; both sides are
                           # exact sums
 INDICATOR_REL_TOL = 1e-9  # relative spread of the positive values

@@ -16,14 +16,16 @@ these is a finite sum and therefore exact.  Every cell measures dx, so
 the general-p branch reads the positive values v alone, as
 (p/(1-p)) log M + (log sum (v/M)^p + log dx)/(1-p) with M = max v: each
 term is at most 1, so no order up to the largest float overflows.  Near
-p = 1 that quotient divides the rounding of the log sum by 1 - p, so for
-0 < |p - 1| < RENYI_SERIES_WIDTH (config) h_p is read instead from the
-cumulant series of L = log f under f/|f|_1, with t = p - 1,
+p = 1 that quotient divides the rounding of the log power sum by 1 - p.
+So for 0 < |t| < w(f), t = p - 1, h_p is read instead from the mass
+m = |f|_1 and the cumulants k_n of L = log f under f/m:
 
-    h_p = h_1 - t k2(L)/2 - t^2 k3(L)/6 - O(t^3),
+    h_p = p log(m)/(1 - p) + h_1(f)/m + log m - t k2/2 - t^2 k3/6 - O(t^3),
 
-which meets h_1 at p = 1 and the quotient at the window's edges to
-about 1e-10.
+the first term exact (log m from the correctly rounded m - 1), the rest
+the series of h_p(f/m).  w(f) is where the first dropped term |t|^3
+|k4|/24 meets the quotient's rounding over |t| (_NearOne), and at most
+RENYI_SERIES_MAX_WIDTH (config).
 renyi_entropies(f, orders) evaluates several orders from one positive
 mask and one gather, with the same bits as renyi_entropy order by order.
 
@@ -51,12 +53,13 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .config import FISHER_FLOOR_REL, MIXTURE_TOL, RENYI_SERIES_WIDTH
+from .config import FISHER_FLOOR_REL, MIXTURE_TOL, RENYI_SERIES_MAX_WIDTH
 from .convolve import convolve_k
 from .errors import BadParameter, DensityOverflow, OrderOutOfRange, WeightSum, ZeroMass
 from .grids import Grid1D, require_same_grid
@@ -99,9 +102,9 @@ def order_label(p: float) -> str:
 
 
 def renyi_entropy(f: Grid1D, p: float | str) -> float:
-    """Renyi entropy h_p(f) of a step density, exact for every order p
-    that order() takes but those within RENYI_SERIES_WIDTH of 1 (not 1
-    itself), where the cumulant series is accurate to about 1e-10."""
+    """Renyi entropy h_p(f) of a step density: an exact finite sum for
+    p = 0, 1 and inf; otherwise accurate to a few ulp of its terms over
+    |1 - p|, and to about 1e-11 for orders near 1 (see _NearOne)."""
     return renyi_entropies(f, (p,))[0]
 
 
@@ -110,16 +113,16 @@ def renyi_entropies(f: Grid1D, orders: Sequence[float | str]) -> tuple[float, ..
 
     One positive mask, one gather and at most one log serve every order;
     each order then costs one reduction.  p = 0, 1 and inf take their own
-    exact branches, p within RENYI_SERIES_WIDTH of 1 the cumulant series
-    (its two cumulants formed once), and every other p the log-space
-    power sum.  Bit for bit the same numbers as calling
-    :func:`renyi_entropy` order by order.
+    exact branches, p near 1 the cumulant series (its terms formed once
+    per call, see _NearOne), and every other p the log-space power sum.
+    Bit for bit the same numbers as calling :func:`renyi_entropy` order
+    by order.
     """
     orders = [order(p) for p in orders]
     v = f.values[f.values > 0.0]
     if v.size == 0:
         raise ZeroMass("entropy of an identically zero density")
-    log_v = cumulants = None
+    log_v = near = None
     out = []
     for p in orders:
         if p == 0.0:
@@ -131,14 +134,14 @@ def renyi_entropies(f: Grid1D, orders: Sequence[float | str]) -> tuple[float, ..
                 log_v = np.log(v)
                 log_max = float(log_v.max())
                 shifted = log_v - log_max  # <= 0, and 0 at the maximum
+            t = p - 1.0
+            if near is None and 0.0 < abs(t) < RENYI_SERIES_MAX_WIDTH:
+                near = _NearOne.of(v, log_v, f.dx)
             if p == 1.0:
                 h = float(-np.sum(v * log_v) * f.dx)
-            elif abs(p - 1.0) < RENYI_SERIES_WIDTH:
-                if cumulants is None:
-                    cumulants = _log_cumulants(v, log_v)
-                k2, k3 = cumulants
-                t = p - 1.0
-                h = float(-np.sum(v * log_v) * f.dx) - t * (k2 / 2.0 + t * k3 / 6.0)
+            elif near is not None and abs(t) < near.width:
+                h = ((p / (1.0 - p)) * near.log_mass + near.h_1
+                     - t * (near.k2 / 2.0 + t * near.k3 / 6.0))
             else:
                 with np.errstate(over="ignore"):  # an overflow to -inf drops a term
                     lse = _log_sum_exp(p * shifted)
@@ -147,13 +150,64 @@ def renyi_entropies(f: Grid1D, orders: Sequence[float | str]) -> tuple[float, ..
     return tuple(out)
 
 
-def _log_cumulants(v: np.ndarray, log_v: np.ndarray) -> tuple[float, float]:
-    """The second and third cumulants of log f under f/|f|_1, for f's
-    positive values v (each cell measures the same dx, which cancels)."""
-    w = v / np.sum(v)
-    d = log_v - float(np.dot(w, log_v))
-    d2 = d * d
-    return float(np.dot(w, d2)), float(np.dot(w, d2 * d))
+def uses_series(f: Grid1D, p: float | str) -> bool:
+    """Whether renyi_entropy(f, p) reads the cumulant series near p = 1."""
+    t = order(p) - 1.0
+    if not 0.0 < abs(t) < RENYI_SERIES_MAX_WIDTH:
+        return False
+    v = f.values[f.values > 0.0]
+    return abs(t) < _NearOne.of(v, np.log(v), f.dx).width
+
+
+class _NearOne(NamedTuple):
+    """What h_p(f) reads for p near 1: log m for the mass m = |f|_1, the
+    Shannon entropy h_1 of f/m, the cumulants k2, k3 of L = log f under
+    f/m, and the width of the window 0 < |p - 1| < width that uses them.
+
+    The quotient log(int f^p)/(1 - p) rounds log max f, log dx and the
+    log power sum (at most log n for n positive cells) to an ulp each, so
+    it errs by up to eps/|t| with eps = 2^-53 (|log max f| + |log dx| +
+    log n).  The series stops before -t^3 k4/24.  The window is where
+    that term is the smaller, t^4 |k4|/24 < eps, but never wider than
+    RENYI_SERIES_MAX_WIDTH, so the terms after k4 stay negligible.
+    Every reduction is np.sum (pairwise, on one thread), so the bytes do
+    not depend on the CPUs.
+    """
+
+    log_mass: float
+    h_1: float
+    k2: float
+    k3: float
+    width: float
+
+    @classmethod
+    def of(cls, v: np.ndarray, log_v: np.ndarray, dx: float) -> "_NearOne":
+        mass_excess = _mass_excess(v, dx)
+        mass = 1.0 + mass_excess
+        log_mass = math.log1p(mass_excess)
+        w = v / np.sum(v)
+        d = log_v - float(np.sum(w * log_v))
+        d2 = d * d
+        k2 = float(np.sum(w * d2))
+        k3 = float(np.sum(w * d2 * d))
+        k4 = float(np.sum(w * d2 * d2)) - 3.0 * k2 * k2
+        eps = 2.0**-53 * (abs(float(log_v.max())) + abs(math.log(dx)) + math.log(v.size))
+        width = RENYI_SERIES_MAX_WIDTH
+        if k4 != 0.0:
+            width = min(width, (24.0 * eps / abs(k4)) ** 0.25)
+        h_1 = float(-np.sum(v * log_v) * dx) / mass + log_mass
+        return cls(log_mass, h_1, k2, k3, width)
+
+
+def _mass_excess(v: np.ndarray, dx: float) -> float:
+    """sum(v) dx - 1 for the positive values v, correctly rounded but for
+    an ulp or two of itself, so log1p of it keeps its digits even when
+    the mass is 1 to within an ulp."""
+    terms = v.tolist()
+    s = math.fsum(terms)
+    terms.append(-s)
+    s_rest = math.fsum(terms)  # the exact sum is s + s_rest
+    return float(Fraction(s) * Fraction(dx) - 1) + s_rest * dx
 
 
 def _log_sum_exp(a: np.ndarray) -> float:

@@ -7,17 +7,18 @@ a fixed convention: +inf on the large side is an automatic pass, -inf on
 the large side an automatic fail, and two infinite sides of the same sign
 are inconclusive (the comparison carries no information).
 
-reports_to_json is the one place where the report schema lives.  It
-writes each record itself, in a fixed field order (name, lhs, rhs,
-margin, tolerance, pass, params with its keys sorted, seed, status), and
-its bytes equal ``json.dumps(..., indent=2)`` of that record.  The JSON is
-strict: every non-finite float, in params too, is written as its quoted
-repr ("inf", "-inf", "nan").  report_records renders a run of reports as
-one piece of the document's report list, and write_reports_json writes
-the document from such pieces through a caller's write function, so a
-document made of many pieces (verify's, one per unit of its suites) is
-never held as one string.  reports_to_json is that writer collecting into
-a string.
+The report schema lives in two functions.  _report_json writes one
+record, in a fixed field order (name, lhs, rhs, margin, tolerance, pass,
+params with its keys sorted, seed, status), its bytes equal to
+``json.dumps(..., indent=2)`` of that record.  write_reports_json lays
+out the document around the records: the report list, then the summary
+and any extra keys.  The JSON is strict: every non-finite float, in
+params too, is written as its quoted repr ("inf", "-inf", "nan").
+report_records renders a run of reports as one piece of the report list,
+and write_reports_json writes the document from such pieces through a
+caller's write function, so a document made of many pieces (verify's,
+one per unit of its suites) is never held as one string.
+reports_to_json is that writer collecting into a string.
 """
 
 from __future__ import annotations

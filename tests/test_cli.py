@@ -48,6 +48,15 @@ class TestEntropyCommand:
         assert payload["cells"] == 64
         assert payload["mass"] == pytest.approx(1.0, abs=1e-12)
 
+    def test_tolerance_note_names_the_branch(self, skewed_csv, capsys):
+        notes = {}
+        for token in ("0.5", "1", "0.99999", "1.000001", "2"):
+            assert cli.main(["entropy", "--density", skewed_csv, "--order", token]) == 0
+            notes[token] = json.loads(capsys.readouterr().out)["tolerance_note"]
+        assert {notes[t] for t in ("0.5", "1", "2")} == {"exact finite sum for a step density"}
+        assert notes["0.99999"] == notes["1.000001"] == (
+            "cumulant series near order 1, accurate to about 1e-11")
+
     def test_sup_order_token(self, uniform_csv, capsys):
         rc = cli.main(["entropy", "--density", uniform_csv, "--order", "inf"])
         assert rc == 0

@@ -29,8 +29,8 @@ from renyi_rearrange import (
     uniform_interval,
 )
 from renyi_rearrange.cli import _parse_order
-from renyi_rearrange.config import RENYI_SERIES_WIDTH
-from renyi_rearrange.entropy import _log_sum_exp, order, order_label, renyi_affinity
+from renyi_rearrange.config import RENYI_SERIES_MAX_WIDTH
+from renyi_rearrange.entropy import _NearOne, _log_sum_exp, order, order_label, renyi_affinity
 
 
 class TestRenyiOrder:
@@ -148,22 +148,31 @@ def _near_one_density():
     return random_density(DensityGeneratorSpec(kind="gaussian-mixture", seed=0, cells=2048))
 
 
+def _mass_two_densities():
+    f = _near_one_density()
+    return {"uniform": make_grid(0.0, 1.0, [1.0, 1.0]),
+            "twice the mixture": make_grid(f.x0, f.dx, 2.0 * f.values)}
+
+
 def _mpmath_renyi(f, p, dps=50):
-    """h_p of the probability density f/|f|_1 in dps-digit arithmetic, from
-    the float values of f as they stand."""
+    """h_p(f) = log(int f^p)/(1 - p) in dps-digit arithmetic, from the float
+    values of f as they stand (not rescaled to mass 1)."""
     with mpmath.workdps(dps):
         v = [mpmath.mpf(float(x)) for x in f.values if x > 0.0]
-        dx = mpmath.mpf(f.dx)
-        mass = mpmath.fsum(v) * dx
         q = mpmath.mpf(p)
-        power_sum = mpmath.fsum(mpmath.exp(q * mpmath.log(x)) for x in v) * dx
-        return float(mpmath.log(power_sum / mass**q) / (1 - q))
+        power_sum = mpmath.fsum(mpmath.exp(q * mpmath.log(x)) for x in v) * mpmath.mpf(f.dx)
+        return float(mpmath.log(power_sum) / (1 - q))
+
+
+def _series_width(f):
+    v = f.values[f.values > 0.0]
+    return _NearOne.of(v, np.log(v), f.dx).width
 
 
 class TestNearOrderOne:
-    """Orders within RENYI_SERIES_WIDTH of 1 take the cumulant series: the
-    quotient log(int f^p)/(1 - p) divides its rounding by |1 - p| and erred
-    by 2.6e-2 at p = 1 - 1e-14 and 2.3e-4 at 1 + 1e-12 on this density."""
+    """Orders near 1 take the cumulant series: the quotient
+    log(int f^p)/(1 - p) divides its rounding by |1 - p| and erred by
+    2.6e-2 at p = 1 - 1e-14 and 2.3e-4 at 1 + 1e-12 on this density."""
 
     @pytest.mark.parametrize("t", [-1e-14, 1e-14, -1e-12, 1e-12, -1e-10, 1e-10,
                                    -1e-8, 1e-8, -1e-6, 1e-6])
@@ -172,16 +181,39 @@ class TestNearOrderOne:
         p = 1.0 + t
         assert abs(renyi_entropy(f, p) - _mpmath_renyi(f, p)) <= 1e-9
 
-    def test_window_edges_meet_the_quotient(self):
-        f = _near_one_density()
+    @pytest.mark.parametrize("name", ["uniform", "twice the mixture"])
+    def test_mass_two_keeps_its_mass_term(self, name):
+        # h_p(f) = p log(m)/(1 - p) + h_p(f/m): about -6.9e5 at p = 1 + 1e-6
+        # for m = 2, so the bound allows a few ulp of the value on top
+        f = _mass_two_densities()[name]
+        w = _series_width(f)
+        for t in (1e-6, w * (1.0 - 1e-9), w * (1.0 + 1e-9)):
+            for p in (1.0 - t, 1.0 + t):
+                want = _mpmath_renyi(f, p)
+                assert abs(renyi_entropy(f, p) - want) <= 1e-9 + 1e-15 * abs(want)
+        assert renyi_entropy(f, 1.0 + 1e-6) < -6.9e5
+
+    def test_window_narrows_with_the_fourth_cumulant(self):
+        # the uniform density has no cumulants, so its window is the cap;
+        # the mixture's |k4| of 3.2 narrows it to where t^4 |k4|/24 meets
+        # the quotient's rounding
+        assert _series_width(_mass_two_densities()["uniform"]) == RENYI_SERIES_MAX_WIDTH
+        assert 1e-4 < _series_width(_near_one_density()) < RENYI_SERIES_MAX_WIDTH
+
+    @pytest.mark.parametrize("kind", ["gaussian-mixture", "uniform-mixture"])
+    def test_window_edges_meet_the_quotient(self, kind):
+        # mass 1, so h_p moves by about k2/2 * 2e-9 w between the two orders
+        # (the mass-2 edges are checked against the reference above)
+        f = random_density(DensityGeneratorSpec(kind=kind, seed=0, cells=2048))
+        w = _series_width(f)
         for side in (1.0, -1.0):
-            inside = renyi_entropy(f, 1.0 + side * RENYI_SERIES_WIDTH * (1.0 - 1e-9))
-            outside = renyi_entropy(f, 1.0 + side * RENYI_SERIES_WIDTH * (1.0 + 1e-9))
-            assert abs(inside - outside) <= 1e-9
+            inside = renyi_entropy(f, 1.0 + side * w * (1.0 - 1e-9))
+            outside = renyi_entropy(f, 1.0 + side * w * (1.0 + 1e-9))
+            assert abs(inside - outside) <= 1e-10
 
     def test_nonincreasing_through_the_window(self):
         f = _near_one_density()
-        w = RENYI_SERIES_WIDTH
+        w = _series_width(f)
         orders = [1.0 - 3.0 * w, 1.0 - 1.001 * w, 1.0 - 0.999 * w, 1.0 - 1e-7, 1.0,
                   1.0 + 1e-7, 1.0 + 0.999 * w, 1.0 + 1.001 * w, 1.0 + 3.0 * w]
         values = renyi_entropies(f, orders)
