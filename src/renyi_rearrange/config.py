@@ -26,15 +26,11 @@ FFT_THRESHOLD = 2048      # hull output cells above which FFT is
                           # 0.17/0.16 at 2047, 0.45/0.23 at 4095)
 QUAD_TOL = 1e-10          # absolute and relative tolerance of the
                           # ball-sum radial quadrature
-RENYI_SERIES_MAX_WIDTH = 1e-3  # widest |p - 1| at which h_p may be
-                               # the cumulant series through k3; each
-                               # density narrows it to where t^4 |k4|/24
-                               # meets the quotient's rounding (entropy.
-                               # _NearOne).  Only |k4| < 0.05 reaches it,
-                               # and there the dropped k5 t^4/120 stays
-                               # below 1e-11 for |k5| < 1200 (|k5| <= 82
-                               # on the Levy marginals, conjecture
-                               # maximizers and random densities measured)
+RENYI_NEAR_ONE_WIDTH = 1e-3  # |p - 1| (|1 - alpha| for D_alpha)
+                             # below which the log power sum over
+                             # |p - 1| gives way to an expm1 sum
+                             # (entropy._log_mean_exp); at the edge
+                             # the two agree to ~5e-13
 MIXTURE_TOL = 1e-9        # mixture entropy bound; both sides are
                           # exact sums
 INDICATOR_REL_TOL = 1e-9  # relative spread of the positive values

@@ -17,15 +17,16 @@ the general-p branch reads the positive values v alone, as
 (p/(1-p)) log M + (log sum (v/M)^p + log dx)/(1-p) with M = max v: each
 term is at most 1, so no order up to the largest float overflows.  Near
 p = 1 that quotient divides the rounding of the log power sum by 1 - p.
-So for 0 < |t| < w(f), t = p - 1, h_p is read instead from the mass
-m = |f|_1 and the cumulants k_n of L = log f under f/m:
+So for 0 < |t| < RENYI_NEAR_ONE_WIDTH (config), t = p - 1, h_p is read
+instead from the mass m = |f|_1 and the mean mu of x = log v under v:
 
-    h_p = p log(m)/(1 - p) + h_1(f)/m + log m - t k2/2 - t^2 k3/6 - O(t^3),
+    h_p = -(log m + t mu + log1p(sum v expm1(t (x - mu)) / sum v)) / t,
 
-the first term exact (log m from the correctly rounded m - 1), the rest
-the series of h_p(f/m).  w(f) is where the first dropped term |t|^3
-|k4|/24 meets the quotient's rounding over |t| (_NearOne), and at most
-RENYI_SERIES_MAX_WIDTH (config).
+an exact identity (_log_mean_exp).  Each expm1 term keeps its digits,
+so what rounding is left after the division by t is a few ulp of mu and
+of |x - mu|, not of the log power sum over |t|; log m comes from the
+correctly rounded m - 1 (_log_mass).  The divergence near alpha = 1 is
+read through the same identity.
 renyi_entropies(f, orders) evaluates several orders from one positive
 mask and one gather, with the same bits as renyi_entropy order by order.
 
@@ -55,11 +56,11 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .config import FISHER_FLOOR_REL, MIXTURE_TOL, RENYI_SERIES_MAX_WIDTH
+from .config import FISHER_FLOOR_REL, MIXTURE_TOL, RENYI_NEAR_ONE_WIDTH
 from .convolve import convolve_k
 from .errors import BadParameter, DensityOverflow, OrderOutOfRange, WeightSum, ZeroMass
 from .grids import Grid1D, require_same_grid
@@ -104,7 +105,8 @@ def order_label(p: float) -> str:
 def renyi_entropy(f: Grid1D, p: float | str) -> float:
     """Renyi entropy h_p(f) of a step density: an exact finite sum for
     p = 0, 1 and inf; otherwise accurate to a few ulp of its terms over
-    |1 - p|, and to about 1e-11 for orders near 1 (see _NearOne)."""
+    |1 - p|, and for orders near 1 to a few ulp of its value (see the
+    module docstring)."""
     return renyi_entropies(f, (p,))[0]
 
 
@@ -113,16 +115,16 @@ def renyi_entropies(f: Grid1D, orders: Sequence[float | str]) -> tuple[float, ..
 
     One positive mask, one gather and at most one log serve every order;
     each order then costs one reduction.  p = 0, 1 and inf take their own
-    exact branches, p near 1 the cumulant series (its terms formed once
-    per call, see _NearOne), and every other p the log-space power sum.
-    Bit for bit the same numbers as calling :func:`renyi_entropy` order
-    by order.
+    exact branches, 0 < |p - 1| < RENYI_NEAR_ONE_WIDTH one expm1 sum
+    (_log_mean_exp, with the mass formed once per call), and every other
+    p the log-space power sum.  Bit for bit the same numbers as calling
+    :func:`renyi_entropy` order by order.
     """
     orders = [order(p) for p in orders]
     v = f.values[f.values > 0.0]
     if v.size == 0:
         raise ZeroMass("entropy of an identically zero density")
-    log_v = near = None
+    log_v = log_mass = None
     out = []
     for p in orders:
         if p == 0.0:
@@ -135,13 +137,12 @@ def renyi_entropies(f: Grid1D, orders: Sequence[float | str]) -> tuple[float, ..
                 log_max = float(log_v.max())
                 shifted = log_v - log_max  # <= 0, and 0 at the maximum
             t = p - 1.0
-            if near is None and 0.0 < abs(t) < RENYI_SERIES_MAX_WIDTH:
-                near = _NearOne.of(v, log_v, f.dx)
             if p == 1.0:
                 h = float(-np.sum(v * log_v) * f.dx)
-            elif near is not None and abs(t) < near.width:
-                h = ((p / (1.0 - p)) * near.log_mass + near.h_1
-                     - t * (near.k2 / 2.0 + t * near.k3 / 6.0))
+            elif abs(t) < RENYI_NEAR_ONE_WIDTH:
+                if log_mass is None:
+                    log_mass = _log_mass(v, f.dx)
+                h = -(log_mass + _log_mean_exp(v, log_v, t)) / t
             else:
                 with np.errstate(over="ignore"):  # an overflow to -inf drops a term
                     lse = _log_sum_exp(p * shifted)
@@ -150,64 +151,33 @@ def renyi_entropies(f: Grid1D, orders: Sequence[float | str]) -> tuple[float, ..
     return tuple(out)
 
 
-def uses_series(f: Grid1D, p: float | str) -> bool:
-    """Whether renyi_entropy(f, p) reads the cumulant series near p = 1."""
-    t = order(p) - 1.0
-    if not 0.0 < abs(t) < RENYI_SERIES_MAX_WIDTH:
-        return False
-    v = f.values[f.values > 0.0]
-    return abs(t) < _NearOne.of(v, np.log(v), f.dx).width
+def _log_mean_exp(w: np.ndarray, x: np.ndarray, t: float) -> float:
+    """log(sum w e^(t x) / sum w) for positive weights w, as
+    t mu + log1p(sum w expm1(t (x - mu)) / sum w) with mu = sum w x / sum w.
 
-
-class _NearOne(NamedTuple):
-    """What h_p(f) reads for p near 1: log m for the mass m = |f|_1, the
-    Shannon entropy h_1 of f/m, the cumulants k2, k3 of L = log f under
-    f/m, and the width of the window 0 < |p - 1| < width that uses them.
-
-    The quotient log(int f^p)/(1 - p) rounds log max f, log dx and the
-    log power sum (at most log n for n positive cells) to an ulp each, so
-    it errs by up to eps/|t| with eps = 2^-53 (|log max f| + |log dx| +
-    log n).  The series stops before -t^3 k4/24.  The window is where
-    that term is the smaller, t^4 |k4|/24 < eps, but never wider than
-    RENYI_SERIES_MAX_WIDTH, so the terms after k4 stay negligible.
-    Every reduction is np.sum (pairwise, on one thread), so the bytes do
-    not depend on the CPUs.
+    The identity holds for any mu; the mean makes the log1p argument
+    O(t^2), so near t = 0 the result keeps digits relative to t.  Every
+    reduction is np.sum (pairwise, one thread), so the bits do not depend
+    on the CPUs.
     """
-
-    log_mass: float
-    h_1: float
-    k2: float
-    k3: float
-    width: float
-
-    @classmethod
-    def of(cls, v: np.ndarray, log_v: np.ndarray, dx: float) -> "_NearOne":
-        mass_excess = _mass_excess(v, dx)
-        mass = 1.0 + mass_excess
-        log_mass = math.log1p(mass_excess)
-        w = v / np.sum(v)
-        d = log_v - float(np.sum(w * log_v))
-        d2 = d * d
-        k2 = float(np.sum(w * d2))
-        k3 = float(np.sum(w * d2 * d))
-        k4 = float(np.sum(w * d2 * d2)) - 3.0 * k2 * k2
-        eps = 2.0**-53 * (abs(float(log_v.max())) + abs(math.log(dx)) + math.log(v.size))
-        width = RENYI_SERIES_MAX_WIDTH
-        if k4 != 0.0:
-            width = min(width, (24.0 * eps / abs(k4)) ** 0.25)
-        h_1 = float(-np.sum(v * log_v) * dx) / mass + log_mass
-        return cls(log_mass, h_1, k2, k3, width)
+    total = float(np.sum(w))
+    mu = float(np.sum(w * x)) / total
+    return t * mu + math.log1p(float(np.sum(w * np.expm1(t * (x - mu)))) / total)
 
 
-def _mass_excess(v: np.ndarray, dx: float) -> float:
-    """sum(v) dx - 1 for the positive values v, correctly rounded but for
-    an ulp or two of itself, so log1p of it keeps its digits even when
-    the mass is 1 to within an ulp."""
+def _log_mass(v: np.ndarray, dx: float) -> float:
+    """log(sum(v) dx) for positive values v.  Where the mass m is at least
+    1/2 it is log1p of m - 1, correctly rounded but for an ulp or two of
+    itself, so the log keeps its digits even when m is 1 to within an
+    ulp; below that it is the log of the sum, as m - 1 would round m away."""
     terms = v.tolist()
     s = math.fsum(terms)
     terms.append(-s)
     s_rest = math.fsum(terms)  # the exact sum is s + s_rest
-    return float(Fraction(s) * Fraction(dx) - 1) + s_rest * dx
+    excess = float(Fraction(s) * Fraction(dx) - 1) + s_rest * dx
+    if excess > -0.5:
+        return math.log1p(excess)
+    return math.log(s) + math.log(dx)
 
 
 def _log_sum_exp(a: np.ndarray) -> float:
@@ -330,6 +300,11 @@ def renyi_divergence(f: Grid1D, g: Grid1D, alpha: float) -> float:
 
     At alpha = 1 this is the relative entropy; any cell with f > 0 and
     g = 0 makes it +inf.  For alpha < 1 disjoint supports give +inf.
+    For 0 < t = 1 - alpha < RENYI_NEAR_ONE_WIDTH it is read as
+    -(log m' + log(sum a (b/a)^t / sum a)) / t through _log_mean_exp,
+    with a, b the values of f, g where both are positive and m' the mass
+    of f there, so the division by t does not magnify the rounding of
+    the log affinity.
     """
     if not (0.0 < alpha <= 1.0):
         raise OrderOutOfRange(f"divergence implemented for alpha in (0,1], got {alpha}")
@@ -341,6 +316,14 @@ def renyi_divergence(f: Grid1D, g: Grid1D, alpha: float) -> float:
         a = f.values[pos]
         b = g.values[pos]
         return float(np.sum(a * np.log(a / b)) * f.dx)
+    t = 1.0 - alpha
+    if t < RENYI_NEAR_ONE_WIDTH:
+        both = (f.values > 0.0) & (g.values > 0.0)
+        if not both.any():
+            return math.inf
+        a = f.values[both]
+        b = g.values[both]
+        return -(_log_mass(a, f.dx) + _log_mean_exp(a, np.log(b) - np.log(a), t)) / t
     s = renyi_affinity(f, g, alpha)
     if s == 0.0:
         return math.inf

@@ -226,6 +226,8 @@ class DensityGeneratorSpec:
             raise BadParameter("component_count must be >= 1")
         if self.cells < 8:
             raise BadParameter("cells must be >= 8")
+        if self.seed < 0:
+            raise BadParameter("seed must be >= 0")
         if not (self.domain_halfwidth > 0.0):
             raise BadParameter("domain_halfwidth must be positive")
 

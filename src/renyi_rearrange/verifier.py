@@ -342,6 +342,8 @@ class SuiteConfig:
                 raise ConfigInvalid(f"{name} must be >= 0")
         if self.cells < 8:
             raise ConfigInvalid("cells must be >= 8")
+        if self.seed < 0:
+            raise ConfigInvalid("seed must be >= 0")
 
 
 def _derived_seed(seed: int, stream: int, index: int) -> int:

@@ -10,6 +10,7 @@ from scipy.special import logsumexp
 from renyi_rearrange import (
     DensityGeneratorSpec,
     DensityOverflow,
+    GENERATOR_KINDS,
     GAUSSIAN_ENTROPY_POWER,
     GridMismatch,
     Group,
@@ -29,8 +30,8 @@ from renyi_rearrange import (
     uniform_interval,
 )
 from renyi_rearrange.cli import _parse_order
-from renyi_rearrange.config import RENYI_SERIES_MAX_WIDTH
-from renyi_rearrange.entropy import _NearOne, _log_sum_exp, order, order_label, renyi_affinity
+from renyi_rearrange.config import RENYI_NEAR_ONE_WIDTH
+from renyi_rearrange.entropy import _log_sum_exp, order, order_label, renyi_affinity
 
 
 class TestRenyiOrder:
@@ -154,66 +155,82 @@ def _mass_two_densities():
             "twice the mixture": make_grid(f.x0, f.dx, 2.0 * f.values)}
 
 
-def _mpmath_renyi(f, p, dps=50):
+@functools.lru_cache(maxsize=None)
+def _reference_densities():
+    """Every generator kind at seeds 0 and 5, and the two mass-2 densities,
+    each with its positive values and their logs in 50-digit arithmetic."""
+    fs = [random_density(DensityGeneratorSpec(kind=kind, seed=seed, cells=2048))
+          for kind in GENERATOR_KINDS for seed in (0, 5)]
+    fs += _mass_two_densities().values()
+    with mpmath.workdps(50):
+        return [(f, [(mpmath.mpf(float(x)), mpmath.log(float(x)))
+                     for x in f.values if x > 0.0]) for f in fs]
+
+
+def _mpmath_renyi(f, p, terms=None, dps=50):
     """h_p(f) = log(int f^p)/(1 - p) in dps-digit arithmetic, from the float
-    values of f as they stand (not rescaled to mass 1)."""
+    values of f as they stand (not rescaled to mass 1); terms, if given,
+    holds each positive value with its log in that arithmetic."""
     with mpmath.workdps(dps):
-        v = [mpmath.mpf(float(x)) for x in f.values if x > 0.0]
-        q = mpmath.mpf(p)
-        power_sum = mpmath.fsum(mpmath.exp(q * mpmath.log(x)) for x in v) * mpmath.mpf(f.dx)
-        return float(mpmath.log(power_sum) / (1 - q))
+        if terms is None:
+            terms = [(mpmath.mpf(float(x)), mpmath.log(float(x)))
+                     for x in f.values if x > 0.0]
+        t = mpmath.mpf(p) - 1
+        power_sum = mpmath.fsum(v * mpmath.exp(t * log_v) for v, log_v in terms)
+        return float(mpmath.log(power_sum * mpmath.mpf(f.dx)) / -t)
 
 
-def _series_width(f):
-    v = f.values[f.values > 0.0]
-    return _NearOne.of(v, np.log(v), f.dx).width
+NEAR_ONE_STEPS = (1e-14, 1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 9.99e-4)
 
 
 class TestNearOrderOne:
-    """Orders near 1 take the cumulant series: the quotient
+    """Orders near 1 take the expm1 sum: the quotient
     log(int f^p)/(1 - p) divides its rounding by |1 - p| and erred by
-    2.6e-2 at p = 1 - 1e-14 and 2.3e-4 at 1 + 1e-12 on this density."""
+    2.6e-2 at p = 1 - 1e-14 and 2.3e-4 at 1 + 1e-12 on the seed-0
+    gaussian mixture."""
 
-    @pytest.mark.parametrize("t", [-1e-14, 1e-14, -1e-12, 1e-12, -1e-10, 1e-10,
-                                   -1e-8, 1e-8, -1e-6, 1e-6])
+    @pytest.mark.parametrize("t", [s * t for t in NEAR_ONE_STEPS for s in (-1.0, 1.0)])
     def test_matches_a_50_digit_reference(self, t):
-        f = _near_one_density()
+        # a few ulp of the value, from |t| = 1e-14 to the window's edge
         p = 1.0 + t
-        assert abs(renyi_entropy(f, p) - _mpmath_renyi(f, p)) <= 1e-9
+        for f, terms in _reference_densities():
+            want = _mpmath_renyi(f, p, terms)
+            assert abs(renyi_entropy(f, p) - want) <= 1e-14 * max(1.0, abs(want))
 
     @pytest.mark.parametrize("name", ["uniform", "twice the mixture"])
     def test_mass_two_keeps_its_mass_term(self, name):
         # h_p(f) = p log(m)/(1 - p) + h_p(f/m): about -6.9e5 at p = 1 + 1e-6
         # for m = 2, so the bound allows a few ulp of the value on top
         f = _mass_two_densities()[name]
-        w = _series_width(f)
+        w = RENYI_NEAR_ONE_WIDTH
         for t in (1e-6, w * (1.0 - 1e-9), w * (1.0 + 1e-9)):
             for p in (1.0 - t, 1.0 + t):
                 want = _mpmath_renyi(f, p)
                 assert abs(renyi_entropy(f, p) - want) <= 1e-9 + 1e-15 * abs(want)
         assert renyi_entropy(f, 1.0 + 1e-6) < -6.9e5
 
-    def test_window_narrows_with_the_fourth_cumulant(self):
-        # the uniform density has no cumulants, so its window is the cap;
-        # the mixture's |k4| of 3.2 narrows it to where t^4 |k4|/24 meets
-        # the quotient's rounding
-        assert _series_width(_mass_two_densities()["uniform"]) == RENYI_SERIES_MAX_WIDTH
-        assert 1e-4 < _series_width(_near_one_density()) < RENYI_SERIES_MAX_WIDTH
+    def test_tiny_mass(self):
+        # mass 4e-20: m - 1 rounds to -1, so log m is read from m itself;
+        # log1p(-1) raised a bare "math domain error" here
+        f = make_grid(0.0, 1.0, [1e-20, 3e-20])
+        for p in (1.0 - 1e-6, 1.0 + 1e-6):
+            want = _mpmath_renyi(f, p)
+            assert abs(renyi_entropy(f, p) - want) <= 1e-14 * abs(want)
 
     @pytest.mark.parametrize("kind", ["gaussian-mixture", "uniform-mixture"])
     def test_window_edges_meet_the_quotient(self, kind):
-        # mass 1, so h_p moves by about k2/2 * 2e-9 w between the two orders
-        # (the mass-2 edges are checked against the reference above)
+        # mass 1, so h_p moves by about k2/2 * 2e-9 w between the two orders;
+        # outside, the quotient's rounding over |t| = 1e-3 is ~2e-12
         f = random_density(DensityGeneratorSpec(kind=kind, seed=0, cells=2048))
-        w = _series_width(f)
+        w = RENYI_NEAR_ONE_WIDTH
         for side in (1.0, -1.0):
             inside = renyi_entropy(f, 1.0 + side * w * (1.0 - 1e-9))
             outside = renyi_entropy(f, 1.0 + side * w * (1.0 + 1e-9))
-            assert abs(inside - outside) <= 1e-10
+            assert abs(inside - outside) <= 1e-11
 
     def test_nonincreasing_through_the_window(self):
         f = _near_one_density()
-        w = _series_width(f)
+        w = RENYI_NEAR_ONE_WIDTH
         orders = [1.0 - 3.0 * w, 1.0 - 1.001 * w, 1.0 - 0.999 * w, 1.0 - 1e-7, 1.0,
                   1.0 + 1e-7, 1.0 + 0.999 * w, 1.0 + 1.001 * w, 1.0 + 3.0 * w]
         values = renyi_entropies(f, orders)
@@ -413,6 +430,53 @@ class TestDivergence:
         g = uniform_interval(0.0, 1.0, cells=32)
         with pytest.raises(GridMismatch):
             renyi_divergence(f, g, 0.5)
+
+
+def _mpmath_divergence(f, g, alpha, dps=50):
+    """D_alpha(f||g) = log(int f^alpha g^(1-alpha))/(alpha - 1) in
+    dps-digit arithmetic, from the float values of f and g."""
+    with mpmath.workdps(dps):
+        t = 1 - mpmath.mpf(alpha)
+        both = (f.values > 0.0) & (g.values > 0.0)
+        affinity = mpmath.fsum(
+            mpmath.mpf(float(a)) * mpmath.exp(t * (mpmath.log(float(b)) - mpmath.log(float(a))))
+            for a, b in zip(f.values[both], g.values[both]))
+        return float(mpmath.log(affinity * mpmath.mpf(f.dx)) / -t)
+
+
+class TestDivergenceNearOne:
+    """alpha near 1 reads D_alpha through the expm1 sum; the quotient
+    log(affinity)/(alpha - 1) read 2.411111 for 2.402152 at
+    alpha = 1 - 1e-14 on the seed-1 and seed-2 gaussian mixtures."""
+
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def _pairs():
+        def density(kind, seed):
+            return random_density(DensityGeneratorSpec(kind=kind, seed=seed, cells=2048))
+        # the uniform and spiky pairs have cells where f > 0 and g = 0
+        return [(density(kind, 1), density(kind, 2))
+                for kind in ("gaussian-mixture", "uniform-mixture", "spiky-piecewise")]
+
+    @pytest.mark.parametrize("t", NEAR_ONE_STEPS)
+    def test_matches_a_50_digit_reference(self, t):
+        for f, g in self._pairs():
+            want = _mpmath_divergence(f, g, 1.0 - t)
+            assert abs(renyi_divergence(f, g, 1.0 - t) - want) <= 1e-14 * max(1.0, abs(want))
+
+    def test_tiny_shared_mass(self):
+        # f puts mass 1e-20 where g lives, so m' - 1 rounds to -1; the log
+        # of the mass is then read from the mass itself, not log1p(-1)
+        f = make_grid(0.0, 1.0, [1.0, 1e-20])
+        g = make_grid(0.0, 1.0, [0.0, 1.0])
+        for t in (1e-6, 1e-4):
+            want = _mpmath_divergence(f, g, 1.0 - t)
+            assert abs(renyi_divergence(f, g, 1.0 - t) - want) <= 1e-14 * abs(want)
+
+    def test_disjoint_supports(self):
+        f = make_grid(0.0, 1.0, [1.0, 0.0])
+        g = make_grid(0.0, 1.0, [0.0, 1.0])
+        assert renyi_divergence(f, g, 1.0 - 1e-6) == math.inf
 
 
 class TestFisherInformation:

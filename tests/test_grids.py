@@ -174,6 +174,11 @@ class TestGenerators:
         with pytest.raises(BadParameter):
             random_density(DensityGeneratorSpec(kind="bimodal", cells=0))
 
+    def test_negative_seed(self):
+        # numpy's SeedSequence refuses it with a bare ValueError
+        with pytest.raises(BadParameter, match="seed"):
+            random_density(DensityGeneratorSpec(kind="bimodal", seed=-1))
+
 
 class TestSymmetricDecreasing:
     def test_recognizes_shapes(self):

@@ -287,6 +287,7 @@ class TestSuiteConfig:
         {"triples": -2},
         {"smooth_count": -1},
         {"cells": 4},
+        {"seed": -1},
     ])
     def test_invalid_configs(self, kwargs):
         with pytest.raises(ConfigInvalid):
