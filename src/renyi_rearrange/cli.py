@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import sys
@@ -288,9 +289,12 @@ _HANDLERS = {
 }
 
 
+# parse_args keeps no state in the parser, so main builds it once per process
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
     except DensityError as exc:

@@ -90,6 +90,18 @@ def _fft_conv(p: np.ndarray, q: np.ndarray, out_len: int) -> np.ndarray:
     return np.fft.irfft(np.fft.rfft(p, n) * np.fft.rfft(q, n), n)[:out_len]
 
 
+def _place(buf: np.ndarray, values: np.ndarray, start: int) -> np.ndarray:
+    """buf zeroed, then values written into it cyclically from index start,
+    as np.roll of values padded with zeros to buf's length would place them;
+    returns buf."""
+    buf.fill(0.0)
+    start %= buf.size
+    head = min(values.size, buf.size - start)
+    buf[start:start + head] = values[:head]
+    buf[:values.size - head] = values[head:]
+    return buf
+
+
 def _runs(values: np.ndarray) -> Runs:
     """Start and end (exclusive) indices of the runs of positive cells."""
     positive = np.zeros(values.size + 2, dtype=bool)  # padded with False
@@ -189,7 +201,13 @@ def convolve_series(f: Grid1D, g: Grid1D, weights: Sequence[float]) -> Grid1D:
     z = g_a g_(a+r), summed by Horner's rule.  Each cell value of a class
     is added to the two half cells it covers.  That is three forward
     transforms (two when r = 0) and two inverse ones, all about half the
-    output's length.  The result spans the union of the terms' grids.  It
+    output's length.  One real buffer is refilled for the forward inputs
+    and one complex buffer holds each class's series in turn, the odd
+    class first so g_a can go before its inverse transform; each inverse
+    is dropped once added in, and every spectrum before the support pass.
+    The working set is the output plus at most four spectra half its
+    size (f's, z, the series and an inverse), about 3 times the output's
+    bytes.  The result spans the union of the terms' grids.  It
     is zero off the union of the supports of the terms of positive weight
     and at least the smallest normal float on it, as in :func:`convolve`
     (the terms' runs merged, the gaps zeroed by slices, no difference
@@ -237,28 +255,36 @@ def convolve_series(f: Grid1D, g: Grid1D, weights: Sequence[float]) -> Grid1D:
     a, r = divmod(h, 2)
     n = _fast_len(n_out // 2 + 2)
     lo_cell, odd_lo = divmod(lo, 2)  # cell 0 of the transforms starts odd_lo half cells before lo
-    p = np.zeros(n)
-    p[-lo_cell:n_f - lo_cell] = f.values
-    f_hat = np.fft.rfft(p)
-    q = np.zeros(n)
-    q[:n_g] = g.values * dx
-    g_hat = np.fft.rfft(np.roll(q, a))
-    z = g_hat * (g_hat if r == 0 else np.fft.rfft(np.roll(q, a + r)))
+    buf = np.empty(n)  # the input of each forward transform in turn
+    f_hat = np.fft.rfft(_place(buf, f.values, -lo_cell))
+    g_dx = g.values * dx
+    g_hat = np.fft.rfft(_place(buf, g_dx, a))
+    # one expression: past 256 KiB numpy multiplies into the rfft's temporary
+    # as rfft * g_hat, and with FMA that operand order sets the last bits
+    z = g_hat * (g_hat if r == 0 else np.fft.rfft(_place(buf, g_dx, a + r)))
+    del buf
     vals = np.zeros(n_out)
-    for parity, first in ((0, -odd_lo), (1, r - odd_lo)):
+    series = np.empty_like(z)
+    # the odd class first, so g_hat can go before its inverse transform
+    for parity, first in ((1, r - odd_lo), (0, -odd_lo)):
         class_weights = weights[parity::2]
-        series = np.full(z.size, complex(class_weights[-1]))
+        series.fill(complex(class_weights[-1]))
         for w in class_weights[-2::-1]:
             series *= z
             series += w
         if parity:
             series *= g_hat
+            del g_hat
+        else:
+            del z
         series *= f_hat
         cells = np.fft.irfft(series, n)
         for half in (first, first + 1):  # cell i covers half cells first + 2i and the next
             skip, odd = divmod(half, 2)
             dst = vals[odd::2][max(skip, 0):]
             dst += cells[max(-skip, 0):][:dst.size]
+        del cells
+    del series, f_hat
     np.maximum(vals, _TINY, out=vals)
     _zero_off(vals, _merge(np.concatenate(starts), np.concatenate(ends)))
     return Grid1D(x0=f.x0 + min(0.0, k_max * (g.x0 + 0.5 * dx)), dx=0.5 * dx, values=vals)

@@ -27,8 +27,8 @@ so what rounding is left after the division by t is a few ulp of mu and
 of |x - mu|, not of the log power sum over |t|; log m comes from the
 correctly rounded m - 1 (_log_mass).  The divergence near alpha = 1 is
 read through the same identity.
-renyi_entropies(f, orders) evaluates several orders from one positive
-mask and one gather, with the same bits as renyi_entropy order by order.
+renyi_entropies(f, orders) evaluates several orders from one read of the
+positive values, with the same bits as renyi_entropy order by order.
 
 A Group is one convolution group f1, ..., fk: its sum f1 * ... * fk, the
 sum f1^* * ... * fk^* of its rearrangements, and a Row of Renyi entropies
@@ -113,15 +113,16 @@ def renyi_entropy(f: Grid1D, p: float | str) -> float:
 def renyi_entropies(f: Grid1D, orders: Sequence[float | str]) -> tuple[float, ...]:
     """(h_p(f) for p in orders) from one pass over the layers of f.
 
-    One positive mask, one gather and at most one log serve every order;
-    each order then costs one reduction.  p = 0, 1 and inf take their own
-    exact branches, 0 < |p - 1| < RENYI_NEAR_ONE_WIDTH one expm1 sum
+    The positive values (read in place when no cell is zero, else gathered
+    once) and at most one log serve every order; each order then costs one
+    reduction, a power sum in one scratch array.  p = 0, 1 and inf take
+    their own exact branches, 0 < |p - 1| < RENYI_NEAR_ONE_WIDTH one expm1 sum
     (_log_mean_exp, with the mass formed once per call), and every other
     p the log-space power sum.  Bit for bit the same numbers as calling
     :func:`renyi_entropy` order by order.
     """
     orders = [order(p) for p in orders]
-    v = f.values[f.values > 0.0]
+    v = f.values if f.values.min(initial=math.inf) > 0.0 else f.values[f.values > 0.0]
     if v.size == 0:
         raise ZeroMass("entropy of an identically zero density")
     log_v = log_mass = None
@@ -135,7 +136,6 @@ def renyi_entropies(f: Grid1D, orders: Sequence[float | str]) -> tuple[float, ..
             if log_v is None:
                 log_v = np.log(v)
                 log_max = float(log_v.max())
-                shifted = log_v - log_max  # <= 0, and 0 at the maximum
             t = p - 1.0
             if p == 1.0:
                 h = float(-np.sum(v * log_v) * f.dx)
@@ -144,11 +144,29 @@ def renyi_entropies(f: Grid1D, orders: Sequence[float | str]) -> tuple[float, ..
                     log_mass = _log_mass(v, f.dx)
                 h = -(log_mass + _log_mean_exp(v, log_v, t)) / t
             else:
-                with np.errstate(over="ignore"):  # an overflow to -inf drops a term
-                    lse = _log_sum_exp(p * shifted)
-                h = (p / (1.0 - p)) * log_max + (lse + math.log(f.dx)) / (1.0 - p)
+                h = (p / (1.0 - p)) * log_max + (
+                    _log_power_sum(log_v, log_max, p) + math.log(f.dx)) / (1.0 - p)
         out.append(h)
     return tuple(out)
+
+
+def _log_power_sum(log_v: np.ndarray, log_max: float, p: float) -> float:
+    """log sum(exp(a)) for a = p (log_v - log_max), formed in one scratch array.
+
+    The maximum of a is 0, so this is scipy.special.logsumexp(a) bit for
+    bit without its shift: the m entries with a == 0 (the maxima, and at
+    tiny p those that underflow to -0) are taken out of the sum s of the
+    rest, which gives log(m) + log1p(s / m).  A term that overflows to -inf
+    drops out.
+    """
+    a = np.subtract(log_v, log_max)
+    with np.errstate(over="ignore"):
+        a *= p
+    top = a == 0.0
+    m = np.count_nonzero(top)
+    a[top] = -np.inf
+    np.exp(a, out=a)
+    return float(np.log1p(np.sum(a) / m) + np.log(m))
 
 
 def _log_mean_exp(w: np.ndarray, x: np.ndarray, t: float) -> float:
@@ -178,23 +196,6 @@ def _log_mass(v: np.ndarray, dx: float) -> float:
     if excess > -0.5:
         return math.log1p(excess)
     return math.log(s) + math.log(dx)
-
-
-def _log_sum_exp(a: np.ndarray) -> float:
-    """log sum(exp(a)) for a 1-D array a with a finite maximum.
-
-    The same arithmetic as ``scipy.special.logsumexp(a)``, so the result
-    is bitwise equal to it: the maximal entries are taken out of the sum
-    and contribute through log(m) with m their count.  The shifted terms
-    are formed in one scratch array; a is left as it was.
-    """
-    a_max = a.max()
-    top = a == a_max
-    m = np.count_nonzero(top)
-    e = a - a_max
-    e[top] = -np.inf
-    np.exp(e, out=e)
-    return float(np.log1p(np.sum(e) / m) + np.log(m) + a_max)
 
 
 # the orders of a Group's sum rows (those of the main theorem), and of its

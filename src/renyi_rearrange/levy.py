@@ -19,10 +19,13 @@ nearest grid where it is.  The truncated sum is then one call of
 k apart, each class as a power series in the spectrum of the twice-folded
 jump law on whole cells, in five real transforms about half as long as
 the marginal's dx/2 grid: its cost grows with the length of that grid,
-not with the number of terms.  A jump rate whose mean lambda*t reaches
-the term cap plus 2 is refused before any Poisson term is summed.  Both
-processes use the same snapped jump law (the rearranged pipeline
-rearranges the snapped density), so the dominance being checked
+not with the number of terms.  check_levy_dominance builds Z_t, reads its
+row of entropies and drops it, then does the same for X_t, so one
+marginal is alive at a time and the working set is that of the series
+sum, about 3 times the larger marginal's bytes.  A jump rate whose mean
+lambda*t reaches the term cap plus 2 is refused before any Poisson term
+is summed.  Both processes use the same snapped jump law (the rearranged
+pipeline rearranges the snapped density), so the dominance being checked
 is exact for the densities actually simulated.
 
 Orders p < 1 reach only the transforms' roundoff floor.  A third or more
@@ -215,17 +218,20 @@ def check_levy_dominance(spec: LevySpec,
 
     The tolerance budget scales with the series depth: every term of the
     truncated mixture is a (k+1)-fold convolution at the working spacing.
-    Each marginal is read once, at every order, by renyi_entropies.
+    One marginal is alive at a time: Z_t is built, read once at every
+    order by renyi_entropies and dropped, then X_t likewise.
     """
     if k_max is None:
         k_max = auto_k_max(spec.rate * spec.t)
-    x_t = marginal_density(spec, k_max)
     z_t = rearranged_marginal(spec, k_max)
-    tol = EPS_CONV_FACTOR * max(x_t.dx, z_t.dx) * (k_max + 1)
     orders = [order(p) for p in orders]
+    rhs_row, z_dx = renyi_entropies(z_t, orders), z_t.dx
+    del z_t
+    x_t = marginal_density(spec, k_max)
+    lhs_row = renyi_entropies(x_t, orders)
+    tol = EPS_CONV_FACTOR * max(x_t.dx, z_dx) * (k_max + 1)
     out = []
-    for p, lhs, rhs in zip(orders, renyi_entropies(x_t, orders),
-                           renyi_entropies(z_t, orders)):
+    for p, lhs, rhs in zip(orders, lhs_row, rhs_row):
         label = order_label(p)
         out.append(report_geq(
             f"levy_dominance[p={label}]", lhs, rhs, tol,

@@ -112,6 +112,19 @@ class TestParserErrors:
             cli.main(["verify", "--suite", "bogus"])
         assert exc.value.code == 2
 
+    def test_parser_is_built_once_and_outlives_a_usage_error(self, skewed_csv, capsys):
+        assert cli._parser() is cli._parser()
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--suite", "bogus"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        argv = ["entropy", "--density", skewed_csv, "--order", "0.5"]
+        assert cli.main(argv) == 0
+        fresh = subprocess.run([sys.executable, "-m", "renyi_rearrange.cli", *argv],
+                               env=_fresh_env(), capture_output=True, text=True,
+                               check=True).stdout
+        assert capsys.readouterr().out == fresh
+
 
 class TestRearrangeCommand:
     def test_writes_symmetric_decreasing_csv(self, skewed_csv, tmp_path, capsys):
@@ -380,12 +393,16 @@ print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == sys.argv[1]
 """
 
 
+def _fresh_env():
+    """The environment of a fresh interpreter that imports this package."""
+    src = os.path.dirname(os.path.dirname(renyi_rearrange.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+
+
 def _modules_after(package, argv):
     """The modules of `package` a fresh interpreter holds after running argv."""
-    src = os.path.dirname(os.path.dirname(renyi_rearrange.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    out = subprocess.run([sys.executable, "-c", _LOADED, package, *argv], env=env,
+    out = subprocess.run([sys.executable, "-c", _LOADED, package, *argv], env=_fresh_env(),
                          capture_output=True, text=True, check=True).stdout
     return json.loads(out.splitlines()[-1])
 

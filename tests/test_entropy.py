@@ -31,7 +31,7 @@ from renyi_rearrange import (
 )
 from renyi_rearrange.cli import _parse_order
 from renyi_rearrange.config import RENYI_NEAR_ONE_WIDTH
-from renyi_rearrange.entropy import _log_sum_exp, order, order_label, renyi_affinity
+from renyi_rearrange.entropy import order, order_label, renyi_affinity
 
 
 class TestRenyiOrder:
@@ -238,6 +238,20 @@ class TestNearOrderOne:
         assert values[4] == renyi_entropy(f, 1.0)
 
 
+def _log_sum_exp(a):
+    """log sum(exp(a)) for a 1-D array a with a finite maximum, by the same
+    arithmetic as ``scipy.special.logsumexp(a)`` (TestLogSumExp checks the
+    bits): the maximal entries leave the sum and add log(m), m their count.
+    The shifted terms are formed in a scratch array; a is left as it was."""
+    a_max = a.max()
+    top = a == a_max
+    m = np.count_nonzero(top)
+    e = a - a_max
+    e[top] = -np.inf
+    np.exp(e, out=e)
+    return float(np.log1p(np.sum(e) / m) + np.log(m) + a_max)
+
+
 def _renyi_entropy_reference(f, p):
     """h_p(f) for one order, each order reading the values of f afresh."""
     p = float(p)
@@ -252,8 +266,9 @@ def _renyi_entropy_reference(f, p):
     if p == 1.0:
         return float(-np.sum(v * log_v) * f.dx)
     log_max = float(log_v.max())
-    return (p / (1.0 - p)) * log_max + (
-        _log_sum_exp(p * (log_v - log_max)) + math.log(f.dx)) / (1.0 - p)
+    with np.errstate(over="ignore"):  # an overflow to -inf drops a term
+        lse = _log_sum_exp(p * (log_v - log_max))
+    return (p / (1.0 - p)) * log_max + (lse + math.log(f.dx)) / (1.0 - p)
 
 
 class TestRenyiEntropies:
@@ -281,6 +296,28 @@ class TestRenyiEntropies:
             assert renyi_entropies(f, self.ORDERS[::-1]) == got[::-1]
             for p, h in zip(self.ORDERS, got):
                 assert renyi_entropies(f, ("inf", p)) == (got[-1], h)
+
+    # (values, orders): every cell positive, so the values are read in place;
+    # zero cells, so they are gathered; a maximum taken by several cells; and
+    # at p = 1e-320 the cells near the maximum whose p (log v - log M)
+    # underflows to -0, which count with the maxima as the reference's do
+    # (on the last case, counting only the maxima changes the bits)
+    TINY_TO_HUGE = (1e-320, 1e-300, 0.5, 2.0, 1e300, 1.7e308)
+    ORACLE_CASES = {
+        "all-positive": (np.random.default_rng(45).random(900) + 1e-3, ORDERS),
+        "zero-cells": (np.where(np.arange(800) % 7 == 3, 0.0,
+                                np.random.default_rng(46).random(800)), ORDERS),
+        "tied-max": (np.tile([0.25, 1.0, 0.5, 1.0, 0.125], 60), ORDERS),
+        "underflow-near-max": ([1.0, 1.0 - 1e-6, 0.5, 0.0, 0.25, 1.0], TINY_TO_HUGE),
+        "underflow-sets-the-bits": ([1.0, 1.0 - 1e-6, 0.5], TINY_TO_HUGE),
+    }
+
+    @pytest.mark.parametrize("case", ORACLE_CASES)
+    def test_matches_the_oracle(self, case):
+        values, orders = self.ORACLE_CASES[case]
+        f = make_grid(-1.0, 1.0, values)
+        assert renyi_entropies(f, orders) == tuple(
+            _renyi_entropy_reference(f, p) for p in orders)
 
     def test_empty_orders(self):
         for f in self._densities():
@@ -330,7 +367,7 @@ class TestHugeOrders:
 
 
 class TestLogSumExp:
-    """The general-order branch's log-sum-exp matches scipy's bit for bit."""
+    """The reference's log-sum-exp matches scipy's bit for bit."""
 
     ORDERS = (1e-4, 0.5, 2.0, 1e4)
 
@@ -347,7 +384,7 @@ class TestLogSumExp:
             n = int(rng.integers(1, 9000))
             v = rng.random(n) * 10.0 ** rng.integers(-6, 7)
             self._assert_bitwise(p * np.log(v))
-            # as renyi_entropies calls it: shifted to a maximum of 0
+            # as the reference calls it: shifted to a maximum of 0
             log_v = np.log(v)
             self._assert_bitwise(p * (log_v - log_v.max()))
 

@@ -1,5 +1,7 @@
+import hashlib
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -314,6 +316,114 @@ class TestDominance:
         reports = check_levy_dominance(spec, [1.0])
         assert reports[0].passed
         assert reports[0].margin == pytest.approx(0.0, abs=1e-12)
+
+
+def _simd_level():
+    """The x86-64 SIMD level numpy 2.4 dispatches to, or None elsewhere."""
+    if not np.__version__.startswith("2.4."):
+        return None
+    from numpy._core._multiarray_umath import __cpu_features__
+    return next((level for level in ("X86_V4", "X86_V3", "X86_V2")
+                 if __cpu_features__.get(level)), None)
+
+
+class TestLevyBytes:
+    """The marginals and reports of the rate-30 laws of seeds 0 and 977
+    (uniform-mixture, 512 cells, a = 1, t = 1), bit for bit.
+
+    The bits depend on the SIMD kernels numpy dispatches to (with FMA a
+    complex product a * b can differ from b * a in the last bit), and the
+    marginals differ at each of the three x86-64 levels.  So they are
+    pinned for numpy 2.4 at each level, recorded by limiting numpy with
+    NPY_DISABLE_CPU_FEATURES, and the test is skipped elsewhere.
+    """
+
+    ORDERS = (0.0, 0.5, 1.0, 2.0, math.inf)
+    PINS = {
+        ("X86_V4", 0): (
+            "64e45c6c8e2d90ed30434c5daded8d5a243f76a1ac5b4d1411335453564e562d",
+            "58f5b1f15be02abc07b0d3e07af00a076e974a84d0c2ad02682bda9c3104eb57",
+            (("0x1.8d45f42f3bb29p+2", "0x1.6f5b3c80ce907p+2"),
+             ("0x1.173f4708f14eep+2", "0x1.9cca0840ea9adp+1"),
+             ("0x1.0a9893f7efd9ep+2", "0x1.830a29dc6a1dap+1"),
+             ("0x1.00a02a911c2c2p+2", "0x1.6eda0a266faeap+1"),
+             ("0x1.d493983d73221p+1", "0x1.41e907f71adc7p+1"))),
+        ("X86_V4", 977): (
+            "852cda11841c22dcc69afedbdf6cc1ce4a445e1a25e27523c639849afe5b0220",
+            "2cb3d4d8ceb52867f41304e917ae0a2583dd2528b0dfd6c1c62d55bf653c4a8c",
+            (("0x1.7f474b3507db1p+2", "0x1.77c3cadd1eacdp+2"),
+             ("0x1.deb76898a9715p+1", "0x1.b94413eb11ae0p+1"),
+             ("0x1.c5682bf6e5087p+1", "0x1.9f6064c2e2fc9p+1"),
+             ("0x1.b17c9a4ecb374p+1", "0x1.8b1bcf9cf2086p+1"),
+             ("0x1.84db5d466552fp+1", "0x1.5e13e2fe1daa4p+1"))),
+        ("X86_V3", 0): (
+            "bc4c19b47aa47b261058b936664b4c7cc91aab0aa424c54d17120b57cdc5fcc7",
+            "d2d91881d4ec1efa57a9d0845911f15f5e7431f814c48e1a9907031989f66b5d",
+            (("0x1.8d45f42f3bb29p+2", "0x1.6f5b3c80ce907p+2"),
+             ("0x1.173f47090f16ap+2", "0x1.9cca0841f16ddp+1"),
+             ("0x1.0a9893f7efd9fp+2", "0x1.830a29dc6a1d7p+1"),
+             ("0x1.00a02a911c2c2p+2", "0x1.6eda0a266faeap+1"),
+             ("0x1.d493983d73221p+1", "0x1.41e907f71adc7p+1"))),
+        ("X86_V3", 977): (
+            "6b0eb32cc9ccf1e9776b1ab3302176abffb6f533561d685a121f6aa14ceffa05",
+            "3aa75d9087bf728a5e85ebf8b3d8f82b5b5907a83ba0eef4f1df6be9d4dcab05",
+            (("0x1.7f474b3507db1p+2", "0x1.77c3cadd1eacdp+2"),
+             ("0x1.deb76898c0165p+1", "0x1.b94413ec6b6a0p+1"),
+             ("0x1.c5682bf6e5088p+1", "0x1.9f6064c2e2fc9p+1"),
+             ("0x1.b17c9a4ecb374p+1", "0x1.8b1bcf9cf2086p+1"),
+             ("0x1.84db5d466552fp+1", "0x1.5e13e2fe1daa4p+1"))),
+        ("X86_V2", 0): (
+            "7bb5f3bf550997d0aa26b2a1a9d182db4216680ce248758d07f1caebad18a858",
+            "4448fb1e978643877c917f621d1978e1aa3ce778fa702a7f58eb28be9c8297ab",
+            (("0x1.8d45f42f3bb29p+2", "0x1.6f5b3c80ce907p+2"),
+             ("0x1.173f470f099eep+2", "0x1.9cca07ffe688ep+1"),
+             ("0x1.0a9893f7efd93p+2", "0x1.830a29dc6a1bap+1"),
+             ("0x1.00a02a911c2c1p+2", "0x1.6eda0a266faeap+1"),
+             ("0x1.d493983d73220p+1", "0x1.41e907f71adc6p+1"))),
+        ("X86_V2", 977): (
+            "f96e5d8334d1d222310b698c362e5c2943efcfedd80575aa45d8f40574b500d6",
+            "afaea61b7e1b977e353410594a42ce863469d1cdf40edcb64ecbe7fe9e258bc0",
+            (("0x1.7f474b3507db1p+2", "0x1.77c3cadd1eacdp+2"),
+             ("0x1.deb768baa9b1dp+1", "0x1.b94413ddcb747p+1"),
+             ("0x1.c5682bf6e509ep+1", "0x1.9f6064c2e2fc8p+1"),
+             ("0x1.b17c9a4ecb374p+1", "0x1.8b1bcf9cf2086p+1"),
+             ("0x1.84db5d466552fp+1", "0x1.5e13e2fe1daa5p+1"))),
+    }
+
+    @staticmethod
+    def _sha256(f):
+        return hashlib.sha256(f.values.tobytes()).hexdigest()
+
+    @pytest.mark.parametrize("seed", (0, 977))
+    def test_marginals_and_reports(self, seed):
+        key = (_simd_level(), seed)
+        if key not in self.PINS:
+            pytest.skip(f"no pins for numpy {np.__version__} at SIMD level {key[0]}")
+        spec = LevySpec(a=1.0, rate=30.0, jump=_uniform_mixture(seed), t=1.0)
+        x_sha, z_sha, sides = self.PINS[key]
+        assert self._sha256(marginal_density(spec)) == x_sha
+        assert self._sha256(rearranged_marginal(spec)) == z_sha
+        reports = check_levy_dominance(spec, self.ORDERS)
+        assert [(r.lhs.hex(), r.rhs.hex()) for r in reports] == list(sides)
+
+
+class TestWorkingSet:
+    def test_peak_of_a_dominance_check(self):
+        # one marginal alive at a time, and inside convolve_series the dx/2
+        # values plus at most four spectra half their size: about 3 B, B the
+        # bytes of Z_t's values; both marginals alive at once read 5.56 B
+        spec = LevySpec(a=1.0, rate=30.0, jump=_uniform_mixture(0), t=1.0)
+        orders = (0.0, 0.5, 1.0, 2.0, math.inf)
+        check_levy_dominance(spec, orders)  # warm: imports and caches
+        b = rearranged_marginal(spec).values.nbytes
+        assert b == 1_096_704
+        tracemalloc.start()
+        try:
+            check_levy_dominance(spec, orders)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * b
 
 
 def fold_series(f, g, weights):
