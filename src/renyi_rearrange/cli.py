@@ -107,10 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    config = SuiteConfig(
-        suite=args.suite, seed=args.seed, pairs=args.count,
-        triples=max(1, args.count // 4), smooth_count=max(1, args.count // 4),
-        cells=args.cells)
+    config = SuiteConfig(suite=args.suite, seed=args.seed, pairs=args.count,
+                         cells=args.cells)
     units = run_suite_rendered(config)
     reports = [rep for unit_reports, _ in units for rep in unit_reports]
     summary = summarize(reports)

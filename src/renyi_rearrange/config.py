@@ -48,11 +48,13 @@ FISHER_REL_TOL = 0.01     # relative budget of the finite-difference
                           # isoperimetric and log-Sobolev checks)
 ISOPERIMETRIC_ABS_TOL = 1e-6  # absolute floor added to the
                               # isoperimetric budget
-LANDSCAPE_MAX_CELLS = 2**22  # cells a ratio-landscape factor may be
-                             # resampled onto (2048 cells times the
-                             # scale ratio); 32 MiB of float64 per
-                             # array, so a far-apart pair is refused
-                             # instead of exhausting memory
+MAX_CELLS = 2**22         # cells a computed grid may have: a
+                          # ratio-landscape factor resampled onto
+                          # 2048 cells times the scale ratio, a
+                          # Levy Gaussian window or Poisson series
+                          # sum; 32 MiB of float64 per array, so an
+                          # input that asks for more is refused
+                          # instead of exhausting memory
 
 
 def eps_conv(dx: float, k: int) -> float:

@@ -24,7 +24,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .config import EPS_CONV_FACTOR, LANDSCAPE_MAX_CELLS
+from .config import EPS_CONV_FACTOR, MAX_CELLS
 from .errors import BadParameter, DensityOverflow, OrderOutOfRange
 from .grids import same_spacing
 from .convolve import convolve, resample, scale_density
@@ -81,7 +81,7 @@ def ratio_landscape(p: float, a_grid: list[tuple[float, float]],
     the smaller scale as the first factor and the larger one resampled
     onto its spacing, and a pair and its mirror get the same float.  Entropy powers of the factors are computed on
     their own exact grids.  A pair whose resampled grid would exceed
-    LANDSCAPE_MAX_CELLS is a BadParameter; entropy powers that leave the
+    MAX_CELLS is a BadParameter; entropy powers that leave the
     normal float range are a DensityOverflow.
     """
     if p == 1.0 or math.isinf(p) or p <= 1.0 / 3.0:
@@ -90,10 +90,10 @@ def ratio_landscape(p: float, a_grid: list[tuple[float, float]],
         if not (0.0 < a1 < math.inf and 0.0 < a2 < math.inf):
             raise BadParameter(f"scales must be positive and finite, got ({a1}, {a2})")
         fine_cells = cells * (max(a1, a2) / min(a1, a2))
-        if fine_cells > LANDSCAPE_MAX_CELLS:
+        if fine_cells > MAX_CELLS:
             raise BadParameter(
                 f"scales ({a1}, {a2}) would resample onto {fine_cells:.0f} cells, "
-                f"more than LANDSCAPE_MAX_CELLS = {LANDSCAPE_MAX_CELLS}")
+                f"more than MAX_CELLS = {MAX_CELLS}")
     base = generalized_gaussian(beta_of_p(p, 1), cells=cells)
     n_base = entropy_power(base, p)
     ratios: dict[tuple[float, float], float] = {}

@@ -55,7 +55,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import FFT_THRESHOLD
+from .config import FFT_THRESHOLD, MAX_CELLS
 from .errors import BadParameter, NonPositiveSpacing, SpacingMismatch
 from .grids import Grid1D, half_cell_offset, same_spacing
 
@@ -215,8 +215,9 @@ def convolve_series(f: Grid1D, g: Grid1D, weights: Sequence[float]) -> Grid1D:
     transform.
 
     Raises SpacingMismatch as :func:`convolve` does, and BadParameter when
-    2 g.x0 / dx is not an integer, or unless the weights are nonnegative
-    and one of them is positive.
+    2 g.x0 / dx is not an integer, unless the weights are nonnegative and
+    one of them is positive, or, before anything is allocated, when the
+    output would have more than MAX_CELLS half cells.
     """
     if not same_spacing(f, g):
         raise SpacingMismatch(f"dx mismatch: {f.dx} vs {g.dx}")
@@ -232,6 +233,9 @@ def convolve_series(f: Grid1D, g: Grid1D, weights: Sequence[float]) -> Grid1D:
     n_f, n_g, k_max = f.n_cells, g.n_cells, len(weights) - 1
     lo = min(0, k_max * h)  # the output's first half cell, from f's
     n_out = max(2 * n_f, 2 * n_f + k_max * (h + 2 * n_g - 2)) - lo
+    if n_out > MAX_CELLS:
+        raise BadParameter(f"the series spans {n_out} half cells, "
+                           f"more than MAX_CELLS = {MAX_CELLS}")
 
     # the runs of term k, in half cells of the output, for each k of positive weight
     runs, runs_g, k = _runs(f.values), _runs(g.values), 0

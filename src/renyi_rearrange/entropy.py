@@ -51,6 +51,7 @@ naturally stated for it.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -188,10 +189,8 @@ def _log_mass(v: np.ndarray, dx: float) -> float:
     1/2 it is log1p of m - 1, correctly rounded but for an ulp or two of
     itself, so the log keeps its digits even when m is 1 to within an
     ulp; below that it is the log of the sum, as m - 1 would round m away."""
-    terms = v.tolist()
-    s = math.fsum(terms)
-    terms.append(-s)
-    s_rest = math.fsum(terms)  # the exact sum is s + s_rest
+    s = math.fsum(v)
+    s_rest = math.fsum(itertools.chain(v, (-s,)))  # the exact sum is s + s_rest
     excess = float(Fraction(s) * Fraction(dx) - 1) + s_rest * dx
     if excess > -0.5:
         return math.log1p(excess)

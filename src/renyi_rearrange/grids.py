@@ -203,6 +203,9 @@ def is_symmetric_decreasing(f: Grid1D) -> bool:
 
 GENERATOR_KINDS = ("uniform-mixture", "gaussian-mixture", "spiky-piecewise", "bimodal")
 
+# the half width of every generated grid
+HALFWIDTH = 4.0
+
 
 @dataclass(frozen=True)
 class DensityGeneratorSpec:
@@ -216,7 +219,6 @@ class DensityGeneratorSpec:
     kind: str
     component_count: int = 3
     seed: int = 0
-    domain_halfwidth: float = 4.0
     cells: int = 1024
 
     def validate(self) -> None:
@@ -228,12 +230,10 @@ class DensityGeneratorSpec:
             raise BadParameter("cells must be >= 8")
         if self.seed < 0:
             raise BadParameter("seed must be >= 0")
-        if not (self.domain_halfwidth > 0.0):
-            raise BadParameter("domain_halfwidth must be positive")
 
 
 def random_density(spec: DensityGeneratorSpec) -> Grid1D:
-    """Deterministic pseudo-random density on [-halfwidth, halfwidth].
+    """Deterministic pseudo-random density on [-HALFWIDTH, HALFWIDTH].
 
     The four kinds cover the corpus needs: blocky densities with flat
     levels and ties (uniform-mixture), strictly positive smooth densities
@@ -242,7 +242,7 @@ def random_density(spec: DensityGeneratorSpec) -> Grid1D:
     """
     spec.validate()
     rng = np.random.default_rng(spec.seed)
-    hw, cells = spec.domain_halfwidth, spec.cells
+    hw, cells = HALFWIDTH, spec.cells
     dx = 2.0 * hw / cells
     mids = -hw + (np.arange(cells) + 0.5) * dx
     vals = np.zeros(cells)

@@ -18,9 +18,10 @@ machine-level budgets; anything downstream of a k-fold convolution gets
 eps_conv = EPS_CONV_FACTOR * dx * k (10 dx k); derivative-based
 functionals (Fisher) get a 1% relative budget (FISHER_REL_TOL).  Every
 budget is a constant of config or a formula in dx and the values, not a
-parameter: a suite run is sized by its SuiteConfig and nothing else.
-Corpora are generated deterministically from the suite seed, so rerunning
-a configuration reproduces every report bit for bit.
+parameter: a suite run is sized by its SuiteConfig and nothing else, and
+every corpus size derives from its pair count.  Corpora are generated
+deterministically from the suite seed, so rerunning a configuration
+reproduces every report bit for bit.
 The checks on a convolution group take the group as an entropy.Group and
 read everything from it: the sums f1 * ... * fk and f1^* * ... * fk^*
 and the Renyi entropies of the sums and the factors, each computed on
@@ -66,6 +67,7 @@ from .errors import BadParameter, ConfigInvalid
 from .grids import (
     DensityGeneratorSpec,
     GENERATOR_KINDS,
+    HALFWIDTH,
     Grid1D,
     random_density,
     variance,
@@ -106,9 +108,6 @@ __all__ = [
 ]
 
 SUITES = ("main", "rbll", "divergence", "fisher", "levy")
-
-# the half width of every generated grid
-HALFWIDTH = 4.0
 
 
 # ---------------------------------------------------------------------------
@@ -320,30 +319,34 @@ def check_log_sobolev(f: Grid1D,
 class SuiteConfig:
     """What to run and how much of it.
 
-    pairs/triples size the convolution corpora, smooth_count the
-    contraction corpus (strictly positive mixtures); every generated grid
-    has `cells` cells on [-HALFWIDTH, HALFWIDTH].  The same config always
-    produces the same reports in the same order.
+    pairs sizes every corpus: the main suite has `pairs` pairs and
+    _quarter(config) triples, the contraction suites as many strictly
+    positive mixtures; every generated grid has `cells` cells on
+    [-HALFWIDTH, HALFWIDTH].  The same config always produces the same
+    reports in the same order.
     """
 
     suite: str = "all"
     seed: int = 0
     pairs: int = 200
-    triples: int = 50
-    smooth_count: int = 50
     cells: int = 2048
 
     def validate(self) -> None:
         if self.suite not in SUITES + ("all",):
             raise ConfigInvalid(f"unknown suite {self.suite!r}; "
                                 f"choose from {SUITES + ('all',)}")
-        for name in ("pairs", "triples", "smooth_count"):
-            if getattr(self, name) < 0:
-                raise ConfigInvalid(f"{name} must be >= 0")
+        if self.pairs < 0:
+            raise ConfigInvalid("pairs must be >= 0")
         if self.cells < 8:
             raise ConfigInvalid("cells must be >= 8")
         if self.seed < 0:
             raise ConfigInvalid("seed must be >= 0")
+
+
+def _quarter(config: SuiteConfig) -> int:
+    """The size of the main suite's triple corpus and of the contraction
+    suites' corpora: a quarter of the pairs, at least one."""
+    return max(1, config.pairs // 4)
 
 
 def _derived_seed(seed: int, stream: int, index: int) -> int:
@@ -362,7 +365,7 @@ def _corpus(config: SuiteConfig, stream: int, indices: range, group: int,
             spec = DensityGeneratorSpec(
                 kind=kind, component_count=2 + (i + j) % 3,
                 seed=_derived_seed(config.seed, stream, i * group + j),
-                domain_halfwidth=HALFWIDTH, cells=config.cells)
+                cells=config.cells)
             batch.append(random_density(spec))
         yield batch
 
@@ -438,7 +441,7 @@ def _run_rbll(config: SuiteConfig) -> list[VerificationReport]:
     for i, fs in enumerate(_corpus(config, 3, range(max(1, config.pairs // 2)), 2)):
         seed = _derived_seed(config.seed, 3, i)
         reports.append(check_rbll(fs, seed=seed))
-    for i, fs in enumerate(_corpus(config, 4, range(max(1, config.triples // 2)), 3)):
+    for i, fs in enumerate(_corpus(config, 4, range(max(1, _quarter(config) // 2)), 3)):
         seed = _derived_seed(config.seed, 4, i)
         reports.append(check_rbll(fs, seed=seed))
     # degenerate k = 1: mass conservation under rearrangement
@@ -449,7 +452,7 @@ def _run_rbll(config: SuiteConfig) -> list[VerificationReport]:
 
 def _run_divergence(config: SuiteConfig) -> list[VerificationReport]:
     reports = []
-    corpus = _corpus(config, 8, range(config.smooth_count), 2, kinds=_SMOOTH)
+    corpus = _corpus(config, 8, range(_quarter(config)), 2, kinds=_SMOOTH)
     for i, (f, g) in enumerate(corpus):
         seed = _derived_seed(config.seed, 8, i)
         for alpha in (0.3, 1.0):
@@ -468,7 +471,7 @@ def _run_divergence(config: SuiteConfig) -> list[VerificationReport]:
 
 def _run_fisher(config: SuiteConfig) -> list[VerificationReport]:
     reports = []
-    corpus = _corpus(config, 9, range(config.smooth_count), 1, kinds=_SMOOTH)
+    corpus = _corpus(config, 9, range(_quarter(config)), 1, kinds=_SMOOTH)
     for i, (f,) in enumerate(corpus):
         seed = _derived_seed(config.seed, 9, i)
         reports.append(check_fisher_monotone(f, seed=seed))
@@ -530,7 +533,7 @@ def _units(config: SuiteConfig) -> list[Unit]:
             units += [partial(_run_pairs, config, r)
                       for r in _chunks(config.pairs, _PAIR_UNITS)]
             units += [partial(_run_triples, config, r)
-                      for r in _chunks(config.triples, _TRIPLE_UNITS)]
+                      for r in _chunks(_quarter(config), _TRIPLE_UNITS)]
             units.append(partial(_run_witnesses, config))
         else:
             units.append(partial(runners[name], config))

@@ -64,8 +64,7 @@ def _verdict(num: int, failures: list[str]) -> None:
 
 @pytest.fixture(scope="module")
 def main_suite():
-    config = SuiteConfig(suite="main", seed=0, pairs=200, triples=50,
-                         smooth_count=50, cells=2048)
+    config = SuiteConfig(suite="main", seed=0, pairs=200, cells=2048)
     start = time.perf_counter()
     reports = run_suite(config)
     elapsed = time.perf_counter() - start
@@ -120,8 +119,7 @@ def test_criterion_03_exact_identities():
     for i in range(500):
         spec = DensityGeneratorSpec(
             kind=GENERATOR_KINDS[i % len(GENERATOR_KINDS)],
-            component_count=2 + i % 3, seed=10_000 + i,
-            domain_halfwidth=4.0, cells=256)
+            component_count=2 + i % 3, seed=10_000 + i, cells=256)
         f = random_density(spec)
         g = rearrange_1d(f)
         if abs(g.mass - f.mass) > 1e-12:
@@ -174,8 +172,7 @@ def test_criterion_06_contractions_and_monotonicities():
     failures = []
     reports = []
     for suite in ("divergence", "fisher"):
-        reports.extend(run_suite(SuiteConfig(suite=suite, seed=0,
-                                             smooth_count=50, cells=2048)))
+        reports.extend(run_suite(SuiteConfig(suite=suite, seed=0, cells=2048)))
     bad = _failing(reports)
     if bad:
         failures.append(f"{len(bad)} failures, first {bad[0].name}")

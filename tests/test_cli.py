@@ -10,8 +10,10 @@ import pytest
 import renyi_rearrange
 import renyi_rearrange.cli as cli
 from renyi_rearrange import (
+    DensityGeneratorSpec,
     Grid1D,
     is_symmetric_decreasing,
+    random_density,
     read_density_csv,
     report_geq,
     uniform_interval,
@@ -331,6 +333,20 @@ class TestLevyCommand:
         assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
         assert "k=200" in captured.err and "lambda*t=1e+12" in captured.err
         assert "above 1/2" in captured.err
+
+    @pytest.mark.parametrize("a, rate, t", [("1e300", "1", "1"), ("1e200", "0", "1e200")])
+    def test_diffusion_too_wide_is_usage_error(self, tmp_path, a, rate, t, capsys):
+        # a Gaussian window of 8 sqrt(a t) each side asked numpy for more
+        # cells than it can index, and sqrt(a t) = inf took the ceiling of NaN
+        jump = tmp_path / "jump.csv"
+        write_density_csv(random_density(DensityGeneratorSpec(
+            kind="uniform-mixture", seed=0, cells=512)), str(jump))
+        rc = cli.main(["levy", "--a", a, "--lambda", rate, "--t", t,
+                       "--jumps", str(jump), "--orders", "1"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
 
     def test_no_orders_is_usage_error(self, uniform_csv, capsys):
         rc = cli.main(["levy", "--a", "1.0", "--lambda", "0.5", "--t", "1.0",

@@ -31,7 +31,7 @@ from renyi_rearrange import (
     variance,
 )
 from renyi_rearrange.grids import half_cell_offset, require_same_grid
-from renyi_rearrange.levy import _K_CAP, _poisson_pmf, _poisson_sf, _snap, auto_k_max
+from renyi_rearrange.levy import _K_CAP, _mixture, _poisson_pmf, _snap, auto_k_max
 
 
 def skewed_jump(cells=256, decay=2.0, span=3.0):
@@ -83,15 +83,6 @@ def _count_run_sums(monkeypatch):
 
 
 class TestLevySpec:
-    def test_zero_weight_terms_add_no_support(self):
-        # a gapped law whose one-fold term reaches cells the others do not
-        g = normalize(make_grid(0.0, 0.1, np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0])))
-        f = make_grid(-0.05, 0.1, np.array([10.0]))
-        weights = [0.5, 0.0, 0.5]
-        out = convolve_series(f, g, weights)
-        assert_same_series(fold_series(f, g, weights), out)
-        assert np.count_nonzero(out.values) == 8
-
     def test_validation(self):
         jump = skewed_jump()
         with pytest.raises(BadParameter):
@@ -107,6 +98,16 @@ class TestLevySpec:
         params = {"a": 1.0, "rate": 1.0, "t": 1.0, field: value}
         with pytest.raises(BadParameter, match="must be finite"):
             LevySpec(jump=skewed_jump(), **params)
+
+    @pytest.mark.parametrize("a, rate, t", [(1e300, 1.0, 1.0), (1e10, 1.0, 1.0),
+                                            (1e200, 0.0, 1e200), (1e-200, 0.0, 1e-200)])
+    def test_window_past_the_cell_cap_is_refused(self, a, rate, t):
+        # sqrt(a t) infinite or zero, or a Gaussian window of 8 sqrt(a t)
+        # each side wider than MAX_CELLS cells (5e7 of them at a = 1e10)
+        spec = LevySpec(a=a, rate=rate, jump=skewed_jump(), t=t)
+        for marginal in (marginal_density, rearranged_marginal):
+            with pytest.raises(BadParameter, match="sqrt"):
+                marginal(spec)
 
     def test_jump_must_be_normalized(self):
         bad = make_grid(0.0, 0.1, np.full(10, 3.0))
@@ -130,18 +131,6 @@ class TestTruncation:
         with pytest.raises(TruncationInsufficient):
             auto_k_max(500.0)
 
-    def test_poisson_sf_matches_scipy(self):
-        # mu = 800 puts every k below the mode, where the tail is ~1
-        from scipy.stats import poisson
-        worst = 0.0
-        for mu in (1e-3, 0.25, 1.0, 4.0, 30.0, 74.4038, 120.0, 800.0):
-            for k in range(0, 260):
-                ref = float(poisson.sf(k, mu))
-                if ref < 1e-290:  # near the bottom of the float range
-                    continue
-                worst = max(worst, abs(_poisson_sf(k, mu) - ref) / ref)
-        assert worst <= 1e-12
-
     def test_auto_k_max_unchanged(self):
         # the truncation rule as it read with scipy's Poisson tail; the
         # verify suite's lambda*t = 0.25 and 1.0 and the rate 30 are in the grid
@@ -161,7 +150,7 @@ class TestTruncation:
             else:
                 assert auto_k_max(mu) == expected, mu
 
-    @pytest.mark.parametrize("refuse", ["auto_k_max", "explicit_k_max"])
+    @pytest.mark.parametrize("refuse", ["auto_k_max", "marginal_density"])
     def test_large_mean_is_refused_without_summing(self, refuse, monkeypatch):
         # at lambda t = 1e12 the Poisson tail beyond any k <= mu - 2 is above
         # 1/2; summing it took 11.8 s of pmf terms whose exponent cancels
@@ -175,7 +164,7 @@ class TestTruncation:
             if refuse == "auto_k_max":
                 auto_k_max(1e12)
             else:
-                marginal_density(spec, k_max=5)
+                marginal_density(spec)
         assert len(calls) <= 1000
 
     def test_auto_k_max_computes_each_term_once(self, monkeypatch):
@@ -191,11 +180,6 @@ class TestTruncation:
         with pytest.raises(TruncationInsufficient, match=f"k={_K_CAP}"):
             auto_k_max(201.5)  # past the cap, though not by 2: its tail is summed
         assert len(calls) == len(set(calls))
-
-    def test_explicit_k_max_too_small(self):
-        spec = LevySpec(a=1.0, rate=30.0, jump=skewed_jump(cells=32), t=1.0)
-        with pytest.raises(TruncationInsufficient):
-            marginal_density(spec, k_max=40)
 
 
 class TestMarginal:
@@ -239,13 +223,13 @@ class TestMarginal:
         assert np.array_equal(f.values > 0.0, hull_sum_set(f, jump, k_max))
 
     def test_support_keeps_terms_with_tiny_weights(self):
-        # at k_max = 40 the last Poisson(5) weights are below 1e-20: a
+        # at k = 40 the last Poisson(5) weights are below 1e-20: a
         # floor-valued tail cell times such a weight underflows to 0, and
         # summing weighted terms lost 828 of the 39890 support cells
         jump = random_density(DensityGeneratorSpec(kind="uniform-mixture",
                                                    seed=0, cells=512))
         spec = LevySpec(a=1.0, rate=5.0, jump=jump, t=1.0)
-        f = marginal_density(spec, k_max=40)
+        f = _mixture(spec, jump, 40)
         assert np.array_equal(f.values > 0.0, hull_sum_set(f, jump, 40))
 
     def test_support_with_gaps_wider_than_the_window(self, monkeypatch):
@@ -408,21 +392,32 @@ class TestLevyBytes:
 
 
 class TestWorkingSet:
-    def test_peak_of_a_dominance_check(self):
-        # one marginal alive at a time, and inside convolve_series the dx/2
-        # values plus at most four spectra half their size: about 3 B, B the
-        # bytes of Z_t's values; both marginals alive at once read 5.56 B
+    @staticmethod
+    def _peak(orders):
+        """The traced peak of check_levy_dominance on the seed-0 rate-30
+        law, and B, the bytes of its Z_t's values."""
         spec = LevySpec(a=1.0, rate=30.0, jump=_uniform_mixture(0), t=1.0)
-        orders = (0.0, 0.5, 1.0, 2.0, math.inf)
         check_levy_dominance(spec, orders)  # warm: imports and caches
         b = rearranged_marginal(spec).values.nbytes
         assert b == 1_096_704
         tracemalloc.start()
         try:
             check_levy_dominance(spec, orders)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1], b
         finally:
             tracemalloc.stop()
+
+    def test_peak_of_a_dominance_check(self):
+        # one marginal alive at a time, and inside convolve_series the dx/2
+        # values plus at most four spectra half their size: about 3 B; both
+        # marginals alive at once read 5.56 B
+        peak, b = self._peak((0.0, 0.5, 1.0, 2.0, math.inf))
+        assert peak <= 4 * b
+
+    def test_peak_at_an_order_near_one(self):
+        # the expm1 sum's exact mass reads the values in place; a copy of
+        # them as a list of Python floats took 4.56 B
+        peak, b = self._peak((0.99999,))
         assert peak <= 4 * b
 
 
@@ -467,6 +462,11 @@ def _uniform_mixture(seed, cells=512):
                                                cells=cells))
 
 
+def _both_jumps(spec):
+    """The jump laws of X_t and Z_t, as the marginals pass them to _mixture."""
+    return (("X_t", spec.jump), ("Z_t", rearrange_1d(_snap(spec.jump))))
+
+
 def _off_lattice_jump():
     # first midpoint 0.3 cell off the dx/2 lattice: levy snaps it
     dx = 0.05
@@ -486,10 +486,11 @@ def _placed_jump(first_midpoint_cells):
     return make_grid(first_midpoint_cells * law.dx, law.dx, law.values)
 
 
-# (jump law, rate, explicit k_max or None): the benchmark's jump laws at
-# rate 30, the verify suite's skewed law at lambda t = 0.25 and 1, a
-# gapped spiky law, a law that needs snapping, a one-cell law, an
-# explicit k_max beyond the automatic one, and laws with even h = 0, -6, 4
+# (jump law, rate, a series length k or None for auto_k_max): the
+# benchmark's jump laws at rate 30, the verify suite's skewed law at
+# lambda t = 0.25 and 1, a gapped spiky law, a law that needs snapping, a
+# one-cell law, a k beyond the automatic one (asked of levy._mixture), and
+# laws with even h = 0, -6, 4
 SERIES_CASES = {
     "uniform-mixture-0-rate30": (lambda: _uniform_mixture(0), 30.0, None),
     "uniform-mixture-977-rate30": (lambda: _uniform_mixture(977), 30.0, None),
@@ -512,8 +513,11 @@ class TestSeriesAgainstFold:
         make_jump, rate, k_max = SERIES_CASES[case]
         jump = make_jump()
         spec = LevySpec(a=1.0, rate=rate, jump=jump, t=1.0)
-        k = k_max if k_max is not None else auto_k_max(rate)
-        assert_same_series(fold_marginal(spec, jump, k), marginal_density(spec, k_max))
+        if k_max is None:
+            k, new = auto_k_max(rate), marginal_density(spec)
+        else:
+            k, new = k_max, _mixture(spec, jump, k_max)
+        assert_same_series(fold_marginal(spec, jump, k), new)
 
     @pytest.mark.parametrize("case", sorted(SERIES_CASES))
     def test_rearranged_marginal_matches_fold(self, case):
@@ -523,11 +527,14 @@ class TestSeriesAgainstFold:
         make_jump, rate, k_max = SERIES_CASES[case]
         jump = make_jump()
         spec = LevySpec(a=1.0, rate=rate, jump=jump, t=1.0)
-        k = k_max if k_max is not None else auto_k_max(rate)
         star = rearrange_1d(_snap(jump))
         h = round(2.0 * star.x0 / star.dx) + 1
         assert h < 0 and h % 2 == 1
-        assert_same_series(fold_marginal(spec, star, k), rearranged_marginal(spec, k_max))
+        if k_max is None:
+            k, new = auto_k_max(rate), rearranged_marginal(spec)
+        else:
+            k, new = k_max, _mixture(spec, star, k_max)
+        assert_same_series(fold_marginal(spec, star, k), new)
 
     @pytest.mark.parametrize("seed", [0, 977])
     def test_half_order_reaches_only_the_roundoff_floor(self, seed):
@@ -618,6 +625,20 @@ class TestSeriesAgainstFold:
         with pytest.raises(SpacingMismatch):
             convolve_series(f, skewed_jump(cells=32), [0.5, 0.5])
 
+    def test_output_past_the_cell_cap_is_refused(self):
+        # a one-cell law 10^4 out at dx = 10^-3: two terms span 2e7 half
+        # cells, which the sum would have allocated and transformed
+        f = make_grid(-0.0005, 0.001, np.array([1000.0]))
+        g = make_grid(1e4 - 0.0005, 0.001, np.array([1000.0]))
+        tracemalloc.start()
+        try:
+            with pytest.raises(BadParameter, match="MAX_CELLS"):
+                convolve_series(f, g, [0.5, 0.5])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_run_sums_do_not_grow_with_k_max(self, monkeypatch):
         # the Gaussian window outspans the jump law's one gap, so every
         # term's support is one run read off the window's and the law's
@@ -625,11 +646,11 @@ class TestSeriesAgainstFold:
         calls = _count_run_sums(monkeypatch)
         spec = LevySpec(a=1.0, rate=30.0, jump=_uniform_mixture(0), t=1.0)
         counts = {}
-        for marginal in (marginal_density, rearranged_marginal):
-            for k_max in (65, 90, 130):
+        for marginal, jump in _both_jumps(spec):
+            for k in (65, 90, 130):
                 calls.clear()
-                marginal(spec, k_max)
-                counts[marginal.__name__, k_max] = len(calls)
+                _mixture(spec, jump, k)
+                counts[marginal, k] = len(calls)
         assert len(set(counts.values())) == 1, counts
 
     def test_transform_count_does_not_grow_with_k_max(self, monkeypatch):
@@ -648,13 +669,12 @@ class TestSeriesAgainstFold:
         spec = LevySpec(a=1.0, rate=30.0, jump=_uniform_mixture(0), t=1.0)
         assert auto_k_max(30.0) == 65
         seen = {}
-        for marginal in (marginal_density, rearranged_marginal):
-            for k_max in (65, 90, 130):
+        for marginal, jump in _both_jumps(spec):
+            for k in (65, 90, 130):
                 calls.clear()
-                marginal(spec, k_max)
-                seen[marginal.__name__, k_max] = (
-                    sorted(name for name, _ in calls), {n for _, n in calls})
+                _mixture(spec, jump, k)
+                seen[marginal, k] = (sorted(name for name, _ in calls), {n for _, n in calls})
         counts = ["irfft"] * 2 + ["rfft"] * 3
         assert all(names == counts for names, _ in seen.values())
-        assert seen["rearranged_marginal", 65][1] == {69_120}
-        assert seen["marginal_density", 65][1] == {34_560}
+        assert seen["Z_t", 65][1] == {69_120}
+        assert seen["X_t", 65][1] == {34_560}

@@ -284,8 +284,6 @@ class TestSuiteConfig:
     @pytest.mark.parametrize("kwargs", [
         {"suite": "bogus"},
         {"pairs": -1},
-        {"triples": -2},
-        {"smooth_count": -1},
         {"cells": 4},
         {"seed": -1},
     ])
@@ -296,16 +294,14 @@ class TestSuiteConfig:
 
 class TestRunSuite:
     def test_deterministic_reports(self):
-        config = SuiteConfig(suite="divergence", seed=11, smooth_count=3,
-                             cells=256)
+        config = SuiteConfig(suite="divergence", seed=11, pairs=12, cells=256)
         first = _records(run_suite(config))
         second = _records(run_suite(config))
         assert first == second
         assert len(first) == 3 * 4  # two alphas + L1 + variance per pair
 
     def test_small_all_run_is_green(self):
-        config = SuiteConfig(suite="all", seed=5, pairs=2, triples=1,
-                             smooth_count=2, cells=512)
+        config = SuiteConfig(suite="all", seed=5, pairs=2, cells=512)
         reports = run_suite(config)
         counts = summarize(reports)
         assert counts["failed"] == 0
@@ -322,7 +318,7 @@ class TestRunSuite:
         # margin: a handful of near-equality checks, none of them by more
         # than the default budget of a triple was sized to absorb; this
         # pins the discretization-error rationale
-        config = SuiteConfig(suite="main", seed=0, pairs=6, triples=2, cells=256)
+        config = SuiteConfig(suite="main", seed=0, pairs=8, cells=256)
         margins = [r.margin for r in run_suite(config)]
         assert min(margins) < 0.0
         dx = 2.0 * HALFWIDTH / config.cells
@@ -331,7 +327,7 @@ class TestRunSuite:
     def test_main_suite_reports_carry_seed(self):
         # every check of the main suite runs on a seeded corpus group, so
         # every report must be traceable back to its group
-        reports = run_suite(SuiteConfig(suite="main", pairs=4, triples=2, cells=64))
+        reports = run_suite(SuiteConfig(suite="main", pairs=4, cells=64))
         unseeded = sorted({r.name for r in reports if r.seed is None})
         assert len(reports) > 0
         assert unseeded == []
@@ -352,7 +348,7 @@ class TestRunSuite:
             if (name.startswith("renyi_rearrange.")
                     and getattr(module, "convolve", None) is original):
                 monkeypatch.setattr(module, "convolve", recorder)
-        run_suite(SuiteConfig(suite="main", pairs=4, triples=2, cells=64))
+        run_suite(SuiteConfig(suite="main", pairs=4, cells=64))
         assert len(keys) > 0
         repeats = len(keys) - len(set(keys))
         assert repeats == 0
@@ -372,10 +368,10 @@ class TestRunSuite:
             if (name.startswith("renyi_rearrange.")
                     and getattr(module, "renyi_entropies", None) is original):
                 monkeypatch.setattr(module, "renyi_entropies", recorder)
-        run_suite(SuiteConfig(suite="main", pairs=4, triples=2, cells=64))
-        # 4 pairs: two sums, two factors, one mixture; 2 triples: two sums;
+        run_suite(SuiteConfig(suite="main", pairs=4, cells=64))
+        # 4 pairs: two sums, two factors, one mixture; 1 triple: two sums;
         # the Gaussian EPI witness: two sums, two factors
-        assert len(keys) == 4 * 5 + 2 * 2 + 4
+        assert len(keys) == 4 * 5 + 1 * 2 + 4
         assert len(set(keys)) == len(keys)
 
 
@@ -431,14 +427,13 @@ class TestWorkerPool:
     further CPU, or in this process alone on one CPU; the reports are the
     same either way, and no worker outlives the call."""
 
-    CONFIG = SuiteConfig(suite="all", seed=3, pairs=9, triples=3, smooth_count=2,
-                         cells=128)
+    CONFIG = SuiteConfig(suite="all", seed=3, pairs=9, cells=128)
 
     def test_unit_ranges_cover_each_corpus_once(self):
-        units = verifier._units(SuiteConfig(pairs=9, triples=3))
+        units = verifier._units(SuiteConfig(pairs=9))
         pairs = [i for u in units if u.func is verifier._run_pairs for i in u.args[1]]
         triples = [i for u in units if u.func is verifier._run_triples for i in u.args[1]]
-        assert pairs == list(range(9)) and triples == list(range(3))
+        assert pairs == list(range(9)) and triples == list(range(2))
         assert len(units) == 8 + 2 + 1 + 4
 
     def test_json_bytes_do_not_depend_on_the_worker_count(self, monkeypatch):
@@ -591,8 +586,7 @@ class TestWorkerPool:
         rc = cli.main(["verify", "--suite", "all", "--seed", "5", "--count", "9",
                        "--cells", "128", "--json", str(path)])
         assert rc == 0
-        config = SuiteConfig(suite="all", seed=5, pairs=9, triples=2, smooth_count=2,
-                             cells=128)
+        config = SuiteConfig(suite="all", seed=5, pairs=9, cells=128)
         extra = {"config": {"suite": "all", "seed": 5, "count": 9, "cells": 128}}
         assert path.read_text() == reports_to_json(run_suite(config), extra) + "\n"
         _assert_no_children()
@@ -603,7 +597,7 @@ def test_rbll_unit_holds_one_group_at_a_time():
     # while they were built as one list
     config = SuiteConfig(cells=2048)
     # a small run first, so that the modules loaded on first use are not counted
-    verifier._run_rbll(SuiteConfig(pairs=2, triples=2, cells=64))
+    verifier._run_rbll(SuiteConfig(pairs=2, cells=64))
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
