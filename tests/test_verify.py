@@ -284,6 +284,8 @@ class TestSuiteConfig:
     @pytest.mark.parametrize("kwargs", [
         {"suite": "bogus"},
         {"pairs": -1},
+        {"suite": "All"},  # suite names are case-sensitive
+        {"cells": 7},  # one below the floor
         {"cells": 4},
         {"seed": -1},
     ])
