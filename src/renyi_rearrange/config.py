@@ -10,12 +10,10 @@ of ``EPS_CONV_FACTOR * dx * k`` for a k-fold convolution.
 
 from __future__ import annotations
 
-SYM_TOL = 1e-9            # symmetry slack for is_symmetric_decreasing
+SYM_TOL = 1e-9            # relative slack of is_symmetric_decreasing
 TAIL_TOL = 1e-6           # truncation tail for unbounded supports
 SERIES_TOL = 1e-8         # Poisson series truncation tail
 MAJ_TOL = 1e-12           # majorization slack on exact comparisons
-FISHER_FLOOR_REL = 1e-12  # relative floor below which cells are
-                          # excluded from the Fisher integrand
 EPS_CONV_FACTOR = 10.0    # per-cell budget for k-fold convolutions
 FFT_THRESHOLD = 2048      # hull output cells above which FFT is
                           # used; a speed choice only, as both
@@ -43,9 +41,9 @@ L1_TOL = 1e-12            # L1 contraction under rearrangement,
                           # exact on grids
 LEVY_DIFFUSION_TOL = 1e-3  # Shannon entropy of the pure-diffusion
                            # marginal against its rearranged twin
-FISHER_REL_TOL = 0.01     # relative budget of the finite-difference
-                          # Fisher information (monotonicity,
-                          # isoperimetric and log-Sobolev checks)
+FISHER_REL_TOL = 0.01     # relative budget of the isoperimetric and
+                          # log-Sobolev checks (discrete Fisher
+                          # information against continuum bounds)
 ISOPERIMETRIC_ABS_TOL = 1e-6  # absolute floor added to the
                               # isoperimetric budget
 MAX_CELLS = 2**22         # cells a computed grid may have: a

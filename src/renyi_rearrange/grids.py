@@ -190,15 +190,12 @@ def refine(f: Grid1D, factor: int) -> Grid1D:
 
 def is_symmetric_decreasing(f: Grid1D) -> bool:
     """True when the grid is centered at 0 within SYM_TOL cells, and even
-    and nonincreasing in |x| within SYM_TOL of the larger of 1 and the
-    maximum value."""
-    slack = SYM_TOL * max(f.max_value, 1.0)
-    if abs(f.x0 / f.dx + 0.5 * f.n_cells) > SYM_TOL:
-        return False
-    if np.max(np.abs(f.values - f.values[::-1])) > slack:
-        return False
-    right = f.values[(f.n_cells + 1) // 2:]
-    return bool(np.all(np.diff(right) <= slack))
+    and nonincreasing in |x| within SYM_TOL of the maximum value, so the
+    answer does not change when the density is rescaled."""
+    v, slack = f.values, SYM_TOL * f.max_value
+    return bool(abs(f.x0 / f.dx + 0.5 * v.size) <= SYM_TOL
+                and np.max(np.abs(v - v[::-1])) <= slack
+                and np.all(np.diff(v[(v.size + 1) // 2:]) <= slack))
 
 
 GENERATOR_KINDS = ("uniform-mixture", "gaussian-mixture", "spiky-piecewise", "bimodal")
@@ -338,7 +335,8 @@ def read_density_csv(path: str) -> Grid1D:
     dx = float((x[-1] - x[0]) / (len(xs) - 1))
     if not (dx > 0.0):
         raise NonPositiveSpacing(f"{path}: midpoints must increase")
-    steps = np.diff(x)
-    if np.max(np.abs(steps - dx)) > 1e-9 * max(abs(dx), 1.0):
+    # 1e-9 of dx, plus a few ulp of |x| from rounding the midpoints
+    slack = 1e-9 * dx + 8.0 * np.finfo(float).eps * max(abs(x[0]), abs(x[-1]))
+    if np.max(np.abs(np.diff(x) - dx)) > slack:
         raise BadParameter(f"{path}: midpoints are not uniformly spaced")
     return make_grid(x[0] - dx / 2.0, dx, vs)

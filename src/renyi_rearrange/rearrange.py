@@ -28,6 +28,7 @@ from .grids import Grid1D, require_same_grid
 
 __all__ = [
     "rearrange_1d",
+    "discrete_arrangement",
     "majorizes",
     "l1_distance",
 ]
@@ -45,6 +46,14 @@ def rearrange_1d(f: Grid1D) -> Grid1D:
     ascending = np.sort(f.values)
     out = np.concatenate((ascending, ascending[::-1]))
     return Grid1D(x0=-0.5 * n * f.dx, dx=0.5 * f.dx, values=out)
+
+
+def discrete_arrangement(f: Grid1D) -> Grid1D:
+    """f's values on f's own cells, the largest in the middle one (the left
+    of two), the rest decreasing alternately right and left: the discrete
+    arrangement (Hardy-Littlewood-Polya Thm 371), not the paper's f*."""
+    s = np.sort(f.values)[::-1]
+    return Grid1D(f.x0, f.dx, np.concatenate((s[0::2][::-1], s[1::2])))
 
 
 def majorizes(f: Grid1D, g: Grid1D) -> tuple[bool, float]:

@@ -27,11 +27,13 @@ from renyi_rearrange import (
     renyi_divergence,
     renyi_entropies,
     renyi_entropy,
+    scale_density,
     uniform_interval,
 )
 from renyi_rearrange.cli import _parse_order
 from renyi_rearrange.config import RENYI_NEAR_ONE_WIDTH
 from renyi_rearrange.entropy import order, order_label, renyi_affinity
+from renyi_rearrange.rearrange import discrete_arrangement
 
 
 class TestRenyiOrder:
@@ -524,11 +526,38 @@ class TestFisherInformation:
                                                           rel=1e-3)
 
     def test_decreases_under_rearrangement(self):
+        # arranged symmetric decreasing on the same cells, exactly, up to
+        # the roundoff budget of verifier.check_fisher_monotone
         for seed in (51, 52, 53, 54):
             f = random_density(DensityGeneratorSpec(kind="gaussian-mixture",
                                                     seed=seed, cells=1024))
-            assert fisher_information(rearrange_1d(f)) <= (
-                fisher_information(f) * (1.0 + 0.01))
+            lhs, rhs = fisher_information(f), fisher_information(discrete_arrangement(f))
+            assert rhs <= lhs + (f.n_cells + 5) * 2.0**-53 * (lhs + rhs)
+
+    @pytest.mark.parametrize("m,dx", [(1, 1.0), (7, 0.1), (64, 1.0 / 3.0), (2048, 8.0 / 2048)])
+    def test_uniform_value(self, m, dx):
+        # sqrt f jumps by 1/sqrt(m dx) at each end and is flat between
+        f = make_grid(0.0, dx, np.full(m, 1.0 / (m * dx)))
+        want = 8.0 / (m * dx * dx)
+        assert abs(fisher_information(f) - want) <= 4 * np.finfo(float).eps * want
+
+    def test_one_and_two_cells(self):
+        # (4/dx) 2 a: sqrt f jumps by sqrt a = 2 at each end
+        assert fisher_information(make_grid(0.0, 0.5, [4.0])) == 8.0 * 2.0 * 4.0
+        # (4/dx) (a + (sqrt a - sqrt b)^2 + b) with sqrt a = 1, sqrt b = 2
+        assert fisher_information(make_grid(0.0, 0.25, [1.0, 4.0])) == 16.0 * 6.0
+
+    def test_zero_density_raises(self):
+        with pytest.raises(ZeroMass):
+            fisher_information(make_grid(0.0, 1.0, [0.0, 0.0, 0.0]))
+
+    @pytest.mark.parametrize("kind", GENERATOR_KINDS)
+    def test_power_of_four_scaling_is_exact(self, kind):
+        # scaling by 4^k scales every sqrt f by 2^-k and dx by 4^k: no rounding
+        f = random_density(DensityGeneratorSpec(kind=kind, seed=3, cells=512))
+        i_f = fisher_information(f)
+        for k in (-3, -1, 1, 2, 5):
+            assert fisher_information(scale_density(f, 4.0**k)) == i_f / 16.0**k
 
 
 class TestMixtureBound:

@@ -199,6 +199,16 @@ class TestSymmetricDecreasing:
         # centered and nonincreasing to the right of 0, but not mirrored
         assert not is_symmetric_decreasing(make_grid(-1.0, 0.5, [1.0, 3.0, 2.0, 1.0]))
 
+    @pytest.mark.parametrize("scale", [2.0**-36, 1.0, 2.0**36])
+    def test_value_slack_is_relative_to_the_maximum(self, scale):
+        # 1e-6 of the maximum off even, or off nonincreasing, fails at any
+        # scale, and a centred step density passes, however small its values
+        tilt = make_grid(-1.5, 1.0, np.array([1.0, 1.0, 1.0 - 1e-6]) / scale)
+        assert not is_symmetric_decreasing(tilt)
+        valley = make_grid(-2.0, 1.0, np.array([1.0, 1.0 - 1e-6, 1.0 - 1e-6, 1.0]) / scale)
+        assert not is_symmetric_decreasing(valley)
+        assert is_symmetric_decreasing(make_grid(-1.5, 1.0, np.array([1.0, 2.0, 1.0]) / scale))
+
 
 class TestCsvRoundTrip:
     def test_round_trip_bits(self, tmp_path):
@@ -216,6 +226,25 @@ class TestCsvRoundTrip:
         path.write_text("x,f\n0.0,1.0\n1.0,1.0\n3.0,1.0\n")
         with pytest.raises(BadParameter):
             read_density_csv(path)
+
+    def test_spacing_test_is_relative_to_dx(self, tmp_path):
+        # steps of 1e-12, 5e-10 and 1e-12: no grid, however small its cells
+        path = tmp_path / "bad.csv"
+        path.write_text("x,f\n0,1\n1e-12,1\n5e-10,1\n5.01e-10,1\n")
+        with pytest.raises(BadParameter, match="not uniformly spaced"):
+            read_density_csv(path)
+
+    def test_far_grid_round_trip(self, tmp_path):
+        # midpoints near 1e6 round to 1.2e-10, so the written steps are off
+        # by up to 1.1e-4 of dx = 1e-6, and the file still reads
+        f = make_grid(1e6, 1e-6, np.full(1000, 1e3))
+        path = tmp_path / "far.csv"
+        write_density_csv(f, path)
+        g = read_density_csv(path)
+        assert g.n_cells == f.n_cells
+        assert g.dx == pytest.approx(f.dx, rel=1e-7)
+        assert g.x0 == pytest.approx(f.x0, abs=1e-9)
+        assert np.array_equal(g.values, f.values)
 
     @pytest.mark.parametrize("row", ["abc,1", "0.5", "nan,1"])
     def test_rejects_malformed_row(self, tmp_path, row):

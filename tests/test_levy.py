@@ -27,6 +27,7 @@ from renyi_rearrange import (
     rearranged_marginal,
     refine,
     renyi_entropy,
+    scale_density,
     uniform_interval,
     variance,
 )
@@ -300,6 +301,25 @@ class TestDominance:
         reports = check_levy_dominance(spec, [1.0])
         assert reports[0].passed
         assert reports[0].margin == pytest.approx(0.0, abs=1e-12)
+
+    def test_margins_do_not_depend_on_scale(self):
+        # scaling the jump law by 2^36 and a by 2^72 scales X_t and Z_t by
+        # 2^36 exactly: the margins stay, and every h_p moves by 36 log 2.
+        # The scaled law's values are below 1e-9, so a symmetry slack not
+        # relative to the maximum would read it as symmetric decreasing, Z_t
+        # as X_t and every margin as 0
+        jump = random_density(DensityGeneratorSpec(kind="uniform-mixture",
+                                                   seed=977, cells=512))
+        s = 2.0**36
+        big = scale_density(jump, s)
+        assert not is_symmetric_decreasing(big)
+        orders = [0.5, 1.0, 2.0, math.inf]
+        unit = check_levy_dominance(LevySpec(a=1.0, rate=30.0, jump=jump, t=1.0), orders)
+        wide = check_levy_dominance(LevySpec(a=s * s, rate=30.0, jump=big, t=1.0), orders)
+        for r1, r2 in zip(unit, wide):
+            assert abs(r2.margin - r1.margin) <= 1e-9, r1.name
+            assert abs(r2.lhs - r1.lhs - 36.0 * math.log(2.0)) <= 1e-9, r1.name
+            assert abs(r2.rhs - r1.rhs - 36.0 * math.log(2.0)) <= 1e-9, r1.name
 
 
 def _simd_level():

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from renyi_rearrange import (
     GridMismatch,
     Group,
     SpacingMismatch,
+    fisher_information,
     gaussian_on_grid,
     is_symmetric_decreasing,
     l1_distance,
@@ -22,7 +24,7 @@ from renyi_rearrange import (
     renyi_entropy,
 )
 from renyi_rearrange.config import MAJ_TOL
-from renyi_rearrange.rearrange import _cumulative_mass
+from renyi_rearrange.rearrange import _cumulative_mass, discrete_arrangement
 
 from exact_oracle import majorization_margin
 
@@ -98,6 +100,33 @@ class TestRearrange1D:
         g = make_grid(-17.0, 0.5, [1.0, 4.0, 2.0, 1.0])
         assert np.array_equal(rearrange_1d(f).values, rearrange_1d(g).values)
         assert rearrange_1d(f).x0 == rearrange_1d(g).x0
+
+
+class TestDiscreteArrangement:
+    def test_hand_cases(self):
+        # the largest in the middle cell (the left middle one for an even
+        # count), then alternately right and left
+        f = make_grid(-1.0, 0.5, [1.0, 2.0, 3.0, 4.0, 5.0])
+        g = discrete_arrangement(f)
+        assert (g.x0, g.dx) == (f.x0, f.dx)
+        assert np.array_equal(g.values, [1.0, 3.0, 5.0, 4.0, 2.0])
+        g = discrete_arrangement(make_grid(0.0, 1.0, [4.0, 1.0, 3.0, 2.0]))
+        assert np.array_equal(g.values, [2.0, 4.0, 3.0, 1.0])
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_minimizes_fisher_information_over_orderings(self, seed):
+        # perfect squares on dx = 1: every I_h is an integer sum, so the
+        # minimum over all 720 orderings is compared exactly
+        roots = np.random.default_rng(seed).integers(0, 5, size=6)
+        roots[0] = max(roots[0], 1)
+        f = make_grid(0.0, 1.0, (roots ** 2).astype(float))
+        best = min(fisher_information(make_grid(0.0, 1.0, list(p)))
+                   for p in itertools.permutations(f.values))
+        assert fisher_information(discrete_arrangement(f)) == best
+
+    def test_values_are_the_same_multiset(self):
+        for f in _corpus(6):
+            assert np.array_equal(np.sort(discrete_arrangement(f).values), np.sort(f.values))
 
 
 def _rearrange_1d_reference(f):

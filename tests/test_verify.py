@@ -18,6 +18,7 @@ from renyi_rearrange import (
     ConfigInvalid,
     DensityError,
     DensityGeneratorSpec,
+    Grid1D,
     Group,
     OrderOutOfRange,
     PhiSpec,
@@ -252,6 +253,42 @@ class TestChecks:
     def test_rbll_needs_input(self):
         with pytest.raises(BadParameter):
             check_rbll([])
+
+
+def _fisher_monotone(seed):
+    """The fisher_monotone reports of one Fisher corpus at 2048 cells."""
+    reports = run_suite(SuiteConfig(suite="fisher", seed=seed, cells=2048))
+    return [r for r in reports if r.name == "fisher_monotone"]
+
+
+class TestFisherMonotone:
+    @pytest.mark.parametrize("seed", [0, 977])
+    def test_margins_within_roundoff(self, seed):
+        # the discrete statement is exact, so no margin may fall below the
+        # roundoff bound (n + 5) 2^-53 (lhs + rhs) of the two sums
+        reports = _fisher_monotone(seed)
+        assert len(reports) == 50
+        bounds = [(2048 + 5) * 2.0**-53 * (rep.lhs + rep.rhs) for rep in reports]
+        short = [(rep.seed, rep.margin, bound)
+                 for rep, bound in zip(reports, bounds) if rep.margin < -bound]
+        assert not short
+        assert [rep.tolerance for rep in reports] == bounds
+        assert all(rep.passed for rep in reports)
+
+    def test_swapping_cells_100_and_101_right_of_the_middle_fails(self, monkeypatch):
+        # a wrong arrangement: cells c + 100 and c + 101 of f# swapped, c the
+        # middle cell; swapping c and c + 1 fails none of these densities
+        real = verifier.discrete_arrangement
+
+        def swapped(f):
+            v = real(f).values.copy()
+            c = (f.n_cells - 1) // 2
+            v[c + 100], v[c + 101] = v[c + 101], v[c + 100]
+            return Grid1D(f.x0, f.dx, v)
+
+        monkeypatch.setattr(verifier, "discrete_arrangement", swapped)
+        reports = _fisher_monotone(0)
+        assert sum(not r.passed for r in reports) >= 1
 
 
 class TestPhiSpec:
