@@ -30,7 +30,8 @@ subinterval not yet accurate; an integral that cannot meet its tolerance
 raises InaccurateResult instead of returning its estimate.  scipy is
 imported (betainc only) when a cap is evaluated.  All n-th powers and
 normalizers are handled in log space so the formulas stay finite for
-dimensions far beyond where V_n(1) r^n underflows.
+dimensions far beyond where V_n(1) r^n underflows.  epi_gap_balls reads
+the dimensional entropy-power gap of two unit balls off one such entropy.
 """
 
 from __future__ import annotations
@@ -331,29 +332,21 @@ def ball_sum_entropy(bp: BallPair) -> float:
         f"on {int((~good).sum())} subintervals after {level} levels")
 
 
-def epi_gap_balls(m: int, b1: float, b2: float, lam: float) -> float:
-    """Residual entropy-power gap for ball uniforms in dimension m.
+def epi_gap_balls(m: int, lam: float) -> float:
+    """Residual entropy-power gap for unit-ball uniforms in dimension m.
 
-    For Z_i uniform on balls of radii b_i the quantity
+    For Z1, Z2 uniform on the unit ball of R^m, h(Z1) = h(Z2) = log V_m(1),
+    so the gap
 
         h(sqrt(lam) Z1 + sqrt(1-lam) Z2) - lam h(Z1) - (1-lam) h(Z2)
 
-    equals an explicit concavity term (which vanishes when b1 = b2) plus
-    an O(log m) remainder; this returns the full difference minus the
-    concavity term.
+    is h(sqrt(lam) Z1 + sqrt(1-lam) Z2) - log V_m(1), an O(log m)
+    remainder (the concavity term of unequal radii is zero here).
     """
     if not (0.0 < lam < 1.0):
         raise BadParameter(f"lambda must be in (0, 1), got {lam}")
-    if not (b1 > 0.0 and b2 > 0.0):
-        raise BadParameter("ball radii must be positive")
-    bp = BallPair(m, math.sqrt(lam) * b1, math.sqrt(1.0 - lam) * b2)
-    h_sum = ball_sum_entropy(bp)
-    h1 = log_unit_ball_volume(m) + m * math.log(b1)
-    h2 = log_unit_ball_volume(m) + m * math.log(b2)
-    concavity = 0.5 * m * (
-        math.log(lam * b1 * b1 + (1.0 - lam) * b2 * b2)
-        - lam * math.log(b1 * b1) - (1.0 - lam) * math.log(b2 * b2))
-    return h_sum - lam * h1 - (1.0 - lam) * h2 - concavity
+    bp = BallPair(m, math.sqrt(lam), math.sqrt(1.0 - lam))
+    return ball_sum_entropy(bp) - log_unit_ball_volume(m)
 
 
 def _indicator_level(f: Grid1D) -> float:

@@ -255,7 +255,7 @@ def _cmd_epigap(args: argparse.Namespace) -> int:
     ok = True
     prev_gap = prev_per_dim = None
     for m in dims:
-        gap = epi_gap_balls(m, 1.0, 1.0, args.lam)
+        gap = epi_gap_balls(m, args.lam)
         per_dim = gap / m
         bound = 3.0 * math.log(m) / m
         good = gap >= -1e-9 and per_dim <= bound

@@ -10,10 +10,10 @@ of ``EPS_CONV_FACTOR * dx * k`` for a k-fold convolution.
 
 from __future__ import annotations
 
-SYM_TOL = 1e-9            # relative slack of is_symmetric_decreasing
+SYM_TOL = 1e-9            # value slack of is_symmetric_decreasing,
+                          # relative to the maximum value
 TAIL_TOL = 1e-6           # truncation tail for unbounded supports
 SERIES_TOL = 1e-8         # Poisson series truncation tail
-MAJ_TOL = 1e-12           # majorization slack on exact comparisons
 EPS_CONV_FACTOR = 10.0    # per-cell budget for k-fold convolutions
 FFT_THRESHOLD = 2048      # hull output cells above which FFT is
                           # used; a speed choice only, as both

@@ -189,11 +189,11 @@ def refine(f: Grid1D, factor: int) -> Grid1D:
 
 
 def is_symmetric_decreasing(f: Grid1D) -> bool:
-    """True when the grid is centered at 0 within SYM_TOL cells, and even
-    and nonincreasing in |x| within SYM_TOL of the maximum value, so the
-    answer does not change when the density is rescaled."""
+    """True when the grid is centered at 0 (half_cell_offset is -n), and
+    even and nonincreasing in |x| within SYM_TOL of the maximum value, so
+    the answer does not change when the density is rescaled."""
     v, slack = f.values, SYM_TOL * f.max_value
-    return bool(abs(f.x0 / f.dx + 0.5 * v.size) <= SYM_TOL
+    return bool(half_cell_offset(f) == -v.size
                 and np.max(np.abs(v - v[::-1])) <= slack
                 and np.all(np.diff(v[(v.size + 1) // 2:]) <= slack))
 

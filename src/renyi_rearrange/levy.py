@@ -11,7 +11,8 @@ diffusion but replaces the jump law by its symmetric decreasing
 rearrangement f*; its marginal dominates in every Renyi entropy.
 
 Numerically the series is truncated at auto_k_max(lambda t), the first
-term past which the Poisson tail drops below SERIES_TOL, and
+term k >= lambda t past which a geometric bound on the Poisson tail,
+pmf(k+1) / (1 - lambda t/(k+2)), drops below SERIES_TOL, and
 renormalized; no caller chooses the truncation.  The Gaussian has its
 midpoints at integer multiples of the jump law's spacing dx, and a jump
 law whose first midpoint is not at a multiple of dx/2 is first
@@ -20,13 +21,14 @@ one call of :func:`convolve.convolve_series`, which sums the terms of
 even and of odd k apart, each class as a power series in the spectrum of
 the twice-folded jump law on whole cells, in five real transforms about
 half as long as the marginal's dx/2 grid: its cost grows with the length
-of that grid, not with the number of terms.  check_levy_dominance builds Z_t, reads its
-row of entropies and drops it, then does the same for X_t, so one
-marginal is alive at a time and the working set is that of the series
-sum, about 3 times the larger marginal's bytes.  A jump rate whose mean
-lambda*t reaches the term cap plus 2 is refused before any Poisson term
-is summed, and a diffusion or jump law whose Gaussian window or series
-sum would take more than MAX_CELLS cells is refused before anything is
+of that grid, not with the number of terms.  check_levy_dominance
+builds Z_t, reads its row of entropies and drops it, then does the same
+for X_t, so one marginal is alive at a time and the working set is that
+of the series sum, about 3 times the larger marginal's bytes.  A jump
+rate whose mean lambda*t needs more than the 200-term cap is refused
+(with no Poisson term computed when the mean is past the cap), and a
+diffusion or jump law whose Gaussian window or series sum would take
+more than MAX_CELLS cells is refused before anything is
 allocated.  Both processes use the same snapped jump law (the rearranged
 pipeline rearranges the snapped density), so the dominance being checked
 is exact for the densities actually simulated.
@@ -41,7 +43,6 @@ while h_0, h_1, h_2 and h_inf agree to ~1e-13.  The sixth decimal that
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -64,7 +65,6 @@ __all__ = [
 ]
 
 _K_CAP = 200
-_SF_REL = 1e-18
 
 
 @dataclass(frozen=True)
@@ -99,36 +99,20 @@ def _poisson_pmf(k: int, mu: float) -> float:
 
 
 def auto_k_max(mu: float) -> int:
-    """Smallest k with Poisson(mu) tail mass beyond k below SERIES_TOL.
+    """Smallest k in [ceil(mu), _K_CAP] whose Poisson(mu) tail bound
+    pmf(k+1) / (1 - mu/(k+2)) is below SERIES_TOL.
 
-    A mean mu >= _K_CAP + 2 is refused before any pmf term is computed.
-    Otherwise the search runs from ceil(mu) up to the cap _K_CAP.  Each pmf
-    term is computed once, from the first searched k + 1 on until one is
-    at most _SF_REL * SERIES_TOL, and the tail beyond k is the math.fsum of
-    the terms above k.
+    Past k + 1 each pmf term is at most mu/(k+2) times the one before, so
+    the tail mass beyond k is at most that geometric sum.  One pmf term is
+    computed per k tried, none for a mean past the cap; if no k qualifies,
+    TruncationInsufficient is raised.
     """
-    if mu == 0.0:
-        return 0
-    if _K_CAP <= mu - 2.0:
-        # the Poisson median is at least mu - log 2, so the tail beyond the
-        # cap is above 1/2; summing it would take O(sqrt(mu)) pmf terms,
-        # whose exponent cancels to a wrong value at large mu
-        raise TruncationInsufficient(
-            f"the term cap k={_K_CAP} is at most lambda*t - 2 for lambda*t={mu:.6g}: "
-            "the Poisson tail beyond it is above 1/2")
-    k0 = int(math.ceil(mu))
-    first = min(k0, _K_CAP)
-    terms = []
-    for j in itertools.count(first + 1):
-        terms.append(_poisson_pmf(j, mu))
-        if terms[-1] <= _SF_REL * SERIES_TOL:
-            break
-    for k in range(k0, _K_CAP + 1):
-        if math.fsum(terms[k - first:]) < SERIES_TOL:
+    for k in range(math.ceil(min(mu, _K_CAP + 1)), _K_CAP + 1):
+        if _poisson_pmf(k + 1, mu) / (1.0 - mu / (k + 2)) < SERIES_TOL:
             return k
     raise TruncationInsufficient(
-        f"Poisson tail beyond the term cap k={_K_CAP} is still "
-        f"{math.fsum(terms[_K_CAP - first:]):.3g} for lambda*t={mu:.6g}")
+        f"the term cap k={_K_CAP} is too short for lambda*t={mu:.6g}: no k up to it "
+        f"bounds the Poisson tail below SERIES_TOL = {SERIES_TOL:g}")
 
 
 def _snap(f: Grid1D) -> Grid1D:

@@ -13,16 +13,16 @@ Because whole cells move and never change value, every level-set measure,
 every Renyi entropy and any integral of the form  int phi(f)  is
 preserved exactly, not just to quadrature accuracy.  Majorization
 (cumulative mass of f* inside centered intervals never exceeding that of
-g*) is likewise checked exactly by comparing piecewise-linear cumulative
+g*) is likewise measured exactly by comparing piecewise-linear cumulative
 masses in the interval length at every knot of the finer side, a
-superset of the coarser side's knots.
+superset of the coarser side's knots: majorizes returns the worst margin,
+and the caller sets the budget it is held to.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .config import MAJ_TOL
 from .errors import SpacingMismatch
 from .grids import Grid1D, require_same_grid
 
@@ -56,14 +56,12 @@ def discrete_arrangement(f: Grid1D) -> Grid1D:
     return Grid1D(f.x0, f.dx, np.concatenate((s[0::2][::-1], s[1::2])))
 
 
-def majorizes(f: Grid1D, g: Grid1D) -> tuple[bool, float]:
-    """Check the majorization preorder f majorized-by g.
+def majorizes(f: Grid1D, g: Grid1D) -> float:
+    """The worst margin of the majorization preorder f majorized-by g.
 
-    Returns ``(ok, worst_margin)`` where ok means that the cumulative
-    mass of f* inside every centered interval stays below that of g* up
-    to MAJ_TOL, i.e. f is majorized by g.  worst_margin is the most
-    negative value of  integral(g*, interval) - integral(f*, interval)
-    over all interval lengths; margins at or above -MAJ_TOL pass.
+    That is the least value of  integral(g*, interval) - integral(f*,
+    interval)  over all centered intervals; f is majorized by g when it is
+    at least 0 (every interval holds no more mass of f* than of g*).
 
     Both cumulative masses are piecewise linear in the interval length
     with a knot at every multiple of their own spacing.  The spacings must
@@ -77,8 +75,7 @@ def majorizes(f: Grid1D, g: Grid1D) -> tuple[bool, float]:
         raise SpacingMismatch(f"spacings {f.dx} and {g.dx} are not in a whole ratio")
     n = max(rf * f.n_cells, rg * g.n_cells)
     margin = _cumulative_mass(g, rg, n) - _cumulative_mass(f, rf, n)
-    worst = float(margin.min())
-    return bool(worst >= -MAJ_TOL), worst
+    return float(margin.min())
 
 
 def _cumulative_mass(f: Grid1D, r: int, n: int) -> np.ndarray:

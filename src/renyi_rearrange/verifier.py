@@ -8,7 +8,9 @@ interacts with symmetric decreasing rearrangement monotonically:
 
 together with its relatives: the Rogers/Brascamp-Lieb-Luttinger overlap
 inequality, majorization of the convolution by the convolution of
-rearrangements, the convex-integrand comparison, an entropy-power chain
+rearrangements, the convex-integrand comparison (for a fixed table of
+four integrands: u log u, u^2, -sqrt(u) and (u - 1/4)_+, each with its
+Lipschitz estimate for the budget), an entropy-power chain
 through the Gaussian lower bound, contraction of Renyi divergence under
 rearrangement, and monotonicity of Fisher information, with isoperimetric
 and log-Sobolev consequences.
@@ -62,6 +64,7 @@ from .config import (
     L1_TOL,
     LEVY_DIFFUSION_TOL,
     MASS_TOL,
+    MAX_CELLS,
     eps_conv,
 )
 from .errors import BadParameter, ConfigInvalid
@@ -93,7 +96,6 @@ from .reports import VerificationReport, report_geq, report_leq, report_records
 
 __all__ = [
     "SuiteConfig",
-    "PhiSpec",
     "check_main_theorem",
     "check_rbll",
     "check_most_gen",
@@ -161,63 +163,43 @@ def check_rbll(fs: Sequence[Grid1D],
                       params={"k": k}, seed=seed)
 
 
-@dataclass(frozen=True)
-class PhiSpec:
-    """Convex integrand with phi(0) = 0 for the general comparison.
-
-    kinds: "xlogx" (u log u), "power" (u^p for p > 1, -u^p for 0 < p < 1),
-    "hinge" ((u - t)_+ for a threshold t > 0).
-    """
-
-    kind: str
-    param: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("xlogx", "power", "hinge"):
-            raise BadParameter(f"unknown integrand kind {self.kind!r}")
-        if self.kind == "power" and (self.param <= 0.0 or self.param == 1.0):
-            raise BadParameter("power integrand needs p > 0, p != 1")
-        if self.kind == "hinge" and self.param <= 0.0:
-            raise BadParameter("hinge integrand needs a positive threshold")
-
-    def apply(self, u: np.ndarray) -> np.ndarray:
-        if self.kind == "xlogx":
-            out = np.zeros_like(u)
-            pos = u > 0.0
-            out[pos] = u[pos] * np.log(u[pos])
-            return out
-        if self.kind == "power":
-            p = self.param
-            return u**p if p > 1.0 else -(u**p)
-        return np.maximum(u - self.param, 0.0)
-
-    def label(self) -> str:
-        if self.kind == "xlogx":
-            return "xlogx"
-        return f"{self.kind}({self.param:g})"
+def _xlogx(u: np.ndarray) -> np.ndarray:
+    out = np.zeros_like(u)
+    pos = u > 0.0
+    out[pos] = u[pos] * np.log(u[pos])
+    return out
 
 
-def check_most_gen(group: Group, phi: PhiSpec,
+# a convex integrand with phi(0) = 0 as (label, phi, lip), where lip(vmax)
+# estimates the Lipschitz constant of phi on [0, vmax]
+Integrand = tuple[str, Callable[[np.ndarray], np.ndarray], Callable[[float], float]]
+
+# the main suite's integrands; the p < 1 power and the hinge are
+# 1-Lipschitz-or-better at the values that occur here
+_INTEGRANDS: tuple[Integrand, ...] = (
+    ("xlogx", _xlogx, lambda vmax: abs(math.log(max(vmax, 1e-300))) + 1.0),
+    ("power(2)", lambda u: u**2.0, lambda vmax: 2.0 * vmax ** 1.0),
+    ("power(0.5)", lambda u: -(u**0.5), lambda vmax: 1.0),
+    ("hinge(0.25)", lambda u: np.maximum(u - 0.25, 0.0), lambda vmax: 1.0),
+)
+
+
+def check_most_gen(group: Group, integrand: Integrand,
                    seed: int | None = None) -> VerificationReport:
-    """int phi(f1 * ... * fk) <= int phi(f1^* * ... * fk^*) for convex phi."""
+    """int phi(f1 * ... * fk) <= int phi(f1^* * ... * fk^*) for convex phi,
+    one (label, phi, lip) entry of _INTEGRANDS."""
+    label, phi, lip = integrand
     k = len(group.fs)
     conv, conv_star = group.conv, group.conv_star
-    lhs = float(np.sum(phi.apply(conv.values)) * conv.dx)
-    rhs = float(np.sum(phi.apply(conv_star.values)) * conv_star.dx)
+    lhs = float(np.sum(phi(conv.values)) * conv.dx)
+    rhs = float(np.sum(phi(conv_star.values)) * conv_star.dx)
     # budget: the convolutions agree with the true step convolution to
-    # eps_conv in a weak sense; scale by a Lipschitz estimate of phi on
-    # the realized value range (the p < 1 power and the hinge are
-    # 1-Lipschitz-or-better at the values that occur here)
+    # eps_conv in a weak sense; scale by the Lipschitz estimate of phi on
+    # the realized value range
     vmax = max(conv.max_value, conv_star.max_value)
-    if phi.kind == "xlogx":
-        lip = abs(math.log(max(vmax, 1e-300))) + 1.0
-    elif phi.kind == "power" and phi.param > 1.0:
-        lip = phi.param * vmax ** (phi.param - 1.0) if vmax > 0.0 else 1.0
-    else:
-        lip = 1.0
-    tol = eps_conv(group.fs[0].dx, k) * max(lip, 1.0)
-    return report_leq(f"most_gen[{phi.label()}]", lhs, rhs, tol,
-                      params={"k": k, "phi": phi.label()}, seed=seed)
+    tol = eps_conv(group.fs[0].dx, k) * max(lip(vmax), 1.0)
+    return report_leq(f"most_gen[{label}]", lhs, rhs, tol,
+                      params={"k": k, "phi": label}, seed=seed)
 
 
 def check_majorized_convolution(group: Group,
@@ -226,7 +208,7 @@ def check_majorized_convolution(group: Group,
     k = len(group.fs)
     conv, conv_star = group.conv, group.conv_star
     tol = EPS_CONV_FACTOR * group.fs[0].dx * max(conv.max_value, conv_star.max_value)
-    _, worst = majorizes(conv, conv_star)
+    worst = majorizes(conv, conv_star)
     return report_geq(f"majorized_convolution[k={k}]", worst, 0.0, tol,
                       params={"k": k}, seed=seed)
 
@@ -327,8 +309,10 @@ class SuiteConfig:
     pairs sizes every corpus: the main suite has `pairs` pairs and
     _quarter(config) triples, the contraction suites as many strictly
     positive mixtures; every generated grid has `cells` cells on
-    [-HALFWIDTH, HALFWIDTH].  The same config always produces the same
-    reports in the same order.
+    [-HALFWIDTH, HALFWIDTH].  The largest grid built is a triple's
+    rearranged sum, three factors of 2 cells half cells each, so 6 cells -
+    2 cells; validate refuses a `cells` that takes it past MAX_CELLS.  The
+    same config always produces the same reports in the same order.
     """
 
     suite: str = "all"
@@ -344,6 +328,9 @@ class SuiteConfig:
             raise ConfigInvalid("pairs must be >= 0")
         if self.cells < 8:
             raise ConfigInvalid("cells must be >= 8")
+        if 6 * self.cells - 2 > MAX_CELLS:
+            raise ConfigInvalid(f"cells must be <= {(MAX_CELLS + 2) // 6}, so that a triple's "
+                                f"rearranged sum, 6 cells - 2 cells, fits MAX_CELLS = {MAX_CELLS}")
         if self.seed < 0:
             raise ConfigInvalid("seed must be >= 0")
 
@@ -378,10 +365,6 @@ def _corpus(config: SuiteConfig, stream: int, indices: range, group: int,
 _SMOOTH = ("gaussian-mixture",)
 
 
-_PHIS = (PhiSpec("xlogx"), PhiSpec("power", 2.0), PhiSpec("power", 0.5),
-         PhiSpec("hinge", 0.25))
-
-
 def _run_pairs(config: SuiteConfig, indices: range) -> list[VerificationReport]:
     """The main suite's checks on pairs `indices` of its pair corpus."""
     reports: list[VerificationReport] = []
@@ -392,7 +375,7 @@ def _run_pairs(config: SuiteConfig, indices: range) -> list[VerificationReport]:
             reports.append(check_main_theorem(group, p, seed=seed))
         reports.append(check_majorized_convolution(group, seed=seed))
         reports.append(check_epi_chain(group, seed=seed))
-        reports.append(check_most_gen(group, _PHIS[i % len(_PHIS)], seed=seed))
+        reports.append(check_most_gen(group, _INTEGRANDS[i % len(_INTEGRANDS)], seed=seed))
         for p in FACTOR_ORDERS:
             reports.append(bobkov_chistyakov_bound_check(group, p, seed=seed))
         reports.append(mixture_entropy_bound_check(group, [0.5, 0.5], seed=seed))

@@ -212,7 +212,7 @@ def test_criterion_08_dimensional_epi_gap():
     start = time.perf_counter()
     per_dim = {}
     for m in (2, 4, 8, 16, 32, 64):
-        gap = epi_gap_balls(m, 1.0, 1.0, 0.5)
+        gap = epi_gap_balls(m, 0.5)
         per_dim[m] = gap / m
         if gap < -1e-9:
             failures.append(f"negative gap {gap} at dim {m}")

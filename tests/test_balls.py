@@ -337,31 +337,23 @@ class TestEpiGap:
         lam = 0.5
         bp = BallPair(2, math.sqrt(lam), math.sqrt(1.0 - lam))
         expected = ball_sum_entropy(bp) - math.log(math.pi)
-        assert epi_gap_balls(2, 1.0, 1.0, lam) == pytest.approx(expected, rel=1e-12)
-
-    def test_concavity_term_vanishes_for_equal_radii(self):
-        # with b1 = b2 the whole gap is the entropy difference itself
-        lam = 0.3
-        bp = BallPair(3, math.sqrt(lam) * 0.8, math.sqrt(1.0 - lam) * 0.8)
-        h1 = math.log(_unit_ball_volume(3) * 0.8 ** 3)
-        assert epi_gap_balls(3, 0.8, 0.8, lam) == pytest.approx(
-            ball_sum_entropy(bp) - h1, rel=1e-12)
+        assert epi_gap_balls(2, lam) == pytest.approx(expected, rel=1e-12)
 
     def test_gap_positive(self):
         for m in (2, 3, 5, 9):
-            assert epi_gap_balls(m, 1.0, 1.0, 0.5) > 0.0
+            assert epi_gap_balls(m, 0.5) > 0.0
 
     def test_gap_grows_like_log_dim(self):
         # from dim 256 on each doubling adds about (log 2)/2 to the gap
-        gaps = [epi_gap_balls(2 ** k, 1.0, 1.0, 0.5) for k in range(8, 15)]
+        gaps = [epi_gap_balls(2 ** k, 0.5) for k in range(8, 15)]
         steps = np.diff(gaps)
         assert np.all(steps > 0.34) and np.all(steps < 0.347)
 
     def test_lambda_validation(self):
         with pytest.raises(BadParameter):
-            epi_gap_balls(2, 1.0, 1.0, 0.0)
+            epi_gap_balls(2, 0.0)
         with pytest.raises(BadParameter):
-            epi_gap_balls(2, 1.0, 1.0, 1.0)
+            epi_gap_balls(2, 1.0)
 
 
 class TestBrunnMinkowski:

@@ -323,8 +323,8 @@ class TestLevyCommand:
         assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
 
     def test_rate_past_the_term_cap_is_usage_error(self, uniform_csv, capsys):
-        # lambda t = 1e12 needs ~1e12 Poisson terms; it was refused only
-        # after 11.8 s of summing a tail that read "still 0.999"
+        # lambda t = 1e12 needs ~1e12 Poisson terms; it was once refused
+        # only after 11.8 s of summing a tail that read "still 0.999"
         rc = cli.main(["levy", "--a", "1", "--lambda", "1e12", "--t", "1",
                        "--jumps", uniform_csv, "--orders", "1"])
         assert rc == 2
@@ -332,7 +332,7 @@ class TestLevyCommand:
         assert captured.out == ""
         assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
         assert "k=200" in captured.err and "lambda*t=1e+12" in captured.err
-        assert "above 1/2" in captured.err
+        assert "no k up to it bounds the Poisson tail below SERIES_TOL = 1e-08" in captured.err
 
     @pytest.mark.parametrize("a, rate, t", [("1e300", "1", "1"), ("1e200", "0", "1e200")])
     def test_diffusion_too_wide_is_usage_error(self, tmp_path, a, rate, t, capsys):
@@ -383,8 +383,8 @@ class TestEpigapCommand:
         # 512 (the true gap is 2.598); it passes every check but the step one
         real = cli.epi_gap_balls
 
-        def wrong_at_512(m, *args):
-            return 0.713917 if m == 512 else real(m, *args)
+        def wrong_at_512(m, lam):
+            return 0.713917 if m == 512 else real(m, lam)
 
         monkeypatch.setattr(cli, "epi_gap_balls", wrong_at_512)
         rc = cli.main(["epigap", "--max-dim", "512", "--lambda", "0.5"])

@@ -195,6 +195,14 @@ class TestSymmetricDecreasing:
         assert not is_symmetric_decreasing(make_grid(0.0, 1e-12, [1.0, 1.0]))
         assert is_symmetric_decreasing(make_grid(-1.5e6 + 2e-9, 1e6, [1.0, 2.0, 1.0]))
 
+    @pytest.mark.parametrize("dx", [0.25, 1.0, 3.0])
+    def test_centring_edge_is_the_half_cell_rule(self, dx):
+        # centred within 2e-9 half cells (1e-9 cells) passes, as
+        # half_cell_offset reads it; 5e-9 cells off does not
+        for shift, centred in ((5e-10, True), (-5e-10, True), (5e-9, False), (-5e-9, False)):
+            f = make_grid((-2.5 + shift) * dx, dx, [1.0, 2.0, 3.0, 2.0, 1.0])
+            assert is_symmetric_decreasing(f) is centred, shift
+
     def test_asymmetric_values_rejected(self):
         # centered and nonincreasing to the right of 0, but not mirrored
         assert not is_symmetric_decreasing(make_grid(-1.0, 0.5, [1.0, 3.0, 2.0, 1.0]))

@@ -133,40 +133,49 @@ class TestTruncation:
             auto_k_max(500.0)
 
     def test_auto_k_max_unchanged(self):
-        # the truncation rule as it read with scipy's Poisson tail; the
-        # verify suite's lambda*t = 0.25 and 1.0 and the rate 30 are in the grid
+        # k is the first whose geometric tail bound pmf(k+1)/(1 - mu/(k+2))
+        # is below 1e-8 (here from scipy's pmf); it is never below the k of
+        # scipy's exact Poisson tail, and equal to it at every mean the
+        # tests use, the verify suite's lambda*t = 0.25 and 1.0 and the
+        # rate 30 among them
         from scipy.stats import poisson
 
-        def reference(mu):
+        def first_k(mu, tail):
             ks = np.arange(math.ceil(mu), _K_CAP + 1)
-            below = np.flatnonzero(poisson.sf(ks, mu) < 1e-8)
+            below = np.flatnonzero(tail(ks, mu) < 1e-8)
             return int(ks[below[0]]) if below.size else _K_CAP + 1
 
-        for mu in [0.25, 1.0, 30.0, *np.linspace(0.01, 160.0, 201)]:
+        def bound(ks, mu):
+            return poisson.pmf(ks + 1, mu) / (1.0 - mu / (ks + 2))
+
+        used = (0.1, 0.25, 0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 20.0, 30.0, 120.0)
+        for mu in [*used, *np.linspace(0.01, 160.0, 201)]:
             mu = float(mu)
-            expected = reference(mu)
-            if expected > _K_CAP:
+            k, exact = first_k(mu, bound), first_k(mu, poisson.sf)
+            if k > _K_CAP:
                 with pytest.raises(TruncationInsufficient):
                     auto_k_max(mu)
             else:
-                assert auto_k_max(mu) == expected, mu
+                assert auto_k_max(mu) == k >= exact, mu
+            if mu in used:
+                assert k == exact, mu
 
     @pytest.mark.parametrize("refuse", ["auto_k_max", "marginal_density"])
     def test_large_mean_is_refused_without_summing(self, refuse, monkeypatch):
-        # at lambda t = 1e12 the Poisson tail beyond any k <= mu - 2 is above
-        # 1/2; summing it took 11.8 s of pmf terms whose exponent cancels
+        # at lambda t = 1e12 no k up to the cap is tried; summing the tail
+        # once took 11.8 s of pmf terms whose exponent cancels
         module = sys.modules["renyi_rearrange.levy"]
         calls = []
         monkeypatch.setattr(module, "_poisson_pmf",
                             lambda k, mu: calls.append(k) or _poisson_pmf(k, mu))
         spec = LevySpec(a=1.0, rate=1e12, jump=skewed_jump(cells=32), t=1.0)
         with pytest.raises(TruncationInsufficient,
-                           match=r"lambda\*t=1e\+12: the Poisson tail beyond it is above 1/2"):
+                           match=r"k=200 is too short for lambda\*t=1e\+12"):
             if refuse == "auto_k_max":
                 auto_k_max(1e12)
             else:
                 marginal_density(spec)
-        assert len(calls) <= 1000
+        assert calls == []
 
     def test_auto_k_max_computes_each_term_once(self, monkeypatch):
         module = sys.modules["renyi_rearrange.levy"]
@@ -179,8 +188,8 @@ class TestTruncation:
             assert len(calls) == len(set(calls))
         calls.clear()
         with pytest.raises(TruncationInsufficient, match=f"k={_K_CAP}"):
-            auto_k_max(201.5)  # past the cap, though not by 2: its tail is summed
-        assert len(calls) == len(set(calls))
+            auto_k_max(150.0)  # below the cap, yet no k up to it will do
+        assert len(calls) == len(set(calls)) == _K_CAP - 150 + 1
 
 
 class TestMarginal:

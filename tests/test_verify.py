@@ -21,7 +21,6 @@ from renyi_rearrange import (
     Grid1D,
     Group,
     OrderOutOfRange,
-    PhiSpec,
     SuiteConfig,
     VerificationReport,
     ZeroMass,
@@ -42,6 +41,7 @@ from renyi_rearrange.convolve import convolve_k
 from renyi_rearrange.entropy import FACTOR_ORDERS, ORDERS
 from renyi_rearrange.rearrange import rearrange_1d
 from renyi_rearrange.verifier import (
+    _INTEGRANDS,
     HALFWIDTH,
     check_epi_chain,
     check_main_theorem,
@@ -291,26 +291,23 @@ class TestFisherMonotone:
         assert sum(not r.passed for r in reports) >= 1
 
 
-class TestPhiSpec:
+class TestIntegrands:
     def test_labels(self):
-        assert PhiSpec("xlogx").label() == "xlogx"
-        assert PhiSpec("power", 2.0).label() == "power(2)"
-        assert PhiSpec("hinge", 0.25).label() == "hinge(0.25)"
+        assert [label for label, _, _ in _INTEGRANDS] == [
+            "xlogx", "power(2)", "power(0.5)", "hinge(0.25)"]
 
-    def test_validation(self):
-        with pytest.raises(BadParameter):
-            PhiSpec("cubic")
-        with pytest.raises(BadParameter):
-            PhiSpec("power", 1.0)
-        with pytest.raises(BadParameter):
-            PhiSpec("hinge", 0.0)
+    def test_seed0_main_suite_reads_the_four(self):
+        reports = run_suite(SuiteConfig(suite="main", seed=0, pairs=8, cells=64))
+        names = sorted({r.name for r in reports if r.name.startswith("most_gen")})
+        assert names == sorted(f"most_gen[{label}]" for label in
+                               ("xlogx", "power(2)", "power(0.5)", "hinge(0.25)"))
 
     def test_xlogx_vanishes_at_zero(self):
-        out = PhiSpec("xlogx").apply(np.array([0.0, 1.0]))
+        out = _INTEGRANDS[0][1](np.array([0.0, 1.0]))
         assert out[0] == 0.0 and out[1] == 0.0
 
     def test_concave_power_flipped(self):
-        out = PhiSpec("power", 0.5).apply(np.array([4.0]))
+        out = _INTEGRANDS[2][1](np.array([4.0]))
         assert out[0] == -2.0
 
 
@@ -329,6 +326,15 @@ class TestSuiteConfig:
     def test_invalid_configs(self, kwargs):
         with pytest.raises(ConfigInvalid):
             SuiteConfig(**kwargs).validate()
+
+    def test_cells_past_max_cells_refused(self):
+        # a triple's rearranged sum has 6 cells - 2 cells: 4194304 =
+        # MAX_CELLS at 699051, one cell more takes it past
+        SuiteConfig(cells=699051).validate()
+        with pytest.raises(ConfigInvalid, match="cells must be <= 699051"):
+            SuiteConfig(cells=699052).validate()
+        with pytest.raises(ConfigInvalid):
+            SuiteConfig(cells=10**9).validate()
 
 
 class TestRunSuite:
@@ -649,15 +655,11 @@ def test_rbll_unit_holds_one_group_at_a_time():
     assert peak < 1e6
 
 
-_PHIS = (PhiSpec("xlogx"), PhiSpec("power", 2.0), PhiSpec("power", 0.5),
-         PhiSpec("hinge", 0.25))
-
-
 def _group_checks(group):
     """Every check that reads a convolution group, run on `group`."""
     k = len(group.fs)
     reports = [check_main_theorem(group, p) for p in ORDERS]
-    reports += [check_most_gen(group, phi) for phi in _PHIS]
+    reports += [check_most_gen(group, integrand) for integrand in _INTEGRANDS]
     reports.append(check_majorized_convolution(group))
     reports += [bobkov_chistyakov_bound_check(group, p) for p in FACTOR_ORDERS]
     reports.append(mixture_entropy_bound_check(group, [1.0 / k] * k))
@@ -719,8 +721,8 @@ def test_group_computes_each_member_once(k, monkeypatch):
 _CONV_CHECKS = [
     *[(f"main_theorem[p={p:g}]", ("convs", "rows"),
        lambda group, p=p: check_main_theorem(group, p)) for p in ORDERS],
-    *[(f"most_gen[{phi.label()}]", ("convs",),
-       lambda group, phi=phi: check_most_gen(group, phi)) for phi in _PHIS],
+    *[(f"most_gen[{entry[0]}]", ("convs",),
+       lambda group, entry=entry: check_most_gen(group, entry)) for entry in _INTEGRANDS],
     ("majorized_convolution", ("convs",), check_majorized_convolution),
     ("epi_chain", ("convs", "rows"), check_epi_chain),
     *[(f"bobkov_chistyakov[p={p:g}]", ("convs", "rows"),
