@@ -175,13 +175,18 @@ def _log_mean_exp(w: np.ndarray, x: np.ndarray, t: float) -> float:
     t mu + log1p(sum w expm1(t (x - mu)) / sum w) with mu = sum w x / sum w.
 
     The identity holds for any mu; the mean makes the log1p argument
-    O(t^2), so near t = 0 the result keeps digits relative to t.  Every
+    O(t^2), so near t = 0 the result keeps digits relative to t.  The
+    terms w expm1(t (x - mu)) are formed in one scratch array.  Every
     reduction is np.sum (pairwise, one thread), so the bits do not depend
     on the CPUs.
     """
     total = float(np.sum(w))
     mu = float(np.sum(w * x)) / total
-    return t * mu + math.log1p(float(np.sum(w * np.expm1(t * (x - mu)))) / total)
+    terms = np.subtract(x, mu)
+    terms *= t
+    np.expm1(terms, out=terms)
+    terms *= w
+    return t * mu + math.log1p(float(np.sum(terms)) / total)
 
 
 def _log_mass(v: np.ndarray, dx: float) -> float:

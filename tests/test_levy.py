@@ -22,6 +22,7 @@ from renyi_rearrange import (
     marginal_density,
     moment,
     normalize,
+    project_onto,
     random_density,
     rearrange_1d,
     rearranged_marginal,
@@ -354,53 +355,53 @@ class TestLevyBytes:
     ORDERS = (0.0, 0.5, 1.0, 2.0, math.inf)
     PINS = {
         ("X86_V4", 0): (
-            "64e45c6c8e2d90ed30434c5daded8d5a243f76a1ac5b4d1411335453564e562d",
-            "58f5b1f15be02abc07b0d3e07af00a076e974a84d0c2ad02682bda9c3104eb57",
+            "c1c552e2c7f72a707bb3342f0a4a76b5ae8513d8b8b14a7faf780fbdc619f43c",
+            "1eac8999264be39777e442d40a86b033a7d6cb8689f6ebec4b3cd093401af52c",
             (("0x1.8d45f42f3bb29p+2", "0x1.6f5b3c80ce907p+2"),
-             ("0x1.173f4708f14eep+2", "0x1.9cca0840ea9adp+1"),
-             ("0x1.0a9893f7efd9ep+2", "0x1.830a29dc6a1dap+1"),
-             ("0x1.00a02a911c2c2p+2", "0x1.6eda0a266faeap+1"),
-             ("0x1.d493983d73221p+1", "0x1.41e907f71adc7p+1"))),
+             ("0x1.173f478fe88aep+2", "0x1.9cca06dbd7c33p+1"),
+             ("0x1.0a9893f7efdefp+2", "0x1.830a29dc6a184p+1"),
+             ("0x1.00a02a911c2c4p+2", "0x1.6eda0a266faeep+1"),
+             ("0x1.d493983d73221p+1", "0x1.41e907f71adc9p+1"))),
         ("X86_V4", 977): (
-            "852cda11841c22dcc69afedbdf6cc1ce4a445e1a25e27523c639849afe5b0220",
-            "2cb3d4d8ceb52867f41304e917ae0a2583dd2528b0dfd6c1c62d55bf653c4a8c",
+            "1657af9fe511116cb5092a91c2b20dae0bf7b31fc739623113d94cf5c93cde6a",
+            "d617b93c4ce23b1b69afd37c41a850c1d420310e5a78c14fd062e8f35a67f751",
             (("0x1.7f474b3507db1p+2", "0x1.77c3cadd1eacdp+2"),
-             ("0x1.deb76898a9715p+1", "0x1.b94413eb11ae0p+1"),
-             ("0x1.c5682bf6e5087p+1", "0x1.9f6064c2e2fc9p+1"),
-             ("0x1.b17c9a4ecb374p+1", "0x1.8b1bcf9cf2086p+1"),
-             ("0x1.84db5d466552fp+1", "0x1.5e13e2fe1daa4p+1"))),
+             ("0x1.deb768694162ep+1", "0x1.b944124e45bb6p+1"),
+             ("0x1.c5682bf6e5078p+1", "0x1.9f6064c2e2eabp+1"),
+             ("0x1.b17c9a4ecb372p+1", "0x1.8b1bcf9cf2076p+1"),
+             ("0x1.84db5d466552ep+1", "0x1.5e13e2fe1da9ep+1"))),
         ("X86_V3", 0): (
-            "bc4c19b47aa47b261058b936664b4c7cc91aab0aa424c54d17120b57cdc5fcc7",
-            "d2d91881d4ec1efa57a9d0845911f15f5e7431f814c48e1a9907031989f66b5d",
+            "3ba65c492bb52fe7837b59cd8d97c9b37013cd702e2da27f415d1594e78f3ebb",
+            "c76c05e19960b0c280a85903c6cc55ac861056725d571c1b2ba4faea880f81ef",
             (("0x1.8d45f42f3bb29p+2", "0x1.6f5b3c80ce907p+2"),
-             ("0x1.173f47090f16ap+2", "0x1.9cca0841f16ddp+1"),
-             ("0x1.0a9893f7efd9fp+2", "0x1.830a29dc6a1d7p+1"),
-             ("0x1.00a02a911c2c2p+2", "0x1.6eda0a266faeap+1"),
-             ("0x1.d493983d73221p+1", "0x1.41e907f71adc7p+1"))),
+             ("0x1.173f478fe8862p+2", "0x1.9cca06db419dbp+1"),
+             ("0x1.0a9893f7efdefp+2", "0x1.830a29dc6a185p+1"),
+             ("0x1.00a02a911c2c4p+2", "0x1.6eda0a266faeep+1"),
+             ("0x1.d493983d73221p+1", "0x1.41e907f71adc9p+1"))),
         ("X86_V3", 977): (
-            "6b0eb32cc9ccf1e9776b1ab3302176abffb6f533561d685a121f6aa14ceffa05",
-            "3aa75d9087bf728a5e85ebf8b3d8f82b5b5907a83ba0eef4f1df6be9d4dcab05",
+            "af91d966c1fb5d5213ccbb8485992696b9605c2db00d73794696da44c2e3f9d5",
+            "976f20066a21c290675d76a76c78868acf1e124d1db5f9d279b10748459739e0",
             (("0x1.7f474b3507db1p+2", "0x1.77c3cadd1eacdp+2"),
-             ("0x1.deb76898c0165p+1", "0x1.b94413ec6b6a0p+1"),
-             ("0x1.c5682bf6e5088p+1", "0x1.9f6064c2e2fc9p+1"),
-             ("0x1.b17c9a4ecb374p+1", "0x1.8b1bcf9cf2086p+1"),
-             ("0x1.84db5d466552fp+1", "0x1.5e13e2fe1daa4p+1"))),
+             ("0x1.deb7686604316p+1", "0x1.b944124e49466p+1"),
+             ("0x1.c5682bf6e5078p+1", "0x1.9f6064c2e2eabp+1"),
+             ("0x1.b17c9a4ecb372p+1", "0x1.8b1bcf9cf2076p+1"),
+             ("0x1.84db5d466552ep+1", "0x1.5e13e2fe1da9ep+1"))),
         ("X86_V2", 0): (
-            "7bb5f3bf550997d0aa26b2a1a9d182db4216680ce248758d07f1caebad18a858",
-            "4448fb1e978643877c917f621d1978e1aa3ce778fa702a7f58eb28be9c8297ab",
+            "5b49db18671334bad76895942f58e861ca3055971118045810b6a860771c554f",
+            "fd54768de2b97703e62ef28399d9870aa65407eca7362f310f2c52b864a0d0b2",
             (("0x1.8d45f42f3bb29p+2", "0x1.6f5b3c80ce907p+2"),
-             ("0x1.173f470f099eep+2", "0x1.9cca07ffe688ep+1"),
-             ("0x1.0a9893f7efd93p+2", "0x1.830a29dc6a1bap+1"),
-             ("0x1.00a02a911c2c1p+2", "0x1.6eda0a266faeap+1"),
-             ("0x1.d493983d73220p+1", "0x1.41e907f71adc6p+1"))),
+             ("0x1.173f47711f1f2p+2", "0x1.9cca06e3fb412p+1"),
+             ("0x1.0a9893f7efdebp+2", "0x1.830a29dc6a183p+1"),
+             ("0x1.00a02a911c2c4p+2", "0x1.6eda0a266faf0p+1"),
+             ("0x1.d493983d73221p+1", "0x1.41e907f71adcap+1"))),
         ("X86_V2", 977): (
-            "f96e5d8334d1d222310b698c362e5c2943efcfedd80575aa45d8f40574b500d6",
-            "afaea61b7e1b977e353410594a42ce863469d1cdf40edcb64ecbe7fe9e258bc0",
+            "1e39eba09706ff163b3bf4cc0794eb7cb2bf7d2f0c8e553ece777d0c7de041f0",
+            "508d7cf9e4addf3e5e6765341ee2adacf8962b62953122d8ab41188c2961cc13",
             (("0x1.7f474b3507db1p+2", "0x1.77c3cadd1eacdp+2"),
-             ("0x1.deb768baa9b1dp+1", "0x1.b94413ddcb747p+1"),
-             ("0x1.c5682bf6e509ep+1", "0x1.9f6064c2e2fc8p+1"),
-             ("0x1.b17c9a4ecb374p+1", "0x1.8b1bcf9cf2086p+1"),
-             ("0x1.84db5d466552fp+1", "0x1.5e13e2fe1daa5p+1"))),
+             ("0x1.deb768c9b23ddp+1", "0x1.b94412a3a6206p+1"),
+             ("0x1.c5682bf6e50b6p+1", "0x1.9f6064c2e2ec6p+1"),
+             ("0x1.b17c9a4ecb372p+1", "0x1.8b1bcf9cf2076p+1"),
+             ("0x1.84db5d466552fp+1", "0x1.5e13e2fe1da9ep+1"))),
     }
 
     @staticmethod
@@ -424,11 +425,12 @@ class TestWorkingSet:
     @staticmethod
     def _peak(orders):
         """The traced peak of check_levy_dominance on the seed-0 rate-30
-        law, and B, the bytes of its Z_t's values."""
+        law, and B, the bytes of its Z_t's values (79,628 cells, the hull
+        of its support; 4 B is 2.55 MB)."""
         spec = LevySpec(a=1.0, rate=30.0, jump=_uniform_mixture(0), t=1.0)
         check_levy_dominance(spec, orders)  # warm: imports and caches
         b = rearranged_marginal(spec).values.nbytes
-        assert b == 1_096_704
+        assert b == 637_024
         tracemalloc.start()
         try:
             check_levy_dominance(spec, orders)
@@ -444,8 +446,9 @@ class TestWorkingSet:
         assert peak <= 4 * b
 
     def test_peak_at_an_order_near_one(self):
-        # the expm1 sum's exact mass reads the values in place; a copy of
-        # them as a list of Python floats took 4.56 B
+        # the expm1 sum's exact mass reads the values in place, and its
+        # terms take one scratch array; a copy of them as a list of Python
+        # floats took 4.56 B, and two temporaries for the terms 4.002 B
         peak, b = self._peak((0.99999,))
         assert peak <= 4 * b
 
@@ -470,14 +473,20 @@ def fold_series(f, g, weights):
 
 def fold_marginal(spec, jump, k_max):
     """Reference marginal: the Gaussian and Poisson weights of levy's
-    mixture, summed by fold_series."""
+    mixture, summed by fold_series over the law as levy snaps it."""
+    return _fold(spec, _snap(jump), k_max)
+
+
+def _fold(spec, law, k_max):
+    """fold_series of levy's Gaussian and Poisson weights over law as given,
+    normalized."""
     mu = spec.rate * spec.t
     sigma = math.sqrt(spec.a * spec.t)
-    dx = jump.dx
+    dx = law.dx
     reach = max(4, int(math.ceil(8.0 * sigma / dx)))
     gauss = gaussian_on_grid(0.0, sigma, -(reach + 0.5) * dx, dx, 2 * reach + 1)
     weights = [_poisson_pmf(k, mu) for k in range(k_max + 1)]
-    return normalize(fold_series(gauss, _snap(jump), weights))
+    return normalize(fold_series(gauss, law, weights))
 
 
 def assert_same_series(ref, new):
@@ -685,7 +694,8 @@ class TestSeriesAgainstFold:
     def test_transform_count_does_not_grow_with_k_max(self, monkeypatch):
         # three forward transforms (f and the jump law at two shifts) and one
         # inverse per parity class of k, all at half the length that zero
-        # stuffing onto the dx/2 lattice took (138240 and 69120 points)
+        # stuffing onto the dx/2 lattice took, and over the jump law's hull
+        # alone (69120 and 34560 points with its zero margins)
         calls = []
         for name in ("rfft", "irfft"):
             real = getattr(np.fft, name)
@@ -705,5 +715,61 @@ class TestSeriesAgainstFold:
                 seen[marginal, k] = (sorted(name for name, _ in calls), {n for _, n in calls})
         counts = ["irfft"] * 2 + ["rfft"] * 3
         assert all(names == counts for names, _ in seen.values())
-        assert seen["Z_t", 65][1] == {69_120}
-        assert seen["X_t", 65][1] == {34_560}
+        assert seen["Z_t", 65][1] == {40_000}
+        assert seen["X_t", 65][1] == {32_000}
+
+
+def _aligned(f):
+    """f on the dx/2 lattice as levy snaps it, its zero margins kept."""
+    if half_cell_offset(f) is not None:
+        return f
+    start = round(f.x0 / f.dx) - 1
+    return project_onto(f, start * f.dx, f.dx, f.n_cells + 2)
+
+
+def _marginals(case):
+    """The spec and series length of a SERIES_CASES law, and its X_t and Z_t,
+    each with the untrimmed aligned jump law whose series it sums."""
+    make_jump, rate, k_max = SERIES_CASES[case]
+    jump = make_jump()
+    spec = LevySpec(a=1.0, rate=rate, jump=jump, t=1.0)
+    if k_max is None:
+        k, x_t, z_t = auto_k_max(rate), marginal_density(spec), rearranged_marginal(spec)
+    else:
+        k = k_max
+        x_t, z_t = _mixture(spec, jump, k), _mixture(spec, rearrange_1d(_snap(jump)), k)
+    aligned = _aligned(jump)
+    return spec, k, (("X_t", x_t, aligned), ("Z_t", z_t, rearrange_1d(aligned)))
+
+
+class TestHull:
+    """Each marginal spans its support's hull: the series is summed over the
+    jump law's cells from its first positive one to its last."""
+
+    # (X_t, Z_t) cells; with the jump laws' zero margins both seeds had
+    # 68,480 and 137,088
+    CELLS = {"uniform-mixture-0-rate30": (63_540, 79_628),
+             "uniform-mixture-977-rate30": (51_060, 90_808)}
+
+    @pytest.mark.parametrize("case", sorted(SERIES_CASES))
+    def test_marginals_end_in_positive_cells(self, case):
+        _, _, marginals = _marginals(case)
+        for name, f, _ in marginals:
+            assert f.values[0] > 0.0 and f.values[-1] > 0.0, name
+        if case in self.CELLS:
+            assert tuple(f.n_cells for _, f, _ in marginals) == self.CELLS[case]
+
+    @pytest.mark.parametrize("case", sorted(SERIES_CASES))
+    def test_no_mass_is_dropped(self, case):
+        # the fold of the untrimmed law is exactly 0 off the marginal's
+        # cells, positive at its ends and the marginal on them
+        spec, k, marginals = _marginals(case)
+        for name, f, law in marginals:
+            ref = _fold(spec, law, k)
+            start = round((f.x0 - ref.x0) / f.dx)
+            assert abs(ref.x0 + start * f.dx - f.x0) <= 1e-9 * f.dx, name
+            assert 0 <= start and start + f.n_cells <= ref.n_cells, name
+            on = ref.values[start:start + f.n_cells]
+            assert not ref.values[:start].any() and not ref.values[start + f.n_cells:].any(), name
+            assert on[0] > 0.0 and on[-1] > 0.0, name
+            assert np.max(np.abs(on - f.values)) <= 1e-13 * ref.max_value, name
