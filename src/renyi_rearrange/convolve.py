@@ -203,10 +203,13 @@ def convolve_series(f: Grid1D, g: Grid1D, weights: Sequence[float]) -> Grid1D:
     transforms (two when r = 0) and two inverse ones, all about half the
     output's length.  One real buffer is refilled for the forward inputs
     and one complex buffer holds each class's series in turn, the odd
-    class first so g_a can go before its inverse transform; each inverse
-    is dropped once added in, and every spectrum before the support pass.
-    The working set is the output plus at most four spectra half its
-    size (f's, z, the series and an inverse), about 3 times the output's
+    class first so g_a can go before its inverse transform, and f's
+    spectrum goes after the even class's product.  The output is
+    allocated once both inverses are taken and every spectrum is freed,
+    and the odd class is added into it before the even one.  The working
+    set is at most four arrays half the output's size (f's spectrum, z,
+    the series and the odd inverse, or the series and both inverses),
+    then the output beside the two inverses: about 2 times the output's
     bytes.  The result spans the union of the terms' grids.  It
     is zero off the union of the supports of the terms of positive weight
     and at least the smallest normal float on it, as in :func:`convolve`
@@ -267,8 +270,8 @@ def convolve_series(f: Grid1D, g: Grid1D, weights: Sequence[float]) -> Grid1D:
     # as rfft * g_hat, and with FMA that operand order sets the last bits
     z = g_hat * (g_hat if r == 0 else np.fft.rfft(_place(buf, g_dx, a + r)))
     del buf
-    vals = np.zeros(n_out)
     series = np.empty_like(z)
+    classes = []  # (first half cell, whole-cell values) of the odd class, then the even
     # the odd class first, so g_hat can go before its inverse transform
     for parity, first in ((1, r - odd_lo), (0, -odd_lo)):
         class_weights = weights[parity::2]
@@ -282,13 +285,17 @@ def convolve_series(f: Grid1D, g: Grid1D, weights: Sequence[float]) -> Grid1D:
         else:
             del z
         series *= f_hat
-        cells = np.fft.irfft(series, n)
+        if not parity:
+            del f_hat
+        classes.append((first, np.fft.irfft(series, n)))
+    del series
+    vals = np.zeros(n_out)
+    for first, cells in classes:
         for half in (first, first + 1):  # cell i covers half cells first + 2i and the next
             skip, odd = divmod(half, 2)
             dst = vals[odd::2][max(skip, 0):]
             dst += cells[max(-skip, 0):][:dst.size]
-        del cells
-    del series, f_hat
+    del classes, cells
     np.maximum(vals, _TINY, out=vals)
     _zero_off(vals, _merge(np.concatenate(starts), np.concatenate(ends)))
     return Grid1D(x0=f.x0 + min(0.0, k_max * (g.x0 + 0.5 * dx)), dx=0.5 * dx, values=vals)

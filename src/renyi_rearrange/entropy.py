@@ -114,19 +114,22 @@ def renyi_entropy(f: Grid1D, p: float | str) -> float:
 def renyi_entropies(f: Grid1D, orders: Sequence[float | str]) -> tuple[float, ...]:
     """(h_p(f) for p in orders) from one pass over the layers of f.
 
-    The positive values (read in place when no cell is zero, else gathered
-    once) and at most one log serve every order; each order then costs one
-    reduction, a power sum in one scratch array.  p = 0, 1 and inf take
-    their own exact branches, 0 < |p - 1| < RENYI_NEAR_ONE_WIDTH one expm1 sum
-    (_log_mean_exp, with the mass formed once per call), and every other
-    p the log-space power sum.  Bit for bit the same numbers as calling
-    :func:`renyi_entropy` order by order.
+    The positive values v are read in place when no cell is zero, else
+    gathered once, and serve every order.  Each order other than 0 and inf
+    forms log v in one scratch array of its own and consumes it in place
+    (times v for p = 1, the power sum's terms otherwise), so beside v at
+    most that array is alive, with the expm1 sum's temporaries near 1.
+    p = 0, 1 and inf take their own exact branches, 0 < |p - 1| <
+    RENYI_NEAR_ONE_WIDTH one expm1 sum (_log_mean_exp, with the mass formed
+    once per call), and every other p the log-space power sum.  Bit for bit
+    the same numbers as calling :func:`renyi_entropy` order by order, and
+    as reading every order from one log v kept for the whole call.
     """
     orders = [order(p) for p in orders]
     v = f.values if f.values.min(initial=math.inf) > 0.0 else f.values[f.values > 0.0]
     if v.size == 0:
         raise ZeroMass("entropy of an identically zero density")
-    log_v = log_mass = None
+    log_max = log_mass = None
     out = []
     for p in orders:
         if p == 0.0:
@@ -134,12 +137,13 @@ def renyi_entropies(f: Grid1D, orders: Sequence[float | str]) -> tuple[float, ..
         elif math.isinf(p):
             h = float(-np.log(v.max()))
         else:
-            if log_v is None:
-                log_v = np.log(v)
+            log_v = np.log(v)  # this order's scratch array
+            if log_max is None:
                 log_max = float(log_v.max())
             t = p - 1.0
             if p == 1.0:
-                h = float(-np.sum(v * log_v) * f.dx)
+                log_v *= v
+                h = float(-np.sum(log_v) * f.dx)
             elif abs(t) < RENYI_NEAR_ONE_WIDTH:
                 if log_mass is None:
                     log_mass = _log_mass(v, f.dx)
@@ -147,12 +151,15 @@ def renyi_entropies(f: Grid1D, orders: Sequence[float | str]) -> tuple[float, ..
             else:
                 h = (p / (1.0 - p)) * log_max + (
                     _log_power_sum(log_v, log_max, p) + math.log(f.dx)) / (1.0 - p)
+            del log_v
         out.append(h)
     return tuple(out)
 
 
 def _log_power_sum(log_v: np.ndarray, log_max: float, p: float) -> float:
-    """log sum(exp(a)) for a = p (log_v - log_max), formed in one scratch array.
+    """log sum(exp(a)) for a = p (log_v - log_max), formed in log_v itself:
+    the caller's scratch array is consumed in place, and holds exp(a) with
+    its maxima zeroed when this returns.
 
     The maximum of a is 0, so this is scipy.special.logsumexp(a) bit for
     bit without its shift: the m entries with a == 0 (the maxima, and at
@@ -160,7 +167,8 @@ def _log_power_sum(log_v: np.ndarray, log_max: float, p: float) -> float:
     rest, which gives log(m) + log1p(s / m).  A term that overflows to -inf
     drops out.
     """
-    a = np.subtract(log_v, log_max)
+    a = log_v
+    a -= log_max
     with np.errstate(over="ignore"):
         a *= p
     top = a == 0.0

@@ -27,8 +27,11 @@ jump law on whole cells, in five real transforms about half as long as
 the marginal's dx/2 grid: its cost grows with the length of that grid,
 not with the number of terms.  check_levy_dominance builds Z_t, reads its
 row of entropies and drops it, then does the same for X_t, so one
-marginal is alive at a time and the working set is that of the series
-sum, about 3 times the larger marginal's bytes (0.64 MB for that Z_t).
+marginal is alive at a time.  The working set is that of the series sum,
+about 2.1 times the larger marginal's bytes (0.64 MB for that Z_t, 1.36
+MB at the peak), when the marginal's dx/2 values are alive beside the two
+inverse transforms, each half their size; the entropy row adds about 1.1
+times the marginal's bytes to the marginal, one log per order.
 A jump rate whose mean lambda*t needs more than the 200-term cap is
 refused (with no Poisson term computed when the mean is past the cap),
 and a diffusion or jump law whose Gaussian window or series sum would

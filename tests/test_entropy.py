@@ -32,7 +32,7 @@ from renyi_rearrange import (
 )
 from renyi_rearrange.cli import _parse_order
 from renyi_rearrange.config import RENYI_NEAR_ONE_WIDTH
-from renyi_rearrange.entropy import order, order_label, renyi_affinity
+from renyi_rearrange.entropy import _log_mass, _log_mean_exp, order, order_label, renyi_affinity
 from renyi_rearrange.rearrange import discrete_arrangement
 
 
@@ -338,6 +338,96 @@ class TestRenyiEntropies:
             make_grid(-7.0, 1e-9, np.full(4097, 1e9 / 4097)))
         for f in fs:
             assert renyi_entropy(f, 0.0) == math.log(f.support_measure)
+
+
+def _one_log_entropies(f, orders):
+    """renyi_entropies as it read every order from one log of the values,
+    kept for the whole call, with each power sum in a scratch array of its
+    own: the reference for the bits of the reader that forms the log per
+    order and consumes it in place."""
+    orders = [order(p) for p in orders]
+    v = f.values if f.values.min(initial=math.inf) > 0.0 else f.values[f.values > 0.0]
+    if v.size == 0:
+        raise ZeroMass("entropy of an identically zero density")
+    log_v = log_mass = None
+    out = []
+    for p in orders:
+        if p == 0.0:
+            h = math.log(v.size * f.dx)
+        elif math.isinf(p):
+            h = float(-np.log(v.max()))
+        else:
+            if log_v is None:
+                log_v = np.log(v)
+                log_max = float(log_v.max())
+            t = p - 1.0
+            if p == 1.0:
+                h = float(-np.sum(v * log_v) * f.dx)
+            elif abs(t) < RENYI_NEAR_ONE_WIDTH:
+                if log_mass is None:
+                    log_mass = _log_mass(v, f.dx)
+                h = -(log_mass + _log_mean_exp(v, log_v, t)) / t
+            else:
+                a = np.subtract(log_v, log_max)
+                with np.errstate(over="ignore"):
+                    a *= p
+                top = a == 0.0
+                m = np.count_nonzero(top)
+                a[top] = -np.inf
+                np.exp(a, out=a)
+                lse = float(np.log1p(np.sum(a) / m) + np.log(m))
+                h = (p / (1.0 - p)) * log_max + (lse + math.log(f.dx)) / (1.0 - p)
+        out.append(h)
+    return tuple(out)
+
+
+class TestOneLogReader:
+    """Each order's log formed in its own scratch array and consumed there
+    gives the bits of one log kept for every order."""
+
+    ORDERS = (1e-300, 0.5, 1.0 - 1e-6, 1.0, 1.0 + 1e-6, 2.0, 1.7e308, math.inf)
+
+    @staticmethod
+    def _cases():
+        rng = np.random.default_rng(47)
+        for n in (2, 7, 300, 4099):  # the last past numpy's SIMD blocks
+            yield rng.random(n) + 1e-3
+            vals = rng.random(n)
+            vals[rng.integers(1, n, size=n // 5)] = 0.0  # gathered, cell 0 kept
+            yield vals
+        for n in (5, 512):  # ties at the maximum
+            vals = rng.random(n)
+            vals[rng.integers(0, n, size=max(2, n // 7))] = vals.max()
+            yield vals
+        yield np.array([3.0])  # one cell
+        yield np.full(64, 0.25)  # every cell the maximum
+        tiny = np.finfo(float).tiny
+        for n in (6, 1000):  # subnormal cells beside normal ones
+            vals = rng.random(n)
+            vals[::3] = tiny * rng.random(vals[::3].size)
+            vals[1] = 5e-324
+            yield vals
+        yield np.array([5e-324, 1e-310, 2.2e-308])  # every cell subnormal or near it
+
+    @pytest.mark.parametrize("dx", (1.0, 0.01))
+    def test_matches_the_one_log_reader(self, dx):
+        for values in self._cases():
+            f = make_grid(0.0, dx, values)
+            got = renyi_entropies(f, self.ORDERS)
+            assert [h.hex() for h in got] == [
+                h.hex() for h in _one_log_entropies(f, self.ORDERS)], values[:8]
+
+    def test_consuming_an_order_leaves_the_next(self):
+        # every order after every other one, the values left as they were
+        orders = self.ORDERS[:-1]
+        for values in self._cases():
+            f = make_grid(0.0, 0.5, values)
+            before = f.values.copy()
+            alone = {p: renyi_entropies(f, (p,))[0].hex() for p in orders}
+            for first in orders:
+                for p in orders:
+                    assert renyi_entropies(f, (first, p))[1].hex() == alone[p]
+            assert np.array_equal(f.values, before)
 
 
 class TestHugeOrders:

@@ -27,6 +27,7 @@ from renyi_rearrange import (
     rearrange_1d,
     rearranged_marginal,
     refine,
+    renyi_entropies,
     renyi_entropy,
     scale_density,
     uniform_interval,
@@ -34,6 +35,7 @@ from renyi_rearrange import (
 )
 from renyi_rearrange.grids import half_cell_offset, require_same_grid
 from renyi_rearrange.levy import _K_CAP, _mixture, _poisson_pmf, _snap, auto_k_max
+from simd import pin
 
 
 def skewed_jump(cells=256, decay=2.0, span=3.0):
@@ -332,15 +334,6 @@ class TestDominance:
             assert abs(r2.rhs - r1.rhs - 36.0 * math.log(2.0)) <= 1e-9, r1.name
 
 
-def _simd_level():
-    """The x86-64 SIMD level numpy 2.4 dispatches to, or None elsewhere."""
-    if not np.__version__.startswith("2.4."):
-        return None
-    from numpy._core._multiarray_umath import __cpu_features__
-    return next((level for level in ("X86_V4", "X86_V3", "X86_V2")
-                 if __cpu_features__.get(level)), None)
-
-
 class TestLevyBytes:
     """The marginals and reports of the rate-30 laws of seeds 0 and 977
     (uniform-mixture, 512 cells, a = 1, t = 1), bit for bit.
@@ -349,7 +342,8 @@ class TestLevyBytes:
     complex product a * b can differ from b * a in the last bit), and the
     marginals differ at each of the three x86-64 levels.  So they are
     pinned for numpy 2.4 at each level, recorded by limiting numpy with
-    NPY_DISABLE_CPU_FEATURES, and the test is skipped elsewhere.
+    NPY_DISABLE_CPU_FEATURES (tests/simd.py), and the test is skipped
+    elsewhere.
     """
 
     ORDERS = (0.0, 0.5, 1.0, 2.0, math.inf)
@@ -410,47 +404,78 @@ class TestLevyBytes:
 
     @pytest.mark.parametrize("seed", (0, 977))
     def test_marginals_and_reports(self, seed):
-        key = (_simd_level(), seed)
-        if key not in self.PINS:
-            pytest.skip(f"no pins for numpy {np.__version__} at SIMD level {key[0]}")
+        x_sha, z_sha, sides = pin(self.PINS, seed)
         spec = LevySpec(a=1.0, rate=30.0, jump=_uniform_mixture(seed), t=1.0)
-        x_sha, z_sha, sides = self.PINS[key]
         assert self._sha256(marginal_density(spec)) == x_sha
         assert self._sha256(rearranged_marginal(spec)) == z_sha
         reports = check_levy_dominance(spec, self.ORDERS)
         assert [(r.lhs.hex(), r.rhs.hex()) for r in reports] == list(sides)
 
 
+def _traced_peak(call):
+    """The tracemalloc peak of call(), after one untraced call has warmed
+    imports, numpy's FFT plan cache and the other caches."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestWorkingSet:
+    """Peaks on the seed-0 rate-30 law, in B = 637,024 bytes, its Z_t's
+    values (79,628 cells, the hull of its support)."""
+
+    B = 637_024
+
     @staticmethod
-    def _peak(orders):
-        """The traced peak of check_levy_dominance on the seed-0 rate-30
-        law, and B, the bytes of its Z_t's values (79,628 cells, the hull
-        of its support; 4 B is 2.55 MB)."""
-        spec = LevySpec(a=1.0, rate=30.0, jump=_uniform_mixture(0), t=1.0)
-        check_levy_dominance(spec, orders)  # warm: imports and caches
-        b = rearranged_marginal(spec).values.nbytes
-        assert b == 637_024
-        tracemalloc.start()
-        try:
-            check_levy_dominance(spec, orders)
-            return tracemalloc.get_traced_memory()[1], b
-        finally:
-            tracemalloc.stop()
+    def _spec():
+        return LevySpec(a=1.0, rate=30.0, jump=_uniform_mixture(0), t=1.0)
+
+    def _check_peak(self, orders):
+        spec = self._spec()
+        assert rearranged_marginal(spec).values.nbytes == self.B
+        return _traced_peak(lambda: check_levy_dominance(spec, orders))
 
     def test_peak_of_a_dominance_check(self):
-        # one marginal alive at a time, and inside convolve_series the dx/2
-        # values plus at most four spectra half their size: about 3 B; both
-        # marginals alive at once read 5.56 B
-        peak, b = self._peak((0.0, 0.5, 1.0, 2.0, math.inf))
-        assert peak <= 4 * b
+        # one marginal alive at a time; the series sum's peak, its dx/2
+        # values beside its two inverse transforms, is the check's, 2.13 B
+        # (1.36 MB).  With the values allocated before the transforms it was
+        # 3.13 B, and with both marginals alive at once 5.56 B
+        assert self._check_peak((0.0, 0.5, 1.0, 2.0, math.inf)) <= 2.5 * self.B
 
     def test_peak_at_an_order_near_one(self):
-        # the expm1 sum's exact mass reads the values in place, and its
-        # terms take one scratch array; a copy of them as a list of Python
-        # floats took 4.56 B, and two temporaries for the terms 4.002 B
-        peak, b = self._peak((0.99999,))
-        assert peak <= 4 * b
+        # Z_t, its log and the product of the two for the mean of the log:
+        # 3.00 B.  A copy of the values as a list of Python floats took
+        # 4.56 B, two temporaries for the expm1 terms 4.002 B, and the log
+        # kept beside a power sum's scratch 3.07 B
+        assert self._check_peak((0.99999,)) <= 3.25 * self.B
+
+    def test_peak_of_the_series_sum(self, monkeypatch):
+        # convolve_series on the inputs of Z_t: the dx/2 output is allocated
+        # once both classes' inverse transforms (each half its size) are
+        # taken and every spectrum is freed, 2.03 times the output's bytes;
+        # allocated before the transforms, beside four of them, 3.03 times
+        calls = []
+        module = sys.modules["renyi_rearrange.levy"]
+        real = module.convolve_series
+        monkeypatch.setattr(module, "convolve_series",
+                            lambda *args: calls.append(args) or real(*args))
+        rearranged_marginal(self._spec())
+        (f, g, weights), = calls
+        out_bytes = real(f, g, weights).values.nbytes
+        assert out_bytes == self.B
+        assert _traced_peak(lambda: real(f, g, weights)) <= 2.25 * out_bytes
+
+    def test_peak_of_an_entropy_row(self):
+        # beside Z_t, one log-sized scratch array per order and the power
+        # sum's mask of maxima: 1.13 B; a log kept for every order beside
+        # each power sum's scratch took 2.13 B
+        z_t = rearranged_marginal(self._spec())
+        peak = _traced_peak(lambda: renyi_entropies(z_t, (0.0, 0.5, 1.0, 2.0, math.inf)))
+        assert peak <= 1.25 * self.B
 
 
 def fold_series(f, g, weights):
