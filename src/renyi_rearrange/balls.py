@@ -23,7 +23,9 @@ for theta >= 0 (I the regularized incomplete Beta function), with
 h(-theta) = B - h(theta); it is evaluated in log space, so log g stays
 exact where h itself underflows (h(pi/4) ~ 2^-2048 at n = 4096).  The
 cap and log g take arrays: one betainc call per array, and the continued
-fraction run elementwise on the part where betainc underflows.  The
+fraction run elementwise on the part where betainc underflows.  log g
+passes both balls' cap arguments to one such call, or, when the radii
+are equal and the arguments therefore the same, one ball's only.  The
 radial integral is composite Gauss-Legendre refined level by level, each
 level one array evaluation of the integrand at the nodes of every
 subinterval not yet accurate; an integral that cannot meet its tolerance
@@ -215,7 +217,9 @@ def _clamped_asin(arg: np.ndarray) -> np.ndarray:
 def _log_g(bp: BallPair, r: float | np.ndarray) -> float | np.ndarray:
     """log g(r), elementwise for an array r (a float for a scalar r);
     -inf outside the support.  The caps of both balls at every radius
-    inside the lens branch take one log_cap_integral call."""
+    inside the lens branch take one log_cap_integral call.  Equal radii
+    give both balls the same cap arguments, bit for bit, so their caps are
+    evaluated once, on the first ball's arguments, and serve both terms."""
     n, r1, r2 = bp.dim, bp.r1, bp.r2
     lo, hi = abs(r1 - r2), r1 + r2
     arr, r_flat = _flat(r)
@@ -224,11 +228,12 @@ def _log_g(bp: BallPair, r: float | np.ndarray) -> float | np.ndarray:
     lens = (r_flat > lo) & (r_flat < hi)
     if lens.any():
         s = r_flat[lens]
-        args = np.concatenate(((s * s - r2 * r2 + r1 * r1) / (2.0 * s * r1),
-                               (s * s - r1 * r1 + r2 * r2) / (2.0 * s * r2)))
+        args = (s * s - r2 * r2 + r1 * r1) / (2.0 * s * r1)
+        if r1 != r2:
+            args = np.concatenate((args, (s * s - r1 * r1 + r2 * r2) / (2.0 * s * r2)))
         caps = log_cap_integral(_clamped_asin(args), n)
         out[lens] = np.logaddexp(n * math.log(r1) + caps[:s.size],
-                                 n * math.log(r2) + caps[s.size:])
+                                 n * math.log(r2) + caps[-s.size:])
     return _shaped(out, arr)
 
 

@@ -79,7 +79,10 @@ def ratio_landscape(p: float, a_grid: list[tuple[float, float]],
     one pair, so an upper bound on the sharp constant.  The ratio is
     symmetric in (a1, a2), so each unordered pair is computed once, with
     the smaller scale as the first factor and the larger one resampled
-    onto its spacing, and a pair and its mirror get the same float.  Entropy powers of the factors are computed on
+    onto its spacing, and a pair and its mirror get the same float.  Each
+    distinct scale's density is built once and shared by its pairs; a
+    diagonal pair convolves that one density with itself, which takes
+    one forward transform.  Entropy powers of the factors are computed on
     their own exact grids.  A pair whose resampled grid would exceed
     MAX_CELLS is a BadParameter; entropy powers that leave the
     normal float range are a DensityOverflow.
@@ -96,6 +99,7 @@ def ratio_landscape(p: float, a_grid: list[tuple[float, float]],
                 f"more than MAX_CELLS = {MAX_CELLS}")
     base = generalized_gaussian(beta_of_p(p, 1), cells=cells)
     n_base = entropy_power(base, p)
+    scaled = {a: scale_density(base, a) for a in {a for pair in a_grid for a in pair}}
     ratios: dict[tuple[float, float], float] = {}
     out: list[LandscapePoint] = []
     for a1, a2 in a_grid:
@@ -107,8 +111,7 @@ def ratio_landscape(p: float, a_grid: list[tuple[float, float]],
                 raise DensityOverflow(
                     f"N_p(a1 Z1) + N_p(a2 Z2) is {den} at scales ({a1}, {a2}), "
                     "outside the normal float range")
-            small = scale_density(base, lo)
-            large = scale_density(base, hi)
+            small, large = scaled[lo], scaled[hi]
             if not same_spacing(small, large):
                 large = resample(large, small.dx)
             ratios[lo, hi] = entropy_power(convolve(small, large), p) / den

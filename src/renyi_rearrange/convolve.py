@@ -21,11 +21,14 @@ depend on where the factors are positive.
 Up to `FFT_THRESHOLD` output cells of the hull product the quadratic-time
 direct sum is used; larger products go through numpy's real FFT
 (`numpy.fft.rfft`/`irfft`) at the smallest 5-smooth length that holds the
-hull product.  Either result is then given its exact support: the sum set
-of the two factors' runs of positive cells, the run pair sums sorted and
-merged where they overlap or touch, or the runs of an FFT of the two
-indicators (a pair count, exact when rounded at 1/2) when the run pairs
-outnumber the output cells; when each hull is one run it is every cell.
+hull product.  The two zero-padded factors take one batched `rfft` call,
+whose rows are bitwise equal to separate calls, and a self-convolution
+(f convolved with itself) takes one transform and squares it.  Either
+result is then given its exact support: the sum set of the two factors'
+runs of positive cells, the run pair sums sorted and merged where they
+overlap or touch, or the runs of an FFT of the two indicators (a pair
+count, exact when rounded at 1/2) when the run pairs outnumber the
+output cells; when each hull is one run it is every cell.
 The gaps between its runs are zeroed slice by slice, with no full-length
 mask.  A cell on the support that the kernel left below the smallest
 normal float, `np.finfo(float).tiny`, gets that value: its true
@@ -86,8 +89,23 @@ def _fast_len(n: int) -> int:
 
 
 def _fft_conv(p: np.ndarray, q: np.ndarray, out_len: int) -> np.ndarray:
+    """The first out_len cells of the cyclic convolution of p and q at the
+    smallest 5-smooth length that holds them.  Both factors take one batched
+    rfft call, whose rows have the bits of separate calls, and the spectra
+    multiply as p's times q's; when q is p, one transform is squared."""
     n = _fast_len(out_len)
-    return np.fft.irfft(np.fft.rfft(p, n) * np.fft.rfft(q, n), n)[:out_len]
+    if q is p:
+        spec = np.fft.rfft(p, n)
+        prod = spec * spec
+    else:
+        pair = np.zeros((2, n))
+        pair[0, :p.size] = p
+        pair[1, :q.size] = q
+        spec = np.fft.rfft(pair)
+        del pair
+        prod = spec[0] * spec[1]
+    del spec
+    return np.fft.irfft(prod, n)[:out_len]
 
 
 def _place(buf: np.ndarray, values: np.ndarray, start: int) -> np.ndarray:
@@ -180,8 +198,9 @@ def convolve(f: Grid1D, g: Grid1D, method: str | None = None) -> Grid1D:
     (sf, ef), (sg, eg) = _runs(f.values), _runs(g.values)
     if sf.size and sg.size:
         a0, b0 = sf[0], sg[0]
-        w = _conv_weights(f.values[a0:ef[-1]] * dx, g.values[b0:eg[-1]] * dx,
-                          (sf - a0, ef - a0), (sg - b0, eg - b0), force=method)
+        p = f.values[a0:ef[-1]] * dx
+        q = p if g is f else g.values[b0:eg[-1]] * dx  # a self-convolution takes one transform
+        w = _conv_weights(p, q, (sf - a0, ef - a0), (sg - b0, eg - b0), force=method)
         np.divide(w, dx, out=vals[a0 + b0:a0 + b0 + w.size])
     return Grid1D(x0=f.x0 + g.x0 + 0.5 * dx, dx=dx, values=vals)
 

@@ -203,6 +203,27 @@ class TestBallSumRadial:
         assert np.isneginf(values[radii >= r1 + r2]).all()
         assert np.isfinite(values[radii < r1 + r2]).all()
 
+    @pytest.mark.parametrize("n", [1, 2, 512, 4096])
+    @pytest.mark.parametrize("r", [math.sqrt(0.5), 1.0])
+    def test_equal_radii_log_g_matches_two_ball_formula_bitwise(self, n, r, monkeypatch):
+        # the shared caps give the bits of both balls' caps computed in one
+        # call; the radii reach every branch, and from n = 512 on the
+        # continued fraction where betainc underflows
+        cf_sizes = []
+        log_beta_cf = balls._log_beta_cf
+
+        def recorded(a, b, x):
+            cf_sizes.append(x.size)
+            return log_beta_cf(a, b, x)
+
+        monkeypatch.setattr(balls, "_log_beta_cf", recorded)
+        bp = BallPair(n, r, r)
+        radii = np.concatenate((np.linspace(0.0, 2.2 * r, 157),
+                                [1e-300, 1e-8, r, np.nextafter(2.0 * r, 0.0), 2.0 * r]))
+        values = balls._log_g(bp, radii)
+        assert (n >= 512) == bool(cf_sizes)
+        assert [v.hex() for v in values] == [v.hex() for v in _two_ball_log_g(bp, radii)]
+
     def test_nan_radius_rejected(self):
         with pytest.raises(BadParameter, match="nonnegative"):
             ball_sum_log_radial(BallPair(3, 1.0, 0.5), math.nan)
@@ -213,6 +234,23 @@ class TestBallSumRadial:
         with pytest.raises(DensityOverflow, match="density of"):
             ball_sum_radial(bp, 0.0)
         assert ball_sum_radial(bp, 1.4) > 0.0
+
+
+def _two_ball_log_g(bp, r):
+    """log g at the radii r from both balls' caps, their cap arguments
+    concatenated into one log_cap_integral call."""
+    n, r1, r2 = bp.dim, bp.r1, bp.r2
+    lo, hi = abs(r1 - r2), r1 + r2
+    out = np.full(r.shape, -np.inf)
+    out[r <= lo] = n * math.log(min(r1, r2)) + balls.log_full_cap(n)
+    lens = (r > lo) & (r < hi)
+    s = r[lens]
+    args = np.concatenate(((s * s - r2 * r2 + r1 * r1) / (2.0 * s * r1),
+                           (s * s - r1 * r1 + r2 * r2) / (2.0 * s * r2)))
+    caps = log_cap_integral(balls._clamped_asin(args), n)
+    out[lens] = np.logaddexp(n * math.log(r1) + caps[:s.size],
+                             n * math.log(r2) + caps[s.size:])
+    return out
 
 
 class TestBallSumEntropy:
@@ -354,6 +392,25 @@ class TestEpiGap:
             epi_gap_balls(2, 0.0)
         with pytest.raises(BadParameter):
             epi_gap_balls(2, 1.0)
+
+    @pytest.mark.parametrize("m", [2, 64, 4096])
+    def test_equal_balls_pass_one_cap_angle_per_node(self, m, monkeypatch):
+        # equal radii share their caps, and every node is in the lens
+        nodes, angles = [], []
+        log_g, log_cap = balls._log_g, balls.log_cap_integral
+
+        def recorded_log_g(bp, r):
+            nodes.append(np.size(r))
+            return log_g(bp, r)
+
+        def recorded_cap(theta, n):
+            angles.append(np.size(theta))
+            return log_cap(theta, n)
+
+        monkeypatch.setattr(balls, "_log_g", recorded_log_g)
+        monkeypatch.setattr(balls, "log_cap_integral", recorded_cap)
+        epi_gap_balls(m, 0.5)
+        assert nodes and angles == nodes
 
 
 class TestBrunnMinkowski:

@@ -112,6 +112,14 @@ class TestRatioLandscape:
         # the smaller scale, with the finer spacing, is the first factor
         assert all(dx_f <= dx_g for dx_f, dx_g in calls)
 
+    def test_one_forward_transform_call_per_unordered_pair(self, fft_calls):
+        # 9 x 9 scales are 45 unordered pairs, each one FFT convolution; a
+        # pair takes one rfft call, a diagonal pair too (the same density
+        # as both factors)
+        scales = [float(a) for a in np.linspace(0.5, 2.0, 9)]
+        ratio_landscape(2.0, [(a1, a2) for a1 in scales for a2 in scales])
+        assert fft_calls == {"rfft": 45, "irfft": 45}
+
     def test_far_apart_scales_are_refused_before_resampling(self, monkeypatch):
         def no_resample(*args):
             raise AssertionError("resample ran for a refused pair")

@@ -122,6 +122,35 @@ class TestFftKernel:
         assert np.array_equal(h.values, expected)
         assert not h.values[~support].any()
 
+    @pytest.mark.parametrize("n", [2048, 4099, 8192])
+    def test_self_convolution_bitwise_equal_to_scipy(self, n):
+        # f with itself takes one transform, squared: the bits of two
+        # transforms of equal arrays multiplied
+        f, _ = _gapped_pair(n, n)
+        dx = f.dx
+        a0, a1 = _hull(f)
+        hull_w = fftconvolve(f.values[a0:a1] * dx, f.values[a0:a1] * dx)
+        w = np.zeros(2 * n - 1)
+        w[2 * a0:2 * a0 + hull_w.size] = hull_w
+        support = np.convolve(f.values > 0.0, f.values > 0.0)
+        expected = np.where(support, np.maximum(w, np.finfo(float).tiny), 0.0) / dx
+        assert np.array_equal(convolve(f, f, method="fft").values, expected)
+
+    def test_one_forward_transform_call_per_convolution(self, fft_calls):
+        # the two factors take one batched rfft call, f with itself one
+        # unbatched call; a gapped pair's indicator sum set takes one more
+        dx = 24.0 / 4096
+        f = gaussian_on_grid(0.0, 1.0, -12.0, dx, 4096)
+        g = gaussian_on_grid(0.5, 0.7, -12.0, dx, 4096)
+        for a, b in ((f, g), (f, f)):
+            fft_calls.clear()
+            convolve(a, b)
+            assert fft_calls == {"rfft": 1, "irfft": 1}
+        f, g = _gapped_pair(8192, 8192)
+        fft_calls.clear()
+        convolve(f, g)
+        assert fft_calls == {"rfft": 2, "irfft": 2}
+
     @pytest.mark.parametrize("method", ["direct", "fft"])
     @pytest.mark.parametrize("n, m", _SIZE_PAIRS)
     def test_support_is_the_indicator_sum_set(self, n, m, method):
