@@ -184,8 +184,7 @@ _ARGMIN_REL = 1e-9
 def _cmd_conjecture(args: argparse.Namespace) -> int:
     if args.landscape is None:
         value = c_constant(args.p)
-        half = c_constant(args.p, cells=4096) if not (
-            args.p == 1.0 or math.isinf(args.p)) else value
+        half = c_constant(args.p, cells=4096)
         _print_payload({
             "p": args.p,
             "c_constant": value,
@@ -206,7 +205,7 @@ def _cmd_conjecture(args: argparse.Namespace) -> int:
         raise DensityError("landscape needs 0 < a1min < a1max < inf and steps >= 2")
     scales = np.linspace(lo, hi, steps)
     grid = [(float(a1), float(a2)) for a1 in scales for a2 in scales]
-    points = ratio_landscape(args.p, grid, cells=2048)
+    points = ratio_landscape(args.p, grid)
     print("a1,a2,ratio")
     for pt in points:
         print(f"{pt.a1!r},{pt.a2!r},{pt.ratio!r}")

@@ -5,7 +5,9 @@ function takes them as a parameter, so each budget is set here and only
 here.  Identities that hold exactly for step densities (mass, level-set
 measures, Renyi entropies under rearrangement) get machine-precision
 budgets; anything that goes through a convolution inherits an O(dx) budget
-of ``EPS_CONV_FACTOR * dx * k`` for a k-fold convolution.
+for a k-fold convolution, which eps_conv computes.  The formula lives in
+eps_conv alone: no other module reads EPS_CONV_FACTOR, so a change to the
+convolution budget is an edit to that one function.
 """
 
 from __future__ import annotations
@@ -56,5 +58,6 @@ MAX_CELLS = 2**22         # cells a computed grid may have: a
 
 
 def eps_conv(dx: float, k: int) -> float:
-    """Entropy/integral tolerance after a k-fold convolution at spacing dx."""
+    """Entropy/integral tolerance after a k-fold convolution at spacing dx:
+    EPS_CONV_FACTOR * dx * k, with k below 1 read as 1."""
     return EPS_CONV_FACTOR * dx * max(int(k), 1)

@@ -24,7 +24,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .config import EPS_CONV_FACTOR, MAX_CELLS
+from .config import MAX_CELLS, eps_conv
 from .errors import BadParameter, DensityOverflow, OrderOutOfRange
 from .grids import same_spacing
 from .convolve import convolve, resample, scale_density
@@ -41,6 +41,10 @@ __all__ = [
 ]
 
 UPPER_BOUND_LABEL = "upper-bound"
+
+# the cells of the order-p maximizer that ratio_landscape scales into each
+# factor
+LANDSCAPE_CELLS = 2048
 
 
 def c_constant(p: float, cells: int = 8192) -> float:
@@ -69,14 +73,14 @@ class LandscapePoint:
     ratio: float
 
 
-def ratio_landscape(p: float, a_grid: list[tuple[float, float]],
-                    cells: int = 2048) -> list[LandscapePoint]:
+def ratio_landscape(p: float, a_grid: list[tuple[float, float]]) -> list[LandscapePoint]:
     """Ratio N_p(a1 Z1 + a2 Z2) / (N_p(a1 Z1) + N_p(a2 Z2)) over scale pairs.
 
-    Z1, Z2 are iid order-p maximizers.  On the diagonal a1 = a2 the ratio
-    equals C_{p,1}; scaling both arguments leaves it invariant, and
-    letting one scale vanish drives it to 1.  Each point is the ratio of
-    one pair, so an upper bound on the sharp constant.  The ratio is
+    Z1, Z2 are iid order-p maximizers, built on LANDSCAPE_CELLS cells
+    before scaling.  On the diagonal a1 = a2 the ratio equals C_{p,1};
+    scaling both arguments leaves it invariant, and letting one scale
+    vanish drives it to 1.  Each point is the ratio of one pair, so an
+    upper bound on the sharp constant.  The ratio is
     symmetric in (a1, a2), so each unordered pair is computed once, with
     the smaller scale as the first factor and the larger one resampled
     onto its spacing, and a pair and its mirror get the same float.  Each
@@ -92,12 +96,12 @@ def ratio_landscape(p: float, a_grid: list[tuple[float, float]],
     for a1, a2 in a_grid:
         if not (0.0 < a1 < math.inf and 0.0 < a2 < math.inf):
             raise BadParameter(f"scales must be positive and finite, got ({a1}, {a2})")
-        fine_cells = cells * (max(a1, a2) / min(a1, a2))
+        fine_cells = LANDSCAPE_CELLS * (max(a1, a2) / min(a1, a2))
         if fine_cells > MAX_CELLS:
             raise BadParameter(
                 f"scales ({a1}, {a2}) would resample onto {fine_cells:.0f} cells, "
                 f"more than MAX_CELLS = {MAX_CELLS}")
-    base = generalized_gaussian(beta_of_p(p, 1), cells=cells)
+    base = generalized_gaussian(beta_of_p(p, 1), cells=LANDSCAPE_CELLS)
     n_base = entropy_power(base, p)
     scaled = {a: scale_density(base, a) for a in {a for pair in a_grid for a in pair}}
     ratios: dict[tuple[float, float], float] = {}
@@ -136,9 +140,10 @@ def bobkov_chistyakov_bound_check(group: Group, p: float,
     """Check N_p(X1 + ... + Xk) >= c_p sum_i N_p(Xi) on the group's densities.
 
     This is the proven bound, so the report is a genuine verification
-    (no upper-bound label).  The tolerance scales like the entropy-power
-    image of the k-fold convolution budget.  h_p of the sum and of each
-    X_i come from the group's rows, so p is one of FACTOR_ORDERS.
+    (no upper-bound label).  The tolerance is the entropy-power image of
+    the k-fold convolution budget, 2 (lhs + rhs) eps_conv(dx, k), at least
+    1e-9.  h_p of the sum and of each X_i come from the group's rows, so p
+    is one of FACTOR_ORDERS.
     """
     k = len(group.fs)
     c_p = bobkov_constant(p)
@@ -147,8 +152,7 @@ def bobkov_chistyakov_bound_check(group: Group, p: float,
     # N_p = exp(2 h_p), as entropy_power computes it
     lhs = math.exp(2.0 * h_sum)
     rhs = c_p * sum(math.exp(2.0 * h) for h in h_each)
-    dx = group.fs[0].dx
-    tol = max(2.0 * (lhs + rhs) * EPS_CONV_FACTOR * dx * k, 1e-9)
+    tol = max(2.0 * (lhs + rhs) * eps_conv(group.fs[0].dx, k), 1e-9)
     label = order_label(p)
     return report_geq(f"bobkov_chistyakov[p={label}]",
                       lhs, rhs, tol,

@@ -63,7 +63,7 @@ import numpy as np
 
 from .config import MIXTURE_TOL, RENYI_NEAR_ONE_WIDTH
 from .convolve import convolve_k
-from .errors import BadParameter, DensityOverflow, OrderOutOfRange, WeightSum, ZeroMass
+from .errors import BadParameter, DensityOverflow, OrderOutOfRange, ZeroMass
 from .grids import Grid1D, require_same_grid
 from .rearrange import rearrange_1d
 from .reports import VerificationReport, report_leq
@@ -353,9 +353,10 @@ def fisher_information(f: Grid1D) -> float:
     return float(4.0 / f.dx * np.sum(np.diff(u, prepend=0.0, append=0.0) ** 2))
 
 
-def mixture_entropy_bound_check(group: Group, weights: Sequence[float],
+def mixture_entropy_bound_check(group: Group,
                                 seed: int | None = None) -> VerificationReport:
-    """Check h(sum_i c_i f_i) <= sum_i c_i h(f_i) + H(c) over the group's f_i.
+    """Check h(sum_i f_i / k) <= sum_i h(f_i) / k + log k over the group's k
+    densities f_i, mixed with equal weights 1/k (whose entropy is log k).
 
     All components must share a grid; both sides are exact sums, so the
     budget is the tight MIXTURE_TOL.  Equality holds when components have
@@ -363,23 +364,14 @@ def mixture_entropy_bound_check(group: Group, weights: Sequence[float],
     rows; only the mixture itself is a new density.
     """
     fs = group.fs
-    if len(fs) != len(weights):
-        raise WeightSum("need one weight per component")
-    w = np.asarray(weights, dtype=float)
-    if np.any(w < 0.0) or abs(w.sum() - 1.0) > 1e-9:
-        raise WeightSum(f"weights must be nonnegative and sum to 1, got sum {w.sum()}")
     base = fs[0]
     for c in fs[1:]:
         require_same_grid(base, c)
-    mix_vals = np.zeros(base.n_cells)
-    for wi, c in zip(w, fs):
-        mix_vals += wi * c.values
-    mix = Grid1D(base.x0, base.dx, mix_vals)
+    w = 1.0 / len(fs)
+    mix = Grid1D(base.x0, base.dx, sum(w * c.values for c in fs))
     lhs = renyi_entropy(mix, 1.0)
-    comp_term = sum(wi * row[1.0]
-                    for wi, row in zip(w, group.h_factors) if wi > 0.0)
-    weight_entropy = float(-np.sum(w[w > 0.0] * np.log(w[w > 0.0])))
-    rhs = comp_term + weight_entropy
+    weight_entropy = math.log(len(fs))
+    rhs = sum(w * row[1.0] for row in group.h_factors) + weight_entropy
     return report_leq("mixture_entropy_bound", lhs, rhs, MIXTURE_TOL,
                       params={"k": len(fs),
                               "weight_entropy": weight_entropy},

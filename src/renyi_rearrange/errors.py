@@ -50,10 +50,6 @@ class NotIndicator(DensityError):
     """Input must be a normalized indicator (single positive level)."""
 
 
-class WeightSum(DensityError):
-    """Mixture weights must be nonnegative and sum to one."""
-
-
 class TruncationInsufficient(DensityError):
     """Truncated series does not meet the requested tail tolerance."""
 

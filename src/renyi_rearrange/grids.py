@@ -282,10 +282,7 @@ def random_density(spec: DensityGeneratorSpec) -> Grid1D:
                 inside[np.argmin(np.abs(mids - center))] = True
             vals[inside] += wt / (inside.sum() * dx)
 
-    total = vals.sum() * dx
-    if not (total > 0.0):
-        raise ZeroMass("generator produced an empty density")
-    return Grid1D(x0=-hw, dx=dx, values=vals / total)
+    return normalize(Grid1D(x0=-hw, dx=dx, values=vals))
 
 
 # ---------------------------------------------------------------------------

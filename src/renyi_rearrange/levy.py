@@ -57,7 +57,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import EPS_CONV_FACTOR, MAX_CELLS, SERIES_TOL
+from .config import MAX_CELLS, SERIES_TOL, eps_conv
 from .errors import BadParameter, TruncationInsufficient
 from .grids import Grid1D, half_cell_offset, is_symmetric_decreasing, normalize, refine
 from .convolve import convolve_series, project_onto
@@ -179,28 +179,25 @@ def rearranged_marginal(spec: LevySpec) -> Grid1D:
     """Marginal of the comparison process with rearranged jump law.
 
     The diffusion part is already symmetric decreasing and is kept as
-    is; the jump density is rearranged after snapping, except that an
-    already symmetric-decreasing jump is used unchanged so the
-    comparison process coincides with the original bit for bit.
+    is; the jump density is rearranged after snapping.  When there are no
+    jumps (rate 0) or the jump law is already symmetric decreasing, the
+    comparison process is the process itself, and its marginal is
+    marginal_density(spec), bit for bit.
     """
-    if spec.rate == 0.0:
-        return _mixture(spec, None)
-    if is_symmetric_decreasing(spec.jump):
-        jump_star = spec.jump
-    else:
-        jump_star = rearrange_1d(_snap(spec.jump))
-    return _mixture(spec, jump_star)
+    if spec.rate == 0.0 or is_symmetric_decreasing(spec.jump):
+        return marginal_density(spec)
+    return _mixture(spec, rearrange_1d(_snap(spec.jump)))
 
 
 def check_levy_dominance(spec: LevySpec,
                          orders: Sequence[float]) -> list[VerificationReport]:
     """Reports h_p(X_t) >= h_p(Z_t) for each requested order.
 
-    The tolerance budget scales with the series depth k_max =
-    auto_k_max(lambda t): every term of the truncated mixture is a
-    (k+1)-fold convolution at the working spacing.  One marginal is alive
-    at a time: Z_t is built, read once at every order by renyi_entropies
-    and dropped, then X_t likewise.
+    The tolerance is eps_conv(dx, k_max + 1), dx the coarser of the two
+    marginals' spacings and k_max = auto_k_max(lambda t): every term of
+    the truncated mixture is at most a (k_max + 1)-fold convolution.  One
+    marginal is alive at a time: Z_t is built, read once at every order
+    by renyi_entropies and dropped, then X_t likewise.
     """
     k_max = auto_k_max(spec.rate * spec.t)
     z_t = rearranged_marginal(spec)
@@ -209,7 +206,7 @@ def check_levy_dominance(spec: LevySpec,
     del z_t
     x_t = marginal_density(spec)
     lhs_row = renyi_entropies(x_t, orders)
-    tol = EPS_CONV_FACTOR * max(x_t.dx, z_dx) * (k_max + 1)
+    tol = eps_conv(max(x_t.dx, z_dx), k_max + 1)
     out = []
     for p, lhs, rhs in zip(orders, lhs_row, rhs_row):
         label = order_label(p)

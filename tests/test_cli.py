@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -20,6 +21,7 @@ from renyi_rearrange import (
     write_density_csv,
 )
 from renyi_rearrange.reports import report_records
+from simd import pin
 
 
 @pytest.fixture
@@ -255,13 +257,12 @@ class TestConjectureCommand:
 
 class TestVerifyCommand:
     def test_json_output_is_deterministic(self, tmp_path, capsys):
-        paths = [str(tmp_path / "a.json"), str(tmp_path / "b.json")]
+        paths = [tmp_path / "a.json", tmp_path / "b.json"]
         for path in paths:
             rc = cli.main(["verify", "--suite", "divergence", "--seed", "9",
-                           "--count", "8", "--cells", "256", "--json", path])
+                           "--count", "8", "--cells", "256", "--json", str(path)])
             assert rc == 0
-        first = open(paths[0], "rb").read()
-        second = open(paths[1], "rb").read()
+        first, second = (path.read_bytes() for path in paths)
         assert first == second
         payload = json.loads(first)
         assert payload["summary"]["failed"] == 0
@@ -287,6 +288,31 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
+
+
+class TestVerifyBytes:
+    """The sha256 of the JSON document of a small verify run, which holds
+    the lhs, rhs and tolerance of a report of every family.
+
+    The bits depend on the SIMD kernels numpy dispatches to, so the
+    digest is pinned for numpy 2.4 at each x86-64 level, recorded by
+    limiting numpy with NPY_DISABLE_CPU_FEATURES (tests/simd.py), and the
+    test is skipped elsewhere.
+    """
+
+    PINS = {
+        ("X86_V4",): "09d69d6d55a1279db87c773b9020fb163352b5aaa2bee37ee7d011c2070b798a",
+        ("X86_V3",): "a4ba94bac1ddd77edfc60fce7c6f8b13e774d1cde0a90caf0bc895307df27b43",
+        ("X86_V2",): "b76550e66664978514162fc45ef61943c8aa8790d3c5dacff20c66afb35296b8",
+    }
+
+    def test_document_digest(self, tmp_path):
+        digest = pin(self.PINS)
+        path = tmp_path / "verify.json"
+        rc = cli.main(["verify", "--suite", "all", "--seed", "0", "--count", "8",
+                       "--cells", "256", "--json", str(path)])
+        assert rc == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 class TestLevyCommand:

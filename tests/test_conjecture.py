@@ -78,19 +78,18 @@ class TestBobkovConstant:
 
 class TestRatioLandscape:
     def test_scale_invariant_on_diagonal(self):
-        points = ratio_landscape(2.0, [(0.5, 0.5), (1.0, 1.0), (2.0, 2.0)],
-                                 cells=1024)
+        points = ratio_landscape(2.0, [(0.5, 0.5), (1.0, 1.0), (2.0, 2.0)])
         ratios = [pt.ratio for pt in points]
         assert max(ratios) - min(ratios) < 1e-6
 
     def test_symmetric_in_scales(self):
-        a, b = ratio_landscape(2.0, [(0.8, 1.3), (1.3, 0.8)], cells=512)
+        a, b = ratio_landscape(2.0, [(0.8, 1.3), (1.3, 0.8)])
         assert a.ratio == b.ratio
 
     def test_mirrored_pairs_get_the_same_float(self):
         scales = [float(a) for a in np.linspace(0.3, 3.0, 12)]
         grid = [(a1, a2) for a1 in scales for a2 in scales]
-        points = ratio_landscape(3.5, grid, cells=2048)
+        points = ratio_landscape(3.5, grid)
         ratio = {(pt.a1, pt.a2): pt.ratio for pt in points}
         assert [(pt.a1, pt.a2) for pt in points] == grid
         assert all(ratio[a1, a2] == ratio[a2, a1] for a1, a2 in grid)
@@ -106,8 +105,7 @@ class TestRatioLandscape:
 
         monkeypatch.setattr(conjecture, "convolve", counting)
         scales = [0.5 + 0.25 * i for i in range(k)]
-        ratio_landscape(2.0, [(a1, a2) for a1 in scales for a2 in scales],
-                        cells=256)
+        ratio_landscape(2.0, [(a1, a2) for a1 in scales for a2 in scales])
         assert len(calls) == k * (k + 1) // 2
         # the smaller scale, with the finer spacing, is the first factor
         assert all(dx_f <= dx_g for dx_f, dx_g in calls)
@@ -128,10 +126,10 @@ class TestRatioLandscape:
         # 2048 * 1e6 cells would be 16 GB of float64
         with pytest.raises(BadParameter, match=r"\(1e-06, 1.0\) would resample "
                                                r"onto 2048000000 cells"):
-            ratio_landscape(2.0, [(1.0, 1.0), (1e-6, 1.0)], cells=2048)
+            ratio_landscape(2.0, [(1.0, 1.0), (1e-6, 1.0)])
         # a scale ratio past the float range is refused too
         with pytest.raises(BadParameter, match="onto inf cells"):
-            ratio_landscape(2.0, [(1.0, 5e-324)], cells=2048)
+            ratio_landscape(2.0, [(1.0, 5e-324)])
 
     def test_cell_bound_admits_a_thousandfold_ratio(self, monkeypatch):
         class Reached(Exception):
@@ -142,26 +140,26 @@ class TestRatioLandscape:
 
         monkeypatch.setattr(conjecture, "resample", stop)
         with pytest.raises(Reached, match="^2048000$"):
-            ratio_landscape(2.0, [(0.001, 1.0)], cells=2048)
+            ratio_landscape(2.0, [(0.001, 1.0)])
 
     @pytest.mark.parametrize("scale", [1e154, 1e-155])
     def test_entropy_powers_outside_the_float_range(self, scale):
         with pytest.raises(DensityOverflow, match="outside the normal float range"):
-            ratio_landscape(2.0, [(scale, 2.0 * scale)], cells=256)
+            ratio_landscape(2.0, [(scale, 2.0 * scale)])
 
     @pytest.mark.parametrize("pair", [(0.0, 1.0), (1.0, -1.0), (math.inf, 1.0),
                                       (1.0, math.nan)])
     def test_rejects_bad_scales(self, pair):
         with pytest.raises(BadParameter, match="positive and finite"):
-            ratio_landscape(2.0, [(1.0, 1.0), pair], cells=256)
+            ratio_landscape(2.0, [(1.0, 1.0), pair])
 
     def test_degenerate_scale_tends_to_one(self):
         # one vanishing summand: N_p(a1 Z + a2 Z') -> a1^2 N_p(Z)
-        (pt,) = ratio_landscape(2.0, [(1.0, 1e-3)], cells=256)
+        (pt,) = ratio_landscape(2.0, [(1.0, 1e-3)])
         assert pt.ratio == pytest.approx(1.0, abs=5e-3)
 
     def test_diagonal_matches_constant(self):
-        (pt,) = ratio_landscape(2.0, [(1.0, 1.0)], cells=2048)
+        (pt,) = ratio_landscape(2.0, [(1.0, 1.0)])
         assert pt.ratio == pytest.approx(c_constant(2.0), abs=2e-4)
 
     def test_rejects_special_orders(self):

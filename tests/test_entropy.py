@@ -15,7 +15,6 @@ from renyi_rearrange import (
     GridMismatch,
     Group,
     OrderOutOfRange,
-    WeightSum,
     ZeroMass,
     entropy_power,
     fisher_information,
@@ -652,7 +651,7 @@ class TestFisherInformation:
 
 class TestMixtureBound:
     def test_disjoint_supports_attain_equality(self):
-        # h(mix) = sum w_i h_i + H(w) exactly when supports are disjoint;
+        # h(mix) = sum h_i / 2 + log 2 exactly when supports are disjoint;
         # both components live on one shared grid over [0, 4]
         dx = 4.0 / 256
         a = np.zeros(256)
@@ -661,14 +660,7 @@ class TestMixtureBound:
         b[128:192] = 1.0  # uniform on [2, 3]
         f = make_grid(0.0, dx, a)
         g = make_grid(0.0, dx, b)
-        rep = mixture_entropy_bound_check(Group((f, g)), [0.5, 0.5])
+        rep = mixture_entropy_bound_check(Group((f, g)))
         assert rep.passed
         assert rep.margin == pytest.approx(0.0, abs=1e-12)
         assert rep.lhs == pytest.approx(math.log(2.0), abs=1e-12)
-
-    def test_weight_validation(self):
-        f = uniform_interval(0.0, 1.0, cells=16)
-        with pytest.raises(WeightSum):
-            mixture_entropy_bound_check(Group((f, f)), [0.7, 0.7])
-        with pytest.raises(WeightSum):
-            mixture_entropy_bound_check(Group((f, f)), [1.5, -0.5])

@@ -36,6 +36,7 @@ from renyi_rearrange import (
     run_suite,
     summarize,
 )
+import renyi_rearrange.config as config_module
 from renyi_rearrange import cli, verifier
 from renyi_rearrange.convolve import convolve_k
 from renyi_rearrange.entropy import FACTOR_ORDERS, ORDERS
@@ -369,6 +370,27 @@ class TestRunSuite:
         dx = 2.0 * HALFWIDTH / config.cells
         assert min(margins) >= -eps_conv(dx, 3)
 
+    # the reports whose budget is a convolution budget, by name prefix
+    _CONV_BUDGETED = ("main_theorem[", "rbll[k=2]", "rbll[k=3]", "most_gen[",
+                      "majorized_convolution[", "epi_chain", "bobkov_chistyakov[",
+                      "levy_dominance[p=")
+
+    def test_every_convolution_budget_reads_eps_conv(self, monkeypatch):
+        # the budget of a convolution is config.eps_conv's formula and no
+        # other: doubling EPS_CONV_FACTOR doubles exactly those tolerances
+        # (a factor of 2 scales a float exactly) and leaves every other one
+        config = SuiteConfig(pairs=4, cells=64)
+        before = run_suite(config)
+        monkeypatch.setattr(config_module, "EPS_CONV_FACTOR", 2.0 * config_module.EPS_CONV_FACTOR)
+        after = run_suite(config)
+        assert [r.name for r in after] == [r.name for r in before]
+        for prefix in self._CONV_BUDGETED:
+            assert any(r.name.startswith(prefix) for r in before), prefix
+        missed = [r.name for r, s in zip(before, after)
+                  if s.tolerance != (2.0 if r.name.startswith(self._CONV_BUDGETED) else 1.0)
+                  * r.tolerance]
+        assert missed == []
+
     def test_main_suite_reports_carry_seed(self):
         # every check of the main suite runs on a seeded corpus group, so
         # every report must be traceable back to its group
@@ -662,7 +684,7 @@ def _group_checks(group):
     reports += [check_most_gen(group, integrand) for integrand in _INTEGRANDS]
     reports.append(check_majorized_convolution(group))
     reports += [bobkov_chistyakov_bound_check(group, p) for p in FACTOR_ORDERS]
-    reports.append(mixture_entropy_bound_check(group, [1.0 / k] * k))
+    reports.append(mixture_entropy_bound_check(group))
     if k == 2:
         reports.append(check_epi_chain(group))
     return _records(reports)
@@ -728,7 +750,7 @@ _CONV_CHECKS = [
     *[(f"bobkov_chistyakov[p={p:g}]", ("convs", "rows"),
        lambda group, p=p: bobkov_chistyakov_bound_check(group, p)) for p in FACTOR_ORDERS],
     ("mixture_entropy_bound", ("rows",),
-     lambda group: mixture_entropy_bound_check(group, [1.0 / len(group.fs)] * len(group.fs))),
+     mixture_entropy_bound_check),
 ]
 
 
