@@ -36,7 +36,8 @@ value is positive, but below FFT resolution or, on the direct path, a sum
 of products below the float range.  Both paths thus give the same
 support, and the threshold is a speed choice only.
 
-:func:`convolve_series` sums sum_k w_k f * g^(*k) in five real transforms
+:func:`convolve_series`, the Poisson series sum of :mod:`levy` and not
+exported, sums sum_k w_k f * g^(*k) in five real transforms
 on whole cells, each about half as long as its dx/2 output (four when the
 terms step by a whole number of cells).  The terms start k(g.x0 + dx/2)
 apart, a whole number of half cells when g's first midpoint sits on a
@@ -62,9 +63,7 @@ from .config import FFT_THRESHOLD, MAX_CELLS
 from .errors import BadParameter, NonPositiveSpacing, SpacingMismatch
 from .grids import Grid1D, half_cell_offset, same_spacing
 
-__all__ = [
-    "convolve", "convolve_series", "convolve_k", "scale_density", "resample", "project_onto",
-]
+__all__ = ["convolve", "convolve_k", "scale_density", "resample", "project_onto"]
 
 _TINY = np.finfo(float).tiny
 
@@ -136,9 +135,7 @@ def _mark(starts: np.ndarray, ends: np.ndarray, n: int) -> np.ndarray:
 
 def _merge(starts: np.ndarray, ends: np.ndarray) -> Runs:
     """The union of the intervals [starts, ends) as sorted runs, merged
-    where they overlap or touch."""
-    if starts.size == 0:
-        return starts, ends
+    where they overlap or touch; at least one interval."""
     order = np.argsort(starts, kind="stable")
     starts = starts[order]
     reach = np.maximum.accumulate(ends[order])
@@ -208,6 +205,10 @@ def convolve(f: Grid1D, g: Grid1D, method: str | None = None) -> Grid1D:
 def convolve_series(f: Grid1D, g: Grid1D, weights: Sequence[float]) -> Grid1D:
     """sum_k weights[k] * (f * g^(*k)), k = 0 .. len(weights) - 1, at dx/2.
 
+    Its one caller, :mod:`levy`, passes the Gaussian window as f, the
+    jump law's hull as g on f's spacing, and at least two Poisson weights,
+    each positive; nothing else is checked.
+
     Term k is the k-fold :func:`convolve` of f with g; its first cell sits
     k*h half cells from f's, h = 2 (g.x0 + dx/2) / dx, and each of its
     values covers two half cells of the dx/2 refinement.  With h = 2a + r,
@@ -230,24 +231,16 @@ def convolve_series(f: Grid1D, g: Grid1D, weights: Sequence[float]) -> Grid1D:
     the series and the odd inverse, or the series and both inverses),
     then the output beside the two inverses: about 2 times the output's
     bytes.  The result spans the union of the terms' grids.  It
-    is zero off the union of the supports of the terms of positive weight
-    and at least the smallest normal float on it, as in :func:`convolve`
-    (the terms' runs merged, the gaps zeroed by slices, no difference
-    array).  One weight gives refine(f, 2) times that weight, with no
-    transform.
+    is zero off the union of the terms' supports and at least the smallest
+    normal float on it, as in :func:`convolve` (the terms' runs merged,
+    the gaps zeroed by slices, no difference array).
 
-    Raises SpacingMismatch as :func:`convolve` does, and BadParameter when
-    2 g.x0 / dx is not an integer, unless the weights are nonnegative and
-    one of them is positive, or, before anything is allocated, when the
-    output would have more than MAX_CELLS half cells.
+    Raises BadParameter when g's first midpoint is not a multiple of dx/2
+    (2 g.x0 / dx not an integer), the lattice levy snaps its jump law onto,
+    and, before anything is allocated, when the output would have more
+    than MAX_CELLS half cells, as for a jump law far from the origin.
     """
-    if not same_spacing(f, g):
-        raise SpacingMismatch(f"dx mismatch: {f.dx} vs {g.dx}")
-    if len(weights) == 0 or min(weights) < 0.0 or not max(weights) > 0.0:
-        raise BadParameter("convolve_series needs nonnegative weights, one of them positive")
     dx = f.dx
-    if len(weights) == 1:
-        return Grid1D(x0=f.x0, dx=0.5 * dx, values=np.repeat(f.values, 2) * weights[0])
     half_cells = half_cell_offset(g)
     if half_cells is None:
         raise BadParameter(f"second factor starts at x0={g.x0}, not a multiple of dx/2")
@@ -259,24 +252,22 @@ def convolve_series(f: Grid1D, g: Grid1D, weights: Sequence[float]) -> Grid1D:
         raise BadParameter(f"the series spans {n_out} half cells, "
                            f"more than MAX_CELLS = {MAX_CELLS}")
 
-    # the runs of term k, in half cells of the output, for each k of positive weight
+    # the runs of term k, in half cells of the output
     runs, runs_g, k = _runs(f.values), _runs(g.values), 0
-    (sg, eg), positive = runs_g, np.asarray(weights) > 0.0
-    # a zero g leaves every term past the first empty, never one run
-    widest_gap = np.max(sg[1:] - eg[:-1], initial=0) if sg.size else math.inf
+    sg, eg = runs_g
+    widest_gap = np.max(sg[1:] - eg[:-1], initial=0)
     starts, ends = [], []
     while runs[0].size != 1 or runs[1][0] - runs[0][0] <= widest_gap:
-        if positive[k]:
-            starts.append(k * h - lo + 2 * runs[0])
-            ends.append(k * h - lo + 2 * runs[1])
+        starts.append(k * h - lo + 2 * runs[0])
+        ends.append(k * h - lo + 2 * runs[1])
         if k == k_max:
             break
         runs = _sum_runs(runs, runs_g, n_f + k * (n_g - 1), n_g)
         k += 1
     else:  # one run wider than every gap of g: so is each later term, one hull wider
         j = np.arange(k_max + 1 - k)
-        starts.append(((k + j) * h - lo + 2 * (runs[0] + j * sg[0]))[positive[k:]])
-        ends.append(((k + j) * h - lo + 2 * (runs[1] + j * (eg[-1] - 1)))[positive[k:]])
+        starts.append((k + j) * h - lo + 2 * (runs[0] + j * sg[0]))
+        ends.append((k + j) * h - lo + 2 * (runs[1] + j * (eg[-1] - 1)))
 
     a, r = divmod(h, 2)
     n = _fast_len(n_out // 2 + 2)

@@ -13,14 +13,16 @@ rearrangement f*; its marginal dominates in every Renyi entropy.
 Numerically the series is truncated at auto_k_max(lambda t), the first
 term k >= lambda t past which a geometric bound on the Poisson tail,
 pmf(k+1) / (1 - lambda t/(k+2)), drops below SERIES_TOL, and
-renormalized; no caller chooses the truncation.  The Gaussian has its
+renormalized; no caller chooses the truncation.  At lambda t = 0, a zero
+rate or a product that underflows, there are no jumps, and both
+marginals are the Gaussian alone on its own grid.  The Gaussian has its
 midpoints at integer multiples of the jump law's spacing dx, and a jump
 law whose first midpoint is not at a multiple of dx/2 is first
 projected onto the nearest grid where it is.  Only the jump law's hull,
 its cells from the first positive one to the last, enters the series, so
 the marginal spans its support's hull with no zero margins (at seed 0 the
-rate-30 Z_t has 79,628 cells, where the whole rearranged law gave 137,088,
-57,460 of them exactly 0).  The truncated sum is then one call of
+rate-30 Z_t has 79,628 cells).  The truncated sum, its terms 0 to
+k_max >= 1 each of positive Poisson weight, is then one call of
 :func:`convolve.convolve_series`, which sums the terms of even and of odd
 k apart, each class as a power series in the spectrum of the twice-folded
 jump law on whole cells, in five real transforms about half as long as
@@ -140,19 +142,20 @@ def _snap(f: Grid1D) -> Grid1D:
     return Grid1D(x0=f.x0 + first * f.dx, dx=f.dx, values=f.values[first:end])
 
 
-def _mixture(spec: LevySpec, jump: Grid1D | None, k: int | None = None) -> Grid1D:
-    """The Poisson mixture on jump's spacing, its terms 0 to k (by default
-    auto_k_max(lambda t)), renormalized; jump None gives the refined
-    Gaussian alone.  A sqrt(a t) that is not positive and finite, or a
-    Gaussian window of more than MAX_CELLS cells, is a BadParameter, raised
-    before anything is allocated."""
+def _mixture(spec: LevySpec, jump: Grid1D) -> Grid1D:
+    """The Poisson mixture with jump law jump, its terms 0 to
+    auto_k_max(lambda t), on the dx/2 refinement of jump's spacing,
+    renormalized.  At lambda t = 0, a zero rate or a product that
+    underflows, there are no jumps: the mixture is the Gaussian alone,
+    refined from spacing 16 sqrt(a t) / 1024.  A sqrt(a t) that is not
+    positive and finite, or a Gaussian window of more than MAX_CELLS cells,
+    is a BadParameter, raised before anything is allocated."""
     mu = spec.rate * spec.t
-    if k is None:
-        k = auto_k_max(mu)
+    k = auto_k_max(mu)
     sigma = math.sqrt(spec.a * spec.t)
     if not (0.0 < sigma < math.inf):
         raise BadParameter(f"diffusion sqrt(a t) must be positive and finite, got {sigma}")
-    dx = jump.dx if jump is not None else 16.0 * sigma / 1024
+    dx = jump.dx if mu > 0.0 else 16.0 * sigma / 1024
     span = 8.0 * sigma / dx
     if not span <= (MAX_CELLS - 1) // 2:
         raise BadParameter(
@@ -160,7 +163,7 @@ def _mixture(spec: LevySpec, jump: Grid1D | None, k: int | None = None) -> Grid1
             f"spacing {dx:.6g} takes more than MAX_CELLS = {MAX_CELLS} cells")
     reach = max(4, int(math.ceil(span)))
     gauss = gaussian_on_grid(0.0, sigma, -(reach + 0.5) * dx, dx, 2 * reach + 1)
-    if jump is None:
+    if mu == 0.0:
         return normalize(refine(gauss, 2))
     weights = [_poisson_pmf(j, mu) for j in range(k + 1)]
     return normalize(convolve_series(gauss, _snap(jump), weights))
@@ -172,19 +175,19 @@ def marginal_density(spec: LevySpec) -> Grid1D:
     The series is cut at auto_k_max(lambda t), the smallest truncation
     meeting SERIES_TOL (at most 200), and renormalized to unit mass.
     """
-    return _mixture(spec, spec.jump if spec.rate > 0.0 else None)
+    return _mixture(spec, spec.jump)
 
 
 def rearranged_marginal(spec: LevySpec) -> Grid1D:
     """Marginal of the comparison process with rearranged jump law.
 
     The diffusion part is already symmetric decreasing and is kept as
-    is; the jump density is rearranged after snapping.  When there are no
-    jumps (rate 0) or the jump law is already symmetric decreasing, the
-    comparison process is the process itself, and its marginal is
-    marginal_density(spec), bit for bit.
+    is; the jump density is rearranged after snapping.  When the jump law
+    is already symmetric decreasing, the comparison process is the process
+    itself, and its marginal is marginal_density(spec), bit for bit; at
+    lambda t = 0 both are the Gaussian alone.
     """
-    if spec.rate == 0.0 or is_symmetric_decreasing(spec.jump):
+    if is_symmetric_decreasing(spec.jump):
         return marginal_density(spec)
     return _mixture(spec, rearrange_1d(_snap(spec.jump)))
 

@@ -374,6 +374,22 @@ class TestLevyCommand:
         assert captured.out == ""
         assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
 
+    def test_underflowing_mean_prints_the_zero_rate(self, tmp_path, capsys):
+        # lambda t = 1e-200 * 1e-200 underflows to 0: no jumps, so levy
+        # prints the rate-0 lines.  An empty series summed on the jump law's
+        # grid reads h_1(X_t) = -4.158883 and h_1(Z_t) = -4.852030
+        jump = tmp_path / "jump.csv"
+        write_density_csv(random_density(DensityGeneratorSpec(
+            kind="uniform-mixture", seed=977, cells=512)), str(jump))
+        outs = []
+        for rate in ("1e-200", "0"):
+            rc = cli.main(["levy", "--a", "1", "--lambda", rate, "--t", "1e-200",
+                           "--jumps", str(jump), "--orders", "0,0.5,1,2,inf"])
+            assert rc == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert "h_p(X_t)=-228.839571 h_p(Z_t)=-228.839571 margin=0.00e+00" in outs[0]
+
     def test_no_orders_is_usage_error(self, uniform_csv, capsys):
         rc = cli.main(["levy", "--a", "1.0", "--lambda", "0.5", "--t", "1.0",
                        "--jumps", uniform_csv, "--orders", ","])

@@ -294,7 +294,6 @@ _BUILDERS = {
     "random_density": lambda mp: _uneven(),
     "convolve-direct": lambda mp: convolve(_uneven(), _uneven(seed=6), method="direct"),
     "convolve-fft": lambda mp: convolve(_uneven(), _uneven(seed=6), method="fft"),
-    "convolve_series-one": lambda mp: convolve_series(_uneven(), _uneven(seed=6), [0.5]),
     "convolve_series-many": lambda mp: convolve_series(_uneven(), _uneven(seed=6),
                                                        [0.5, 0.3, 0.2]),
     "rearrange_1d": lambda mp: rearrange_1d(_uneven()),

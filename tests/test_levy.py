@@ -11,11 +11,9 @@ from renyi_rearrange import (
     DensityGeneratorSpec,
     Grid1D,
     LevySpec,
-    SpacingMismatch,
     TruncationInsufficient,
     check_levy_dominance,
     convolve,
-    convolve_series,
     gaussian_on_grid,
     is_symmetric_decreasing,
     make_grid,
@@ -33,8 +31,9 @@ from renyi_rearrange import (
     uniform_interval,
     variance,
 )
-from renyi_rearrange.grids import half_cell_offset, require_same_grid
-from renyi_rearrange.levy import _K_CAP, _mixture, _poisson_pmf, _snap, auto_k_max
+from renyi_rearrange.convolve import convolve_series
+from renyi_rearrange.grids import half_cell_offset, require_same_grid, same_spacing
+from renyi_rearrange.levy import _K_CAP, _poisson_pmf, _snap, auto_k_max
 from simd import pin
 
 
@@ -76,6 +75,11 @@ def run_sum_set(f, jump, k_max, a):
         term = np.minimum(np.convolve(term, jump.values > 0.0), 1)
         x0 += jump.x0 + dx / 2
     return expected
+
+
+def _cut_at(monkeypatch, k_max):
+    """levy's marginals summed to term k_max, in place of auto_k_max's."""
+    monkeypatch.setattr(sys.modules["renyi_rearrange.levy"], "auto_k_max", lambda mu: k_max)
 
 
 def _count_run_sums(monkeypatch):
@@ -235,14 +239,15 @@ class TestMarginal:
         k_max = auto_k_max(spec.rate * spec.t)
         assert np.array_equal(f.values > 0.0, hull_sum_set(f, jump, k_max))
 
-    def test_support_keeps_terms_with_tiny_weights(self):
+    def test_support_keeps_terms_with_tiny_weights(self, monkeypatch):
         # at k = 40 the last Poisson(5) weights are below 1e-20: a
         # floor-valued tail cell times such a weight underflows to 0, and
         # summing weighted terms lost 828 of the 39890 support cells
         jump = random_density(DensityGeneratorSpec(kind="uniform-mixture",
                                                    seed=0, cells=512))
         spec = LevySpec(a=1.0, rate=5.0, jump=jump, t=1.0)
-        f = _mixture(spec, jump, 40)
+        _cut_at(monkeypatch, 40)
+        f = marginal_density(spec)
         assert np.array_equal(f.values > 0.0, hull_sum_set(f, jump, 40))
 
     def test_support_with_gaps_wider_than_the_window(self, monkeypatch):
@@ -313,6 +318,21 @@ class TestDominance:
         reports = check_levy_dominance(spec, [1.0])
         assert reports[0].passed
         assert reports[0].margin == pytest.approx(0.0, abs=1e-12)
+
+    def test_underflowing_mean_is_the_zero_rate(self):
+        # lambda t = 1e-200 * 1e-200 is 0.0: no jumps, so both marginals are
+        # the rate-0 Gaussian on its own grid.  An empty series summed on the
+        # jump law's grid reads h_1(X_t) = -4.158883 and h_1(Z_t) = -4.852030
+        jump = _uniform_mixture(977)
+        tiny = LevySpec(a=1.0, rate=1e-200, jump=jump, t=1e-200)
+        zero = LevySpec(a=1.0, rate=0.0, jump=jump, t=1e-200)
+        assert tiny.rate * tiny.t == 0.0
+        for name, marginal in MARGINALS:
+            f, g = marginal(tiny), marginal(zero)
+            assert (f.x0, f.dx) == (g.x0, g.dx), name
+            assert np.array_equal(f.values, g.values), name
+        reports = check_levy_dominance(tiny, [0.0, 0.5, 1.0, 2.0, math.inf])
+        assert [r.margin for r in reports] == [0.0] * 5
 
     def test_margins_do_not_depend_on_scale(self):
         # scaling the jump law by 2^36 and a by 2^72 scales X_t and Z_t by
@@ -525,9 +545,7 @@ def _uniform_mixture(seed, cells=512):
                                                cells=cells))
 
 
-def _both_jumps(spec):
-    """The jump laws of X_t and Z_t, as the marginals pass them to _mixture."""
-    return (("X_t", spec.jump), ("Z_t", rearrange_1d(_snap(spec.jump))))
+MARGINALS = (("X_t", marginal_density), ("Z_t", rearranged_marginal))
 
 
 def _off_lattice_jump():
@@ -552,8 +570,8 @@ def _placed_jump(first_midpoint_cells):
 # (jump law, rate, a series length k or None for auto_k_max): the
 # benchmark's jump laws at rate 30, the verify suite's skewed law at
 # lambda t = 0.25 and 1, a gapped spiky law, a law that needs snapping, a
-# one-cell law, a k beyond the automatic one (asked of levy._mixture), and
-# laws with even h = 0, -6, 4
+# one-cell law, a k beyond the automatic one (levy's auto_k_max patched to
+# return it), and laws with even h = 0, -6, 4
 SERIES_CASES = {
     "uniform-mixture-0-rate30": (lambda: _uniform_mixture(0), 30.0, None),
     "uniform-mixture-977-rate30": (lambda: _uniform_mixture(977), 30.0, None),
@@ -570,34 +588,70 @@ SERIES_CASES = {
 }
 
 
-class TestSeriesAgainstFold:
-    @pytest.mark.parametrize("case", sorted(SERIES_CASES))
-    def test_marginal_matches_fold(self, case):
-        make_jump, rate, k_max = SERIES_CASES[case]
-        jump = make_jump()
-        spec = LevySpec(a=1.0, rate=rate, jump=jump, t=1.0)
-        if k_max is None:
-            k, new = auto_k_max(rate), marginal_density(spec)
-        else:
-            k, new = k_max, _mixture(spec, jump, k_max)
-        assert_same_series(fold_marginal(spec, jump, k), new)
+def _case(case, monkeypatch):
+    """The spec of a SERIES_CASES law and the last term k its marginals sum,
+    levy cut there when the case names one."""
+    make_jump, rate, k_max = SERIES_CASES[case]
+    spec = LevySpec(a=1.0, rate=rate, jump=make_jump(), t=1.0)
+    if k_max is None:
+        return spec, auto_k_max(rate)
+    _cut_at(monkeypatch, k_max)
+    return spec, k_max
+
+
+class TestSeriesContract:
+    """levy calls convolve_series with at least two weights, each positive,
+    and f and g on one spacing, on every SERIES_CASES law (the verify
+    suite's lambda t = 0.25 and 1 among them) and at extreme means; at
+    lambda t = 0 it does not call it."""
+
+    @staticmethod
+    def _check(monkeypatch, run):
+        """The number of convolve_series calls while run() runs, each checked."""
+        calls = []
+        module = sys.modules["renyi_rearrange.levy"]
+        real = module.convolve_series
+
+        def checked(f, g, weights):
+            assert len(weights) >= 2 and min(weights) > 0.0, weights
+            assert same_spacing(f, g), (f.dx, g.dx)
+            calls.append(len(weights))
+            return real(f, g, weights)
+
+        monkeypatch.setattr(module, "convolve_series", checked)
+        run()
+        return len(calls)
 
     @pytest.mark.parametrize("case", sorted(SERIES_CASES))
-    def test_rearranged_marginal_matches_fold(self, case):
+    def test_series_cases(self, case, monkeypatch):
+        make_jump, rate, _ = SERIES_CASES[case]
+        spec = LevySpec(a=1.0, rate=rate, jump=make_jump(), t=1.0)
+        assert self._check(monkeypatch, lambda: [m(spec) for _, m in MARGINALS]) == 2
+
+    @pytest.mark.parametrize("rate, t, calls", [
+        (5e-324, 1.0, 2), (1e-300, 1.0, 2), (1e-17, 1.0, 2), (131.0, 1.0, 2),
+        (0.0, 1.0, 0), (1e-200, 1e-200, 0)])  # lambda t = 0: no series
+    def test_extreme_means(self, rate, t, calls, monkeypatch):
+        spec = LevySpec(a=1.0, rate=rate, jump=skewed_jump(), t=t)
+        assert self._check(monkeypatch, lambda: [m(spec) for _, m in MARGINALS]) == calls
+
+
+class TestSeriesAgainstFold:
+    @pytest.mark.parametrize("case", sorted(SERIES_CASES))
+    def test_marginal_matches_fold(self, case, monkeypatch):
+        spec, k = _case(case, monkeypatch)
+        assert_same_series(fold_marginal(spec, spec.jump, k), marginal_density(spec))
+
+    @pytest.mark.parametrize("case", sorted(SERIES_CASES))
+    def test_rearranged_marginal_matches_fold(self, case, monkeypatch):
         # the rearranged law is centered: its first midpoint is a negative
         # multiple of its spacing plus half a cell, so terms step back by an
         # odd number of half cells
-        make_jump, rate, k_max = SERIES_CASES[case]
-        jump = make_jump()
-        spec = LevySpec(a=1.0, rate=rate, jump=jump, t=1.0)
-        star = rearrange_1d(_snap(jump))
+        spec, k = _case(case, monkeypatch)
+        star = rearrange_1d(_snap(spec.jump))
         h = round(2.0 * star.x0 / star.dx) + 1
         assert h < 0 and h % 2 == 1
-        if k_max is None:
-            k, new = auto_k_max(rate), rearranged_marginal(spec)
-        else:
-            k, new = k_max, _mixture(spec, star, k_max)
-        assert_same_series(fold_marginal(spec, star, k), new)
+        assert_same_series(fold_marginal(spec, star, k), rearranged_marginal(spec))
 
     @pytest.mark.parametrize("seed", [0, 977])
     def test_half_order_reaches_only_the_roundoff_floor(self, seed):
@@ -616,18 +670,13 @@ class TestSeriesAgainstFold:
                 assert abs(renyi_entropy(new, p) - renyi_entropy(ref, p)) <= 1e-11
 
     def test_one_weight_is_refine(self):
-        f = _uniform_mixture(1, cells=96)
-        g = make_grid(0.0, f.dx, np.ones(8) / (8 * f.dx))
-        out = convolve_series(f, g, [0.37])
-        ref = refine(f, 2)
-        assert (out.x0, out.dx) == (ref.x0, ref.dx)
-        assert np.array_equal(out.values, ref.values * 0.37)
-        # the pure-diffusion marginal keeps the bytes of the refined Gaussian
-        spec = LevySpec(a=1.0, rate=0.0, jump=g, t=1.0)
+        # with no jumps the one Poisson weight is 1: both pure-diffusion
+        # marginals keep the bytes of the refined Gaussian
+        spec = LevySpec(a=1.0, rate=0.0, jump=skewed_jump(), t=1.0)
         dx = 16.0 / 1024  # sigma = 1, 8 sigma each side
         gauss = gaussian_on_grid(0.0, 1.0, -(512 + 0.5) * dx, dx, 1025)
-        assert np.array_equal(marginal_density(spec).values,
-                              normalize(refine(gauss, 2)).values)
+        for _, marginal in MARGINALS:
+            assert np.array_equal(marginal(spec).values, normalize(refine(gauss, 2)).values)
 
     def test_many_run_pairs_take_the_mask_path(self, monkeypatch):
         # 64 one-cell spikes 16 cells apart: terms 1 and 2 have 64 and 127
@@ -648,29 +697,11 @@ class TestSeriesAgainstFold:
         assert_same_series(fold_series(f, g, weights), out)
         assert out.mass == pytest.approx(1.0, abs=1e-12)
 
-    def test_zero_weight_terms_add_no_support(self):
-        # a gapped law whose one-fold term reaches cells the others do not
-        g = normalize(make_grid(0.0, 0.1, np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0])))
-        f = make_grid(-0.05, 0.1, np.array([10.0]))
-        weights = [0.5, 0.0, 0.5]
-        out = convolve_series(f, g, weights)
-        assert_same_series(fold_series(f, g, weights), out)
-        assert np.count_nonzero(out.values) == 8
-
-    def test_zero_second_factor_leaves_the_first_term(self):
-        # no term past k = 0 has a positive cell, however wide f's run
-        f = make_grid(-0.1, 0.1, np.array([1.0, 2.0]))
-        g = make_grid(0.0, 0.1, np.zeros(3))
-        out = convolve_series(f, g, [0.5, 0.5])
-        assert_same_series(fold_series(f, g, [0.5, 0.5]), out)
-        assert np.array_equal(out.values, [0.5, 0.5, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
-
     @pytest.mark.parametrize("first, h", [(-0.5, 0), (-3.5, -6), (1.5, 4)])
-    @pytest.mark.parametrize("weights", [[0.5, 0.0, 0.5], [0.1, 0.2, 0.3, 0.4],
-                                         [0.0, 0.25, 0.0, 0.75, 0.0]])
+    @pytest.mark.parametrize("weights", [[0.2, 0.3, 0.5], [0.1, 0.2, 0.3, 0.4],
+                                         [0.1, 0.25, 0.05, 0.45, 0.15]])
     def test_even_h_matches_fold(self, first, h, weights):
-        # the terms of odd k sit on whole cells of those of even k, and
-        # [0.5, 0, 0.5] leaves the odd class all zero
+        # the terms of odd k sit on whole cells of those of even k
         g = _placed_jump(first)
         assert half_cell_offset(g) + 1 == h
         f = _uniform_mixture(11, cells=96)
@@ -680,13 +711,8 @@ class TestSeriesAgainstFold:
     def test_validation(self):
         g = _off_lattice_jump()
         f = make_grid(-0.1, g.dx, np.full(4, 5.0))
-        with pytest.raises(BadParameter):
+        with pytest.raises(BadParameter, match="multiple of dx/2"):
             convolve_series(f, g, [0.5, 0.5])
-        for weights in ([], [0.5, -0.1, 0.6], [0.0, 0.0]):
-            with pytest.raises(BadParameter):
-                convolve_series(f, _snap(g), weights)
-        with pytest.raises(SpacingMismatch):
-            convolve_series(f, skewed_jump(cells=32), [0.5, 0.5])
 
     def test_output_past_the_cell_cap_is_refused(self):
         # a one-cell law 10^4 out at dx = 10^-3: two terms span 2e7 half
@@ -709,11 +735,12 @@ class TestSeriesAgainstFold:
         calls = _count_run_sums(monkeypatch)
         spec = LevySpec(a=1.0, rate=30.0, jump=_uniform_mixture(0), t=1.0)
         counts = {}
-        for marginal, jump in _both_jumps(spec):
+        for name, marginal in MARGINALS:
             for k in (65, 90, 130):
+                _cut_at(monkeypatch, k)
                 calls.clear()
-                _mixture(spec, jump, k)
-                counts[marginal, k] = len(calls)
+                marginal(spec)
+                counts[name, k] = len(calls)
         assert len(set(counts.values())) == 1, counts
 
     def test_transform_count_does_not_grow_with_k_max(self, monkeypatch):
@@ -733,11 +760,12 @@ class TestSeriesAgainstFold:
         spec = LevySpec(a=1.0, rate=30.0, jump=_uniform_mixture(0), t=1.0)
         assert auto_k_max(30.0) == 65
         seen = {}
-        for marginal, jump in _both_jumps(spec):
+        for name, marginal in MARGINALS:
             for k in (65, 90, 130):
+                _cut_at(monkeypatch, k)
                 calls.clear()
-                _mixture(spec, jump, k)
-                seen[marginal, k] = (sorted(name for name, _ in calls), {n for _, n in calls})
+                marginal(spec)
+                seen[name, k] = (sorted(name for name, _ in calls), {n for _, n in calls})
         counts = ["irfft"] * 2 + ["rfft"] * 3
         assert all(names == counts for names, _ in seen.values())
         assert seen["Z_t", 65][1] == {40_000}
@@ -752,19 +780,13 @@ def _aligned(f):
     return project_onto(f, start * f.dx, f.dx, f.n_cells + 2)
 
 
-def _marginals(case):
+def _marginals(case, monkeypatch):
     """The spec and series length of a SERIES_CASES law, and its X_t and Z_t,
     each with the untrimmed aligned jump law whose series it sums."""
-    make_jump, rate, k_max = SERIES_CASES[case]
-    jump = make_jump()
-    spec = LevySpec(a=1.0, rate=rate, jump=jump, t=1.0)
-    if k_max is None:
-        k, x_t, z_t = auto_k_max(rate), marginal_density(spec), rearranged_marginal(spec)
-    else:
-        k = k_max
-        x_t, z_t = _mixture(spec, jump, k), _mixture(spec, rearrange_1d(_snap(jump)), k)
-    aligned = _aligned(jump)
-    return spec, k, (("X_t", x_t, aligned), ("Z_t", z_t, rearrange_1d(aligned)))
+    spec, k = _case(case, monkeypatch)
+    aligned = _aligned(spec.jump)
+    return spec, k, (("X_t", marginal_density(spec), aligned),
+                     ("Z_t", rearranged_marginal(spec), rearrange_1d(aligned)))
 
 
 class TestHull:
@@ -777,18 +799,18 @@ class TestHull:
              "uniform-mixture-977-rate30": (51_060, 90_808)}
 
     @pytest.mark.parametrize("case", sorted(SERIES_CASES))
-    def test_marginals_end_in_positive_cells(self, case):
-        _, _, marginals = _marginals(case)
+    def test_marginals_end_in_positive_cells(self, case, monkeypatch):
+        _, _, marginals = _marginals(case, monkeypatch)
         for name, f, _ in marginals:
             assert f.values[0] > 0.0 and f.values[-1] > 0.0, name
         if case in self.CELLS:
             assert tuple(f.n_cells for _, f, _ in marginals) == self.CELLS[case]
 
     @pytest.mark.parametrize("case", sorted(SERIES_CASES))
-    def test_no_mass_is_dropped(self, case):
+    def test_no_mass_is_dropped(self, case, monkeypatch):
         # the fold of the untrimmed law is exactly 0 off the marginal's
         # cells, positive at its ends and the marginal on them
-        spec, k, marginals = _marginals(case)
+        spec, k, marginals = _marginals(case, monkeypatch)
         for name, f, law in marginals:
             ref = _fold(spec, law, k)
             start = round((f.x0 - ref.x0) / f.dx)
