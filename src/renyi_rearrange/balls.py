@@ -34,6 +34,11 @@ imported (betainc only) when a cap is evaluated.  All n-th powers and
 normalizers are handled in log space so the formulas stay finite for
 dimensions far beyond where V_n(1) r^n underflows.  epi_gap_balls reads
 the dimensional entropy-power gap of two unit balls off one such entropy.
+
+brunn_minkowski_check is the one-dimensional case of the same geometry,
+|A + B| >= |A| + |B| for the supports of two grid densities: it counts
+the cells of the continuum sum set from the supports' runs of positive
+cells, in integers, with no convolution and a budget of 0.
 """
 
 from __future__ import annotations
@@ -45,10 +50,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import INDICATOR_REL_TOL, QUAD_TOL
-from .errors import BadParameter, DensityOverflow, InaccurateResult, NotIndicator
-from .grids import Grid1D
-from .convolve import convolve
+from .config import QUAD_TOL
+from .errors import BadParameter, DensityOverflow, InaccurateResult, SpacingMismatch, ZeroMass
+from .grids import Grid1D, same_spacing
+from .convolve import _merge, _runs
 from .reports import VerificationReport, report_geq
 
 __all__ = [
@@ -354,33 +359,24 @@ def epi_gap_balls(m: int, lam: float) -> float:
     return ball_sum_entropy(bp) - log_unit_ball_volume(m)
 
 
-def _indicator_level(f: Grid1D) -> float:
-    pos = f.values[f.values > 0.0]
-    if pos.size == 0:
-        raise NotIndicator("density has empty support")
-    lo, hi = float(pos.min()), float(pos.max())
-    if hi - lo > INDICATOR_REL_TOL * hi:
-        raise NotIndicator(
-            f"density takes several positive levels ({lo} .. {hi})")
-    return hi
-
-
 def brunn_minkowski_check(f: Grid1D, g: Grid1D,
                           seed: int | None = None) -> VerificationReport:
-    """Grid Brunn-Minkowski in the entropy form:
+    """Brunn-Minkowski on the line, |supp f + supp g| >= |supp f| + |supp g|,
+    exactly in whole cells (the p = 0 instance of the rearrangement
+    convolution inequality; equality when both supports are intervals).
 
-        |supp(f * g)| >= |supp f| + |supp g| - 2 dx
-
-    for normalized indicator densities f, g (the p = 0 instance of the
-    rearrangement convolution inequality; supports add along each
-    interval component, losing one cell per convolution on the grid).
+    A run of positive cells [s, e) is the interval [s dx, e dx), up to the
+    grid's origin, so the continuum sum set is the union of the run pair
+    sums [s + t, e + u), merged.  Both sides are cell counts, as integers,
+    times dx, so the budget is 0.  Spacings that differ raise
+    SpacingMismatch, and an empty support raises ZeroMass.
     """
-    level_f = _indicator_level(f)
-    level_g = _indicator_level(g)
-    conv = convolve(f, g)
-    lhs = conv.support_measure
-    rhs = f.support_measure + g.support_measure
-    return report_geq("brunn_minkowski", lhs, rhs, 2.0 * f.dx,
-                      params={"level_f": level_f, "level_g": level_g,
-                              "dx": f.dx},
-                      seed=seed)
+    if not same_spacing(f, g):
+        raise SpacingMismatch(f"dx mismatch: {f.dx} vs {g.dx}")
+    (sf, ef), (sg, eg) = _runs(f.values), _runs(g.values)
+    if not (sf.size and sg.size):
+        raise ZeroMass("Brunn-Minkowski needs two nonempty supports")
+    starts, ends = _merge((sf[:, None] + sg).ravel(), (ef[:, None] + eg).ravel())
+    lhs = int((ends - starts).sum()) * f.dx
+    rhs = int((ef - sf).sum() + (eg - sg).sum()) * f.dx
+    return report_geq("brunn_minkowski", lhs, rhs, 0.0, params={"dx": f.dx}, seed=seed)

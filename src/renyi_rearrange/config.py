@@ -33,8 +33,6 @@ RENYI_NEAR_ONE_WIDTH = 1e-3  # |p - 1| (|1 - alpha| for D_alpha)
                              # the two agree to ~5e-13
 MIXTURE_TOL = 1e-9        # mixture entropy bound; both sides are
                           # exact sums
-INDICATOR_REL_TOL = 1e-9  # relative spread of the positive values
-                          # of a density read as an indicator
 MASS_TOL = 1e-12          # mass conservation under rearrangement
                           # (the k = 1 overlap check)
 DIVERGENCE_TOL = 1e-10    # Renyi divergence contraction under

@@ -46,10 +46,6 @@ class BadParameter(DensityError):
     """Scalar parameter outside its documented domain."""
 
 
-class NotIndicator(DensityError):
-    """Input must be a normalized indicator (single positive level)."""
-
-
 class TruncationInsufficient(DensityError):
     """Truncated series does not meet the requested tail tolerance."""
 

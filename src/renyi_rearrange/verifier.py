@@ -16,7 +16,8 @@ rearrangement, and monotonicity of Fisher information, with isoperimetric
 and log-Sobolev consequences.
 
 Budgets: identities that are exact for step densities, Fisher
-monotonicity among them, are checked at machine-level budgets; anything
+monotonicity among them, are checked at machine-level budgets, and
+Brunn-Minkowski, counted in whole cells, at 0; anything
 downstream of a k-fold convolution gets config.eps_conv(dx, k) (10 dx k),
 scaled by the values where the check compares values; the isoperimetric
 and log-Sobolev checks get a 1% relative budget (FISHER_REL_TOL).  Every
@@ -351,10 +352,11 @@ def _derived_seed(seed: int, stream: int, index: int) -> int:
 
 
 def _corpus(config: SuiteConfig, stream: int, indices: range, group: int,
-            kinds: tuple[str, ...] = GENERATOR_KINDS) -> Iterator[list[Grid1D]]:
+            kinds: tuple[str, ...] = GENERATOR_KINDS) -> Iterator[tuple[int, list[Grid1D]]]:
     """Groups `indices` of `stream`, `group` densities each, built one at a
-    time as they are read; group i depends on the seed, the stream and i
-    alone, so any range of a corpus can be built apart from the rest."""
+    time as they are read, each with its report seed; group i depends on
+    the seed, the stream and i alone, so any range of a corpus can be built
+    apart from the rest."""
     for i in indices:
         batch = []
         for j in range(group):
@@ -364,7 +366,7 @@ def _corpus(config: SuiteConfig, stream: int, indices: range, group: int,
                 seed=_derived_seed(config.seed, stream, i * group + j),
                 cells=config.cells)
             batch.append(random_density(spec))
-        yield batch
+        yield _derived_seed(config.seed, stream, i), batch
 
 
 _SMOOTH = ("gaussian-mixture",)
@@ -373,8 +375,7 @@ _SMOOTH = ("gaussian-mixture",)
 def _run_pairs(config: SuiteConfig, indices: range) -> list[VerificationReport]:
     """The main suite's checks on pairs `indices` of its pair corpus."""
     reports: list[VerificationReport] = []
-    for i, fs in zip(indices, _corpus(config, 1, indices, 2)):
-        seed = _derived_seed(config.seed, 1, i)
+    for i, (seed, fs) in zip(indices, _corpus(config, 1, indices, 2)):
         group = Group(tuple(fs))
         for p in ORDERS:
             reports.append(check_main_theorem(group, p, seed=seed))
@@ -390,8 +391,7 @@ def _run_pairs(config: SuiteConfig, indices: range) -> list[VerificationReport]:
 def _run_triples(config: SuiteConfig, indices: range) -> list[VerificationReport]:
     """The main suite's checks on triples `indices` of its triple corpus."""
     reports: list[VerificationReport] = []
-    for i, fs in zip(indices, _corpus(config, 2, indices, 3)):
-        seed = _derived_seed(config.seed, 2, i)
+    for seed, fs in _corpus(config, 2, indices, 3):
         group = Group(tuple(fs))
         for p in ORDERS:
             reports.append(check_main_theorem(group, p, seed=seed))
@@ -430,23 +430,20 @@ def _indicator_pair(config: SuiteConfig, seed: int) -> tuple[Grid1D, Grid1D]:
 
 def _run_rbll(config: SuiteConfig) -> list[VerificationReport]:
     reports = []
-    for i, fs in enumerate(_corpus(config, 3, range(max(1, config.pairs // 2)), 2)):
-        seed = _derived_seed(config.seed, 3, i)
+    for seed, fs in _corpus(config, 3, range(max(1, config.pairs // 2)), 2):
         reports.append(check_rbll(fs, seed=seed))
-    for i, fs in enumerate(_corpus(config, 4, range(max(1, _quarter(config) // 2)), 3)):
-        seed = _derived_seed(config.seed, 4, i)
+    for seed, fs in _corpus(config, 4, range(max(1, _quarter(config) // 2)), 3):
         reports.append(check_rbll(fs, seed=seed))
     # degenerate k = 1: mass conservation under rearrangement
-    solo = next(_corpus(config, 5, range(1), 1))
-    reports.append(check_rbll(solo, seed=_derived_seed(config.seed, 5, 0)))
+    for seed, fs in _corpus(config, 5, range(1), 1):
+        reports.append(check_rbll(fs, seed=seed))
     return reports
 
 
 def _run_divergence(config: SuiteConfig) -> list[VerificationReport]:
     reports = []
     corpus = _corpus(config, 8, range(_quarter(config)), 2, kinds=_SMOOTH)
-    for i, (f, g) in enumerate(corpus):
-        seed = _derived_seed(config.seed, 8, i)
+    for seed, (f, g) in corpus:
         for alpha in (0.3, 1.0):
             reports.append(check_divergence_contraction(f, g, alpha, seed=seed))
         # L1 contraction: ||f^* - g^*||_1 <= ||f - g||_1, exact on grids
@@ -464,8 +461,7 @@ def _run_divergence(config: SuiteConfig) -> list[VerificationReport]:
 def _run_fisher(config: SuiteConfig) -> list[VerificationReport]:
     reports = []
     corpus = _corpus(config, 9, range(_quarter(config)), 1, kinds=_SMOOTH)
-    for i, (f,) in enumerate(corpus):
-        seed = _derived_seed(config.seed, 9, i)
+    for seed, (f,) in corpus:
         for check in (check_fisher_monotone, check_isoperimetric, check_log_sobolev):
             reports.append(check(f, seed=seed))
     return reports

@@ -3,6 +3,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import beta as beta_fn
 
@@ -12,13 +14,13 @@ from renyi_rearrange import (
     BallPair,
     DensityOverflow,
     InaccurateResult,
-    NotIndicator,
+    SpacingMismatch,
+    ZeroMass,
     ball_sum_entropy,
     ball_sum_log_radial,
     ball_sum_radial,
     brunn_minkowski_check,
     convolve,
-    gaussian_on_grid,
     make_grid,
     renyi_entropy,
     uniform_interval,
@@ -413,14 +415,23 @@ class TestEpiGap:
         assert nodes and angles == nodes
 
 
+def _run_count(cells):
+    """The number of runs of positive cells."""
+    return int(np.count_nonzero(np.diff(np.concatenate(([0], cells, [0]))) == 1))
+
+
+_CELLS = st.lists(st.integers(0, 1), min_size=1, max_size=64).filter(any)
+
+
 class TestBrunnMinkowski:
     def test_interval_case(self):
         f = uniform_interval(-1.0, 1.0, cells=128)
         g = uniform_interval(-0.5, 0.5, cells=64)
         rep = brunn_minkowski_check(f, g)
         assert rep.passed
-        # the grid convolution loses exactly one cell of support
-        assert rep.lhs == pytest.approx(rep.rhs - f.dx, abs=1e-12)
+        # two intervals: equality, in whole cells
+        assert rep.lhs == rep.rhs == 192 * f.dx
+        assert rep.tolerance == 0.0
 
     def test_union_of_intervals(self):
         dx = 1.0 / 32
@@ -431,9 +442,32 @@ class TestBrunnMinkowski:
         g = uniform_interval(0.0, 0.75, cells=24)
         rep = brunn_minkowski_check(f, g)
         assert rep.passed
+        # the gap of 32 cells is wider than g: A + B is two runs of 56 cells
+        assert rep.lhs == 112 * dx and rep.rhs == 88 * dx
 
-    def test_rejects_smooth_density(self):
-        f = gaussian_on_grid(0.0, 1.0, -4.0, 8.0 / 256, 256)
-        g = uniform_interval(0.0, 1.0, cells=32)
-        with pytest.raises(NotIndicator):
+    @settings(max_examples=200, deadline=None)
+    @given(a=_CELLS, b=_CELLS, x0=st.sampled_from([-1.0, 0.0, 0.3]))
+    def test_exact_sum_set(self, a, b, x0):
+        dx = 1.0 / 16
+        rep = brunn_minkowski_check(make_grid(x0, dx, np.array(a, dtype=float)),
+                                    make_grid(0.0, dx, np.array(b, dtype=float)))
+        assert rep.margin >= 0.0
+        assert (rep.margin == 0.0) == (_run_count(a) == 1 == _run_count(b))
+        # the continuum sum set covers cell k when the step reading (the
+        # indicators' convolution) covers k or k - 1
+        step = np.concatenate((np.convolve(a, b) > 0, [False]))
+        assert rep.lhs == int(np.count_nonzero(step | np.roll(step, 1))) * dx
+
+    def test_rejects_empty_support(self):
+        f = make_grid(0.0, 0.25, np.zeros(8))
+        g = uniform_interval(0.0, 1.0, cells=4)
+        with pytest.raises(ZeroMass):
+            brunn_minkowski_check(f, g)
+        with pytest.raises(ZeroMass):
+            brunn_minkowski_check(g, f)
+
+    def test_rejects_different_spacings(self):
+        f = uniform_interval(0.0, 1.0, cells=32)
+        g = uniform_interval(0.0, 1.0, cells=64)
+        with pytest.raises(SpacingMismatch):
             brunn_minkowski_check(f, g)

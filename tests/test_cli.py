@@ -301,9 +301,9 @@ class TestVerifyBytes:
     """
 
     PINS = {
-        ("X86_V4",): "09d69d6d55a1279db87c773b9020fb163352b5aaa2bee37ee7d011c2070b798a",
-        ("X86_V3",): "a4ba94bac1ddd77edfc60fce7c6f8b13e774d1cde0a90caf0bc895307df27b43",
-        ("X86_V2",): "b76550e66664978514162fc45ef61943c8aa8790d3c5dacff20c66afb35296b8",
+        ("X86_V4",): "278521a9cd98fa93c2abe1c2e20ff64aaed7864ce43e7bcd7b95993ca63dcf64",
+        ("X86_V3",): "cdc34375016c6ccfb858493bdc9d32feba54f086723c5f5384ef975dd7101287",
+        ("X86_V2",): "7691c72e9bd849c8df1ff9ad1125734c58259a3826be68130ec0a413ffad15a6",
     }
 
     def test_document_digest(self, tmp_path):
