@@ -243,7 +243,8 @@ class Group:
     """One convolution group f1, ..., fk (k >= 2) and what its checks read.
 
     Every member is computed on first read and kept: `conv` is the left
-    fold f1 * ... * fk, `conv_star` the fold f1^* * ... * fk^*, `h_conv`
+    fold f1 * ... * fk, `stars` the rearrangements f1^*, ..., fk^*,
+    `conv_star` their fold f1^* * ... * fk^*, `h_conv`
     and `h_conv_star` their Rows at ORDERS, and `h_factors[i]` the Row of
     f_i at FACTOR_ORDERS.  However many checks read a group, each sum is
     convolved once and each density's layers are read once.
@@ -260,8 +261,12 @@ class Group:
         return convolve_k(self.fs)
 
     @cached_property
+    def stars(self) -> tuple[Grid1D, ...]:
+        return tuple(rearrange_1d(f) for f in self.fs)
+
+    @cached_property
     def conv_star(self) -> Grid1D:
-        return convolve_k([rearrange_1d(f) for f in self.fs])
+        return convolve_k(self.stars)
 
     @cached_property
     def h_conv(self) -> Row:

@@ -14,13 +14,15 @@ The grid contract lives here.  A Grid1D checks its origin and spacing
 (finite, and dx > 0), owns its values and makes them read-only, copying
 a view so that no writable base stays reachable (make_grid copies caller
 data once), so entropy.Group may cache what it computes from one.
-Spacings agree to one part in 1e12 (same_spacing), and half_cell_offset
-alone tests half-cell alignment.
+Spacings agree to one part in 1e12 (same_spacing), two densities sit on
+one grid when their spacings, cell counts and origins agree (same_grid),
+and half_cell_offset alone tests half-cell alignment.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -148,10 +150,16 @@ def half_cell_offset(f: Grid1D) -> int | None:
     return nearest if abs(half_cells - nearest) <= _HALF_CELL_TOL else None
 
 
+def same_grid(f: Grid1D, g: Grid1D) -> bool:
+    """True when f and g sit on one grid: the same spacing (same_spacing),
+    the same cell count, and origins within 1e-9 dx."""
+    return (same_spacing(f, g) and f.n_cells == g.n_cells
+            and abs(f.x0 - g.x0) <= 1e-9 * f.dx)
+
+
 def require_same_grid(f: Grid1D, g: Grid1D) -> None:
     """Raise GridMismatch unless f and g sit on one grid."""
-    if not (same_spacing(f, g) and f.n_cells == g.n_cells
-            and abs(f.x0 - g.x0) <= 1e-9 * f.dx):
+    if not same_grid(f, g):
         raise GridMismatch(
             f"grids differ: (x0={f.x0}, dx={f.dx}, n={f.n_cells}) vs "
             f"(x0={g.x0}, dx={g.dx}, n={g.n_cells})")
@@ -159,10 +167,17 @@ def require_same_grid(f: Grid1D, g: Grid1D) -> None:
 
 def normalize(f: Grid1D) -> Grid1D:
     """Rescale to unit mass.  Raises ZeroMass when there is nothing to scale."""
-    m = f.mass
+    return _unit_mass(f.x0, f.dx, f.values, None)
+
+
+def _unit_mass(x0: float, dx: float, values: np.ndarray,
+               out: np.ndarray | None) -> Grid1D:
+    """The Grid1D of values divided by their mass (Grid1D.mass), written
+    into out (values itself, to divide in place) or a new array."""
+    m = float(values.sum() * dx)
     if not (m > 0.0):
         raise ZeroMass(f"total mass is {m}")
-    return Grid1D(f.x0, f.dx, f.values / m)
+    return Grid1D(x0, dx, np.divide(values, m, out=out))
 
 
 def moment(f: Grid1D, k: int) -> float:
@@ -229,6 +244,22 @@ class DensityGeneratorSpec:
             raise BadParameter("seed must be >= 0")
 
 
+@functools.lru_cache(maxsize=8)
+def _generator_mids(cells: int) -> np.ndarray:
+    """The cell midpoints of a generated grid of `cells` cells, read-only."""
+    dx = 2.0 * HALFWIDTH / cells
+    mids = -HALFWIDTH + (np.arange(cells) + 0.5) * dx
+    mids.flags.writeable = False
+    return mids
+
+
+def _run_within(d: np.ndarray, half: float) -> tuple[int, int]:
+    """The cells [lo, hi) where -half <= d <= half, i.e. abs(d) <= half,
+    for a nondecreasing d: a run, empty when hi == lo."""
+    return (int(np.searchsorted(d, -half, "left")),
+            int(np.searchsorted(d, half, "right")))
+
+
 def random_density(spec: DensityGeneratorSpec) -> Grid1D:
     """Deterministic pseudo-random density on [-HALFWIDTH, HALFWIDTH].
 
@@ -236,12 +267,20 @@ def random_density(spec: DensityGeneratorSpec) -> Grid1D:
     levels and ties (uniform-mixture), strictly positive smooth densities
     (gaussian-mixture), rough multi-scale spikes (spiky-piecewise) and
     well-separated two-bump densities (bimodal).
+
+    A uniform-mixture or bimodal component is flat on the cells whose
+    midpoints lie within half its width of its center.  The midpoints
+    increase, so those cells are one run, found by two binary searches
+    and filled by one slice; a component that covers no midpoint takes
+    one cell instead (a random one for uniform-mixture, the nearest for
+    bimodal).  The midpoints are computed once per cell count, and the
+    values are divided by their mass in place.
     """
     spec.validate()
     rng = np.random.default_rng(spec.seed)
     hw, cells = HALFWIDTH, spec.cells
     dx = 2.0 * hw / cells
-    mids = -hw + (np.arange(cells) + 0.5) * dx
+    mids = _generator_mids(cells)
     vals = np.zeros(cells)
 
     if spec.kind == "uniform-mixture":
@@ -249,10 +288,11 @@ def random_density(spec: DensityGeneratorSpec) -> Grid1D:
         for w in weights:
             center = rng.uniform(-0.8 * hw, 0.8 * hw)
             width = rng.uniform(0.05 * hw, 0.6 * hw)
-            inside = np.abs(mids - center) <= width / 2.0
-            if not inside.any():
-                inside[rng.integers(0, cells)] = True
-            vals[inside] += w / (inside.sum() * dx)
+            lo, hi = _run_within(mids - center, width / 2.0)
+            if hi == lo:
+                lo = int(rng.integers(0, cells))
+                hi = lo + 1
+            vals[lo:hi] += w / ((hi - lo) * dx)
     elif spec.kind == "gaussian-mixture":
         weights = rng.dirichlet(np.ones(spec.component_count))
         for w in weights:
@@ -277,12 +317,14 @@ def random_density(spec: DensityGeneratorSpec) -> Grid1D:
         sep = rng.uniform(0.8 * hw, 1.4 * hw)
         width = rng.uniform(0.1 * hw, 0.3 * hw)
         for wt, center in ((w, -sep / 2.0), (1.0 - w, sep / 2.0)):
-            inside = np.abs(mids - center) <= width / 2.0
-            if not inside.any():
-                inside[np.argmin(np.abs(mids - center))] = True
-            vals[inside] += wt / (inside.sum() * dx)
+            d = mids - center
+            lo, hi = _run_within(d, width / 2.0)
+            if hi == lo:
+                lo = int(np.argmin(np.abs(d)))
+                hi = lo + 1
+            vals[lo:hi] += wt / ((hi - lo) * dx)
 
-    return normalize(Grid1D(x0=-hw, dx=dx, values=vals))
+    return _unit_mass(-hw, dx, vals, vals)
 
 
 # ---------------------------------------------------------------------------

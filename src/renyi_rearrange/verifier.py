@@ -31,7 +31,8 @@ read everything from it: the sums f1 * ... * fk and f1^* * ... * fk^*
 and the Renyi entropies of the sums and the factors, each computed on
 first read and kept.  The main suite builds one Group per corpus group,
 so each sum is convolved once and each density's layers are read once
-however many checks run on it.
+however many checks run on it; the divergence suite reads each pair's
+rearrangements from a Group too, so each density is rearranged once.
 
 run_suite cuts the configured suites into independent units (chunks of
 the main suite's pairs and triples, its witnesses, each other suite
@@ -76,6 +77,7 @@ from .grids import (
     moment,
     normalize,
     random_density,
+    same_grid,
     variance,
 )
 from .convolve import convolve_k, project_onto
@@ -135,9 +137,16 @@ def check_main_theorem(group: Group, p: float,
 
 
 def _overlap_integral(f: Grid1D, g: Grid1D) -> float:
-    """int f(x) g(x) dx for step densities on possibly offset grids."""
-    g_on_f = project_onto(g, f.x0, f.dx, f.n_cells)
-    return float(np.sum(f.values * g_on_f.values) * f.dx)
+    """int f(x) g(x) dx for step densities.
+
+    On one grid (grids.same_grid) it is the sum of the cell products
+    times dx, exact up to the sum's roundoff; otherwise g is first
+    projected onto f's grid (project_onto), as for a triple's rest sum,
+    whose grid is offset by half a cell.
+    """
+    if not same_grid(f, g):
+        g = project_onto(g, f.x0, f.dx, f.n_cells)
+    return float(np.sum(f.values * g.values) * f.dx)
 
 
 def check_rbll(fs: Sequence[Grid1D],
@@ -245,15 +254,15 @@ def check_epi_chain(group: Group, seed: int | None = None) -> VerificationReport
         seed=seed)
 
 
-def check_divergence_contraction(f: Grid1D, g: Grid1D, alpha: float,
+def check_divergence_contraction(group: Group, alpha: float,
                                  seed: int | None = None) -> VerificationReport:
-    """D_alpha(f^*||g^*) <= D_alpha(f||g) for alpha in (0, 1].
+    """D_alpha(f^*||g^*) <= D_alpha(f||g) for alpha in (0, 1], for the
+    group's pair (f, g), its rearrangements read from group.stars.
 
     Exact on grids (rearrangement pairs sorted values), so the tolerance
     is machine level.  An infinite right side passes automatically.
     """
-    f_star = rearrange_1d(f)
-    g_star = rearrange_1d(g)
+    (f, g), (f_star, g_star) = group.fs, group.stars
     lhs = renyi_divergence(f_star, g_star, alpha)
     rhs = renyi_divergence(f, g, alpha)
     return report_leq(f"divergence_contraction[alpha={alpha:g}]", lhs, rhs,
@@ -443,17 +452,18 @@ def _run_rbll(config: SuiteConfig) -> list[VerificationReport]:
 def _run_divergence(config: SuiteConfig) -> list[VerificationReport]:
     reports = []
     corpus = _corpus(config, 8, range(_quarter(config)), 2, kinds=_SMOOTH)
-    for seed, (f, g) in corpus:
+    for seed, fs in corpus:
+        group = Group(tuple(fs))
+        (f, g), (f_star, g_star) = group.fs, group.stars
         for alpha in (0.3, 1.0):
-            reports.append(check_divergence_contraction(f, g, alpha, seed=seed))
+            reports.append(check_divergence_contraction(group, alpha, seed=seed))
         # L1 contraction: ||f^* - g^*||_1 <= ||f - g||_1, exact on grids
-        lhs = l1_distance(rearrange_1d(f), rearrange_1d(g))
+        lhs = l1_distance(f_star, g_star)
         rhs = l1_distance(f, g)
         reports.append(report_leq("l1_contraction", lhs, rhs, L1_TOL, seed=seed))
         # variance can only shrink; midpoint moments carry O(dx^2)
         v_tol = 0.5 * f.dx * f.dx
-        reports.append(report_leq("variance_decrease",
-                                  variance(rearrange_1d(f)), variance(f),
+        reports.append(report_leq("variance_decrease", variance(f_star), variance(f),
                                   v_tol, seed=seed))
     return reports
 

@@ -301,9 +301,9 @@ class TestVerifyBytes:
     """
 
     PINS = {
-        ("X86_V4",): "278521a9cd98fa93c2abe1c2e20ff64aaed7864ce43e7bcd7b95993ca63dcf64",
-        ("X86_V3",): "cdc34375016c6ccfb858493bdc9d32feba54f086723c5f5384ef975dd7101287",
-        ("X86_V2",): "7691c72e9bd849c8df1ff9ad1125734c58259a3826be68130ec0a413ffad15a6",
+        ("X86_V4",): "de20367905b0544ff7c1c012b972f915917af1338cec8ef45dc81af91663b0f7",
+        ("X86_V3",): "6da695f4545cd1c5555be09325b469b1c1e3e79734b673fcbae9635d85272f8c",
+        ("X86_V2",): "ee46577d6689801ac2490f63ac62403b92a7e4df9d51041f6e86f40bffb68b0c",
     }
 
     def test_document_digest(self, tmp_path):

@@ -1,3 +1,4 @@
+import collections
 import math
 import warnings
 
@@ -30,7 +31,7 @@ from renyi_rearrange import entropy, verifier
 from renyi_rearrange.convolve import (convolve, convolve_k, convolve_series, project_onto,
                                       resample, scale_density)
 from renyi_rearrange.entropy import mixture_entropy_bound_check
-from renyi_rearrange.grids import half_cell_offset
+from renyi_rearrange.grids import HALFWIDTH, _run_within, half_cell_offset
 from renyi_rearrange.levy import _snap
 from renyi_rearrange.rearrange import rearrange_1d
 from renyi_rearrange.verifier import SuiteConfig
@@ -178,6 +179,82 @@ class TestGenerators:
         # numpy's SeedSequence refuses it with a bare ValueError
         with pytest.raises(BadParameter, match="seed"):
             random_density(DensityGeneratorSpec(kind="bimodal", seed=-1))
+
+
+def _mask_density(spec, fallbacks):
+    """random_density as it was written with a full-grid mask per component,
+    kept as the reference for the run-and-slice generator; counts in
+    fallbacks[kind] each component that covered no midpoint."""
+    spec.validate()
+    rng = np.random.default_rng(spec.seed)
+    hw, cells = HALFWIDTH, spec.cells
+    dx = 2.0 * hw / cells
+    mids = -hw + (np.arange(cells) + 0.5) * dx
+    vals = np.zeros(cells)
+    if spec.kind == "uniform-mixture":
+        weights = rng.dirichlet(np.ones(spec.component_count))
+        for w in weights:
+            center = rng.uniform(-0.8 * hw, 0.8 * hw)
+            width = rng.uniform(0.05 * hw, 0.6 * hw)
+            inside = np.abs(mids - center) <= width / 2.0
+            if not inside.any():
+                fallbacks[spec.kind] += 1
+                inside[rng.integers(0, cells)] = True
+            vals[inside] += w / (inside.sum() * dx)
+    elif spec.kind == "gaussian-mixture":
+        weights = rng.dirichlet(np.ones(spec.component_count))
+        for w in weights:
+            mu = rng.uniform(-0.45 * hw, 0.45 * hw)
+            sigma_hi = max(0.081 * hw, min(0.25 * hw, (hw - abs(mu)) / 6.5))
+            sigma = rng.uniform(0.08 * hw, sigma_hi)
+            vals += w * np.exp(-0.5 * ((mids - mu) / sigma) ** 2) / (sigma * math.sqrt(2 * math.pi))
+        vals = np.maximum(vals, 1e-12 * vals.max())
+    elif spec.kind == "spiky-piecewise":
+        for _ in range(4 * spec.component_count):
+            lo = rng.integers(0, cells)
+            width = int(rng.integers(1, max(2, cells // 16)))
+            hi = min(cells, lo + width)
+            vals[lo:hi] += rng.pareto(1.5) + 0.1
+    else:  # bimodal
+        w = rng.uniform(0.3, 0.7)
+        sep = rng.uniform(0.8 * hw, 1.4 * hw)
+        width = rng.uniform(0.1 * hw, 0.3 * hw)
+        for wt, center in ((w, -sep / 2.0), (1.0 - w, sep / 2.0)):
+            inside = np.abs(mids - center) <= width / 2.0
+            if not inside.any():
+                fallbacks[spec.kind] += 1
+                inside[np.argmin(np.abs(mids - center))] = True
+            vals[inside] += wt / (inside.sum() * dx)
+    return normalize(Grid1D(x0=-hw, dx=dx, values=vals))
+
+
+class TestGeneratorBits:
+    """random_density fills each flat component by one slice of a run of
+    cells; it gives the bits of the mask-based reference above."""
+
+    @pytest.mark.parametrize("cells", [8, 9, 64, 2048])
+    def test_bit_identical_to_the_mask_reference(self, cells):
+        fallbacks = collections.Counter()
+        for kind in GENERATOR_KINDS:
+            for seed in range(200):
+                spec = DensityGeneratorSpec(kind, component_count=1 + seed % 4,
+                                            seed=seed, cells=cells)
+                want, got = _mask_density(spec, fallbacks), random_density(spec)
+                assert (got.x0, got.dx) == (want.x0, want.dx)
+                assert got.values.tobytes() == want.values.tobytes(), spec
+        if cells < 16:
+            # at a cell width of about 1, narrow components miss every
+            # midpoint and take both one-cell fallbacks, whose draws differ
+            assert fallbacks["uniform-mixture"] > 0 and fallbacks["bimodal"] > 0
+
+    @pytest.mark.parametrize("half", [0.0, 0.25, 0.5, 0.75, 3.0])
+    def test_run_is_the_mask_with_ties_at_both_ends(self, half):
+        # random draws almost never put a midpoint exactly half a width
+        # from a center; here d has cells at +-half, which the mask keeps
+        d = np.arange(-2.0, 2.25, 0.25)
+        lo, hi = _run_within(d, half)
+        inside = np.flatnonzero(np.abs(d) <= half)
+        assert (lo, hi) == (inside[0], inside[-1] + 1)
 
 
 class TestSymmetricDecreasing:

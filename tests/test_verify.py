@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+from fractions import Fraction
 import multiprocessing
 import os
 import sys
@@ -254,6 +255,23 @@ class TestChecks:
     def test_rbll_needs_input(self):
         with pytest.raises(BadParameter):
             check_rbll([])
+
+
+class TestExactOverlap:
+    def test_same_grid_pair_overlap_is_exact(self):
+        # on one grid the overlap is the sum of the cell products times dx:
+        # here 2^-20 + 2^-60, times dx = 2^-2, a float.  A projection of g
+        # onto its own grid reads its cumulative mass, where 1 + 2^-60
+        # rounds to 1, so it lost g's second cell
+        f = Grid1D(-0.25, 0.25, np.array([2.0**-20, 1.0]))
+        g = Grid1D(-0.25, 0.25, np.array([1.0, 2.0**-60]))
+        exact = sum(Fraction(a) * Fraction(b) for a, b in zip(f.values, g.values)) * Fraction(f.dx)
+        assert exact.denominator & (exact.denominator - 1) == 0  # dyadic
+        rep = check_rbll([f, g])
+        assert Fraction(rep.lhs) == exact
+        # the rearranged pair sits on one grid too, so rhs is the float sum
+        fs, gs = rearrange_1d(f), rearrange_1d(g)
+        assert rep.rhs == float(np.sum(fs.values * gs.values) * fs.dx)
 
 
 def _fisher_monotone(seed):
