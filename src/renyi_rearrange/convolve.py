@@ -21,16 +21,14 @@ depend on where the factors are positive.
 Up to `FFT_THRESHOLD` output cells of the hull product the quadratic-time
 direct sum is used; larger products go through numpy's real FFT
 (`numpy.fft.rfft`/`irfft`) at the smallest 5-smooth length that holds the
-hull product.  Up to `_BATCH_LEN` points the two zero-padded factors take
-one batched `rfft` call, whose rows are bitwise equal to separate calls;
-past it they take two calls, since the batched buffer would page-fault
-fresh memory on every call.  A self-convolution (f convolved with itself)
-takes one transform and squares it.  Either result is then given its
-exact support: the sum set of the two factors' runs of positive cells,
-the run pair sums sorted and merged where they overlap or touch, or the
-runs of an FFT of the two indicators (a pair count, exact when rounded
-at 1/2) when the run pairs outnumber the output cells; when each hull is
-one run it is every cell.
+hull product.  The two zero-padded factors take one batched `rfft` call,
+whose rows are bitwise equal to separate calls, and a self-convolution
+(f convolved with itself) takes one transform and squares it.  Either
+result is then given its exact support: the sum set of the two factors'
+runs of positive cells, the run pair sums sorted and merged where they
+overlap or touch, or the runs of an FFT of the two indicators (a pair
+count, exact when rounded at 1/2) when the run pairs outnumber the
+output cells; when each hull is one run it is every cell.
 The gaps between its runs are zeroed slice by slice, with no full-length
 mask.  A cell on the support that the kernel left below the smallest
 normal float, `np.finfo(float).tiny`, gets that value: its true
@@ -89,24 +87,15 @@ def _fast_len(n: int) -> int:
     return best
 
 
-# the longest transform whose two factors share one batched rfft call: a
-# (2, n) buffer past it outgrows 128 KiB and page-faults fresh memory
-_BATCH_LEN = 8192
-
-
 def _fft_conv(p: np.ndarray, q: np.ndarray, out_len: int) -> np.ndarray:
     """The first out_len cells of the cyclic convolution of p and q at the
-    smallest 5-smooth length n that holds them.  Up to _BATCH_LEN points
-    both factors take one batched rfft call, past it one call each (a
-    batched row has the bits of a separate call), and the spectra multiply
-    as p's times q's; when q is p, one transform is squared."""
+    smallest 5-smooth length that holds them.  Both factors take one batched
+    rfft call, whose rows have the bits of separate calls, and the spectra
+    multiply as p's times q's; when q is p, one transform is squared."""
     n = _fast_len(out_len)
     if q is p:
         spec = np.fft.rfft(p, n)
         prod = spec * spec
-        del spec
-    elif n > _BATCH_LEN:
-        prod = np.fft.rfft(p, n) * np.fft.rfft(q, n)
     else:
         pair = np.zeros((2, n))
         pair[0, :p.size] = p
@@ -114,7 +103,7 @@ def _fft_conv(p: np.ndarray, q: np.ndarray, out_len: int) -> np.ndarray:
         spec = np.fft.rfft(pair)
         del pair
         prod = spec[0] * spec[1]
-        del spec
+    del spec
     return np.fft.irfft(prod, n)[:out_len]
 
 

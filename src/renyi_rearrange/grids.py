@@ -167,17 +167,10 @@ def require_same_grid(f: Grid1D, g: Grid1D) -> None:
 
 def normalize(f: Grid1D) -> Grid1D:
     """Rescale to unit mass.  Raises ZeroMass when there is nothing to scale."""
-    return _unit_mass(f.x0, f.dx, f.values, None)
-
-
-def _unit_mass(x0: float, dx: float, values: np.ndarray,
-               out: np.ndarray | None) -> Grid1D:
-    """The Grid1D of values divided by their mass (Grid1D.mass), written
-    into out (values itself, to divide in place) or a new array."""
-    m = float(values.sum() * dx)
+    m = f.mass
     if not (m > 0.0):
         raise ZeroMass(f"total mass is {m}")
-    return Grid1D(x0, dx, np.divide(values, m, out=out))
+    return Grid1D(f.x0, f.dx, f.values / m)
 
 
 def moment(f: Grid1D, k: int) -> float:
@@ -273,8 +266,7 @@ def random_density(spec: DensityGeneratorSpec) -> Grid1D:
     increase, so those cells are one run, found by two binary searches
     and filled by one slice; a component that covers no midpoint takes
     one cell instead (a random one for uniform-mixture, the nearest for
-    bimodal).  The midpoints are computed once per cell count, and the
-    values are divided by their mass in place.
+    bimodal).  The midpoints are computed once per cell count.
     """
     spec.validate()
     rng = np.random.default_rng(spec.seed)
@@ -324,7 +316,7 @@ def random_density(spec: DensityGeneratorSpec) -> Grid1D:
                 hi = lo + 1
             vals[lo:hi] += wt / ((hi - lo) * dx)
 
-    return _unit_mass(-hw, dx, vals, vals)
+    return normalize(Grid1D(x0=-hw, dx=dx, values=vals))
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from renyi_rearrange import (
     gaussian_on_grid,
     mixture_entropy_bound_check,
     random_density,
+    renyi_divergence,
     renyi_entropies,
     report_geq,
     report_leq,
@@ -38,6 +39,7 @@ from renyi_rearrange import (
     summarize,
 )
 import renyi_rearrange.config as config_module
+import renyi_rearrange.entropy as entropy_module
 from renyi_rearrange import cli, verifier
 from renyi_rearrange.convolve import convolve_k
 from renyi_rearrange.entropy import FACTOR_ORDERS, ORDERS
@@ -49,6 +51,7 @@ from renyi_rearrange.verifier import (
     check_main_theorem,
     check_majorized_convolution,
     check_most_gen,
+    check_divergence_contraction,
     check_rbll,
 )
 
@@ -255,6 +258,26 @@ class TestChecks:
     def test_rbll_needs_input(self):
         with pytest.raises(BadParameter):
             check_rbll([])
+
+    def test_divergence_contraction_reads_the_groups_stars(self, monkeypatch):
+        # the pair's rearrangements come from group.stars, each density
+        # rearranged once however many orders are checked
+        f, g = (random_density(DensityGeneratorSpec("gaussian-mixture", seed=s, cells=256))
+                for s in (3, 4))
+        calls = []
+        monkeypatch.setattr(entropy_module, "rearrange_1d",
+                            lambda h: calls.append(h) or rearrange_1d(h))
+        group = Group((f, g))
+        for alpha in (0.3, 1.0):
+            rep = check_divergence_contraction(group, alpha, seed=7)
+            f_star, g_star = group.stars
+            assert rep.passed and rep.seed == 7
+            assert rep.name == f"divergence_contraction[alpha={alpha:g}]"
+            assert rep.lhs == renyi_divergence(f_star, g_star, alpha)
+            assert rep.rhs == renyi_divergence(f, g, alpha)
+            assert rep.lhs < rep.rhs
+        assert [id(h) for h in calls] == [id(f), id(g)]
+        assert f_star.values.tobytes() == rearrange_1d(f).values.tobytes()
 
 
 class TestExactOverlap:
