@@ -211,8 +211,8 @@ def test_criterion_08_dimensional_epi_gap():
     failures = []
     start = time.perf_counter()
     per_dim = {}
-    for m in (2, 4, 8, 16, 32, 64):
-        gap = epi_gap_balls(m, 0.5)
+    dims = (2, 4, 8, 16, 32, 64)
+    for m, gap in zip(dims, epi_gap_balls(dims, 0.5)):
         per_dim[m] = gap / m
         if gap < -1e-9:
             failures.append(f"negative gap {gap} at dim {m}")

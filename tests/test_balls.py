@@ -1,4 +1,7 @@
+import hashlib
+import io
 import math
+from contextlib import redirect_stdout
 
 import mpmath
 import numpy as np
@@ -16,6 +19,7 @@ from renyi_rearrange import (
     InaccurateResult,
     SpacingMismatch,
     ZeroMass,
+    ball_sum_entropies,
     ball_sum_entropy,
     ball_sum_log_radial,
     ball_sum_radial,
@@ -27,11 +31,19 @@ from renyi_rearrange import (
     epi_gap_balls,
     log_cap_integral,
 )
+from renyi_rearrange import cli
+from simd import pin
 
 
 def _cap(theta, n):
     """The cap integral h(theta) itself."""
     return math.exp(log_cap_integral(theta, n))
+
+
+def _log_g(bp, r):
+    """log g of the one pair bp at the radii r (1-d)."""
+    r = np.atleast_1d(np.asarray(r, dtype=float))
+    return balls._log_g(balls._Pairs((bp,)), np.zeros(r.size, dtype=np.intp), r)
 
 
 def _unit_ball_volume(n):
@@ -199,8 +211,8 @@ class TestBallSumRadial:
         # radii in all three branches: inside the breakpoint, the lens, outside
         bp = BallPair(n, r1, r2)
         radii = np.linspace(0.0, 1.1 * (r1 + r2), 157)
-        values = balls._log_g(bp, radii)
-        scalars = np.array([balls._log_g(bp, float(r)) for r in radii])
+        values = _log_g(bp, radii)
+        scalars = np.concatenate([_log_g(bp, float(r)) for r in radii])
         assert np.array_equal(values.view(np.int64), scalars.view(np.int64))
         assert np.isneginf(values[radii >= r1 + r2]).all()
         assert np.isfinite(values[radii < r1 + r2]).all()
@@ -222,7 +234,7 @@ class TestBallSumRadial:
         bp = BallPair(n, r, r)
         radii = np.concatenate((np.linspace(0.0, 2.2 * r, 157),
                                 [1e-300, 1e-8, r, np.nextafter(2.0 * r, 0.0), 2.0 * r]))
-        values = balls._log_g(bp, radii)
+        values = _log_g(bp, radii)
         assert (n >= 512) == bool(cf_sizes)
         assert [v.hex() for v in values] == [v.hex() for v in _two_ball_log_g(bp, radii)]
 
@@ -319,22 +331,32 @@ class TestBallSumEntropy:
 
     def test_one_vectorized_evaluation_per_level(self, monkeypatch):
         # a recorder of the radii _log_g is called with: the first level
-        # takes the nodes of all starting subintervals at once, and each
-        # later one the nodes of the bisected halves of the failed ones
+        # takes the nodes of every pair's starting subintervals at once
+        # (one piece for equal radii, two split at |r1 - r2| otherwise), and
+        # each later one the nodes of the bisected halves of the failed ones;
+        # dims 2 to 4096 at lambda = 1/2 take as many levels as their
+        # deepest pair, dim 2's 12, where one sweep per pair takes 40
         calls = []
         log_g = balls._log_g
 
-        def recorded(bp, r):
+        def recorded(pairs, p, r):
             calls.append(np.size(r))
-            return log_g(bp, r)
+            return log_g(pairs, p, r)
 
         monkeypatch.setattr(balls, "_log_g", recorded)
-        ball_sum_entropy(BallPair(4096, math.sqrt(0.5), math.sqrt(0.5)))
         per_interval = 3 * balls._GL_NODES
-        assert 1 <= len(calls) <= balls._GL_MAX_LEVELS
-        assert calls[0] == balls._GL_START * per_interval
+        ball_sum_entropies([BallPair(4096, 1.0, 1.0), BallPair(3, 1.0, 0.5)])
+        assert calls[0] == 3 * balls._GL_START * per_interval
+        calls.clear()
+        epi_gap_balls([2 ** k for k in range(1, 13)], 0.5)
+        assert len(calls) == 12
+        assert calls[0] == 12 * balls._GL_START * per_interval
         for before, after in zip(calls, calls[1:]):
             assert after % (2 * per_interval) == 0 and after <= 2 * before
+        calls.clear()
+        for k in range(1, 13):
+            epi_gap_balls([2 ** k], 0.5)
+        assert len(calls) == 40
 
 
 def _mpmath_ball_sum_entropy(n, r1, r2, dps=25):
@@ -377,42 +399,155 @@ class TestEpiGap:
         lam = 0.5
         bp = BallPair(2, math.sqrt(lam), math.sqrt(1.0 - lam))
         expected = ball_sum_entropy(bp) - math.log(math.pi)
-        assert epi_gap_balls(2, lam) == pytest.approx(expected, rel=1e-12)
+        assert epi_gap_balls([2], lam) == [pytest.approx(expected, rel=1e-12)]
 
     def test_gap_positive(self):
-        for m in (2, 3, 5, 9):
-            assert epi_gap_balls(m, 0.5) > 0.0
+        assert all(gap > 0.0 for gap in epi_gap_balls([2, 3, 5, 9], 0.5))
 
     def test_gap_grows_like_log_dim(self):
         # from dim 256 on each doubling adds about (log 2)/2 to the gap
-        gaps = [epi_gap_balls(2 ** k, 0.5) for k in range(8, 15)]
+        gaps = epi_gap_balls([2 ** k for k in range(8, 15)], 0.5)
         steps = np.diff(gaps)
         assert np.all(steps > 0.34) and np.all(steps < 0.347)
 
     def test_lambda_validation(self):
         with pytest.raises(BadParameter):
-            epi_gap_balls(2, 0.0)
+            epi_gap_balls([2], 0.0)
         with pytest.raises(BadParameter):
-            epi_gap_balls(2, 1.0)
+            epi_gap_balls([2], 1.0)
 
     @pytest.mark.parametrize("m", [2, 64, 4096])
     def test_equal_balls_pass_one_cap_angle_per_node(self, m, monkeypatch):
-        # equal radii share their caps, and every node is in the lens
+        # equal radii share their caps, and every node is in the lens,
+        # alone and in a sweep with a pair of unequal radii, whose lens
+        # nodes take two angles each
         nodes, angles = [], []
-        log_g, log_cap = balls._log_g, balls.log_cap_integral
+        log_g, log_caps = balls._log_g, balls._log_caps
 
-        def recorded_log_g(bp, r):
+        def recorded_log_g(pairs, p, r):
             nodes.append(np.size(r))
-            return log_g(bp, r)
+            return log_g(pairs, p, r)
 
-        def recorded_cap(theta, n):
+        def recorded_caps(theta, rows, col):
             angles.append(np.size(theta))
-            return log_cap(theta, n)
+            return log_caps(theta, rows, col)
 
         monkeypatch.setattr(balls, "_log_g", recorded_log_g)
-        monkeypatch.setattr(balls, "log_cap_integral", recorded_cap)
-        epi_gap_balls(m, 0.5)
+        monkeypatch.setattr(balls, "_log_caps", recorded_caps)
+        epi_gap_balls([m], 0.5)
         assert nodes and angles == nodes
+        nodes.clear()
+        angles.clear()
+        ball_sum_entropies([BallPair(m, 1.0, 1.0), BallPair(m, 1.0, 0.5)])
+        # the first level's nodes: 8 subintervals of the equal pair, and of
+        # the other 8 inside the breakpoint (one cap angle, none) and 8 in
+        # the lens (two)
+        per_half = balls._GL_START * 3 * balls._GL_NODES
+        assert nodes[0] == 3 * per_half and angles[0] == 3 * per_half
+
+
+class TestSweep:
+    """ball_sum_entropies: one quadrature sweep over many pairs."""
+
+    PAIRS = ([BallPair(2 ** k, math.sqrt(lam), math.sqrt(1.0 - lam))
+              for k in range(1, 13) for lam in (0.3, 0.5)]
+             + [BallPair(1, 0.5, 0.5), BallPair(1, 1.0, 0.25), BallPair(3, 1.0, 0.5),
+                BallPair(64, 1.0, 0.6), BallPair(512, 0.6, 1.0)])
+
+    def test_each_pair_as_if_alone(self):
+        # no pair's budget, refinement or cap sharing leaks into another's:
+        # equal and unequal radii, dims 1 to 4096, in either order
+        alone = [ball_sum_entropy(bp).hex() for bp in self.PAIRS]
+        assert [h.hex() for h in ball_sum_entropies(self.PAIRS)] == alone
+        assert [h.hex() for h in ball_sum_entropies(self.PAIRS[::-1])] == alone[::-1]
+
+    def test_empty_sweep(self):
+        assert ball_sum_entropies([]) == []
+
+    def test_levels_cut_name_the_pair(self, monkeypatch):
+        # dim 2 takes 12 levels, dims 64 and 4096 at most 4: cut at 5, the
+        # sweep fails on dim 2's pair alone and returns nothing
+        monkeypatch.setattr(balls, "_GL_MAX_LEVELS", 5)
+        r = math.sqrt(0.5)
+        pairs = [BallPair(64, r, r), BallPair(2, r, r), BallPair(4096, r, r)]
+        with pytest.raises(InaccurateResult) as exc:
+            ball_sum_entropies(pairs)
+        message = str(exc.value)
+        assert f"radial entropy integral of {pairs[1]!r}" in message
+        assert "after 5 levels" in message
+        assert repr(pairs[0]) not in message and repr(pairs[2]) not in message
+
+    def test_continued_fraction_cut_names_the_pair(self, monkeypatch):
+        # only dim 4096 reaches the continued fraction, here in the first
+        # level's evaluation, shared with the other two pairs
+        monkeypatch.setattr(balls, "_CF_MAX_TERMS", 1)
+        pairs = [BallPair(3, 1.0, 0.5), BallPair(4096, math.sqrt(0.3), math.sqrt(0.7)),
+                 BallPair(2, 1.0, 1.0)]
+        with pytest.raises(InaccurateResult) as exc:
+            ball_sum_entropies(pairs)
+        message = str(exc.value)
+        assert message.startswith(f"radial entropy integral of {pairs[1]!r}: ")
+        assert "did not converge" in message
+        assert repr(pairs[0]) not in message and repr(pairs[2]) not in message
+
+
+def _stdout(argv):
+    """The exit code and standard output of one CLI run."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        rc = cli.main(argv)
+    return rc, out.getvalue()
+
+
+class TestBallBytes:
+    """The bytes of epigap and ballsum, and the bits of ball_sum_entropy on
+    a table of pairs, as one pair per sweep printed them.
+
+    The printed bytes are the same at each x86-64 SIMD level; the entropies'
+    last bits are not (np.cos, np.arcsin, np.log and np.exp are dispatched
+    by level), so they are pinned for numpy 2.4 at each level, recorded by
+    limiting numpy with NPY_DISABLE_CPU_FEATURES (tests/simd.py), and that
+    test is skipped elsewhere.
+    """
+
+    OUTPUTS = {
+        "epigap --max-dim 4096 --lambda 0.5":
+            "6c84a33cac090758048b76514a1b5a7271b3fcf902ed541b12597e149b051946",
+        "epigap --max-dim 4096 --lambda 0.3":
+            "df6e249b943f8ebeb9141b20c3d02f0380fc8ed83d1cbbb93c0368593cdcc5f4",
+        "ballsum --dim 3 --r1 1 --r2 0.5":
+            "d204556f61b4e2ede14f4f70484ab292c680715d750c974c577e6391c99eed05",
+        "ballsum --dim 1 --r1 0.5 --r2 0.5 --entropy-only":
+            "37aa4ccd37b7f7660a6a3843642309876fd774b7cbe72b221feb160d0a7ac73a",
+    }
+    PAIRS = ((1, 0.5, 0.5), (1, 1.0, 1.0), (1, 1.0, 0.25), (2, 1.0, 0.5), (3, 1.0, 0.5),
+             (4, 1.0, 0.6), (5, 0.7, 1.3), (64, 1.0, 1.0), (64, 1.0, 0.6),
+             (512, math.sqrt(0.5), math.sqrt(0.5)), (512, 0.6, 1.0),
+             (1024, math.sqrt(0.3), math.sqrt(0.7)), (4096, math.sqrt(0.5), math.sqrt(0.5)),
+             (4096, math.sqrt(0.3), math.sqrt(0.7)))
+    V4 = ("0x1.ffffffffffffbp-2", "0x1.317217f7d1cf7p+0", "0x1.a2e42fefa39efp-1",
+          "0x1.9c930ea1e26b8p+0", "0x1.0c3dfe69254e9p+1", "0x1.511d6d2de8ef9p+1",
+          "0x1.05395d78d0910p+2", "-0x1.52a8ad946b16fp+4", "-0x1.0c8fe65085d7fp+5",
+          "-0x1.b3cddd4789874p+9", "-0x1.8c7b04a5e2131p+9", "-0x1.0622001fc8ea5p+11",
+          "-0x1.5ebf45d3b65fcp+13", "-0x1.5ebfa6478df91p+13")
+    V3 = ("0x1.ffffffffffffbp-2", "0x1.317217f7d1cf8p+0", "0x1.a2e42fefa39efp-1",
+          "0x1.9c930ea1e26b8p+0", "0x1.0c3dfe69254e9p+1", "0x1.511d6d2de8efap+1",
+          "0x1.05395d78d0910p+2", "-0x1.52a8ad946b176p+4", "-0x1.0c8fe65085d7fp+5",
+          "-0x1.b3cddd478987ep+9", "-0x1.8c7b04a5e212dp+9", "-0x1.0622001fc8ed5p+11",
+          "-0x1.5ebf45d3b6678p+13", "-0x1.5ebfa6478e036p+13")
+    HEX = {("X86_V4",): V4, ("X86_V3",): V3, ("X86_V2",): V3}
+
+    @pytest.mark.parametrize("argv", sorted(OUTPUTS))
+    def test_cli_output_digest(self, argv):
+        rc, out = _stdout(argv.split())
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.OUTPUTS[argv]
+
+    def test_entropy_bits(self):
+        expected = pin(self.HEX)
+        pairs = [BallPair(*pair) for pair in self.PAIRS]
+        assert tuple(ball_sum_entropy(bp).hex() for bp in pairs) == expected
+        assert tuple(h.hex() for h in ball_sum_entropies(pairs)) == expected
 
 
 def _run_count(cells):

@@ -425,8 +425,8 @@ class TestEpigapCommand:
         # 512 (the true gap is 2.598); it passes every check but the step one
         real = cli.epi_gap_balls
 
-        def wrong_at_512(m, lam):
-            return 0.713917 if m == 512 else real(m, lam)
+        def wrong_at_512(dims, lam):
+            return [0.713917 if m == 512 else gap for m, gap in zip(dims, real(dims, lam))]
 
         monkeypatch.setattr(cli, "epi_gap_balls", wrong_at_512)
         rc = cli.main(["epigap", "--max-dim", "512", "--lambda", "0.5"])
