@@ -15,10 +15,20 @@ numerical limits of the general formula.  On step densities every one of
 these is a finite sum and therefore exact.  Every cell measures dx, so
 the general-p branch reads the positive values v alone, as
 (p/(1-p)) log M + (log sum (v/M)^p + log dx)/(1-p) with M = max v: each
-term is at most 1, so no order up to the largest float overflows.  Near
-p = 1 that quotient divides the rounding of the log power sum by 1 - p.
-So for 0 < |t| < RENYI_NEAR_ONE_WIDTH (config), t = p - 1, h_p is read
-instead from the mass m = |f|_1 and the mean mu of x = log v under v:
+term is at most 1 and the maxima's are exactly 1, so the sum is at least
+1 and no order up to the largest float overflows.  At p >= 1/16 the
+terms are the ratios v/M raised to p, formed in one scratch array with
+no log and no mask (numpy takes a square root at p = 1/2 and a square
+at 2).  A ratio below the normal floats (subnormal, or underflowed to 0)
+is under 2^-1022, so its term is under 2^(-1022 p), which is below half
+an ulp of the sum once p > 54/1022 ~ 0.053.  Below 1/16 that no longer
+holds (at M = 1e9 a cell of 1e-320 has the term 0.93 at p = 1e-4, but
+its ratio underflows to 0), so there the terms are exp(p (log v - log M))
+from log v, which keeps every positive value's digits (_log_power_sum).
+Near p = 1 the quotient divides the rounding of the power sum's log by
+1 - p.  So for 0 < |t| < RENYI_NEAR_ONE_WIDTH (config), t = p - 1, h_p
+is read instead from the mass m = |f|_1 and the mean mu of x = log v
+under v:
 
     h_p = -(log m + t mu + log1p(sum v expm1(t (x - mu)) / sum v)) / t,
 
@@ -115,32 +125,40 @@ def renyi_entropies(f: Grid1D, orders: Sequence[float | str]) -> tuple[float, ..
     """(h_p(f) for p in orders) from one pass over the layers of f.
 
     The positive values v are read in place when no cell is zero, else
-    gathered once, and serve every order.  Each order other than 0 and inf
-    forms log v in one scratch array of its own and consumes it in place
-    (times v for p = 1, the power sum's terms otherwise), so beside v at
-    most that array is alive, with the expm1 sum's temporaries near 1.
-    p = 0, 1 and inf take their own exact branches, 0 < |p - 1| <
-    RENYI_NEAR_ONE_WIDTH one expm1 sum (_log_mean_exp, with the mass formed
-    once per call), and every other p the log-space power sum.  Bit for bit
-    the same numbers as calling :func:`renyi_entropy` order by order, and
-    as reading every order from one log v kept for the whole call.
+    gathered once, and serve every order; their maximum M is taken once.
+    p = 0, 1 and inf take their own exact branches.  Every other order
+    fills one scratch array the size of v and consumes it in place: at
+    p >= 1/16 (_POWER_FORM_MIN_ORDER, the module docstring's rule) with
+    |p - 1| >= RENYI_NEAR_ONE_WIDTH it holds v / M raised to p and then
+    summed, with no log and no mask; for 0 < |p - 1| <
+    RENYI_NEAR_ONE_WIDTH it holds log v and then the terms of one expm1
+    sum (_log_mean_exp, with the mass formed once per call); p = 1 forms
+    v log v in it; and below 1/16 it holds log v, consumed by the
+    log-space power sum (_log_power_sum).  So beside v at most that array
+    is alive, with the expm1 sum's temporaries near 1.  Bit for bit the
+    same numbers as calling :func:`renyi_entropy` order by order.
     """
     orders = [order(p) for p in orders]
     v = f.values if f.values.min(initial=math.inf) > 0.0 else f.values[f.values > 0.0]
     if v.size == 0:
         raise ZeroMass("entropy of an identically zero density")
-    log_max = log_mass = None
+    v_max = v.max()
+    log_mass = None
     out = []
     for p in orders:
+        t = p - 1.0
         if p == 0.0:
             h = math.log(v.size * f.dx)
         elif math.isinf(p):
-            h = float(-np.log(v.max()))
+            h = float(-np.log(v_max))
+        elif p >= _POWER_FORM_MIN_ORDER and abs(t) >= RENYI_NEAR_ONE_WIDTH:
+            terms = np.divide(v, v_max)  # this order's scratch array
+            terms **= p
+            h = (p / (1.0 - p)) * math.log(v_max) + (
+                math.log(float(np.sum(terms))) + math.log(f.dx)) / (1.0 - p)
+            del terms
         else:
             log_v = np.log(v)  # this order's scratch array
-            if log_max is None:
-                log_max = float(log_v.max())
-            t = p - 1.0
             if p == 1.0:
                 log_v *= v
                 h = float(-np.sum(log_v) * f.dx)
@@ -149,11 +167,18 @@ def renyi_entropies(f: Grid1D, orders: Sequence[float | str]) -> tuple[float, ..
                     log_mass = _log_mass(v, f.dx)
                 h = -(log_mass + _log_mean_exp(v, log_v, t)) / t
             else:
+                log_max = float(log_v.max())
                 h = (p / (1.0 - p)) * log_max + (
                     _log_power_sum(log_v, log_max, p) + math.log(f.dx)) / (1.0 - p)
             del log_v
         out.append(h)
     return tuple(out)
+
+
+# the least order whose power sum is formed from the ratios v / M: past
+# 54/1022, a ratio below the normal floats gives a term under half an ulp
+# of the sum (the module docstring)
+_POWER_FORM_MIN_ORDER = 1.0 / 16.0
 
 
 def _log_power_sum(log_v: np.ndarray, log_max: float, p: float) -> float:
@@ -164,13 +189,12 @@ def _log_power_sum(log_v: np.ndarray, log_max: float, p: float) -> float:
     The maximum of a is 0, so this is scipy.special.logsumexp(a) bit for
     bit without its shift: the m entries with a == 0 (the maxima, and at
     tiny p those that underflow to -0) are taken out of the sum s of the
-    rest, which gives log(m) + log1p(s / m).  A term that overflows to -inf
-    drops out.
+    rest, which gives log(m) + log1p(s / m).  renyi_entropies reads it
+    below _POWER_FORM_MIN_ORDER only, where p a cannot overflow.
     """
     a = log_v
     a -= log_max
-    with np.errstate(over="ignore"):
-        a *= p
+    a *= p
     top = a == 0.0
     m = np.count_nonzero(top)
     a[top] = -np.inf

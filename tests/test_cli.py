@@ -301,9 +301,9 @@ class TestVerifyBytes:
     """
 
     PINS = {
-        ("X86_V4",): "de20367905b0544ff7c1c012b972f915917af1338cec8ef45dc81af91663b0f7",
-        ("X86_V3",): "6da695f4545cd1c5555be09325b469b1c1e3e79734b673fcbae9635d85272f8c",
-        ("X86_V2",): "ee46577d6689801ac2490f63ac62403b92a7e4df9d51041f6e86f40bffb68b0c",
+        ("X86_V4",): "606cb254268b96cdeeced9327bf55eb02fea78b8dc6638ac81f2e3bf8b6b1f2d",
+        ("X86_V3",): "63087e3dd3b2d48406215cc9ad6d9bf5ed0adeba6f2444c66a5da549ba909faa",
+        ("X86_V2",): "f5aad1521c42dbdb850fc81aef86455f2255df6953b8cbd97a37f19236f1330e",
     }
 
     def test_document_digest(self, tmp_path):

@@ -253,8 +253,17 @@ def _log_sum_exp(a):
     return float(np.log1p(np.sum(e) / m) + np.log(m) + a_max)
 
 
+def _power_form(v, v_max, p, dx):
+    """h_p from the power sum of the ratios v / M, M = v_max."""
+    power_sum = float(np.sum((v / v_max) ** p))
+    return (p / (1.0 - p)) * math.log(v_max) + (
+        math.log(power_sum) + math.log(dx)) / (1.0 - p)
+
+
 def _renyi_entropy_reference(f, p):
-    """h_p(f) for one order, each order reading the values of f afresh."""
+    """h_p(f) for one order outside the window around 1, each order
+    reading the values of f afresh: the power form at p >= 1/16, the
+    log-sum-exp of p (log v - log M) below it."""
     p = float(p)
     v = f.values[f.values > 0.0]
     if v.size == 0:
@@ -263,19 +272,20 @@ def _renyi_entropy_reference(f, p):
         return math.log(v.size * f.dx)
     if p == math.inf:
         return float(-np.log(v.max()))
+    if p >= 1.0 / 16.0 and p != 1.0:
+        return _power_form(v, v.max(), p, f.dx)
     log_v = np.log(v)
     if p == 1.0:
         return float(-np.sum(v * log_v) * f.dx)
     log_max = float(log_v.max())
-    with np.errstate(over="ignore"):  # an overflow to -inf drops a term
-        lse = _log_sum_exp(p * (log_v - log_max))
+    lse = _log_sum_exp(p * (log_v - log_max))
     return (p / (1.0 - p)) * log_max + (lse + math.log(f.dx)) / (1.0 - p)
 
 
 class TestRenyiEntropies:
     """One layer pass for many orders gives the per-order numbers bit for bit."""
 
-    ORDERS = (0.0, 1e-4, 0.5, 1.0, 2.0, 1e4, math.inf)
+    ORDERS = (0.0, 1e-4, 0.06, 1.0 / 16.0, 0.5, 1.0, 2.0, 1e4, math.inf)
 
     @staticmethod
     def _densities():
@@ -303,7 +313,7 @@ class TestRenyiEntropies:
     # at p = 1e-320 the cells near the maximum whose p (log v - log M)
     # underflows to -0, which count with the maxima as the reference's do
     # (on the last case, counting only the maxima changes the bits)
-    TINY_TO_HUGE = (1e-320, 1e-300, 0.5, 2.0, 1e300, 1.7e308)
+    TINY_TO_HUGE = (1e-320, 1e-300, 0.06, 1.0 / 16.0, 0.5, 2.0, 1e300, 1.7e308)
     ORACLE_CASES = {
         "all-positive": (np.random.default_rng(45).random(900) + 1e-3, ORDERS),
         "zero-cells": (np.where(np.arange(800) % 7 == 3, 0.0,
@@ -340,21 +350,27 @@ class TestRenyiEntropies:
 
 
 def _one_log_entropies(f, orders):
-    """renyi_entropies as it read every order from one log of the values,
-    kept for the whole call, with each power sum in a scratch array of its
-    own: the reference for the bits of the reader that forms the log per
-    order and consumes it in place."""
+    """renyi_entropies as it read every order from one log of the values
+    and one array of the ratios v / M, both kept for the whole call, with
+    each power sum in a scratch array of its own: the reference for the
+    bits of the reader that forms each order's log or ratios afresh and
+    consumes them in place."""
     orders = [order(p) for p in orders]
     v = f.values if f.values.min(initial=math.inf) > 0.0 else f.values[f.values > 0.0]
     if v.size == 0:
         raise ZeroMass("entropy of an identically zero density")
-    log_v = log_mass = None
+    log_v = log_mass = ratios = None
     out = []
     for p in orders:
         if p == 0.0:
             h = math.log(v.size * f.dx)
         elif math.isinf(p):
             h = float(-np.log(v.max()))
+        elif p >= 1.0 / 16.0 and abs(p - 1.0) >= RENYI_NEAR_ONE_WIDTH:
+            if ratios is None:
+                ratios = v / v.max()
+            h = (p / (1.0 - p)) * math.log(v.max()) + (
+                math.log(float(np.sum(ratios ** p))) + math.log(f.dx)) / (1.0 - p)
         else:
             if log_v is None:
                 log_v = np.log(v)
@@ -368,8 +384,7 @@ def _one_log_entropies(f, orders):
                 h = -(log_mass + _log_mean_exp(v, log_v, t)) / t
             else:
                 a = np.subtract(log_v, log_max)
-                with np.errstate(over="ignore"):
-                    a *= p
+                a *= p
                 top = a == 0.0
                 m = np.count_nonzero(top)
                 a[top] = -np.inf
@@ -381,10 +396,12 @@ def _one_log_entropies(f, orders):
 
 
 class TestOneLogReader:
-    """Each order's log formed in its own scratch array and consumed there
-    gives the bits of one log kept for every order."""
+    """Each order's log or ratios formed in its own scratch array and
+    consumed there give the bits of one log and one ratio array kept for
+    every order."""
 
-    ORDERS = (1e-300, 0.5, 1.0 - 1e-6, 1.0, 1.0 + 1e-6, 2.0, 1.7e308, math.inf)
+    ORDERS = (1e-300, 0.06, 1.0 / 16.0, 0.5, 1.0 - 1e-6, 1.0, 1.0 + 1e-6, 2.0,
+              1.7e308, math.inf)
 
     @staticmethod
     def _cases():
@@ -432,9 +449,10 @@ class TestOneLogReader:
 class TestHugeOrders:
     """Orders up to the largest float approach h_inf without overflow.
 
-    The power sum is shifted by the maximum M before it is raised to p,
-    so p * log(v / M) <= 0 and a term too small for a float only drops
-    out; unshifted, p * log v overflows to +inf (M > 1) or -inf (M < 1).
+    The power sum is read from the ratios v / M to the maximum M, so each
+    term (v / M)^p is at most 1 and a term too small for a float only
+    drops out; unshifted, v^p overflows to +inf (M > 1) or underflows to
+    0 for every cell (M < 1).
     """
 
     DENSITIES = (
@@ -454,13 +472,13 @@ class TestHugeOrders:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for f in self.DENSITIES:
-                renyi_entropies(f, (1e300, 1e308, 1.7e308, 1e-300))
+                renyi_entropies(f, (1e300, 1e308, 1.7e308, 1e-300, 0.06, 1.0 / 16.0))
 
 
 class TestLogSumExp:
     """The reference's log-sum-exp matches scipy's bit for bit."""
 
-    ORDERS = (1e-4, 0.5, 2.0, 1e4)
+    ORDERS = (1e-4, 0.06, 1.0 / 16.0, 0.5, 2.0, 1e4)
 
     @staticmethod
     def _assert_bitwise(a):
@@ -499,6 +517,52 @@ class TestLogSumExp:
         a_before = a.copy()
         self._assert_bitwise(a)
         assert np.array_equal(a, a_before)
+
+
+def _mpmath_power_entropy(v, dx, p):
+    """h_p = log(sum v^p dx)/(1 - p) in 200-bit arithmetic, from the float
+    values v as they stand."""
+    with mpmath.workprec(200):
+        q = mpmath.mpf(p)
+        power_sum = mpmath.fsum(mpmath.mpf(float(x)) ** q for x in v)
+        return mpmath.log(power_sum * mpmath.mpf(dx)) / (1 - q)
+
+
+class TestPowerSumAccuracy:
+    """h_p against 200-bit arithmetic, on both sides of the 1/16 rule.
+
+    The reader adds (p/(1-p)) log M and (log S + log dx)/(1-p), with M
+    the maximum and S = sum (v/M)^p in [1, n], and each term of S
+    carries up to p/2 ulp from the rounding of v/M.  Each of its seven
+    roundings (p/(1-p), log M, their product, log S, log dx, the
+    division and the sum) is at most half an ulp of C = (p |log M| + p +
+    log n + |log dx|)/|1 - p|, so h_p is held to 4 ulp of C.  The worst
+    case reads 1.32 ulp of C (p = 1e4 on the 1e9 and 1e-320 cells), as
+    the log-space power sum did at every order.
+    """
+
+    ORDERS = (1e-4, 0.06, 1.0 / 16.0, 0.5, 2.0, 3.5, 1e4)
+    DX = 1e-3
+
+    _U = np.random.default_rng(48).random((4, 1000))
+    CASES = {"uniform": _U[0],
+             "log-uniform over 60 e-folds": np.exp(-60.0 * _U[1]),
+             "log-uniform over 700 e-folds": np.exp(-700.0 * _U[2]),
+             "scaled by 1e200": 1e200 * _U[3],
+             # each ratio v/M = 1e-329 underflows to 0, though its term at
+             # p = 1e-4 is 0.93: a power form at that order would drop
+             # 999 * 0.93 of the sum, and h_p would read 6.8 too low
+             "1e9 beside cells of 1e-320": np.where(np.arange(1000) == 333, 1e9, 1e-320)}
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_within_four_ulp_of_the_scale(self, case):
+        v = self.CASES[case]
+        got = renyi_entropies(make_grid(0.0, self.DX, v), self.ORDERS)
+        log_n_dx = math.log(v.size) + abs(math.log(self.DX))
+        for p, h in zip(self.ORDERS, got):
+            scale = (p * abs(math.log(v.max())) + p + log_n_dx) / abs(1.0 - p)
+            err = abs(mpmath.mpf(h) - _mpmath_power_entropy(v, self.DX, p))
+            assert err <= 4.0 * math.ulp(scale), (p, h, float(err))
 
 
 class TestDivergence:
