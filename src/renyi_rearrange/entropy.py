@@ -13,18 +13,17 @@ order_label(p) names it in reports.  p = 0, 1 and inf are exact branches
 of their own, the support measure, the Shannon sum and the maximum, never
 numerical limits of the general formula.  On step densities every one of
 these is a finite sum and therefore exact.  Every cell measures dx, so
-the general-p branch reads the positive values v alone, as
-(p/(1-p)) log M + (log sum (v/M)^p + log dx)/(1-p) with M = max v: each
-term is at most 1 and the maxima's are exactly 1, so the sum is at least
-1 and no order up to the largest float overflows.  At p >= 1/16 the
-terms are the ratios v/M raised to p, formed in one scratch array with
-no log and no mask (numpy takes a square root at p = 1/2 and a square
-at 2).  A ratio below the normal floats (subnormal, or underflowed to 0)
-is under 2^-1022, so its term is under 2^(-1022 p), which is below half
-an ulp of the sum once p > 54/1022 ~ 0.053.  Below 1/16 that no longer
-holds (at M = 1e9 a cell of 1e-320 has the term 0.93 at p = 1e-4, but
-its ratio underflows to 0), so there the terms are exp(p (log v - log M))
-from log v, which keeps every positive value's digits (_log_power_sum).
+every other order reads the positive values v alone, as
+(p/(1-p)) log s + (log sum (v/s)^p + log dx)/(1-p): the terms (v/s)^p
+are formed in one scratch array, with no log, no exp and no mask (numpy
+takes a square root at p = 1/2 and a square at 2).  At p >= 1/16 the
+scale s is the maximum M, so each term is at most 1, the maxima's are
+exactly 1, the sum is at least 1 and no order up to the largest float
+overflows.  Below 1/16 the scale is 1: a positive float v lies in
+[2^-1074, 2^1024), so v^p lies in (2^-67.2, 2^64) and no term overflows
+or underflows, while a ratio v/M could drop a term that counts (at
+M = 1e9 a cell of 1e-320 has the term 0.93 at p = 1e-4, but its ratio
+underflows to 0).
 Near p = 1 the quotient divides the rounding of the power sum's log by
 1 - p.  So for 0 < |t| < RENYI_NEAR_ONE_WIDTH (config), t = p - 1, h_p
 is read instead from the mass m = |f|_1 and the mean mu of x = log v
@@ -127,16 +126,15 @@ def renyi_entropies(f: Grid1D, orders: Sequence[float | str]) -> tuple[float, ..
     The positive values v are read in place when no cell is zero, else
     gathered once, and serve every order; their maximum M is taken once.
     p = 0, 1 and inf take their own exact branches.  Every other order
-    fills one scratch array the size of v and consumes it in place: at
-    p >= 1/16 (_POWER_FORM_MIN_ORDER, the module docstring's rule) with
-    |p - 1| >= RENYI_NEAR_ONE_WIDTH it holds v / M raised to p and then
-    summed, with no log and no mask; for 0 < |p - 1| <
-    RENYI_NEAR_ONE_WIDTH it holds log v and then the terms of one expm1
-    sum (_log_mean_exp, with the mass formed once per call); p = 1 forms
-    v log v in it; and below 1/16 it holds log v, consumed by the
-    log-space power sum (_log_power_sum).  So beside v at most that array
-    is alive, with the expm1 sum's temporaries near 1.  Bit for bit the
-    same numbers as calling :func:`renyi_entropy` order by order.
+    fills one scratch array the size of v and consumes it in place: with
+    |p - 1| >= RENYI_NEAR_ONE_WIDTH it holds v / s raised to p and then
+    summed, s being M at p >= 1/16 (_POWER_FORM_MIN_ORDER) and 1 below
+    (the module docstring's rule); for 0 < |p - 1| < RENYI_NEAR_ONE_WIDTH
+    it holds log v and then the terms of one expm1 sum (_log_mean_exp,
+    with the mass formed once per call); and p = 1 forms v log v in it.
+    So beside v at most that array is alive, with the expm1 sum's
+    temporaries near 1.  Bit for bit the same numbers as calling
+    :func:`renyi_entropy` order by order.
     """
     orders = [order(p) for p in orders]
     v = f.values if f.values.min(initial=math.inf) > 0.0 else f.values[f.values > 0.0]
@@ -151,10 +149,11 @@ def renyi_entropies(f: Grid1D, orders: Sequence[float | str]) -> tuple[float, ..
             h = math.log(v.size * f.dx)
         elif math.isinf(p):
             h = float(-np.log(v_max))
-        elif p >= _POWER_FORM_MIN_ORDER and abs(t) >= RENYI_NEAR_ONE_WIDTH:
-            terms = np.divide(v, v_max)  # this order's scratch array
+        elif abs(t) >= RENYI_NEAR_ONE_WIDTH:
+            scale = v_max if p >= _POWER_FORM_MIN_ORDER else 1.0
+            terms = np.divide(v, scale)  # this order's scratch array
             terms **= p
-            h = (p / (1.0 - p)) * math.log(v_max) + (
+            h = (p / (1.0 - p)) * math.log(scale) + (
                 math.log(float(np.sum(terms))) + math.log(f.dx)) / (1.0 - p)
             del terms
         else:
@@ -162,44 +161,19 @@ def renyi_entropies(f: Grid1D, orders: Sequence[float | str]) -> tuple[float, ..
             if p == 1.0:
                 log_v *= v
                 h = float(-np.sum(log_v) * f.dx)
-            elif abs(t) < RENYI_NEAR_ONE_WIDTH:
+            else:
                 if log_mass is None:
                     log_mass = _log_mass(v, f.dx)
                 h = -(log_mass + _log_mean_exp(v, log_v, t)) / t
-            else:
-                log_max = float(log_v.max())
-                h = (p / (1.0 - p)) * log_max + (
-                    _log_power_sum(log_v, log_max, p) + math.log(f.dx)) / (1.0 - p)
             del log_v
         out.append(h)
     return tuple(out)
 
 
-# the least order whose power sum is formed from the ratios v / M: past
-# 54/1022, a ratio below the normal floats gives a term under half an ulp
-# of the sum (the module docstring)
+# the least order whose power sum is formed from the ratios v / M; below
+# it the terms are the unscaled v^p, which cannot overflow or underflow
+# there (the module docstring)
 _POWER_FORM_MIN_ORDER = 1.0 / 16.0
-
-
-def _log_power_sum(log_v: np.ndarray, log_max: float, p: float) -> float:
-    """log sum(exp(a)) for a = p (log_v - log_max), formed in log_v itself:
-    the caller's scratch array is consumed in place, and holds exp(a) with
-    its maxima zeroed when this returns.
-
-    The maximum of a is 0, so this is scipy.special.logsumexp(a) bit for
-    bit without its shift: the m entries with a == 0 (the maxima, and at
-    tiny p those that underflow to -0) are taken out of the sum s of the
-    rest, which gives log(m) + log1p(s / m).  renyi_entropies reads it
-    below _POWER_FORM_MIN_ORDER only, where p a cannot overflow.
-    """
-    a = log_v
-    a -= log_max
-    a *= p
-    top = a == 0.0
-    m = np.count_nonzero(top)
-    a[top] = -np.inf
-    np.exp(a, out=a)
-    return float(np.log1p(np.sum(a) / m) + np.log(m))
 
 
 def _log_mean_exp(w: np.ndarray, x: np.ndarray, t: float) -> float:
@@ -226,8 +200,9 @@ def _log_mass(v: np.ndarray, dx: float) -> float:
     1/2 it is log1p of m - 1, correctly rounded but for an ulp or two of
     itself, so the log keeps its digits even when m is 1 to within an
     ulp; below that it is the log of the sum, as m - 1 would round m away."""
-    s = math.fsum(v)
-    s_rest = math.fsum(itertools.chain(v, (-s,)))  # the exact sum is s + s_rest
+    values = memoryview(np.asarray(v, dtype=float))  # Python floats, with no list
+    s = math.fsum(values)
+    s_rest = math.fsum(itertools.chain(values, (-s,)))  # the exact sum is s + s_rest
     excess = float(Fraction(s) * Fraction(dx) - 1) + s_rest * dx
     if excess > -0.5:
         return math.log1p(excess)
@@ -324,17 +299,17 @@ def entropy_power(f: Grid1D, p: float | str) -> float:
 def renyi_affinity(f: Grid1D, g: Grid1D, alpha: float) -> float:
     """The integral int f^alpha g^(1-alpha) dx for alpha in (0, 1).
 
-    Equals 1 iff f = g a.e.; rearrangement can only increase it.
+    Equals 1 iff f = g a.e.; rearrangement can only increase it.  Read as
+    sum(f^alpha g^(1-alpha)) dx over every cell, with plain powers: 0 to a
+    positive power is 0, so a cell outside either support adds nothing,
+    and disjoint supports give 0.  Each term keeps a few ulp of itself
+    while its powers and their product are normal floats; one below
+    2^-1022 is subnormal and keeps an absolute error only.
     """
     if not (0.0 < alpha < 1.0):
         raise OrderOutOfRange(f"affinity needs alpha in (0,1), got {alpha}")
     require_same_grid(f, g)
-    both = (f.values > 0.0) & (g.values > 0.0)
-    if not both.any():
-        return 0.0
-    a = f.values[both]
-    b = g.values[both]
-    return float(np.sum(np.exp(alpha * np.log(a) + (1.0 - alpha) * np.log(b))) * f.dx)
+    return float(np.sum(f.values ** alpha * g.values ** (1.0 - alpha)) * f.dx)
 
 
 def renyi_divergence(f: Grid1D, g: Grid1D, alpha: float) -> float:

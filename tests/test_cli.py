@@ -301,9 +301,9 @@ class TestVerifyBytes:
     """
 
     PINS = {
-        ("X86_V4",): "606cb254268b96cdeeced9327bf55eb02fea78b8dc6638ac81f2e3bf8b6b1f2d",
-        ("X86_V3",): "63087e3dd3b2d48406215cc9ad6d9bf5ed0adeba6f2444c66a5da549ba909faa",
-        ("X86_V2",): "f5aad1521c42dbdb850fc81aef86455f2255df6953b8cbd97a37f19236f1330e",
+        ("X86_V4",): "8f24da7312ade921340360367d494a475159848b0b003b2e5fe429bc3e66184d",
+        ("X86_V3",): "a86c7d6f048b2933a63f4c710f0b387ef1c84eae4efbadc5177b02c36da00a10",
+        ("X86_V2",): "d44956ce64fab64f41e44f40146e5c9d38f6f013e89091501380473c9caa9d93",
     }
 
     def test_document_digest(self, tmp_path):
