@@ -178,9 +178,6 @@ def _cmd_ballsum(args: argparse.Namespace) -> int:
     return 0
 
 
-_ARGMIN_REL = 1e-9
-
-
 def _cmd_conjecture(args: argparse.Namespace) -> int:
     if args.landscape is None:
         value = c_constant(args.p)
@@ -209,13 +206,13 @@ def _cmd_conjecture(args: argparse.Namespace) -> int:
     print("a1,a2,ratio")
     for pt in points:
         print(f"{pt.a1!r},{pt.a2!r},{pt.ratio!r}")
-    # every diagonal a1 = a2 gives the same ratio up to roundoff, so the
-    # minimizer is reported as the first point in grid order near the minimum
+    # points with the same scale ratio share one float (every diagonal
+    # a1 = a2 among them), so the minimizer is the first of its ties
     low = min(pt.ratio for pt in points)
-    near = [pt for pt in points if pt.ratio - low <= _ARGMIN_REL * abs(low)]
-    print(f"# argmin ratio={low:.6g} at (a1,a2)=({near[0].a1:g},{near[0].a2:g}), "
-          f"first in grid order of {len(near)} points within {_ARGMIN_REL:g} "
-          f"relative of the minimum [{UPPER_BOUND_LABEL}]", file=sys.stderr)
+    ties = [pt for pt in points if pt.ratio == low]
+    print(f"# argmin ratio={low:.6g} at (a1,a2)=({ties[0].a1:g},{ties[0].a2:g}), "
+          f"first in grid order of {len(ties)} points at the minimum "
+          f"[{UPPER_BOUND_LABEL}]", file=sys.stderr)
     return 0
 
 

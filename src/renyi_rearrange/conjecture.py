@@ -21,12 +21,11 @@ N_p(X1 + ... + Xk) >= c_p sum_i N_p(Xi) with c_p = (1/e) p^(1/(p-1)) for
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 from .config import MAX_CELLS, eps_conv
-from .errors import BadParameter, DensityOverflow, OrderOutOfRange
-from .grids import same_spacing
+from .errors import BadParameter, OrderOutOfRange
+from .grids import Grid1D
 from .convolve import convolve, resample, scale_density
 from .densities import beta_of_p, generalized_gaussian
 from .entropy import Group, entropy_power, order_label
@@ -47,13 +46,25 @@ UPPER_BOUND_LABEL = "upper-bound"
 LANDSCAPE_CELLS = 2048
 
 
+def _pair_ratio(base: Grid1D, n_base: float, s: float, p: float) -> float:
+    """N_p(Z + sZ') / ((1 + s^2) N_p(Z)) for Z, Z' iid with density base and
+    n_base = N_p(Z).
+
+    sZ' is resampled onto base's spacing; at s = 1 it is base itself, so
+    the self-convolution takes one forward transform.
+    """
+    large = base if s == 1.0 else resample(scale_density(base, s), base.dx)
+    return entropy_power(convolve(base, large), p) / ((1.0 + s * s) * n_base)
+
+
 def c_constant(p: float, cells: int = 8192) -> float:
     """The iid-maximizer ratio C_{p,1}, an upper bound on the sharp constant
     (the infimum of the ratio over all pairs, strictly lower at p = 2).
 
     Exact endpoints are returned as such: C_{1,1} = 1 and C_{inf,1} = 1/2.
-    Interior orders are computed on a grid: convolve two copies of the
-    maximizer and take the entropy-power ratio.
+    Interior orders are computed on a grid: the entropy power of the
+    maximizer convolved with itself over twice its own, the pair ratio at
+    scale ratio 1 that ratio_landscape reads on its diagonal.
     """
     if p == 1.0:
         return 1.0
@@ -62,8 +73,7 @@ def c_constant(p: float, cells: int = 8192) -> float:
     if p <= 1.0 / 3.0:
         raise OrderOutOfRange(f"need p > 1/3, got {p}")
     g = generalized_gaussian(beta_of_p(p, 1), cells=cells)
-    conv = convolve(g, g)
-    return 0.5 * entropy_power(conv, p) / entropy_power(g, p)
+    return _pair_ratio(g, entropy_power(g, p), 1.0, p)
 
 
 @dataclass(frozen=True)
@@ -76,51 +86,34 @@ class LandscapePoint:
 def ratio_landscape(p: float, a_grid: list[tuple[float, float]]) -> list[LandscapePoint]:
     """Ratio N_p(a1 Z1 + a2 Z2) / (N_p(a1 Z1) + N_p(a2 Z2)) over scale pairs.
 
-    Z1, Z2 are iid order-p maximizers, built on LANDSCAPE_CELLS cells
-    before scaling.  On the diagonal a1 = a2 the ratio equals C_{p,1};
-    scaling both arguments leaves it invariant, and letting one scale
-    vanish drives it to 1.  Each point is the ratio of one pair, so an
-    upper bound on the sharp constant.  The ratio is
-    symmetric in (a1, a2), so each unordered pair is computed once, with
-    the smaller scale as the first factor and the larger one resampled
-    onto its spacing, and a pair and its mirror get the same float.  Each
-    distinct scale's density is built once and shared by its pairs; a
-    diagonal pair convolves that one density with itself, which takes
-    one forward transform.  Entropy powers of the factors are computed on
-    their own exact grids.  A pair whose resampled grid would exceed
-    MAX_CELLS is a BadParameter; entropy powers that leave the
-    normal float range are a DensityOverflow.
+    Z1, Z2 are iid order-p maximizers.  N_p(cX) = c^2 N_p(X), so the ratio
+    does not change when both scales are multiplied by one factor: it is
+    the ratio of Z1 + s Z2 with s = max(a1, a2) / min(a1, a2), whatever
+    the absolute scales.  One maximizer is built on LANDSCAPE_CELLS cells,
+    and each distinct s is computed once, with s Z2 resampled onto Z1's
+    spacing; a pair and its mirror, and every diagonal pair (s = 1, equal
+    to c_constant(p, LANDSCAPE_CELLS) bit for bit), get the same float.
+    Letting s grow drives the ratio to 1.  Each point is the ratio of one
+    pair, so an upper bound on the sharp constant.  A pair whose resampled
+    grid would exceed MAX_CELLS is a BadParameter.
     """
     if p == 1.0 or math.isinf(p) or p <= 1.0 / 3.0:
         raise OrderOutOfRange(f"landscape needs finite p in (1/3, inf), p != 1, got {p}")
+    scale_ratios = []
     for a1, a2 in a_grid:
         if not (0.0 < a1 < math.inf and 0.0 < a2 < math.inf):
             raise BadParameter(f"scales must be positive and finite, got ({a1}, {a2})")
-        fine_cells = LANDSCAPE_CELLS * (max(a1, a2) / min(a1, a2))
-        if fine_cells > MAX_CELLS:
+        s = max(a1, a2) / min(a1, a2)
+        if LANDSCAPE_CELLS * s > MAX_CELLS:
             raise BadParameter(
-                f"scales ({a1}, {a2}) would resample onto {fine_cells:.0f} cells, "
+                f"scales ({a1}, {a2}) would resample onto {LANDSCAPE_CELLS * s:.0f} cells, "
                 f"more than MAX_CELLS = {MAX_CELLS}")
+        scale_ratios.append(s)
     base = generalized_gaussian(beta_of_p(p, 1), cells=LANDSCAPE_CELLS)
     n_base = entropy_power(base, p)
-    scaled = {a: scale_density(base, a) for a in {a for pair in a_grid for a in pair}}
-    ratios: dict[tuple[float, float], float] = {}
-    out: list[LandscapePoint] = []
-    for a1, a2 in a_grid:
-        lo, hi = min(a1, a2), max(a1, a2)
-        if (lo, hi) not in ratios:
-            den = (lo * lo + hi * hi) * n_base  # exact scaling of the factors
-            # a subnormal sum has lost digits the ratio would silently lack
-            if not (sys.float_info.min <= den < math.inf):
-                raise DensityOverflow(
-                    f"N_p(a1 Z1) + N_p(a2 Z2) is {den} at scales ({a1}, {a2}), "
-                    "outside the normal float range")
-            small, large = scaled[lo], scaled[hi]
-            if not same_spacing(small, large):
-                large = resample(large, small.dx)
-            ratios[lo, hi] = entropy_power(convolve(small, large), p) / den
-        out.append(LandscapePoint(a1=a1, a2=a2, ratio=ratios[lo, hi]))
-    return out
+    ratios = {s: _pair_ratio(base, n_base, s, p) for s in dict.fromkeys(scale_ratios)}
+    return [LandscapePoint(a1=a1, a2=a2, ratio=ratios[s])
+            for (a1, a2), s in zip(a_grid, scale_ratios)]
 
 
 def bobkov_constant(p: float) -> float:

@@ -37,7 +37,8 @@ times the marginal's bytes to the marginal, one log per order.
 A jump rate whose mean lambda*t needs more than the 200-term cap is
 refused (with no Poisson term computed when the mean is past the cap),
 and a diffusion or jump law whose Gaussian window or series sum would
-take more than MAX_CELLS cells is refused before anything is allocated.
+take more than MAX_CELLS cells, or a diffusion the jump law's grid cannot
+resolve, is refused before anything is allocated.
 Both processes use the same snapped jump law (the rearranged pipeline
 rearranges the snapped density), so the dominance being checked is exact
 for the densities actually simulated.
@@ -148,8 +149,10 @@ def _mixture(spec: LevySpec, jump: Grid1D) -> Grid1D:
     renormalized.  At lambda t = 0, a zero rate or a product that
     underflows, there are no jumps: the mixture is the Gaussian alone,
     refined from spacing 16 sqrt(a t) / 1024.  A sqrt(a t) that is not
-    positive and finite, or a Gaussian window of more than MAX_CELLS cells,
-    is a BadParameter, raised before anything is allocated."""
+    positive and finite, or a Gaussian window of more than MAX_CELLS cells
+    or, with jumps, of at most 3 cells each side of the jump law's spacing
+    (a diffusion that grid cannot resolve), is a BadParameter, raised
+    before anything is allocated."""
     mu = spec.rate * spec.t
     k = auto_k_max(mu)
     sigma = math.sqrt(spec.a * spec.t)
@@ -161,7 +164,15 @@ def _mixture(spec: LevySpec, jump: Grid1D) -> Grid1D:
         raise BadParameter(
             f"the Gaussian window of 8 sqrt(a t) = {8.0 * sigma:.6g} each side at "
             f"spacing {dx:.6g} takes more than MAX_CELLS = {MAX_CELLS} cells")
-    reach = max(4, int(math.ceil(span)))
+    # read on the jump law's own spacing, X_t's (Z_t's is half of it), so
+    # both marginals are refused alike
+    jump_span = 8.0 * sigma / spec.jump.dx
+    if mu > 0.0 and jump_span <= 3.0:
+        raise BadParameter(
+            f"the Gaussian window of 8 sqrt(a t) = {8.0 * sigma:.6g} each side spans "
+            f"{jump_span:.3g} cells of the jump law's spacing {spec.jump.dx:.6g}, "
+            "at most 3: that grid cannot resolve the diffusion")
+    reach = int(math.ceil(span))
     gauss = gaussian_on_grid(0.0, sigma, -(reach + 0.5) * dx, dx, 2 * reach + 1)
     if mu == 0.0:
         return normalize(refine(gauss, 2))

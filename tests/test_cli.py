@@ -212,12 +212,12 @@ class TestConjectureCommand:
         assert "argmin" in captured.err
 
     def test_landscape_argmin_is_first_of_the_ties(self, capsys):
-        # the nine diagonal points share the ratio C_{2,1} up to roundoff;
-        # the nearest other point is 7e-4 above it
+        # the nine diagonal points share the float of scale ratio 1, C_{2,1}
+        # on the landscape's grid; the nearest other point is 7e-4 above it
         rc = cli.main(["conjecture", "--p", "2.0", "--landscape", "0.5:2.0:9"])
         assert rc == 0
         err = capsys.readouterr().err
-        assert "at (a1,a2)=(0.5,0.5), first in grid order of 9 points within 1e-09" in err
+        assert "at (a1,a2)=(0.5,0.5), first in grid order of 9 points at the minimum" in err
 
     def test_bad_landscape_spec(self, capsys):
         rc = cli.main(["conjecture", "--p", "2.0", "--landscape", "1:2"])
@@ -225,11 +225,14 @@ class TestConjectureCommand:
 
     @pytest.mark.parametrize("spec", ["1e200:2e200:2", "1e-200:2e-200:2"])
     def test_landscape_entropy_power_past_the_float_range(self, spec, capsys):
-        rc = cli.main(["conjecture", "--p", "2.0", "--landscape", spec])
-        assert rc == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1
-        assert err[0].startswith("error: N_p(a1 Z1) + N_p(a2 Z2) is ")
+        # the factors' entropy powers leave the float range, but the ratio
+        # reads only the scale ratio: the unscaled grid's ratios, bit for bit
+        def ratios(landscape):
+            assert cli.main(["conjecture", "--p", "2.0", "--landscape", landscape]) == 0
+            lines = capsys.readouterr().out.splitlines()[1:]
+            return [line.rsplit(",", 1)[1] for line in lines]
+
+        assert ratios(spec) == ratios("1:2:2")
 
     def test_landscape_scale_ratio_past_the_cell_bound(self, capsys, monkeypatch):
         def no_resample(*args):
@@ -373,6 +376,21 @@ class TestLevyCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize("t", ["1e-200", "1e-5"])
+    def test_unresolved_diffusion_is_usage_error(self, tmp_path, t, capsys):
+        # 8 sqrt(t) is at most 1.6 cells of the jump law's spacing: it once
+        # printed h_1(X_t) = -4.158883 at t = 1e-200, for a law near -228.84
+        jump = tmp_path / "jump.csv"
+        write_density_csv(random_density(DensityGeneratorSpec(
+            kind="uniform-mixture", seed=977, cells=512)), str(jump))
+        rc = cli.main(["levy", "--a", "1", "--lambda", "1", "--t", t,
+                       "--jumps", str(jump), "--orders", "1"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
+        assert "cannot resolve the diffusion" in captured.err
 
     def test_underflowing_mean_prints_the_zero_rate(self, tmp_path, capsys):
         # lambda t = 1e-200 * 1e-200 underflows to 0: no jumps, so levy

@@ -7,7 +7,6 @@ import renyi_rearrange.conjecture as conjecture
 from renyi_rearrange import (
     UPPER_BOUND_LABEL,
     BadParameter,
-    DensityOverflow,
     Group,
     OrderOutOfRange,
     bobkov_chistyakov_bound_check,
@@ -79,8 +78,22 @@ class TestBobkovConstant:
 class TestRatioLandscape:
     def test_scale_invariant_on_diagonal(self):
         points = ratio_landscape(2.0, [(0.5, 0.5), (1.0, 1.0), (2.0, 2.0)])
-        ratios = [pt.ratio for pt in points]
-        assert max(ratios) - min(ratios) < 1e-6
+        assert len({pt.ratio for pt in points}) == 1
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.5])
+    def test_diagonal_is_the_constant_on_the_landscape_grid(self, p):
+        points = ratio_landscape(p, [(0.3, 0.3), (1.0, 1.0), (7.5, 7.5)])
+        c = c_constant(p, conjecture.LANDSCAPE_CELLS)
+        assert [pt.ratio for pt in points] == [c, c, c]
+
+    def test_ratios_do_not_see_the_absolute_scale(self):
+        # 2^j times both scales, with entropy powers of order 2^(+-1200)
+        # past the float range at j = +-600, gives the j = 0 floats
+        pairs = [(0.8, 1.3), (1.0, 1.0), (2.0, 0.7), (0.5, 1.5)]
+        ratios = [[pt.ratio for pt in ratio_landscape(
+                       2.0, [(math.ldexp(a1, j), math.ldexp(a2, j)) for a1, a2 in pairs])]
+                  for j in (-600, 0, 600)]
+        assert ratios[0] == ratios[1] == ratios[2]
 
     def test_symmetric_in_scales(self):
         a, b = ratio_landscape(2.0, [(0.8, 1.3), (1.3, 0.8)])
@@ -96,6 +109,9 @@ class TestRatioLandscape:
 
     @pytest.mark.parametrize("k", [1, 2, 5])
     def test_one_convolution_per_unordered_pair(self, k, monkeypatch):
+        # one convolution per distinct scale ratio max/min: of the k = 5
+        # scales' 15 unordered pairs, (0.5, 1) and (0.75, 1.5) share 2,
+        # (0.5, 0.75) and (1, 1.5) share 1.5, and the diagonal shares 1
         calls = []
         real = conjecture.convolve
 
@@ -106,17 +122,17 @@ class TestRatioLandscape:
         monkeypatch.setattr(conjecture, "convolve", counting)
         scales = [0.5 + 0.25 * i for i in range(k)]
         ratio_landscape(2.0, [(a1, a2) for a1 in scales for a2 in scales])
-        assert len(calls) == k * (k + 1) // 2
-        # the smaller scale, with the finer spacing, is the first factor
-        assert all(dx_f <= dx_g for dx_f, dx_g in calls)
+        assert len(calls) == {1: 1, 2: 2, 5: 9}[k]
+        # the wider factor is resampled onto the maximizer's own spacing
+        assert len(set(calls)) == 1 and calls[0][0] == calls[0][1]
 
     def test_one_forward_transform_call_per_unordered_pair(self, fft_calls):
-        # 9 x 9 scales are 45 unordered pairs, each one FFT convolution; a
-        # pair takes one rfft call, a diagonal pair too (the same density
-        # as both factors)
+        # 9 x 9 scales are 45 unordered pairs with 37 distinct scale ratios,
+        # each one FFT convolution; a ratio takes one rfft call, the ratio 1
+        # too (the maximizer as both factors)
         scales = [float(a) for a in np.linspace(0.5, 2.0, 9)]
         ratio_landscape(2.0, [(a1, a2) for a1 in scales for a2 in scales])
-        assert fft_calls == {"rfft": 45, "irfft": 45}
+        assert fft_calls == {"rfft": 37, "irfft": 37}
 
     def test_far_apart_scales_are_refused_before_resampling(self, monkeypatch):
         def no_resample(*args):
@@ -144,8 +160,10 @@ class TestRatioLandscape:
 
     @pytest.mark.parametrize("scale", [1e154, 1e-155])
     def test_entropy_powers_outside_the_float_range(self, scale):
-        with pytest.raises(DensityOverflow, match="outside the normal float range"):
-            ratio_landscape(2.0, [(scale, 2.0 * scale)])
+        # N_p(a1 Z1) + N_p(a2 Z2) leaves the normal float range, but the
+        # ratio is read at the scale ratio 2 alone
+        (pt,) = ratio_landscape(2.0, [(scale, 2.0 * scale)])
+        assert pt.ratio == ratio_landscape(2.0, [(1.0, 2.0)])[0].ratio
 
     @pytest.mark.parametrize("pair", [(0.0, 1.0), (1.0, -1.0), (math.inf, 1.0),
                                       (1.0, math.nan)])

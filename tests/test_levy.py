@@ -47,7 +47,7 @@ def hull_sum_set(f, jump, k_max, a=1.0):
     """Cells of f, a marginal at diffusion a and t = 1, inside the union over
     k <= k_max of the Gaussian window plus k copies of the jump's hull."""
     dx = jump.dx
-    reach = max(4, math.ceil(8.0 * math.sqrt(a) / dx))
+    reach = math.ceil(8.0 * math.sqrt(a) / dx)
     pos = np.flatnonzero(jump.values > 0.0)
     a_lo, b_hi = jump.x0 + pos[0] * dx, jump.x0 + (pos[-1] + 1) * dx
     expected = np.zeros(f.n_cells, dtype=bool)
@@ -63,7 +63,7 @@ def run_sum_set(f, jump, k_max, a):
     k <= k_max of the Gaussian window plus k copies of the jump's positive
     cells: the k-fold sum set, from indicator convolutions on whole cells."""
     dx = jump.dx
-    reach = max(4, math.ceil(8.0 * math.sqrt(a) / dx))
+    reach = math.ceil(8.0 * math.sqrt(a) / dx)
     term = np.ones(2 * reach + 1, dtype=np.int64)
     x0 = -(reach + 0.5) * dx
     expected = np.zeros(f.n_cells, dtype=bool)
@@ -116,6 +116,21 @@ class TestLevySpec:
         for marginal in (marginal_density, rearranged_marginal):
             with pytest.raises(BadParameter, match="sqrt"):
                 marginal(spec)
+
+    @pytest.mark.parametrize("t", [1e-200, 1e-5])
+    def test_diffusion_the_jump_grid_cannot_resolve_is_refused(self, t, monkeypatch):
+        # 8 sqrt(t) is 5e-98 and 1.6 cells of the seed-977 law's spacing
+        # 1/64 each side; a window floored at 4 cells read h_1(X_t) as
+        # -4.158883 and -4.158571, for a law near -228.84 at t = 1e-200
+        spec = LevySpec(a=1.0, rate=1.0, jump=_uniform_mixture(977), t=t)
+        levy = sys.modules["renyi_rearrange.levy"]
+        for name in ("gaussian_on_grid", "convolve_series"):
+            monkeypatch.setattr(levy, name, lambda *args: pytest.fail("allocated"))
+        for marginal in (marginal_density, rearranged_marginal):
+            with pytest.raises(BadParameter, match="at most 3: that grid cannot resolve"):
+                marginal(spec)
+        with pytest.raises(BadParameter, match="cannot resolve"):
+            check_levy_dominance(spec, [1.0])
 
     def test_jump_must_be_normalized(self):
         bad = make_grid(0.0, 0.1, np.full(10, 3.0))
@@ -252,12 +267,13 @@ class TestMarginal:
 
     def test_support_with_gaps_wider_than_the_window(self, monkeypatch):
         # three 4-cell runs 30 cells apart, 200 cells out, and a 9-cell
-        # Gaussian window: the terms stay gapped until their clusters meet
-        # near k = 9, so the single-run rule for the later terms must wait
+        # Gaussian window (8 sqrt(a) = 3.2 cells each side): the terms stay
+        # gapped until their clusters meet near k = 9, so the single-run
+        # rule for the later terms must wait
         vals = np.zeros(72)
         vals[[*range(4), *range(34, 38), *range(68, 72)]] = 1.0
         jump = normalize(make_grid(10.0, 0.05, vals))
-        spec = LevySpec(a=1e-4, rate=5.0, jump=jump, t=1.0)
+        spec = LevySpec(a=4e-4, rate=5.0, jump=jump, t=1.0)
         k_max = auto_k_max(spec.rate * spec.t)
         calls = _count_run_sums(monkeypatch)
         f = marginal_density(spec)
