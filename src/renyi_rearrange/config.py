@@ -17,13 +17,6 @@ SYM_TOL = 1e-9            # value slack of is_symmetric_decreasing,
 TAIL_TOL = 1e-6           # truncation tail for unbounded supports
 SERIES_TOL = 1e-8         # Poisson series truncation tail
 EPS_CONV_FACTOR = 10.0    # per-cell budget for k-fold convolutions
-FFT_THRESHOLD = 2048      # hull output cells above which FFT is
-                          # used; a speed choice only, as both
-                          # paths give the same support.  Equal
-                          # hulls cross over near 1500-2000 cells
-                          # (direct vs FFT on a 2-core host, numpy
-                          # 2.4: 0.13/0.13 ms at 1535,
-                          # 0.17/0.16 at 2047, 0.45/0.23 at 4095)
 QUAD_TOL = 1e-10          # absolute and relative tolerance of the
                           # ball-sum radial quadrature
 RENYI_NEAR_ONE_WIDTH = 1e-3  # |p - 1| (|1 - alpha| for D_alpha)

@@ -18,23 +18,20 @@ to its last, and the result is written at the sum of the two hull offsets
 into zeros covering all N + M - 1 output cells; the output grid does not
 depend on where the factors are positive.
 
-Up to `FFT_THRESHOLD` output cells of the hull product the quadratic-time
-direct sum is used; larger products go through numpy's real FFT
-(`numpy.fft.rfft`/`irfft`) at the smallest 5-smooth length that holds the
-hull product.  The two zero-padded factors take one batched `rfft` call,
-whose rows are bitwise equal to separate calls, and a self-convolution
-(f convolved with itself) takes one transform and squares it.  Either
-result is then given its exact support: the sum set of the two factors'
-runs of positive cells, the run pair sums sorted and merged where they
-overlap or touch, or the runs of an FFT of the two indicators (a pair
-count, exact when rounded at 1/2) when the run pairs outnumber the
-output cells; when each hull is one run it is every cell.
+Every hull product goes through numpy's real FFT (`numpy.fft.rfft`/
+`irfft`) at the smallest 5-smooth length that holds it; a one-cell
+factor scales the other exactly.  The two zero-padded factors take one
+batched `rfft` call, whose rows are bitwise equal to separate calls, and
+a self-convolution (f convolved with itself) takes one transform and
+squares it.  The result is then given its exact support: the sum set of
+the two factors' runs of positive cells, the run pair sums sorted and
+merged where they overlap or touch, or the runs of an FFT of the two
+indicators (a pair count, exact when rounded at 1/2) when the run pairs
+outnumber the output cells; when each hull is one run it is every cell.
 The gaps between its runs are zeroed slice by slice, with no full-length
-mask.  A cell on the support that the kernel left below the smallest
-normal float, `np.finfo(float).tiny`, gets that value: its true
-value is positive, but below FFT resolution or, on the direct path, a sum
-of products below the float range.  Both paths thus give the same
-support, and the threshold is a speed choice only.
+mask.  A cell on the support that the transform left below the smallest
+normal float, `np.finfo(float).tiny`, gets that value: its true value is
+positive, but below FFT resolution.
 
 :func:`convolve_series`, the Poisson series sum of :mod:`levy` and not
 exported, sums sum_k w_k f * g^(*k) in five real transforms
@@ -59,7 +56,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import FFT_THRESHOLD, MAX_CELLS
+from .config import MAX_CELLS
 from .errors import BadParameter, NonPositiveSpacing, SpacingMismatch
 from .grids import Grid1D, half_cell_offset, same_spacing
 
@@ -160,36 +157,11 @@ def _zero_off(values: np.ndarray, runs: Runs) -> None:
         values[end:start] = 0.0
 
 
-def _conv_weights(p: np.ndarray, q: np.ndarray, runs_p: Runs, runs_q: Runs,
-                  force: str | None = None) -> np.ndarray:
-    """Convolution of the hulls p and q (first and last cells positive),
-    zero exactly off its support."""
-    out_len = p.size + q.size - 1
-    method = force or ("direct" if out_len <= FFT_THRESHOLD else "fft")
-    if method == "direct":
-        w = np.convolve(p, q)
-    elif min(p.size, q.size) == 1:  # a one-cell factor scales the other exactly
-        w = p * q
-    else:
-        w = _fft_conv(p, q, out_len)
-    np.maximum(w, _TINY, out=w)
-    if runs_p[0].size > 1 or runs_q[0].size > 1:  # else the sum set is every cell
-        _zero_off(w, _sum_runs(runs_p, runs_q, p.size, q.size))
-    return w
-
-
-def convolve(f: Grid1D, g: Grid1D, method: str | None = None) -> Grid1D:
-    """Convolution of two grid densities with equal spacing.
-
-    Raises SpacingMismatch when the spacings differ by more than one part
-    in 1e12.  `method` forces "direct" or "fft" (used by the agreement
-    test); by default the choice follows FFT_THRESHOLD, applied to
-    the output length of the two hulls.
-    """
+def convolve(f: Grid1D, g: Grid1D) -> Grid1D:
+    """Convolution of two grid densities with equal spacing; SpacingMismatch
+    when the spacings differ by more than one part in 1e12."""
     if not same_spacing(f, g):
         raise SpacingMismatch(f"dx mismatch: {f.dx} vs {g.dx}")
-    if method not in (None, "direct", "fft"):
-        raise BadParameter(f"unknown convolution method {method!r}")
     dx = f.dx
     vals = np.zeros(f.n_cells + g.n_cells - 1)
     (sf, ef), (sg, eg) = _runs(f.values), _runs(g.values)
@@ -197,9 +169,24 @@ def convolve(f: Grid1D, g: Grid1D, method: str | None = None) -> Grid1D:
         a0, b0 = sf[0], sg[0]
         p = f.values[a0:ef[-1]] * dx
         q = p if g is f else g.values[b0:eg[-1]] * dx  # a self-convolution takes one transform
-        w = _conv_weights(p, q, (sf - a0, ef - a0), (sg - b0, eg - b0), force=method)
+        # a one-cell factor scales the other exactly
+        w = p * q if min(p.size, q.size) == 1 else _fft_conv(p, q, p.size + q.size - 1)
+        np.maximum(w, _TINY, out=w)
+        if sf.size > 1 or sg.size > 1:  # else the sum set is every cell
+            _zero_off(w, _sum_runs((sf - a0, ef - a0), (sg - b0, eg - b0), p.size, q.size))
         np.divide(w, dx, out=vals[a0 + b0:a0 + b0 + w.size])
     return Grid1D(x0=f.x0 + g.x0 + 0.5 * dx, dx=dx, values=vals)
+
+
+def sum_set_measure(h: Grid1D, k: int) -> float:
+    """Measure of the continuum sum set of the supports of k step densities,
+    read off h, their k-fold :func:`convolve`, whose support is exact: k
+    runs of cells [s_i, e_i) sum to [sum s_i, sum e_i), k - 1 cells longer
+    at the right than their run in h.  So the sum set is h's runs of
+    positive cells, each so extended, merged; h must have one."""
+    starts, ends = _runs(h.values)
+    gaps = starts[1:] - ends[:-1]  # an extension fills up to k - 1 cells of each
+    return int((ends - starts).sum() + np.minimum(gaps, k - 1).sum() + k - 1) * h.dx
 
 
 def convolve_series(f: Grid1D, g: Grid1D, weights: Sequence[float]) -> Grid1D:

@@ -17,15 +17,15 @@ and log-Sobolev consequences.
 
 Budgets: identities that are exact for step densities, Fisher
 monotonicity among them, are checked at machine-level budgets, and
-Brunn-Minkowski, counted in whole cells, at 0; anything
-downstream of a k-fold convolution gets config.eps_conv(dx, k) (10 dx k),
-scaled by the values where the check compares values; the isoperimetric
-and log-Sobolev checks get a 1% relative budget (FISHER_REL_TOL).  Every
-budget is a constant of config or a formula in dx and the values, not a
-parameter: a suite run is sized by its SuiteConfig and nothing else, and
-every corpus size derives from its pair count.  Corpora are generated
-deterministically from the suite seed, so rerunning a configuration
-reproduces every report bit for bit.
+Brunn-Minkowski and the main theorem at p = 0, counted in whole cells,
+at 0; anything else downstream of a k-fold convolution gets
+config.eps_conv(dx, k) (10 dx k), scaled by the values where the check
+compares values; the isoperimetric and log-Sobolev checks get a 1%
+relative budget (FISHER_REL_TOL).  Every budget is a constant of config
+or a formula in dx and the values, not a parameter: a suite run is sized
+by its SuiteConfig and nothing else, and every corpus size derives from
+its pair count.  Corpora are generated deterministically from the suite
+seed, so rerunning a configuration reproduces every report bit for bit.
 The checks on a convolution group take the group as an entropy.Group and
 read everything from it: the sums f1 * ... * fk and f1^* * ... * fk^*
 and the Renyi entropies of the sums and the factors, each computed on
@@ -80,7 +80,7 @@ from .grids import (
     same_grid,
     variance,
 )
-from .convolve import convolve_k, project_onto
+from .convolve import convolve_k, project_onto, sum_set_measure
 from .densities import GAUSSIAN_ENTROPY_POWER, gaussian_on_grid
 from .entropy import (
     FACTOR_ORDERS,
@@ -125,13 +125,20 @@ def check_main_theorem(group: Group, p: float,
                        seed: int | None = None) -> VerificationReport:
     """h_p of a k-fold convolution never drops under rearranging the factors.
 
-    Reads h_p of the group's two sums from its rows, so p is one of ORDERS.
+    Reads h_p of the group's two sums from its rows, so p is one of ORDERS,
+    except at p = 0, which is Brunn-Minkowski: there each side is the log of
+    its sum's exact continuum sum set (sum_set_measure), a whole number of
+    cells, so the budget is 0.
     """
     k = len(group.fs)
-    lhs, rhs = group.h_conv[p], group.h_conv_star[p]
+    if p == 0.0:
+        lhs, rhs = (math.log(sum_set_measure(h, k)) for h in (group.conv, group.conv_star))
+        tol = 0.0
+    else:
+        lhs, rhs = group.h_conv[p], group.h_conv_star[p]
+        tol = eps_conv(group.fs[0].dx, k)
     label = order_label(p)
-    return report_geq(f"main_theorem[p={label}]", lhs, rhs,
-                      eps_conv(group.fs[0].dx, k),
+    return report_geq(f"main_theorem[p={label}]", lhs, rhs, tol,
                       params={"k": k, "order": label, "dx": group.fs[0].dx},
                       seed=seed)
 

@@ -304,9 +304,9 @@ class TestVerifyBytes:
     """
 
     PINS = {
-        ("X86_V4",): "8f24da7312ade921340360367d494a475159848b0b003b2e5fe429bc3e66184d",
-        ("X86_V3",): "a86c7d6f048b2933a63f4c710f0b387ef1c84eae4efbadc5177b02c36da00a10",
-        ("X86_V2",): "d44956ce64fab64f41e44f40146e5c9d38f6f013e89091501380473c9caa9d93",
+        ("X86_V4",): "75b8dfeb84d1f5e8ac56df62d81d94a1f673686400f019c14636bdf327d4c55c",
+        ("X86_V3",): "da5a726e4d78ef90b8d6cc317a7cb11b046af72e52a57f7708a21e7f82f06e03",
+        ("X86_V2",): "c1e805d71b019de244e3a75fb8f4eb1867d1058f5d3e4ab89c08624346f45254",
     }
 
     def test_document_digest(self, tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -13,7 +14,6 @@ from renyi_rearrange import (
     convolve,
     convolve_k,
     gaussian_on_grid,
-    l1_distance,
     make_grid,
     moment,
     project_onto,
@@ -24,6 +24,7 @@ from renyi_rearrange import (
     uniform_interval,
     variance,
 )
+from renyi_rearrange.convolve import sum_set_measure
 
 
 class TestConvolve:
@@ -43,15 +44,25 @@ class TestConvolve:
         assert h.support_measure == pytest.approx(
             f.support_measure + g.support_measure - h.dx, abs=1e-12)
 
-    def test_direct_vs_fft(self):
-        for seed in range(6):
-            f = random_density(DensityGeneratorSpec(kind="spiky-piecewise",
-                                                    seed=seed, cells=300))
-            g = random_density(DensityGeneratorSpec(kind="uniform-mixture",
-                                                    seed=seed + 50, cells=300))
-            hd = convolve(f, g, method="direct")
-            hf = convolve(f, g, method="fft")
-            assert l1_distance(hd, hf) < 1e-10
+    def test_matches_np_convolve_on_the_hulls(self):
+        # the quadratic-time sum of the two hulls as the reference, at the
+        # sizes it was once the kernel for (outputs of up to 2,048 cells):
+        # very uneven factors, one-cell factors, and spiky values
+        pairs = [_gapped_pair(n, m) for n, m in _HULL_SIZES]
+        pairs += [(random_density(DensityGeneratorSpec("spiky-piecewise", seed=s, cells=1024)),
+                   random_density(DensityGeneratorSpec("uniform-mixture", seed=s + 50, cells=1024)))
+                  for s in range(3)]
+        for f, g in pairs:
+            dx = f.dx
+            (a0, a1), (b0, b1) = _hull(f), _hull(g)
+            w = np.zeros(f.n_cells + g.n_cells - 1)
+            w[a0 + b0:a1 + b1 - 1] = np.convolve(f.values[a0:a1] * dx, g.values[b0:b1] * dx)
+            h = convolve(f, g)
+            assert np.array_equal(h.values > 0.0, w > 0.0)
+            if min(a1 - a0, b1 - b0) == 1:  # a one-cell factor scales the other exactly
+                assert np.array_equal(h.values, w / dx)
+            else:  # the transform's error is absolute, below n u of the largest cell
+                assert np.max(np.abs(h.values - w / dx)) <= w.size * 2.0**-53 * w.max() / dx
 
     def test_centered_inputs_stay_centered(self):
         f = uniform_interval(-1.0, 1.0, cells=80)
@@ -96,9 +107,25 @@ _SIZE_PAIRS = [
     *[tuple(int(v) for v in pair) for pair in _RNG_SIZES]]
 
 
+# hull products np.convolve once summed directly: 1,025 to 2,048 output
+# cells, very uneven factors, one-cell factors
+_HULL_SIZES = [(513, 513), (1024, 1025), (1000, 49), (2045, 4), (1947, 2),
+               (1, 2048), (2048, 1), (4, 1), (1, 1)]
+
+
 def _gapped_pair(n, m, dx=0.01):
     rng = np.random.default_rng(n * 100003 + m)
     return make_grid(-1.0, dx, _gapped_values(rng, n)), make_grid(0.5, dx, _gapped_values(rng, m))
+
+
+def _indicator_sum_set(f, g, reference):
+    """The cells where a positive cell of f and one of g add up: the direct
+    sum of the two indicators (np.convolve), or their FFT pair count
+    (scipy.signal.fftconvolve) rounded at 1/2."""
+    a, b = f.values > 0.0, g.values > 0.0
+    if reference == "direct":
+        return np.convolve(a, b)
+    return fftconvolve(a.astype(float), b.astype(float)) >= 0.5
 
 
 class TestFftKernel:
@@ -118,7 +145,7 @@ class TestFftKernel:
         # cells the FFT could not resolve hold the smallest normal float
         tiny = np.finfo(float).tiny
         expected = np.where(support, np.maximum(w, tiny), 0.0) / dx
-        h = convolve(f, g, method="fft")
+        h = convolve(f, g)
         assert np.array_equal(h.values, expected)
         assert not h.values[~support].any()
 
@@ -134,7 +161,7 @@ class TestFftKernel:
         w[2 * a0:2 * a0 + hull_w.size] = hull_w
         support = np.convolve(f.values > 0.0, f.values > 0.0)
         expected = np.where(support, np.maximum(w, np.finfo(float).tiny), 0.0) / dx
-        assert np.array_equal(convolve(f, f, method="fft").values, expected)
+        assert np.array_equal(convolve(f, f).values, expected)
 
     def test_one_forward_transform_call_per_convolution(self, fft_calls):
         # the two factors take one batched rfft call, f with itself one
@@ -151,22 +178,21 @@ class TestFftKernel:
         convolve(f, g)
         assert fft_calls == {"rfft": 2, "irfft": 2}
 
-    @pytest.mark.parametrize("method", ["direct", "fft"])
+    @pytest.mark.parametrize("reference", ["direct", "fft"])
     @pytest.mark.parametrize("n, m", _SIZE_PAIRS)
-    def test_support_is_the_indicator_sum_set(self, n, m, method):
+    def test_support_is_the_indicator_sum_set(self, n, m, reference):
         f, g = _gapped_pair(n, m)
-        h = convolve(f, g, method=method)
-        assert np.array_equal(h.values > 0.0, np.convolve(f.values > 0.0, g.values > 0.0))
+        h = convolve(f, g)
+        assert np.array_equal(h.values > 0.0, _indicator_sum_set(f, g, reference))
 
-    @pytest.mark.parametrize("method", ["direct", "fft"])
-    def test_underflowing_products_keep_their_support(self, method):
+    @pytest.mark.parametrize("reference", ["direct", "fft"])
+    def test_underflowing_products_keep_their_support(self, reference):
         # sampled out to 40 sigma the tails reach 1e-300 before they
         # underflow to 0, so products of two tail cells fall below the
         # float range; their cells still belong to the support
         gauss = gaussian_on_grid(0.0, 1.0, -40.0, 80.0 / 1024, 1024)
-        h = convolve(gauss, gauss, method=method)
-        assert np.array_equal(h.values > 0.0,
-                              np.convolve(gauss.values > 0.0, gauss.values > 0.0))
+        h = convolve(gauss, gauss)
+        assert np.array_equal(h.values > 0.0, _indicator_sum_set(gauss, gauss, reference))
 
     def test_sizes_exercise_both_support_rules(self):
         # merged run-pair sums serve few runs, the indicator FFT many; the
@@ -183,7 +209,7 @@ class TestFftKernel:
         # below FFT resolution, yet every output cell is positive
         dx = 24.0 / 2048
         gauss = gaussian_on_grid(0.0, 1.0, -12.0, dx, 2048)
-        h = convolve(gauss, gauss, method="fft")
+        h = convolve(gauss, gauss)
         assert h.values.min() > 0.0
         assert renyi_entropy(h, 0.0) == pytest.approx(math.log(4095 * dx), abs=1e-12)
 
@@ -191,6 +217,28 @@ class TestFftKernel:
         from renyi_rearrange.convolve import _fast_len
         mismatches = [n for n in range(1, 200_001) if _fast_len(n) != next_fast_len(n, True)]
         assert mismatches == []
+
+
+def _runs_of(values):
+    """(start, end) of each run of positive cells, end exclusive."""
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], values > 0.0, [0]))))
+    return list(zip(edges[0::2], edges[1::2]))
+
+
+class TestSumSetMeasure:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_is_the_continuum_sum_set_of_the_runs(self, k, seed):
+        # each k-tuple of runs [s_i, e_i) sums to [sum s_i, sum e_i) in
+        # cells; their union, counted cell by cell, is the reference
+        rng = np.random.default_rng(seed)
+        fs = [make_grid(0.0, 0.25, _gapped_values(rng, int(n)))
+              for n in rng.integers(1, 40, size=k)]
+        assert all(f.values.any() for f in fs)
+        covered = np.zeros(sum(f.n_cells for f in fs), dtype=bool)
+        for runs in itertools.product(*map(_runs_of, (f.values for f in fs))):
+            covered[sum(s for s, _ in runs):sum(e for _, e in runs)] = True
+        assert sum_set_measure(convolve_k(fs), k) == covered.sum() * 0.25
 
 
 class TestIrwinHall:

@@ -369,8 +369,7 @@ _BUILDERS = {
     "normalize": lambda mp: normalize(_uneven()),
     "refine": lambda mp: refine(_uneven(), 3),
     "random_density": lambda mp: _uneven(),
-    "convolve-direct": lambda mp: convolve(_uneven(), _uneven(seed=6), method="direct"),
-    "convolve-fft": lambda mp: convolve(_uneven(), _uneven(seed=6), method="fft"),
+    "convolve-fft": lambda mp: convolve(_uneven(), _uneven(seed=6)),
     "convolve_series-many": lambda mp: convolve_series(_uneven(), _uneven(seed=6),
                                                        [0.5, 0.3, 0.2]),
     "rearrange_1d": lambda mp: rearrange_1d(_uneven()),

@@ -3,10 +3,12 @@ suite run and asserts that at least one report of the check meant to catch
 it fails, while the same run unpatched passes.
 """
 
+import sys
+
 import numpy as np
 
 import renyi_rearrange.balls as balls
-from renyi_rearrange import SuiteConfig, run_suite
+from renyi_rearrange import Grid1D, SuiteConfig, run_suite
 
 
 def _brunn_minkowski_reports():
@@ -30,3 +32,30 @@ def test_brunn_minkowski_catches_a_sum_set_one_cell_short(monkeypatch):
 
     monkeypatch.setattr(balls, "_merge", short_merge)
     assert any(not r.passed for r in _brunn_minkowski_reports())
+
+
+def _order_zero_reports():
+    # the smallest seed-0 corpus with a pair at equality: 8 cells, one
+    # pair and one triple; the pair's supports are intervals, so its
+    # main_theorem[p=0] margin is 0
+    reports = run_suite(SuiteConfig(suite="main", pairs=1, cells=8))
+    return [r for r in reports if r.name == "main_theorem[p=0]"]
+
+
+def test_main_theorem_at_order_zero_catches_a_convolution_that_drops_a_support_cell(
+        monkeypatch):
+    clean = _order_zero_reports()
+    assert clean and all(r.passed for r in clean)
+    assert any(r.margin == 0.0 for r in clean)
+
+    module = sys.modules["renyi_rearrange.convolve"]
+    convolve = module.convolve
+
+    def dropping_convolve(f, g):
+        h = convolve(f, g)
+        values = h.values.copy()
+        values[np.flatnonzero(values)[-1]] = 0.0  # the last cell of the support
+        return Grid1D(h.x0, h.dx, values)
+
+    monkeypatch.setattr(module, "convolve", dropping_convolve)
+    assert any(not r.passed for r in _order_zero_reports())

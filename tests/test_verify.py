@@ -236,6 +236,19 @@ class TestChecks:
             assert rep.passed
             assert abs(rep.margin) < 1e-3
 
+    @pytest.mark.parametrize("n, m", [(1, 1), (1, 2), (2, 2)])
+    def test_main_theorem_at_order_zero_is_exact_on_short_supports(self, n, m):
+        # both sums' continuum sum sets span n + m cells, so the margin is
+        # 0 with a budget of 0; a step reading, n + m - 1 cells on one side
+        # and n + m - 1/2 on the other, fails these pairs by log(3/2),
+        # log(5/4) and log(7/6) at this dx, beyond a budget of 10 dx k
+        dx = 8.0 / 2048
+        f, g = (Grid1D(0.0, dx, np.full(c, 1.0 / (c * dx))) for c in (n, m))
+        rep = check_main_theorem(Group((f, g)), 0.0)
+        assert rep.tolerance == 0.0
+        assert rep.lhs == rep.rhs == math.log((n + m) * dx)
+        assert rep.margin == 0.0 and rep.passed
+
     def test_main_theorem_needs_two(self):
         with pytest.raises(BadParameter):
             check_main_theorem(Group((_gauss(0.0, 1.0),)), 1.0)
